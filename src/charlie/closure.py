@@ -108,16 +108,15 @@ def eigencomponents(f: xr.Quasi, order: int) -> list[tuple[int, int, JetField]]:
     """(alpha, sign, field) per exponential index of f, alpha descending.
 
     Each ad-X_0 eigencomponent of X(f) is c_alpha * X(e^{alpha u}); the
-    reference normalization scales it to sign(c_alpha) * X(e^{alpha u}).
+    reference normalization scales it to sign(c_alpha) * X(e^{alpha u}),
+    built directly as X(sign * e^{alpha u}) with int coefficients.
     """
     if not xr.qp_is_exponential_only(f) or not f:
         raise ClosureError("closure needs a nonzero pure exponential sum f(u)")
     out = []
     for alpha in sorted(f, reverse=True):
-        c = f[alpha][xr.MONO_ONE]
-        sign = 1 if c > 0 else -1
-        base = jf.make_Xf(xr.qp_exp(alpha), order)
-        out.append((alpha, sign, jf.field_scale(base, sign) if sign < 0 else base))
+        sign = 1 if f[alpha][xr.MONO_ONE] > 0 else -1
+        out.append((alpha, sign, jf.make_Xf(xr.qp_exp(alpha, sign), order)))
     return out
 
 

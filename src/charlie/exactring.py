@@ -1,14 +1,22 @@
 """Exact sparse arithmetic for the coefficient ring of jet-space computations.
 
-Three layers, all represented by plain dicts with Fraction coefficients so that
-equality is dict equality and every operation is exact:
+Three layers, all represented by plain dicts with exact (int or Fraction)
+coefficients so that equality is dict equality and every operation is exact:
 
   Mono  = tuple[tuple[int, int], ...]     sorted ((var_index, exponent), ...) pairs,
                                           var_index >= 1 names the jet variable u_i,
                                           no zero exponents; () is the monomial 1.
-  Poly  = dict[Mono, Fraction]            sparse polynomial in u_1, u_2, ...; {} is 0.
+  Poly  = dict[Mono, int | Fraction]      sparse polynomial in u_1, u_2, ...; {} is 0.
   Quasi = dict[int, Poly]                 maps an exponential index a to the polynomial
                                           multiplying e^{a*u}; {} is 0.
+
+Where the coefficients live: constructors, scaling and parsing (poly_const,
+poly_var, poly_scale, qp_exp, qp_scale, qp_parse) return Fractions, which is
+what bell, the integral search and the symmetry check see.  Sums, products
+and derivatives use plain arithmetic and keep the type they are given, so the
+jet bracket kernel in jetfield, fed int fields, computes in int throughout.
+An int and a Fraction of equal value compare and hash alike, so dict equality
+does not depend on which one a coefficient is.
 
 The weight of u_i is i; a polynomial is weight-homogeneous when all its monomials
 share one weight.  Zero-coefficient terms and zero polynomial parts are never stored,
@@ -23,7 +31,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 Mono = tuple  # tuple[tuple[int, int], ...]
-Poly = dict   # dict[Mono, Fraction]
+Poly = dict   # dict[Mono, int | Fraction]
 Quasi = dict  # dict[int, Poly]
 
 MONO_ONE: Mono = ()
@@ -277,7 +285,7 @@ def qp_mul(a: Quasi, b: Quasi) -> Quasi:
 
 def qp_derive_u(a: Quasi) -> Quasi:
     """d/du: each e^{a*u} part is multiplied by a (parts carry no explicit u)."""
-    return _qp_norm({al: poly_scale(p, al) for al, p in a.items()})
+    return {al: {m: al * c for m, c in p.items()} for al, p in a.items() if al}
 
 
 def qp_derive_uk(a: Quasi, k: int) -> Quasi:

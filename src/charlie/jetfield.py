@@ -7,8 +7,20 @@ operator; bracketing tracks exactness slot by slot, which is what makes every
 equality claim in this package a statement about retained slots rather than an
 approximation.
 
-The exact total derivative D acts on quasipolynomials without truncation via
-apply_total_derivative; make_D materializes it as a JetField for bracketing.
+Coefficients are plain Python numbers, and the kernel below never converts
+them.  X_0, D and X(f) for an integral f -- every eigencomponent
++-X(e^{a*u}) of a closure -- carry int coefficients, and brackets of int
+fields stay int.  A Fraction enters only with an input that has one: a
+non-integral f such as the 1/2 of sinh, or a field scaled by a rational in
+normalization; it then propagates by ordinary int/Fraction arithmetic.
+
+The kernel takes the full gradient {k: dq/du_k} of a coefficient in one pass
+over its monomials (_prepare) and sums slot_k * dq/du_k over k into one
+accumulator per result slot (_accumulate).  Inside the kernel a monomial is
+packed into one int, so a monomial product is an integer addition; results
+are unpacked into the usual Quasi dicts.  apply_field, the exact total
+derivative D (apply_total_derivative) and bracket all go through these
+helpers.
 """
 
 from __future__ import annotations
@@ -31,7 +43,6 @@ class JetField:
     u_slot: Quasi
     slots: tuple  # slots[j-1] = coefficient of d/du_j, j = 1..valid_order
     valid_order: int
-    d_count: int = 0  # bracket-with-D steps in this field's history, bookkeeping only
 
     def slot(self, j: int) -> Quasi:
         if not 1 <= j <= self.valid_order:
@@ -56,12 +67,12 @@ class ZeroStatus:
         return f"NONZERO(slot {self.witness_slot})"
 
 
-def make_field(u_slot: Quasi, slots: list, valid_order: int, d_count: int = 0) -> JetField:
+def make_field(u_slot: Quasi, slots: list, valid_order: int) -> JetField:
     if valid_order < 1:
         raise ValueError(f"valid order must be >= 1, got {valid_order}")
     if len(slots) != valid_order:
         raise ValueError(f"expected {valid_order} slots, got {len(slots)}")
-    return JetField(u_slot, tuple(slots), valid_order, d_count)
+    return JetField(u_slot, tuple(slots), valid_order)
 
 
 def zero_field(order: int) -> JetField:
@@ -72,13 +83,18 @@ def make_D(order: int) -> JetField:
     """D = u_1 d/du + u_2 d/du_1 + u_3 d/du_2 + ...; operator bigrading (-1, 0)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    slots = [xr.qp_from_poly(xr.poly_var(k + 1)) for k in range(1, order + 1)]
-    return make_field(xr.qp_from_poly(xr.poly_var(1)), slots, order, d_count=1)
+    slots = [{0: {xr.mono_var(k + 1): 1}} for k in range(1, order + 1)]
+    return make_field({0: {xr.mono_var(1): 1}}, slots, order)
 
 
 def make_X0(order: int) -> JetField:
     """X_0 = d/du."""
-    return make_field(xr.qp_exp(0, 1), [{} for _ in range(order)], order)
+    return make_field({0: {xr.MONO_ONE: 1}}, [{} for _ in range(order)], order)
+
+
+def _exact(c):
+    """c as an int when it is integral, otherwise unchanged."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def make_Xf(f: Quasi, order: int) -> JetField:
@@ -86,22 +102,117 @@ def make_Xf(f: Quasi, order: int) -> JetField:
 
     f must be a pure exponential sum (no jet variables); each slot is assembled
     from D^{j-1}(e^{a*u}) = e^{a*u} B_{j-1}(a*u_1, ...) per exponential part.
+    Bell coefficients and the exponents a are integers, so every coefficient
+    is an int where f's coefficient makes it integral.
     """
     if not xr.qp_is_exponential_only(f):
         raise ValueError("X(f) needs f depending on u only (pure exponential sum)")
     terms = [(alpha, p[xr.MONO_ONE]) for alpha, p in f.items()]
     slots = []
     for j in range(1, order + 1):
-        acc: Quasi = {}
+        slot: Quasi = {}
         for alpha, c in terms:
-            acc = xr.qp_add(acc, xr.qp_scale(d_power_exp(j - 1, alpha), c))
-        slots.append(acc)
+            for lam, bell in d_power_exp(j - 1, alpha).items():
+                slot[lam] = {m: _exact(c * b) for m, b in bell.items()}
+        slots.append(slot)
     return make_field({}, slots, order)
 
 
 # ---------------------------------------------------------------------------
-# applying a field and the exact total derivative
+# the kernel: packed monomials, one-pass gradients, fused multiply-accumulate
 # ---------------------------------------------------------------------------
+
+# Inside the kernel a monomial prod u_k^e_k is one int, sum e_k << _BITS*(k-1):
+# a monomial product is an integer addition and d/du_k lowers by one unit.
+# Operand exponents stay below _EXP_LIMIT, so the sum of two never carries
+# into the next variable's field.
+_BITS = 16
+_EXP_LIMIT = 1 << (_BITS - 1)
+
+
+def _prepare(q: Quasi) -> tuple:
+    """(q with packed monomials, gradient of q), in one pass over q's monomials.
+
+    The gradient maps k to dq/du_k (packed) for every jet variable u_k in q,
+    and 0 to dq/du.  For a fixed k, distinct monomials have distinct
+    derivatives, so no terms collide and no zero is ever stored.
+    """
+    packed_q: dict = {}
+    grad: dict = {}
+    for alpha, p in q.items():
+        packed_p = packed_q[alpha] = {}
+        parts: dict = {}
+        for m, c in p.items():
+            packed = 0
+            for k, e in m:
+                if e >= _EXP_LIMIT:
+                    raise ValueError(f"exponent {e} of u{k} is too large for the bracket kernel")
+                packed += e << (_BITS * (k - 1))
+            packed_p[packed] = c
+            for k, e in m:
+                lowered = packed - (1 << (_BITS * (k - 1)))
+                part = parts.get(k)
+                if part is None:
+                    parts[k] = {lowered: c * e}
+                else:
+                    part[lowered] = c * e
+        if alpha:
+            parts[0] = {m: alpha * c for m, c in packed_p.items()}
+        for k, part in parts.items():
+            grad.setdefault(k, {})[alpha] = part
+    return packed_q, grad
+
+
+def _prepare_field(X: JetField) -> list:
+    """_prepare of the u slot (index 0) and of every slot (index j)."""
+    return [_prepare(q) for q in (X.u_slot, *X.slots)]
+
+
+def _accumulate(out: dict, coeffs: list, grad: dict, sign: int) -> None:
+    """out += sign * sum_k coeffs[k] * grad[k], all packed.
+
+    coeffs[k] is a field's packed slot k (0 = the u slot); the caller
+    guarantees max(grad) < len(coeffs).  out maps an exponential index to a
+    {packed mono: coeff} accumulator that may hold zeros; _settled drops them.
+    """
+    for k, dk in grad.items():
+        for a1, p1 in coeffs[k].items():
+            for a2, p2 in dk.items():
+                acc = out.get(a1 + a2)
+                if acc is None:
+                    acc = out[a1 + a2] = {}
+                for m1, c1 in p1.items():
+                    if sign < 0:
+                        c1 = -c1
+                    for m2, c2 in p2.items():
+                        m = m1 + m2
+                        s = acc.get(m)
+                        acc[m] = c1 * c2 if s is None else s + c1 * c2
+
+
+def _unpack(packed: int) -> xr.Mono:
+    """The ((index, exponent), ...) monomial of a packed one."""
+    pairs = []
+    mask = (1 << _BITS) - 1
+    k = 1
+    while packed:
+        e = packed & mask
+        if e:
+            pairs.append((k, e))
+        packed >>= _BITS
+        k += 1
+    return tuple(pairs)
+
+
+def _settled(out: dict) -> Quasi:
+    """Canonical Quasi from an accumulator: zero terms and empty parts dropped."""
+    q: Quasi = {}
+    for alpha, acc in out.items():
+        p = {_unpack(m): c for m, c in acc.items() if c}
+        if p:
+            q[alpha] = p
+    return q
+
 
 def apply_field(X: JetField, g: Quasi) -> Quasi:
     """X(g) = u_slot * dg/du + sum_k slot_k * dg/du_k, exact.
@@ -109,26 +220,19 @@ def apply_field(X: JetField, g: Quasi) -> Quasi:
     Raises TruncationError when g depends on a jet variable beyond X's valid
     order (the contribution of the unknown slot would be missing).
     """
-    top = xr.qp_max_index(g)
+    _, grad = _prepare(g)
+    top = max(grad, default=0)
     if top > X.valid_order:
         raise TruncationError(
             f"applying a field of valid order {X.valid_order} to a value using u_{top}")
-    out = xr.qp_mul(X.u_slot, xr.qp_derive_u(g)) if X.u_slot else {}
-    for k in range(1, top + 1):
-        dk = xr.qp_derive_uk(g, k)
-        if dk:
-            out = xr.qp_add(out, xr.qp_mul(X.slots[k - 1], dk))
-    return out
+    out: dict = {}
+    _accumulate(out, [packed for packed, _ in _prepare_field(X)], grad, 1)
+    return _settled(out)
 
 
 def apply_total_derivative(g: Quasi) -> Quasi:
     """D(g), exact for any quasipolynomial (no truncation: D(u_k) = u_{k+1})."""
-    out = xr.qp_mul(xr.qp_from_poly(xr.poly_var(1)), xr.qp_derive_u(g))
-    for k in range(1, xr.qp_max_index(g) + 1):
-        dk = xr.qp_derive_uk(g, k)
-        if dk:
-            out = xr.qp_add(out, xr.qp_mul(xr.qp_from_poly(xr.poly_var(k + 1)), dk))
-    return out
+    return apply_field(make_D(max(xr.qp_max_index(g), 1)), g)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +245,6 @@ def field_add(X: JetField, Y: JetField) -> JetField:
         xr.qp_add(X.u_slot, Y.u_slot),
         [xr.qp_add(X.slots[j], Y.slots[j]) for j in range(n)],
         n,
-        max(X.d_count, Y.d_count),
     )
 
 
@@ -154,14 +257,13 @@ def field_scale(X: JetField, c) -> JetField:
         xr.qp_scale(X.u_slot, c),
         [xr.qp_scale(s, c) for s in X.slots],
         X.valid_order,
-        X.d_count,
     )
 
 
 def truncate(X: JetField, order: int) -> JetField:
     if order > X.valid_order:
         raise TruncationError(f"cannot extend valid order {X.valid_order} to {order}")
-    return make_field(X.u_slot, list(X.slots[:order]), order, X.d_count)
+    return make_field(X.u_slot, list(X.slots[:order]), order)
 
 
 def fields_equal(X: JetField, Y: JetField) -> bool:
@@ -178,18 +280,22 @@ def bracket(X: JetField, Y: JetField) -> JetField:
     For the triangular fields generated from X_0 and X(f) this keeps
     min(N_X, N_Y) slots; one bracket with D costs exactly one slot.
     """
-    if xr.qp_max_index(X.u_slot) > Y.valid_order or xr.qp_max_index(Y.u_slot) > X.valid_order:
-        raise TruncationError("u slots exceed the operands' valid orders")
-    u_slot = xr.qp_sub(apply_field(X, Y.u_slot), apply_field(Y, X.u_slot))
-    slots = []
-    for j in range(1, min(X.valid_order, Y.valid_order) + 1):
-        qx, qy = X.slots[j - 1], Y.slots[j - 1]
-        if xr.qp_max_index(qy) > X.valid_order or xr.qp_max_index(qx) > Y.valid_order:
+    px, py = _prepare_field(X), _prepare_field(Y)
+    cx, cy = [packed for packed, _ in px], [packed for packed, _ in py]
+    out_slots = []  # index 0 is the u slot
+    for j in range(min(X.valid_order, Y.valid_order) + 1):
+        gx, gy = px[j][1], py[j][1]
+        if max(gy, default=0) > X.valid_order or max(gx, default=0) > Y.valid_order:
+            if j == 0:
+                raise TruncationError("u slots exceed the operands' valid orders")
             break
-        slots.append(xr.qp_sub(apply_field(X, qy), apply_field(Y, qx)))
-    if not slots:
+        out: dict = {}
+        _accumulate(out, cx, gy, 1)
+        _accumulate(out, cy, gx, -1)
+        out_slots.append(_settled(out))
+    if len(out_slots) < 2:
         raise TruncationError("bracket result would have valid order < 1")
-    return make_field(u_slot, slots, len(slots), X.d_count + Y.d_count)
+    return make_field(out_slots[0], out_slots[1:], len(out_slots) - 1)
 
 
 def is_zero_up_to(X: JetField) -> ZeroStatus:

@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are dicts keyed by orderable hashable keys with Fraction values; zero
-entries are never stored.  Elimination is exact (cross-multiplied, no rounding)
-and fully deterministic: pivots are always the smallest key present, and rows
-are processed in insertion order.
+Vectors are dicts keyed by orderable hashable keys with int or Fraction
+values; zero entries are never stored.  Every division goes through Fraction,
+so stored rows, coordinates and nullspace vectors are Fractions either way.
+Elimination is exact (cross-multiplied, no rounding) and fully deterministic:
+pivots are always the smallest key present, and rows are processed in
+insertion order.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable, Optional
 
-Vec = dict  # dict[key, Fraction]
+Vec = dict  # dict[key, int | Fraction]
 
 
 def vec_add_scaled(a: Vec, b: Vec, c: Fraction) -> Vec:
@@ -56,7 +58,7 @@ class LinearSpan:
         if not vec:
             return False
         pivot = min(vec)
-        lead = vec[pivot]
+        lead = Fraction(vec[pivot])  # exact division for int entries too
         vec = {k: v / lead for k, v in vec.items()}
         combo = {t: c / lead for t, c in combo.items()}
         # keep earlier rows reduced against the new pivot so expression stays exact
@@ -93,7 +95,7 @@ def nullspace(rows: list[Vec], columns: list) -> list[Vec]:
         if chosen is None:
             continue
         row = work.pop(chosen)
-        lead = row[col]
+        lead = Fraction(row[col])  # exact division for int entries too
         row = {k: v / lead for k, v in row.items()}
         pivots[col] = row
         work = [vec_add_scaled(r, row, -r[col]) if r.get(col) else r for r in work]

@@ -1,5 +1,10 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from charlie import closure as cl
+from charlie.analysis import _monomials_of_weight
 from charlie import exactring as xr
 from charlie import jetfield as jf
 
@@ -51,7 +56,6 @@ def test_bracket_D_Xf_is_minus_f_X0():
         assert br.valid_order == order - 1  # one bracket with D costs one slot
         assert br.u_slot == xr.qp_neg(f)
         assert all(not br.slot(j) for j in range(1, br.valid_order + 1))
-        assert br.d_count == 1  # one bracket-with-D step in its history
 
 
 def test_bracket_sinh_generators_matches_printed_terms():
@@ -120,3 +124,125 @@ def test_apply_field_truncation_guard():
     X = jf.make_Xf(EXP_U, 3)
     with pytest.raises(jf.TruncationError):
         jf.apply_field(X, xr.qp_parse("u5"))
+
+
+# -- the kernel against the bracket's definition -------------------------------
+
+def _weight_monomials(w: int) -> list:
+    return _monomials_of_weight(w, w)
+
+
+coefficients = st.integers(min_value=-3, max_value=3) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def bihomogeneous_fields(draw):
+    """Bidegree (d, r): slot j is e^{r*u} times weight j - d, the u slot weight -d."""
+    d = draw(st.integers(min_value=-1, max_value=3))
+    r = draw(st.integers(min_value=-2, max_value=2))
+    order = draw(st.integers(min_value=1, max_value=6))
+
+    def part(w):
+        if w < 0:
+            return {}
+        terms = draw(st.dictionaries(st.sampled_from(_weight_monomials(w)), coefficients,
+                                     max_size=3))
+        p = {m: c for m, c in terms.items() if c}
+        return {r: p} if p else {}
+
+    return jf.make_field(part(-d), [part(j - d) for j in range(1, order + 1)], order)
+
+
+fields = bihomogeneous_fields() | st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.sampled_from([jf.make_X0(n), jf.make_D(n)]))
+
+
+def _apply_by_definition(X, g):
+    top = xr.qp_max_index(g)
+    if top > X.valid_order:
+        raise jf.TruncationError("needs a slot beyond the valid order")
+    out = xr.qp_mul(X.u_slot, xr.qp_derive_u(g))
+    for k in range(1, top + 1):
+        out = xr.qp_add(out, xr.qp_mul(X.slots[k - 1], xr.qp_derive_uk(g, k)))
+    return out
+
+
+def _bracket_by_definition(X, Y):
+    """(u slot, slots) of [X, Y]: slot j = X(Q_j^Y) - Y(Q_j^X), term by term."""
+    if xr.qp_max_index(X.u_slot) > Y.valid_order or xr.qp_max_index(Y.u_slot) > X.valid_order:
+        raise jf.TruncationError("u slots exceed the operands' valid orders")
+    u_slot = xr.qp_sub(_apply_by_definition(X, Y.u_slot), _apply_by_definition(Y, X.u_slot))
+    slots = []
+    for qx, qy in zip(X.slots, Y.slots):
+        if xr.qp_max_index(qy) > X.valid_order or xr.qp_max_index(qx) > Y.valid_order:
+            break
+        slots.append(xr.qp_sub(_apply_by_definition(X, qy), _apply_by_definition(Y, qx)))
+    if not slots:
+        raise jf.TruncationError("bracket result would have valid order < 1")
+    return u_slot, slots
+
+
+def _coefficients(X):
+    return [c for q in (X.u_slot, *X.slots) for p in q.values() for c in p.values()]
+
+
+@given(fields, fields)
+@settings(max_examples=300, deadline=None)
+def test_bracket_matches_definition(X, Y):
+    try:
+        want = _bracket_by_definition(X, Y)
+    except jf.TruncationError:
+        with pytest.raises(jf.TruncationError):
+            jf.bracket(X, Y)
+        return
+    got = jf.bracket(X, Y)
+    assert (got.u_slot, list(got.slots)) == want
+    assert got.valid_order == len(want[1])
+    if all(type(c) is int for c in _coefficients(X) + _coefficients(Y)):
+        assert all(type(c) is int for c in _coefficients(got))
+
+
+@given(fields, st.dictionaries(st.integers(min_value=-2, max_value=2), st.dictionaries(
+    st.sampled_from(_weight_monomials(4) + _weight_monomials(2)), coefficients, max_size=3)))
+@settings(max_examples=150, deadline=None)
+def test_apply_field_matches_definition(X, g):
+    g = {a: {m: c for m, c in p.items() if c} for a, p in g.items()}
+    g = {a: p for a, p in g.items() if p}
+    try:
+        want = _apply_by_definition(X, g)
+    except jf.TruncationError:
+        with pytest.raises(jf.TruncationError):
+            jf.apply_field(X, g)
+        return
+    assert jf.apply_field(X, g) == want
+
+
+def test_kernel_exponent_range():
+    # the largest exponent an operand may have survives a product with D exactly
+    assert jf.apply_total_derivative(xr.qp_parse("u1^32767 * u3")) == \
+        xr.qp_parse("32767 * u1^32766 * u2 * u3 + u1^32767 * u4")
+    with pytest.raises(ValueError):
+        jf.apply_field(jf.make_D(3), xr.qp_parse("u1^32768"))
+
+
+def test_make_Xf_integral_coefficients():
+    assert all(type(c) is int for c in _coefficients(jf.make_Xf(TZITZEICA, 8)))
+    assert all(type(c) is int for c in _coefficients(jf.make_Xf(xr.qp_exp(-3, -1), 8)))
+    # a non-integral f keeps its Fractions
+    assert Fraction(1, 2) in _coefficients(jf.make_Xf(SINH, 3))
+
+
+@pytest.mark.parametrize("f, order, degree", [
+    ("1/2 * e^(u) - 1/2 * e^(-u)", 12, 8),
+    ("e^(u) + e^(-2*u)", 12, 8),
+    ("e^(u) + e^(-3*u)", 10, 6),
+])
+def test_closure_fields_stay_integral(f, order, degree):
+    # every raw closure field is integral: a Fraction leaking into the bracket
+    # kernel's inputs or outputs fails here
+    result = cl.generate(xr.qp_parse(f), order, degree)
+    assert len(result.elements) > 2
+    for el in result.elements:
+        bad = [c for c in _coefficients(el.field_raw) if type(c) is not int]
+        assert not bad, (el.name, bad[:3])

@@ -54,3 +54,25 @@ def test_nullspace_deterministic_normalization():
     assert basis == [{"a": F(1), "b": Fraction(-1, 2)}, {"a": F(1), "c": F(-1)}]
     for v in basis:
         assert F(2) * v.get("a", 0) + F(4) * v.get("b", 0) + F(2) * v.get("c", 0) == 0
+
+
+def test_int_vectors_divide_exactly():
+    # int entries must give the same Fraction rows and coordinates as Fraction
+    # entries: plain division would silently turn them into floats
+    vecs = [{1: 2, 2: 4, 3: 1}, {1: 3, 3: 5}, {2: 7, 3: -3}]
+    spans = LinearSpan(), LinearSpan()
+    for tag, v in enumerate(vecs):
+        assert spans[0].insert(v, tag)
+        assert spans[1].insert({k: F(c) for k, c in v.items()}, tag)
+    int_rows, frac_rows = spans[0]._rows, spans[1]._rows
+    assert int_rows == frac_rows
+    for _, row, combo in int_rows:
+        assert all(type(c) is Fraction for c in (*row.values(), *combo.values()))
+    target = {1: 1, 2: 11, 3: 1}
+    coords = spans[0].express(target)
+    assert coords == spans[1].express({k: F(c) for k, c in target.items()})
+    assert all(type(c) is Fraction for c in coords.values())
+    rows = [{"a": 2, "b": 4, "c": 2}, {"a": 3, "c": 1}]
+    basis = nullspace(rows, ["a", "b", "c"])
+    assert basis == nullspace([{k: F(c) for k, c in r.items()} for r in rows], ["a", "b", "c"])
+    assert all(type(c) is Fraction for v in basis for c in v.values())
