@@ -84,26 +84,30 @@ def find_x_integrals(f_terms, weight_bound: int, order: Optional[int] = None) ->
         raise ValueError(f"order {order} too small for weight bound {weight_bound}")
     candidates = integral_candidates(weight_bound)
     alphas = sorted({a for _, a in f_terms})
-    # image of each candidate monomial under X(e^{a*u}), the e^{a*u} stripped
+    # slot k of X(e^{a*u}), the e^{a*u} stripped, is B_{k-1}(a*u_1, ...)
+    slots = {alpha: [bell_at_scaled_args(k - 1, alpha) for k in range(1, weight_bound + 1)]
+             for alpha in alphas}
+    # image of each candidate monomial under X(e^{a*u}): sum_k slot_k * d/du_k
     rows: dict = {}  # (alpha, out-monomial) -> {candidate: coeff}
     for m in candidates:
-        poly = {m: Fraction(1)}
         for alpha in alphas:
             img: xr.Poly = {}
-            for k in range(1, xr.mono_max_index(m) + 1):
-                dk = xr.poly_diff(poly, k)
-                if dk:
-                    img = xr.poly_add(img, xr.poly_mul(bell_at_scaled_args(k - 1, alpha), dk))
+            for k, _ in m:
+                exp, rest = xr.mono_diff(m, k)
+                for bm, bc in slots[alpha][k - 1].items():
+                    om = xr.mono_mul(bm, rest)
+                    img[om] = img.get(om, 0) + exp * bc
             for om, c in img.items():
-                rows.setdefault((alpha, om), {})[m] = c
+                if c:
+                    rows.setdefault((alpha, om), {})[m] = c
     basis = nullspace(list(rows.values()), candidates)
     return [dict(v) for v in basis]
 
 
-def annihilates(f_terms, w: xr.Poly, order: int) -> bool:
-    """Exact check X(f) w = 0 at the given truncation order."""
+def annihilates(f_terms, ws: list, order: int) -> list:
+    """Exact check X(f) w = 0 at the given truncation order, one bool per w."""
     Xf = jf.make_Xf(equation_qp(f_terms), order)
-    return xr.qp_is_zero(jf.apply_field(Xf, xr.qp_from_poly(w)))
+    return [xr.qp_is_zero(jf.apply_field(Xf, xr.qp_from_poly(w))) for w in ws]
 
 
 # ---------------------------------------------------------------------------

@@ -1,77 +1,62 @@
 """Complete and incomplete Bell polynomials, and powers of the total derivative
 applied to exponentials: D^k(e^{a*u}) = e^{a*u} * B_k(a*u_1, ..., a*u_k).
 
-B_n is computed by the binomial recursion
-    B_{n+1} = sum_{i=0..n} C(n,i) * B_{n-i} * u_{i+1},  B_0 = 1,
-and B_{n,k} by the standard partial-Bell recurrence
-    B_{n,k} = sum_{i=1..n-k+1} C(n-1,i-1) * u_i * B_{n-i,k-1}.
+Both are computed from the closed form over the partitions of n: a partition
+with m_j parts equal to j contributes the monomial prod_j u_j^{m_j} with the
+int coefficient
+    n! / prod_j (j!^{m_j} * m_j!),
+B_n sums over all partitions of n, and B_{n,k} over those with exactly k parts.
 The generating-function expansions live in the test suite as independent oracles.
-
-Both caches are memoized; concurrent readers are safe because inserts are
-idempotent (recomputation yields the identical dict) and CPython dict writes
-are atomic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import factorial
+from typing import Optional
 
-from .exactring import (
-    Poly,
-    Quasi,
-    mono_degree,
-    poly_add,
-    poly_const,
-    poly_mul,
-    poly_scale,
-    poly_var,
-)
+from .exactring import Poly, Quasi, mono_degree
 
-_COMPLETE: list[Poly] = [poly_const(1)]
-_INCOMPLETE: dict[tuple[int, int], Poly] = {}
+
+def _partition_sum(n: int, parts: Optional[int]) -> Poly:
+    """Closed-form Bell sum over the partitions of n (with `parts` parts when given)."""
+    fact = [factorial(i) for i in range(n + 1)]
+    out: Poly = {}
+    pairs: list = []  # (part, multiplicity), parts descending
+
+    def rec(rest: int, top: int, left: Optional[int], denom: int) -> None:
+        if rest == 0:
+            if not left:
+                out[tuple(reversed(pairs))] = fact[n] // denom
+            return
+        if left is not None and not left <= rest <= left * top:
+            return
+        for j in range(min(top, rest), 0, -1):
+            for m in range(1, rest // j + 1):
+                pairs.append((j, m))
+                rec(rest - m * j, j - 1, None if left is None else left - m,
+                    denom * fact[j] ** m * fact[m])
+                pairs.pop()
+
+    rec(n, n, parts, 1)
+    return out
 
 
 def complete_bell(n: int) -> Poly:
-    """B_n(u_1, ..., u_n); weight-homogeneous of weight n."""
+    """B_n(u_1, ..., u_n); weight-homogeneous of weight n, int coefficients."""
     if n < 0:
         raise ValueError(f"complete Bell polynomial needs n >= 0, got {n}")
-    while len(_COMPLETE) <= n:
-        m = len(_COMPLETE) - 1  # have B_0..B_m, build B_{m+1}
-        acc: Poly = {}
-        for i in range(m + 1):
-            term = poly_scale(poly_mul(_COMPLETE[m - i], poly_var(i + 1)), comb(m, i))
-            acc = poly_add(acc, term)
-        _COMPLETE.append(acc)
-    return dict(_COMPLETE[n])
+    return _partition_sum(n, None)
 
 
 def incomplete_bell(n: int, k: int) -> Poly:
-    """B_{n,k}(u_1, ..., u_{n-k+1}); weight n, total degree k."""
+    """B_{n,k}(u_1, ..., u_{n-k+1}); weight n, total degree k, int coefficients."""
     if n < 1 or not 1 <= k <= n:
         raise ValueError(f"incomplete Bell polynomial needs 1 <= k <= n, got (n, k) = ({n}, {k})")
-    return dict(_incomplete(n, k))
-
-
-def _incomplete(n: int, k: int) -> Poly:
-    if k == 0:
-        return poly_const(1) if n == 0 else {}
-    if n < k:
-        return {}
-    cached = _INCOMPLETE.get((n, k))
-    if cached is not None:
-        return cached
-    acc: Poly = {}
-    for i in range(1, n - k + 2):
-        term = poly_mul(poly_var(i), _incomplete(n - i, k - 1))
-        acc = poly_add(acc, poly_scale(term, comb(n - 1, i - 1)))
-    _INCOMPLETE[(n, k)] = acc
-    return acc
+    return _partition_sum(n, k)
 
 
 def bell_at_scaled_args(n: int, lam: int) -> Poly:
     """B_n(lam*u_1, ..., lam*u_n): each monomial picks up lam^degree."""
-    lam = Fraction(lam)
     return {m: c * lam ** mono_degree(m) for m, c in complete_bell(n).items() if lam or not m}
 
 

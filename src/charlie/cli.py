@@ -160,8 +160,8 @@ def cmd_integrals(args) -> tuple:
     order = args.order or args.weight + 1
     basis = an.find_x_integrals(spec.terms, args.weight, order)
     # re-verify each reported integral at a higher order
-    for w in basis:
-        if not an.annihilates(spec.terms, w, order + 4):
+    for w, ok in zip(basis, an.annihilates(spec.terms, basis, order + 4)):
+        if not ok:
             return "mismatch", {"error": f"reported integral fails re-verification: {xr.poly_to_text(w)}"}, {}
     payload = {
         "equation": equation_text(spec.terms),
@@ -273,9 +273,12 @@ def cmd_jacobi(args) -> tuple:
                              f"{sorted(cl.PRESENTED) + ['m0S']}")
         alg = factory()
     rep = cl.jacobi_check(alg, args.degree)
+    violation = None
+    if rep["violation"]:
+        a, b, c, residual = rep["violation"]
+        violation = [a, b, c, [[lbl, xr.frac_text(v)] for lbl, v in sorted(residual.items())]]
     payload = {"algebra": alg.name, "degree_bound": args.degree,
-               "triples_checked": rep["triples"], "ok": rep["ok"],
-               "violation": [str(x) for x in rep["violation"]] if rep["violation"] else None}
+               "triples_checked": rep["triples"], "ok": rep["ok"], "violation": violation}
     return ("verified" if rep["ok"] else "mismatch"), payload, {"arithmetic": "exact"}
 
 

@@ -1,16 +1,24 @@
 """Exact sparse linear algebra over the rationals.
 
 Vectors are dicts keyed by orderable hashable keys with int or Fraction
-values; zero entries are never stored.  Every division goes through Fraction,
-so stored rows, coordinates and nullspace vectors are Fractions either way.
-Elimination is exact (cross-multiplied, no rounding) and fully deterministic:
-pivots are always the smallest key present, and rows are processed in
-insertion order.
+values; zero entries are never stored.  Elimination is exact and fully
+deterministic: rows are processed in insertion order.
+
+LinearSpan pivots on the smallest key present and divides through
+Fraction, so its stored rows and coordinates are Fractions whatever the
+input.  nullspace eliminates fraction-free: each row has its denominators
+cleared once and is kept a primitive int vector (entries with gcd 1); a step
+r <- lead*r - r[col]*row is followed by division by the gcd.  Each such row
+is a nonzero multiple of the monic row Fraction pivoting would give, so the
+pivots, and the normalized basis, are the same.  Back-substitution also runs
+in ints, on each solution up to a common scale; Fractions appear only in the
+final normalization, and the basis vectors are all Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Optional
 
 Vec = dict  # dict[key, int | Fraction]
@@ -77,15 +85,30 @@ class LinearSpan:
         return {t: -c for t, c in combo.items() if c}
 
 
+def _primitive(vec: Vec) -> Vec:
+    """The int vector on vec's line with coprime entries (denominators cleared)."""
+    scale = lcm(*(v.denominator for v in vec.values()))
+    out = {k: (v * scale).numerator for k, v in vec.items()}
+    g = gcd(*out.values())
+    return {k: v // g for k, v in out.items()} if g > 1 else out
+
+
+def _eliminate(r: Vec, row: Vec, col) -> Vec:
+    """lead*r - r[col]*row with lead = row[col], made primitive: r[col] drops out."""
+    lead = row[col]
+    out = vec_add_scaled({k: lead * v for k, v in r.items()}, row, -r[col])
+    return _primitive(out) if out else out
+
+
 def nullspace(rows: list[Vec], columns: list) -> list[Vec]:
     """Basis of {x : for every row r, sum_c r[c]*x[c] = 0}, deterministic.
 
     `columns` fixes the unknown ordering (one basis vector per free column) and
     the normalization: each returned vector is scaled so its first nonzero
-    coefficient in column order is 1.
+    coefficient in column order is 1.  Entries are Fractions.
     """
-    work = [dict(r) for r in rows if r]
-    pivots: dict = {}  # column -> eliminated row
+    work = [_primitive(r) for r in rows if r]
+    pivots: dict = {}  # column -> eliminated primitive int row
     for col in columns:
         chosen = None
         for i, r in enumerate(work):
@@ -95,22 +118,24 @@ def nullspace(rows: list[Vec], columns: list) -> list[Vec]:
         if chosen is None:
             continue
         row = work.pop(chosen)
-        lead = Fraction(row[col])  # exact division for int entries too
-        row = {k: v / lead for k, v in row.items()}
         pivots[col] = row
-        work = [vec_add_scaled(r, row, -r[col]) if r.get(col) else r for r in work]
+        work = [_eliminate(r, row, col) if r.get(col) else r for r in work]
         work = [r for r in work if r]
     free = [c for c in columns if c not in pivots]
+    pivot_cols = [c for c in columns if c in pivots]
     basis: list[Vec] = []
     for f in free:
-        sol: Vec = {f: Fraction(1)}
-        # substitute back in reverse pivot order
-        for col in reversed([c for c in columns if c in pivots]):
+        # back-substitution in ints: x is the solution up to one common scale
+        x = {f: 1}
+        for col in reversed(pivot_cols):
             row = pivots[col]
-            s = sum((row[k] * sol[k] for k in row if k != col and k in sol), Fraction(0))
+            s = sum(v * x[k] for k, v in row.items() if k in x)
             if s:
-                sol[col] = -s
-        lead_col = next(c for c in columns if c in sol)
-        lead = sol[lead_col]
-        basis.append({k: v / lead for k, v in sol.items()})
+                g = gcd(s, row[col])
+                scale = row[col] // g
+                if scale != 1:
+                    x = {k: v * scale for k, v in x.items()}
+                x[col] = -s // g
+        lead = x[next(c for c in columns if c in x)]
+        basis.append({k: Fraction(v, lead) for k, v in x.items()})
     return basis

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from charlie import analysis as an
@@ -24,6 +26,15 @@ def sinh_big():
 @pytest.fixture(scope="session")
 def tz_big():
     return an.closure_for("tzitzeica", order=16, degree=12)
+
+
+@pytest.fixture
+def bad_algebra():
+    """[e_i, e_j] = e_{i+j} for i != j: antisymmetry fails, so Jacobi does too."""
+    return cl.PresentedAlgebra(
+        "bad", lambda lbl: int(lbl[1:]),
+        lambda a, b: (("e" + str(int(a[1:]) + int(b[1:])), Fraction(1)),) if a != b else (),
+        lambda d: [f"e{i}" for i in range(1, d + 1)])
 
 
 # one pass/fail line per acceptance criterion at the end of the run

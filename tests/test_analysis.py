@@ -37,7 +37,7 @@ def test_nullspace_monotone_in_weight():
 
 def test_integrals_reverified_at_higher_order():
     for w in an.find_x_integrals(an.EQUATIONS["liouville"], 3):
-        assert an.annihilates(an.EQUATIONS["liouville"], w, 9)
+        assert an.annihilates(an.EQUATIONS["liouville"], [w], 9) == [True]
 
 
 def test_integrals_order_independent():

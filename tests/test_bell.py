@@ -2,10 +2,12 @@
 
 The oracles expand exp(sum_i u_i t^i / i!) and exp(z * sum_i u_i t^i / i!)
 directly with exact rational series arithmetic, independently of the
-recursions in charlie.bell."""
+closed form in charlie.bell.  The binomial and partial-Bell recursions the
+closed form replaced are kept here as a second reference."""
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 
@@ -132,3 +134,63 @@ def test_scaled_args_match_substitution():
                 complete_bell(n),
                 {i: xr.poly_scale(xr.poly_var(i), lam) for i in range(1, n + 1)})
             assert bell_at_scaled_args(n, lam) == manual
+
+
+def _recursive_complete(nmax):
+    """B_0..B_nmax by B_{n+1} = sum_i C(n,i) B_{n-i} u_{i+1}."""
+    out = [xr.poly_const(1)]
+    for m in range(nmax):
+        acc = {}
+        for i in range(m + 1):
+            term = xr.poly_scale(xr.poly_mul(out[m - i], xr.poly_var(i + 1)), comb(m, i))
+            acc = xr.poly_add(acc, term)
+        out.append(acc)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _recursive_incomplete(n, k):
+    """B_{n,k} = sum_i C(n-1,i-1) u_i B_{n-i,k-1}."""
+    if k == 0:
+        return xr.poly_const(1) if n == 0 else {}
+    acc = {}
+    for i in range(1, n - k + 2):
+        term = xr.poly_mul(xr.poly_var(i), _recursive_incomplete(n - i, k - 1))
+        acc = xr.poly_add(acc, xr.poly_scale(term, comb(n - 1, i - 1)))
+    return acc
+
+
+def test_closed_form_matches_recursions():
+    reference = _recursive_complete(15)
+    for n in range(16):
+        assert complete_bell(n) == reference[n], n
+    for n in range(1, 16):
+        for k in range(1, n + 1):
+            assert incomplete_bell(n, k) == _recursive_incomplete(n, k), (n, k)
+
+
+def test_complete_bell_30_at_benchmark_scale():
+    p = complete_bell(30)
+    assert len(p) == 5604  # p(30): one monomial per partition of 30
+    assert all(type(c) is int for c in p.values())
+    assert sum(p.values()) == 846749014511809332450147  # the Bell number B_30
+
+
+def test_incomplete_coefficients_sum_to_stirling_numbers():
+    stirling = {(0, 0): 1}  # S(n, k) = k S(n-1, k) + S(n-1, k-1)
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            stirling[(n, k)] = k * stirling.get((n - 1, k), 0) + stirling.get((n - 1, k - 1), 0)
+    assert stirling[(20, 7)] == 11143554045652
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            p = incomplete_bell(n, k)
+            assert all(type(c) is int for c in p.values())
+            assert sum(p.values()) == stirling[(n, k)], (n, k)
+
+
+def test_scaled_args_are_int():
+    for lam in (-3, 0, 2):
+        assert all(type(c) is int for c in bell_at_scaled_args(12, lam).values())
+    assert bell_at_scaled_args(0, 0) == {(): 1}
+    assert bell_at_scaled_args(4, 0) == {}

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from charlie import cli
+from charlie import closure as cl
 
 
 def run_json(capsys, argv):
@@ -135,6 +136,14 @@ def test_jacobi_command(capsys):
     assert cli.run(["jacobi", "--algebra", "nope"]) == 1
 
 
+def test_jacobi_violation_payload(capsys, monkeypatch, bad_algebra):
+    monkeypatch.setitem(cl.PRESENTED, "bad", lambda: bad_algebra)
+    code, rep = run_json(capsys, ["jacobi", "--algebra", "bad", "--degree", "6"])
+    assert code == 2 and rep["status"] == "mismatch"
+    assert rep["payload"] == {"algebra": "bad", "degree_bound": 6, "triples_checked": 1,
+                              "ok": False, "violation": ["e1", "e2", "e3", [["e6", "2"]]]}
+
+
 def test_out_file_byte_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify-iso", "--equation", "tzitzeica", "--degree", "6", "--order", "10"]
@@ -149,10 +158,13 @@ def test_cross_process_byte_determinism(tmp_path):
     import os
     import subprocess
     import sys
+    # the child imports charlie from the same sources as this process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outs = []
     for n, seed in enumerate(("1", "271828")):
         path = tmp_path / f"r{n}.json"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         subprocess.run(
             [sys.executable, "-m", "charlie.cli", "charalg", "--equation", "sinh",
              "--degree", "5", "--order", "9", "--out", str(path)],

@@ -275,13 +275,21 @@ def test_presented_jacobi_small():
     assert rep["ok"], rep
 
 
-def test_presented_jacobi_detects_violation():
-    bad = cl.PresentedAlgebra(
-        "bad", lambda lbl: int(lbl[1:]),
-        lambda a, b: (("e" + str(int(a[1:]) + int(b[1:])), Fraction(1)),) if a != b else (),
-        lambda d: [f"e{i}" for i in range(1, d + 1)])
-    rep = cl.jacobi_check(bad, 6)
+def test_presented_jacobi_detects_violation(bad_algebra):
+    rep = cl.jacobi_check(bad_algebra, 6)
     assert not rep["ok"] and rep["violation"] is not None
+    # [[e1,e2],e3] = 0, [[e2,e3],e1] = e6, [[e3,e1],e2] = e6
+    assert rep["triples"] == 1
+    assert rep["violation"] == ("e1", "e2", "e3", {"e6": 2})
+
+
+def test_presented_rules_have_int_constants():
+    algebras = [f() for f in cl.PRESENTED.values()] + [cl.presented_m0_S(frozenset({3, 5, 7}))]
+    for alg in algebras:
+        labels = alg.labels_up_to(12)
+        for a in labels:
+            for b in labels:
+                assert all(type(c) is int for _, c in alg.rule(a, b)), (alg.name, a, b)
 
 
 def test_presented_growth_n_plus_one():

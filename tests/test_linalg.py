@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from charlie.linalg import LinearSpan, nullspace, vec_add_scaled
 
 
@@ -76,3 +78,59 @@ def test_int_vectors_divide_exactly():
     basis = nullspace(rows, ["a", "b", "c"])
     assert basis == nullspace([{k: F(c) for k, c in r.items()} for r in rows], ["a", "b", "c"])
     assert all(type(c) is Fraction for v in basis for c in v.values())
+
+
+def _fraction_pivot_nullspace(rows, columns):
+    """Reference: elimination with monic Fraction pivot rows (the former nullspace)."""
+    work = [dict(r) for r in rows if r]
+    pivots = {}
+    for col in columns:
+        chosen = None
+        for i, r in enumerate(work):
+            if r.get(col):
+                chosen = i
+                break
+        if chosen is None:
+            continue
+        row = work.pop(chosen)
+        lead = Fraction(row[col])
+        row = {k: v / lead for k, v in row.items()}
+        pivots[col] = row
+        work = [vec_add_scaled(r, row, -r[col]) if r.get(col) else r for r in work]
+        work = [r for r in work if r]
+    free = [c for c in columns if c not in pivots]
+    basis = []
+    for f in free:
+        sol = {f: Fraction(1)}
+        for col in reversed([c for c in columns if c in pivots]):
+            row = pivots[col]
+            s = sum((row[k] * sol[k] for k in row if k != col and k in sol), Fraction(0))
+            if s:
+                sol[col] = -s
+        lead_col = next(c for c in columns if c in sol)
+        lead = sol[lead_col]
+        basis.append({k: v / lead for k, v in sol.items()})
+    return basis
+
+
+COLUMNS = ["a", "b", "c", "d", "e", "f"]
+entries = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+matrices = st.lists(
+    st.dictionaries(st.sampled_from(COLUMNS), entries.filter(bool), max_size=len(COLUMNS)),
+    max_size=7)
+
+
+@given(matrices, st.permutations(COLUMNS))
+@settings(max_examples=150, deadline=None)
+def test_fraction_free_nullspace_equals_fraction_pivots(rows, columns):
+    # dependent rows exercise elimination down to zero
+    rows = rows + [{k: 2 * v for k, v in r.items()} for r in rows[:2]]
+    got = nullspace(rows, columns)
+    want = _fraction_pivot_nullspace(rows, columns)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+    assert all(type(c) is Fraction for v in got for c in v.values())
+    for v in got:
+        for r in rows:
+            assert sum(c * v.get(k, 0) for k, c in r.items()) == 0
