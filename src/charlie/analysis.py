@@ -75,13 +75,12 @@ def integral_candidates(weight_bound: int) -> list:
     return sorted(out, key=xr.mono_key)
 
 
-def find_x_integrals(f_terms, weight_bound: int, order: Optional[int] = None) -> list:
+def find_x_integrals(f_terms, weight_bound: int) -> list:
     """Basis of nonconstant x-integrals of weight <= bound: the exact nullspace
     of w -> X(f)w on u-free polynomials, each exponential component of X(f)w
-    vanishing separately.  Constants are excluded by construction."""
-    order = order or weight_bound + 1
-    if order < weight_bound + 1:
-        raise ValueError(f"order {order} too small for weight bound {weight_bound}")
+    vanishing separately.  Constants are excluded by construction.  A
+    candidate of weight <= bound uses u_k only for k <= bound, so X(f)'s
+    slots 1..bound give every image exactly: no truncation order enters."""
     candidates = integral_candidates(weight_bound)
     alphas = sorted({a for _, a in f_terms})
     # slot k of X(e^{a*u}), the e^{a*u} stripped, is B_{k-1}(a*u_1, ...)
@@ -107,7 +106,7 @@ def find_x_integrals(f_terms, weight_bound: int, order: Optional[int] = None) ->
 def annihilates(f_terms, ws: list, order: int) -> list:
     """Exact check X(f) w = 0 at the given truncation order, one bool per w."""
     Xf = jf.make_Xf(equation_qp(f_terms), order)
-    return [xr.qp_is_zero(jf.apply_field(Xf, xr.qp_from_poly(w))) for w in ws]
+    return [xr.qp_is_zero(q) for q in jf.apply_field(Xf, [xr.qp_from_poly(w) for w in ws])]
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def check_defining_equation(f_terms, phi: xr.Poly, order: Optional[int] = None):
     if order < top + 2:
         raise ValueError(f"order {order} too small for phi with top index {top}")
     Xf = jf.make_Xf(equation_qp(f_terms), order)
-    lhs = jf.apply_total_derivative(jf.apply_field(Xf, xr.qp_from_poly(phi)))
+    lhs = jf.apply_total_derivative(jf.apply_field(Xf, [xr.qp_from_poly(phi)])[0])
     fprime = equation_qp([(c * a, a) for c, a in f_terms])
     residual = xr.qp_sub(lhs, xr.qp_mul(fprime, xr.qp_from_poly(phi)))
     return xr.qp_is_zero(residual), residual
@@ -280,10 +279,10 @@ def verify_isomorphism(equation: str, degree: int = 8, order: int = 12) -> IsoRe
     """Generate the closure, map basis element n to matrix basis element n, and
     demand the two structure tables agree exactly on the whole degree window;
     every jet-side zero-by-truncation must be exactly zero on the matrix side."""
-    algebra, prefix, target = TARGETS[equation]
+    algebra = TARGETS[equation][0]
     if algebra is None:
         raise ValueError(f"no matrix realization registered for {equation!r}")
-    result = cl.generate(equation_qp(EQUATIONS[equation]), order, degree, prefix, target)
+    result = closure_for(equation, order, degree)
     n_el = len(result.elements)
     mismatches = []
     zero_confirmed = 0

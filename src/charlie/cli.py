@@ -158,9 +158,12 @@ def cmd_loops(args) -> tuple:
 def cmd_integrals(args) -> tuple:
     spec = parse_equation(args.equation)
     order = args.order or args.weight + 1
-    basis = an.find_x_integrals(spec.terms, args.weight, order)
+    if order < args.weight + 1:
+        raise UsageError(f"order {order} too small for weight bound {args.weight}")
+    basis = an.find_x_integrals(spec.terms, args.weight)
     # re-verify each reported integral at a higher order
-    for w, ok in zip(basis, an.annihilates(spec.terms, basis, order + 4)):
+    reverify_order = order + 4
+    for w, ok in zip(basis, an.annihilates(spec.terms, basis, reverify_order)):
         if not ok:
             return "mismatch", {"error": f"reported integral fails re-verification: {xr.poly_to_text(w)}"}, {}
     payload = {
@@ -169,7 +172,7 @@ def cmd_integrals(args) -> tuple:
         "dimension": len(basis),
         "basis": [xr.poly_to_text(w) for w in basis],
     }
-    return "verified", payload, {"re-verified-at-order": order + 4}
+    return "verified", payload, {"re-verified-at-order": reverify_order}
 
 
 def cmd_symmetry(args) -> tuple:
@@ -346,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("integrals", help="search x-integrals up to a weight bound")
     sp.add_argument("--equation", required=True)
     sp.add_argument("--weight", type=int, required=True)
-    common(sp, order_default=0)
+    common(sp)
+    sp.add_argument("--order", type=int, default=0,
+                    help="sets the re-verification order, order + 4; the search itself is "
+                         "exact at any order (0 = weight + 1, the smallest allowed)")
     sp.set_defaults(fn=cmd_integrals)
 
     sp = sub.add_parser("symmetry", help="check the defining equation for a candidate phi")

@@ -14,13 +14,17 @@ fields stay int.  A Fraction enters only with an input that has one: a
 non-integral f such as the 1/2 of sinh, or a field scaled by a rational in
 normalization; it then propagates by ordinary int/Fraction arithmetic.
 
-The kernel takes the full gradient {k: dq/du_k} of a coefficient in one pass
-over its monomials (_prepare) and sums slot_k * dq/du_k over k into one
-accumulator per result slot (_accumulate).  Inside the kernel a monomial is
-packed into one int, so a monomial product is an integer addition; results
-are unpacked into the usual Quasi dicts.  apply_field, the exact total
-derivative D (apply_total_derivative) and bracket all go through these
-helpers.
+The kernel takes the gradient {k: dq/du_k} of a coefficient in one pass over
+its monomials (_prepare) and sums slot_k * dq/du_k over k into one
+accumulator per result slot (_accumulate).  The gradient is restricted to the
+partner's support: only the k where the field that multiplies it has a
+nonempty slot (k = 0 for the u slot), since a derivative along an empty slot
+would never be multiplied.  A triangular element of degree d has empty slots
+1..d-1, so most of the full gradient is of that kind.  Inside the kernel a
+monomial is packed into one int, so a monomial product is an integer
+addition; results are unpacked into the usual Quasi dicts.  apply_field, the
+exact total derivative D (apply_total_derivative) and bracket all go through
+these helpers.
 """
 
 from __future__ import annotations
@@ -130,15 +134,20 @@ _BITS = 16
 _EXP_LIMIT = 1 << (_BITS - 1)
 
 
-def _prepare(q: Quasi) -> tuple:
-    """(q with packed monomials, gradient of q), in one pass over q's monomials.
+def _prepare(q: Quasi, along) -> tuple:
+    """(q with packed monomials, gradient of q along `along`, top index of q),
+    in one pass over q's monomials.
 
-    The gradient maps k to dq/du_k (packed) for every jet variable u_k in q,
-    and 0 to dq/du.  For a fixed k, distinct monomials have distinct
-    derivatives, so no terms collide and no zero is ever stored.
+    The gradient maps k in `along` to dq/du_k (packed) where q depends on u_k,
+    and 0, when in `along`, to dq/du.  `along` is the partner's support (see
+    _support): derivatives along the partner's empty slots are never built.
+    For a fixed k, distinct monomials have distinct derivatives, so no terms
+    collide and no zero is ever stored.  The top index is the largest k with
+    u_k in q (0 if none): truncation checks need it whatever `along` holds.
     """
     packed_q: dict = {}
     grad: dict = {}
+    top = 0
     for alpha, p in q.items():
         packed_p = packed_q[alpha] = {}
         parts: dict = {}
@@ -148,31 +157,35 @@ def _prepare(q: Quasi) -> tuple:
                 if e >= _EXP_LIMIT:
                     raise ValueError(f"exponent {e} of u{k} is too large for the bracket kernel")
                 packed += e << (_BITS * (k - 1))
+                if k > top:
+                    top = k
             packed_p[packed] = c
             for k, e in m:
+                if k not in along:
+                    continue
                 lowered = packed - (1 << (_BITS * (k - 1)))
                 part = parts.get(k)
                 if part is None:
                     parts[k] = {lowered: c * e}
                 else:
                     part[lowered] = c * e
-        if alpha:
+        if alpha and 0 in along:
             parts[0] = {m: alpha * c for m, c in packed_p.items()}
         for k, part in parts.items():
             grad.setdefault(k, {})[alpha] = part
-    return packed_q, grad
+    return packed_q, grad, top
 
 
-def _prepare_field(X: JetField) -> list:
-    """_prepare of the u slot (index 0) and of every slot (index j)."""
-    return [_prepare(q) for q in (X.u_slot, *X.slots)]
+def _support(X: JetField) -> set:
+    """Indices of X's nonempty slots, 0 for the u slot."""
+    return {k for k, q in enumerate((X.u_slot, *X.slots)) if q}
 
 
 def _accumulate(out: dict, coeffs: list, grad: dict, sign: int) -> None:
     """out += sign * sum_k coeffs[k] * grad[k], all packed.
 
-    coeffs[k] is a field's packed slot k (0 = the u slot); the caller
-    guarantees max(grad) < len(coeffs).  out maps an exponential index to a
+    coeffs[k] is a field's packed slot k (0 = the u slot); grad holds only
+    the k of that field's support.  out maps an exponential index to a
     {packed mono: coeff} accumulator that may hold zeros; _settled drops them.
     """
     for k, dk in grad.items():
@@ -214,25 +227,30 @@ def _settled(out: dict) -> Quasi:
     return q
 
 
-def apply_field(X: JetField, g: Quasi) -> Quasi:
-    """X(g) = u_slot * dg/du + sum_k slot_k * dg/du_k, exact.
+def apply_field(X: JetField, gs: list) -> list:
+    """[X(g) for g in gs], X(g) = u_slot * dg/du + sum_k slot_k * dg/du_k, exact.
 
-    Raises TruncationError when g depends on a jet variable beyond X's valid
-    order (the contribution of the unknown slot would be missing).
+    X's slots are packed once for the whole list.  Raises TruncationError
+    when a g depends on a jet variable beyond X's valid order (the
+    contribution of the unknown slot would be missing).
     """
-    _, grad = _prepare(g)
-    top = max(grad, default=0)
-    if top > X.valid_order:
-        raise TruncationError(
-            f"applying a field of valid order {X.valid_order} to a value using u_{top}")
-    out: dict = {}
-    _accumulate(out, [packed for packed, _ in _prepare_field(X)], grad, 1)
-    return _settled(out)
+    coeffs = [_prepare(q, ())[0] for q in (X.u_slot, *X.slots)]
+    support = _support(X)
+    images = []
+    for g in gs:
+        _, grad, top = _prepare(g, support)
+        if top > X.valid_order:
+            raise TruncationError(
+                f"applying a field of valid order {X.valid_order} to a value using u_{top}")
+        out: dict = {}
+        _accumulate(out, coeffs, grad, 1)
+        images.append(_settled(out))
+    return images
 
 
 def apply_total_derivative(g: Quasi) -> Quasi:
     """D(g), exact for any quasipolynomial (no truncation: D(u_k) = u_{k+1})."""
-    return apply_field(make_D(max(xr.qp_max_index(g), 1)), g)
+    return apply_field(make_D(max(xr.qp_max_index(g), 1)), [g])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +298,15 @@ def bracket(X: JetField, Y: JetField) -> JetField:
     For the triangular fields generated from X_0 and X(f) this keeps
     min(N_X, N_Y) slots; one bracket with D costs exactly one slot.
     """
-    px, py = _prepare_field(X), _prepare_field(Y)
-    cx, cy = [packed for packed, _ in px], [packed for packed, _ in py]
+    sx, sy = _support(X), _support(Y)
+    px = [_prepare(q, sy) for q in (X.u_slot, *X.slots)]
+    py = [_prepare(q, sx) for q in (Y.u_slot, *Y.slots)]
+    cx, cy = [packed for packed, _, _ in px], [packed for packed, _, _ in py]
     out_slots = []  # index 0 is the u slot
     for j in range(min(X.valid_order, Y.valid_order) + 1):
-        gx, gy = px[j][1], py[j][1]
-        if max(gy, default=0) > X.valid_order or max(gx, default=0) > Y.valid_order:
+        _, gx, tx = px[j]
+        _, gy, ty = py[j]
+        if ty > X.valid_order or tx > Y.valid_order:
             if j == 0:
                 raise TruncationError("u slots exceed the operands' valid orders")
             break

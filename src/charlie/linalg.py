@@ -4,15 +4,25 @@ Vectors are dicts keyed by orderable hashable keys with int or Fraction
 values; zero entries are never stored.  Elimination is exact and fully
 deterministic: rows are processed in insertion order.
 
-LinearSpan pivots on the smallest key present and divides through
-Fraction, so its stored rows and coordinates are Fractions whatever the
-input.  nullspace eliminates fraction-free: each row has its denominators
-cleared once and is kept a primitive int vector (entries with gcd 1); a step
-r <- lead*r - r[col]*row is followed by division by the gcd.  Each such row
-is a nonzero multiple of the monic row Fraction pivoting would give, so the
-pivots, and the normalized basis, are the same.  Back-substitution also runs
-in ints, on each solution up to a common scale; Fractions appear only in the
-final normalization, and the basis vectors are all Fractions.
+Both LinearSpan and nullspace eliminate fraction-free: an input has its
+denominators cleared once and every stored row is an int vector.
+
+LinearSpan keeps int rows R together with int combinations C of the inputs,
+R = sum_t C[t]*input_t, and pivots on the smallest key present.  A vector v
+is reduced by v <- a*v - b*R with g = gcd(lead, v[pivot]), a = lead/g and
+b = v[pivot]/g.  Rows are never re-reduced against later pivots: each row is
+zero at all earlier pivots, so reducing in insertion order never brings a
+cleared entry back.  express tracks the product of the a's (the scale) and
+returns the coordinates -C/scale as Fractions, the only place a Fraction
+appears; coordinates over an independent set are unique, so they equal
+those of monic Fraction pivoting.
+
+nullspace reduces by r <- lead*r - r[col]*row and keeps each row a
+primitive int vector (entries with gcd 1).  Each such row is a nonzero
+multiple of the monic row Fraction pivoting would give, so the pivots, and
+the normalized basis, are the same.  Back-substitution also runs in ints, on
+each solution up to a common scale; Fractions appear only in the final
+normalization, and the basis vectors are all Fractions.
 """
 
 from __future__ import annotations
@@ -42,53 +52,73 @@ class LinearSpan:
     """Growing echelonized span with coordinate tracking.
 
     Each inserted vector carries a tag; express() writes later vectors as exact
-    linear combinations of the inserted (tagged) ones, or returns None together
-    with the reduced residual when independent.
+    linear combinations of the inserted (tagged) ones, or returns None when
+    they are independent.
     """
 
     def __init__(self) -> None:
-        self._rows: list[tuple[Hashable, Vec, dict]] = []  # (pivot, monic vector, combo)
+        # (pivot, int row R, int combination C): R = sum_t C[t] * input_t and
+        # R[pivot] > 0; R is zero at the pivots of all earlier rows
+        self._rows: list[tuple[Hashable, Vec, dict]] = []
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Vec, combo: dict) -> tuple[Vec, dict]:
+    def _reduce(self, vec: Vec, combo: dict, scale: int) -> tuple[Vec, dict, int]:
+        """Clear vec's entries at every pivot, all in ints.
+
+        If vec = scale*x + sum_t combo[t]*input_t on entry, the returned
+        (vec', combo', scale') satisfy the same with the same x.  insert
+        passes scale 0: its vec is a combination of the inputs alone.
+        """
         for pivot, row, rcombo in self._rows:
             c = vec.get(pivot)
             if c:
-                vec = vec_add_scaled(vec, row, -c)
-                combo = vec_add_scaled(combo, rcombo, -c)
-        return vec, combo
+                lead = row[pivot]
+                g = gcd(lead, c)
+                a = lead // g
+                if a != 1:
+                    vec = {k: a * v for k, v in vec.items()}
+                    combo = {t: a * v for t, v in combo.items()}
+                    scale *= a
+                vec = vec_add_scaled(vec, row, -(c // g))
+                combo = vec_add_scaled(combo, rcombo, -(c // g))
+        return vec, combo, scale
 
     def insert(self, vec: Vec, tag: Hashable) -> bool:
         """Add vec under `tag` if independent; returns True when rank grew."""
-        vec, combo = self._reduce(dict(vec), {tag: Fraction(1)})
+        vec, scale = _cleared(vec)
+        vec, combo, _ = self._reduce(vec, {tag: scale}, 0)
         if not vec:
             return False
         pivot = min(vec)
-        lead = Fraction(vec[pivot])  # exact division for int entries too
-        vec = {k: v / lead for k, v in vec.items()}
-        combo = {t: c / lead for t, c in combo.items()}
-        # keep earlier rows reduced against the new pivot so expression stays exact
-        for i, (p, row, rcombo) in enumerate(self._rows):
-            c = row.get(pivot)
-            if c:
-                self._rows[i] = (p, vec_add_scaled(row, vec, -c), vec_add_scaled(rcombo, combo, -c))
+        g = gcd(*vec.values(), *combo.values())
+        if vec[pivot] < 0:
+            g = -g
+        if g != 1:
+            vec = {k: v // g for k, v in vec.items()}
+            combo = {t: v // g for t, v in combo.items()}
         self._rows.append((pivot, vec, combo))
         return True
 
     def express(self, vec: Vec) -> Optional[dict]:
         """Coordinates of vec over inserted tags, or None if outside the span."""
-        residual, combo = self._reduce(dict(vec), {})
+        vec, scale = _cleared(vec)
+        residual, combo, scale = self._reduce(vec, {}, scale)
         if residual:
             return None
-        return {t: -c for t, c in combo.items() if c}
+        return {t: Fraction(-c, scale) for t, c in combo.items() if c}
+
+
+def _cleared(vec: Vec) -> tuple[Vec, int]:
+    """(s*vec as an int vector, s) with s the lcm of vec's denominators."""
+    scale = lcm(*(v.denominator for v in vec.values()))
+    return {k: (v * scale).numerator for k, v in vec.items()}, scale
 
 
 def _primitive(vec: Vec) -> Vec:
     """The int vector on vec's line with coprime entries (denominators cleared)."""
-    scale = lcm(*(v.denominator for v in vec.values()))
-    out = {k: (v * scale).numerator for k, v in vec.items()}
+    out, _ = _cleared(vec)
     g = gcd(*out.values())
     return {k: v // g for k, v in out.items()} if g > 1 else out
 

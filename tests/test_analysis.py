@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from charlie import analysis as an
+from charlie import cli
 from charlie import exactring as xr
 
 
@@ -40,10 +42,16 @@ def test_integrals_reverified_at_higher_order():
         assert an.annihilates(an.EQUATIONS["liouville"], [w], 9) == [True]
 
 
-def test_integrals_order_independent():
-    a = an.find_x_integrals(an.EQUATIONS["sinh"], 4, order=5)
-    b = an.find_x_integrals(an.EQUATIONS["sinh"], 4, order=9)
-    assert a == b
+def test_integrals_order_independent(capsys):
+    # the search takes no order; --order moves only the re-verification
+    payloads = []
+    for order in (5, 9):
+        assert cli.run(["integrals", "--equation", "sinh", "--weight", "4",
+                        "--order", str(order)]) == 0
+        payloads.append(json.loads(capsys.readouterr().out)["payload"])
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["basis"] == [xr.poly_to_text(w) for w in
+                                    an.find_x_integrals(an.EQUATIONS["sinh"], 4)]
 
 
 def test_defining_equation_sinh_phi3():

@@ -101,6 +101,21 @@ def test_integrals_command(capsys):
     assert rep["payload"]["basis"] == ["1 * u1^2 - 2 * u2"]
 
 
+def test_integrals_order_sets_reverification_order(capsys):
+    # the search is exact at any order; --order only moves the re-verification
+    reports = {}
+    for order in (13, 17):
+        code, reports[order] = run_json(capsys, ["integrals", "--equation", "liouville",
+                                                 "--weight", "12", "--order", str(order)])
+        assert code == 0 and reports[order]["status"] == "verified"
+        assert reports[order]["certificates"] == {"re-verified-at-order": order + 4}
+    assert reports[13]["payload"] == reports[17]["payload"]
+    assert reports[13]["payload"]["dimension"] > 0
+    assert cli.run(["integrals", "--equation", "liouville", "--weight", "12",
+                    "--order", "5"]) == 1
+    assert capsys.readouterr().err == "error: order 5 too small for weight bound 12\n"
+
+
 def test_exp2d_command(capsys):
     code, rep = run_json(capsys, ["exp2d", "--matrix", "2,-4,-1,2"])
     assert code == 0 and rep["payload"]["annihilated"] is True

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charlie import closure as cl
 from charlie.analysis import _monomials_of_weight
@@ -123,7 +123,24 @@ def test_truncate_and_equality():
 def test_apply_field_truncation_guard():
     X = jf.make_Xf(EXP_U, 3)
     with pytest.raises(jf.TruncationError):
-        jf.apply_field(X, xr.qp_parse("u5"))
+        jf.apply_field(X, [xr.qp_parse("u5")])
+
+
+def test_truncation_beyond_an_empty_partner_slot():
+    # the kernel differentiates only along the partner's nonempty slots, so
+    # it builds no d/du_3 here; a value using u_3 still needs the partner's
+    # slot 3, which lies beyond its valid order 2 and is unknown
+    partner = jf.make_field({}, [xr.qp_parse("1"), {}], 2)   # d/du_1, valid order 2
+    value = jf.make_field({}, [xr.qp_parse("u3"), {}, {}, {}], 4)
+    with pytest.raises(jf.TruncationError):
+        jf.apply_field(partner, [xr.qp_parse("u3")])
+    with pytest.raises(jf.TruncationError):
+        jf.bracket(partner, value)
+    with pytest.raises(jf.TruncationError):
+        jf.bracket(value, partner)
+    # inside the valid order an empty slot contributes nothing
+    assert jf.apply_field(partner, [xr.qp_parse("u2"), xr.qp_parse("u1*u2")]) == \
+        [{}, xr.qp_parse("u2")]
 
 
 # -- the kernel against the bracket's definition -------------------------------
@@ -187,7 +204,18 @@ def _coefficients(X):
     return [c for q in (X.u_slot, *X.slots) for p in q.values() for c in p.values()]
 
 
+def _closure_element(degree):
+    """A triangular element of the sinh closure: empty slots 1..degree-1."""
+    X1 = jf.make_Xf(EXP_U, 6)
+    X2 = jf.make_Xf(xr.qp_exp(-1, -1), 6)
+    return {1: X1, 2: jf.bracket(X1, X2), 3: jf.bracket(X1, jf.bracket(X1, X2))}[degree]
+
+
 @given(fields, fields)
+@example(_closure_element(3), jf.make_D(6))
+@example(jf.make_X0(5), _closure_element(2))
+@example(_closure_element(2), _closure_element(3))
+@example(_closure_element(3), _closure_element(1))
 @settings(max_examples=300, deadline=None)
 def test_bracket_matches_definition(X, Y):
     try:
@@ -203,19 +231,22 @@ def test_bracket_matches_definition(X, Y):
         assert all(type(c) is int for c in _coefficients(got))
 
 
-@given(fields, st.dictionaries(st.integers(min_value=-2, max_value=2), st.dictionaries(
-    st.sampled_from(_weight_monomials(4) + _weight_monomials(2)), coefficients, max_size=3)))
+values = st.dictionaries(st.integers(min_value=-2, max_value=2), st.dictionaries(
+    st.sampled_from(_weight_monomials(4) + _weight_monomials(2)), coefficients, max_size=3))
+
+
+@given(fields, st.lists(values, min_size=1, max_size=3))
 @settings(max_examples=150, deadline=None)
-def test_apply_field_matches_definition(X, g):
-    g = {a: {m: c for m, c in p.items() if c} for a, p in g.items()}
-    g = {a: p for a, p in g.items() if p}
+def test_apply_field_matches_definition(X, gs):
+    gs = [{a: {m: c for m, c in p.items() if c} for a, p in g.items()} for g in gs]
+    gs = [{a: p for a, p in g.items() if p} for g in gs]
     try:
-        want = _apply_by_definition(X, g)
+        want = [_apply_by_definition(X, g) for g in gs]
     except jf.TruncationError:
         with pytest.raises(jf.TruncationError):
-            jf.apply_field(X, g)
+            jf.apply_field(X, gs)
         return
-    assert jf.apply_field(X, g) == want
+    assert jf.apply_field(X, gs) == want
 
 
 def test_kernel_exponent_range():
@@ -223,7 +254,7 @@ def test_kernel_exponent_range():
     assert jf.apply_total_derivative(xr.qp_parse("u1^32767 * u3")) == \
         xr.qp_parse("32767 * u1^32766 * u2 * u3 + u1^32767 * u4")
     with pytest.raises(ValueError):
-        jf.apply_field(jf.make_D(3), xr.qp_parse("u1^32768"))
+        jf.apply_field(jf.make_D(3), [xr.qp_parse("u1^32768")])
 
 
 def test_make_Xf_integral_coefficients():

@@ -59,8 +59,8 @@ def test_nullspace_deterministic_normalization():
 
 
 def test_int_vectors_divide_exactly():
-    # int entries must give the same Fraction rows and coordinates as Fraction
-    # entries: plain division would silently turn them into floats
+    # int and Fraction entries must give the same int rows and the same
+    # all-Fraction coordinates: plain division would silently make floats
     vecs = [{1: 2, 2: 4, 3: 1}, {1: 3, 3: 5}, {2: 7, 3: -3}]
     spans = LinearSpan(), LinearSpan()
     for tag, v in enumerate(vecs):
@@ -69,7 +69,7 @@ def test_int_vectors_divide_exactly():
     int_rows, frac_rows = spans[0]._rows, spans[1]._rows
     assert int_rows == frac_rows
     for _, row, combo in int_rows:
-        assert all(type(c) is Fraction for c in (*row.values(), *combo.values()))
+        assert all(type(c) is int for c in (*row.values(), *combo.values()))
     target = {1: 1, 2: 11, 3: 1}
     coords = spans[0].express(target)
     assert coords == spans[1].express({k: F(c) for k, c in target.items()})
@@ -78,6 +78,44 @@ def test_int_vectors_divide_exactly():
     basis = nullspace(rows, ["a", "b", "c"])
     assert basis == nullspace([{k: F(c) for k, c in r.items()} for r in rows], ["a", "b", "c"])
     assert all(type(c) is Fraction for v in basis for c in v.values())
+
+
+class _FractionPivotSpan:
+    """Reference: the former LinearSpan, with monic Fraction pivot rows kept
+    reduced against every later pivot."""
+
+    def __init__(self):
+        self._rows = []
+
+    def _reduce(self, vec, combo):
+        for pivot, row, rcombo in self._rows:
+            c = vec.get(pivot)
+            if c:
+                vec = vec_add_scaled(vec, row, -c)
+                combo = vec_add_scaled(combo, rcombo, -c)
+        return vec, combo
+
+    def insert(self, vec, tag):
+        vec, combo = self._reduce(dict(vec), {tag: Fraction(1)})
+        if not vec:
+            return False
+        pivot = min(vec)
+        lead = Fraction(vec[pivot])
+        vec = {k: v / lead for k, v in vec.items()}
+        combo = {t: c / lead for t, c in combo.items()}
+        for i, (p, row, rcombo) in enumerate(self._rows):
+            c = row.get(pivot)
+            if c:
+                self._rows[i] = (p, vec_add_scaled(row, vec, -c),
+                                 vec_add_scaled(rcombo, combo, -c))
+        self._rows.append((pivot, vec, combo))
+        return True
+
+    def express(self, vec):
+        residual, combo = self._reduce(dict(vec), {})
+        if residual:
+            return None
+        return {t: -c for t, c in combo.items() if c}
 
 
 def _fraction_pivot_nullspace(rows, columns):
@@ -134,3 +172,42 @@ def test_fraction_free_nullspace_equals_fraction_pivots(rows, columns):
     for v in got:
         for r in rows:
             assert sum(c * v.get(k, 0) for k, c in r.items()) == 0
+
+
+span_entries = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+span_vectors = st.dictionaries(st.integers(min_value=0, max_value=5),
+                               span_entries.filter(bool), max_size=4)
+
+
+@st.composite
+def span_sessions(draw):
+    """Inserts, each followed by an express of a combination of the vectors
+    so far (in the span) and of a fresh vector (usually outside it)."""
+    vecs = draw(st.lists(span_vectors, min_size=1, max_size=6))
+    ops = []
+    for i, v in enumerate(vecs):
+        ops.append(("insert", v))
+        combo = {}
+        for c, w in zip(draw(st.lists(span_entries, min_size=i + 1, max_size=i + 1)), vecs):
+            combo = vec_add_scaled(combo, w, c)
+        ops.append(("express", combo))
+        ops.append(("express", draw(span_vectors)))
+    return ops
+
+
+@given(span_sessions())
+@settings(max_examples=120, deadline=None)
+def test_fraction_free_span_equals_fraction_pivots(ops):
+    span, ref = LinearSpan(), _FractionPivotSpan()
+    for n, (op, v) in enumerate(ops):
+        if op == "insert":
+            assert span.insert(v, n) is ref.insert(v, n)
+            assert len(span) == len(ref._rows)
+        else:
+            got, want = span.express(v), ref.express(v)
+            assert got == want
+            if got is not None:
+                assert [(t, type(c)) for t, c in sorted(got.items())] == \
+                    [(t, type(c)) for t, c in sorted(want.items())]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from charlie import closure as cl
 from charlie import exactring as xr
 from charlie import jetfield as jf
-from charlie.analysis import EQUATIONS, closure_for
+from charlie.analysis import closure_for
 
 # -- hypothesis strategies for small exact values ---------------------------
 
@@ -143,8 +143,13 @@ def test_closure_truncation_stability(eq, sinh_small, tz_small, sinh_big, tz_big
         assert big.brackets[key] == coeffs
 
 
-def test_integral_search_order_stability():
-    from charlie.analysis import find_x_integrals
-    a = find_x_integrals(EQUATIONS["liouville"], 3, order=4)
-    b = find_x_integrals(EQUATIONS["liouville"], 3, order=8)
-    assert a == b
+def test_integral_search_order_stability(capsys):
+    import json
+    from charlie import cli
+    reports = []
+    for order in (4, 8):
+        assert cli.run(["integrals", "--equation", "liouville", "--weight", "3",
+                        "--order", str(order)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["payload"] == reports[1]["payload"]
+    assert reports[0]["payload"]["dimension"] > 0
