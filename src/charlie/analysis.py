@@ -146,7 +146,7 @@ class ExpSystem2D:
         for k in range(1, self.order + 1):
             dk = xr.poly_diff(w, _dvar(component, k))
             if dk:
-                out = xr.poly_add(out, xr.poly_mul(self.slots[component - 1][k - 1], dk))
+                out = xr.vec_add_scaled(out, xr.poly_mul(self.slots[component - 1][k - 1], dk), 1)
         return out
 
 
@@ -159,9 +159,9 @@ def build_exp_system(A, order: int = 6) -> ExpSystem2D:
     slots = []
     for a in (1, 2):
         rho_images = {
-            i: xr.poly_add(
+            i: xr.vec_add_scaled(
                 xr.poly_scale(xr.poly_var(_dvar(1, i)), M[a - 1][0]),
-                xr.poly_scale(xr.poly_var(_dvar(2, i)), M[a - 1][1]))
+                xr.poly_var(_dvar(2, i)), M[a - 1][1])
             for i in range(1, order + 1)
         }
         comp = []
@@ -185,12 +185,14 @@ def w2_integral(A) -> xr.Poly:
     ]
     out: xr.Poly = {}
     for c, m in terms:
-        out = xr.poly_add(out, {xr.mono_from_pairs(m): c} if c else {})
+        out = xr.vec_add_scaled(out, {xr.mono_from_pairs(m): c} if c else {}, 1)
     return out
 
 
 def check_w2_integral(sys: ExpSystem2D):
     """X_1 w2 = X_2 w2 = 0, exact; returns (ok, residuals)."""
+    if sys.order < 2:
+        raise ValueError(f"order {sys.order} too small: w2 uses u^a_2, so the order must be >= 2")
     w2 = w2_integral(sys.matrix)
     r1 = sys.apply(1, w2)
     r2 = sys.apply(2, w2)
@@ -266,13 +268,16 @@ class IsoReport:
     grading_mismatches: list
     serre_jet: dict                # relation -> ZeroStatus string
     serre_matrix: dict             # relation -> bool
-    certificates: dict             # (i, j) -> valid order
     closure: cl.ClosureResult = field(repr=False, default=None)
 
 
-def closure_for(equation: str, order: int, degree: int) -> cl.ClosureResult:
-    algebra, prefix, target = TARGETS[equation]
-    return cl.generate(equation_qp(EQUATIONS[equation]), order, degree, prefix, target)
+def closure_for(equation, order: int, degree: int) -> cl.ClosureResult:
+    """The closure of f(u) through `degree`, the one route from an equation to
+    cl.generate.  `equation` is a name in EQUATIONS or parsed (c, alpha) terms;
+    a known equation gets its reference prefix and target normalization."""
+    terms = EQUATIONS[equation] if isinstance(equation, str) else equation
+    _, prefix, target = TARGETS.get(identify_equation(terms), (None, "Z", None))
+    return cl.generate(equation_qp(terms), order, degree, prefix, target)
 
 
 def verify_isomorphism(equation: str, degree: int = 8, order: int = 12) -> IsoReport:
@@ -309,8 +314,7 @@ def verify_isomorphism(equation: str, degree: int = 8, order: int = 12) -> IsoRe
     status = "verified" if not mismatches and not grading_bad and all(serre_matrix.values()) \
         and all(s.startswith("ZERO_UP_TO") for s in serre_jet.values()) else "mismatch"
     return IsoReport(equation, order, degree, status, n_el, pairs, zero_confirmed,
-                     mismatches, grading_bad, serre_jet, serre_matrix,
-                     dict(result.certificates), result)
+                     mismatches, grading_bad, serre_jet, serre_matrix, result)
 
 
 def _coeff_text(result: cl.ClosureResult, coeffs) -> str:

@@ -24,12 +24,6 @@ from .bell import complete_bell, incomplete_bell
 
 SCHEMA = "charlie-report/1"
 
-ALIASES = {
-    "liouville": an.EQUATIONS["liouville"],
-    "sinh": an.EQUATIONS["sinh"],
-    "tzitzeica": an.EQUATIONS["tzitzeica"],
-}
-
 
 class UsageError(ValueError):
     pass
@@ -49,9 +43,8 @@ def parse_equation(text: str) -> EquationSpec:
         raise UsageError(
             "equation 'sin' is rejected: over the reals chi(sin u) is a different real form "
             "with non-rational structure constants; use 'sinh'")
-    if key in ALIASES:
-        terms = ALIASES[key]
-        return EquationSpec(tuple(terms), key, text)
+    if key in an.EQUATIONS:
+        return EquationSpec(an.EQUATIONS[key], key, text)
     # the term grammar is `[c] e^(k u)`: allow the coefficient to sit next to
     # the exponential without an explicit '*'
     normalized = re.sub(r"(\d)\s*e\^", r"\1*e^", text)
@@ -117,8 +110,7 @@ def cmd_bell(args) -> tuple:
 
 def cmd_charalg(args) -> tuple:
     spec = parse_equation(args.equation)
-    _, prefix, target = an.TARGETS.get(spec.alias, (None, "Z", None))
-    result = cl.generate(an.equation_qp(spec.terms), args.order, args.degree, prefix, target)
+    result = an.closure_for(spec.terms, args.order, args.degree)
     payload = {
         "equation": equation_text(spec.terms),
         "order": args.order,
@@ -133,6 +125,8 @@ def cmd_loops(args) -> tuple:
     algebra = {"sl2": "n1", "sl3t": "n2"}.get(args.algebra)
     if algebra is None:
         raise UsageError(f"unknown algebra {args.algebra!r} (choose sl2 or sl3t)")
+    if args.max < 1:
+        raise UsageError(f"--max {args.max} must be at least 1")
     prefix = "e" if algebra == "n1" else "f"
     table = la.matrix_table(algebra, args.max)
     payload = {
@@ -157,6 +151,8 @@ def cmd_loops(args) -> tuple:
 
 def cmd_integrals(args) -> tuple:
     spec = parse_equation(args.equation)
+    if args.weight < 1:
+        raise UsageError(f"--weight {args.weight} must be at least 1")
     order = args.order or args.weight + 1
     if order < args.weight + 1:
         raise UsageError(f"order {order} too small for weight bound {args.weight}")
@@ -231,6 +227,8 @@ def cmd_exp2d(args) -> tuple:
 
 
 def cmd_growth(args) -> tuple:
+    if args.degree < 1:
+        raise UsageError(f"--degree {args.degree} must be at least 1")
     if args.algebra:
         factory = cl.PRESENTED.get(args.algebra)
         if factory is None:
@@ -244,9 +242,8 @@ def cmd_growth(args) -> tuple:
     if not args.equation:
         raise UsageError("growth needs --equation or --algebra")
     spec = parse_equation(args.equation)
-    _, prefix, target = an.TARGETS.get(spec.alias, (None, "Z", None))
     order = args.order or args.degree + 4
-    result = cl.generate(an.equation_qp(spec.terms), order, args.degree, prefix, target)
+    result = an.closure_for(spec.terms, order, args.degree)
     offset = cl.commutant_growth_offset(result)
     rows = []
     for n in range(1, args.degree + 1):
@@ -263,6 +260,8 @@ def cmd_growth(args) -> tuple:
 
 
 def cmd_jacobi(args) -> tuple:
+    if args.degree < 1:
+        raise UsageError(f"--degree {args.degree} must be at least 1")
     name = args.algebra
     if name == "m0S":
         if not args.s:

@@ -3,9 +3,10 @@ finitely-presented graded algebras with closed-form structure constants.
 
 generate() builds the algebra breadth-first by natural degree with exact
 independence detection (sparse Gaussian elimination over the rationals on
-truncated coefficient vectors), records a zero certificate for every declared
-dependency, and keeps the toral element d/du separate so the result splits as
-<X_0> acting on the commutant-side basis.
+truncated coefficient vectors), records for every computed pair -- those that
+gave a new element as well as the dependent ones -- the valid order of its
+bracket as a certificate, and keeps the toral element d/du separate so the
+result splits as <X_0> acting on the commutant-side basis.
 
 Discovered elements are stored raw (first-found bracket) and, when a target
 structure-constant rule is supplied, also in reference normalization:
@@ -17,7 +18,7 @@ of both reference bases, so reported tables compare literally.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -47,21 +48,17 @@ class BasisElement:
     eigenvalue: int             # ad-X_0 eigenvalue (= r of the operator bigrading)
     bigrading: Bigrading
     canonical: Optional[tuple]  # generator-count bigrading (p, q); None if undefined
-    defining: str
     pid: int = -1               # stable discovery id; .index is the reference position
 
 
 @dataclass
 class ClosureResult:
-    prefix: str
     order: int
     max_degree: int
     toral_name: str
-    toral: JetField
     elements: list               # BasisElement, by index 1..n
     brackets: dict               # (i, j) index pair, i<j -> tuple[(k, Fraction), ...] normalized
     certificates: dict           # (i, j) -> valid order up to which the relation is exact
-    log: list
 
     def by_name(self, name: str) -> BasisElement:
         for el in self.elements:
@@ -104,8 +101,8 @@ def _vectorize(X: JetField) -> dict:
     return vec
 
 
-def eigencomponents(f: xr.Quasi, order: int) -> list[tuple[int, int, JetField]]:
-    """(alpha, sign, field) per exponential index of f, alpha descending.
+def eigencomponents(f: xr.Quasi, order: int) -> list[tuple[int, JetField]]:
+    """(alpha, field) per exponential index of f, alpha descending.
 
     Each ad-X_0 eigencomponent of X(f) is c_alpha * X(e^{alpha u}); the
     reference normalization scales it to sign(c_alpha) * X(e^{alpha u}),
@@ -116,7 +113,7 @@ def eigencomponents(f: xr.Quasi, order: int) -> list[tuple[int, int, JetField]]:
     out = []
     for alpha in sorted(f, reverse=True):
         sign = 1 if f[alpha][xr.MONO_ONE] > 0 else -1
-        out.append((alpha, sign, jf.make_Xf(xr.qp_exp(alpha, sign), order)))
+        out.append((alpha, jf.make_Xf(xr.qp_exp(alpha, sign), order)))
     return out
 
 
@@ -132,9 +129,10 @@ def generate(
     target, when given, maps an index pair (q, l) to the reference structure
     constant used for normalization; a contradiction raises MismatchError.
     """
+    if max_degree < 1:
+        raise ClosureError(f"degree {max_degree} must be at least 1")
     if order <= max_degree + 2:
         raise ClosureError(f"order {order} too small for degree {max_degree} (need order > degree+2)")
-    log: list = []
     span = LinearSpan()                 # tags = stable discovery ids (pids)
     elements: list[BasisElement] = []   # in discovery order; .index assigned per degree
     raw_expr: dict = {}                 # (idx_i, idx_j) -> tuple[(pid_k, Fraction)]
@@ -147,26 +145,23 @@ def generate(
         by_index[idx] = el
 
     degree_one = eigencomponents(f, order)
-    for alpha, sign, fld in degree_one:
+    for alpha, fld in degree_one:
         pid = len(elements)
         big = jf.bigrading_of(fld)
         assert big == Bigrading(1, alpha)
         canonical = (1, 0) if pid == 0 else ((0, 1) if pid == 1 else None)
         if len(degree_one) > 2:
             canonical = None
-        el = BasisElement(0, "", fld, fld, Fraction(1), 1, alpha, big,
-                          canonical, f"{'+' if sign > 0 else '-'}X(e^({alpha}u))")
+        el = BasisElement(0, "", fld, fld, Fraction(1), 1, alpha, big, canonical)
         el.pid = pid
         elements.append(el)
         settle(el, pid + 1)
         span.insert(_vectorize(fld), pid)
-        log.append(f"degree 1: {el.name} = {el.defining}, eigenvalue {alpha}")
 
     for d in range(2, max_degree + 1):
         pair_sums = {a.degree + b.degree for a, b in itertools.combinations(elements, 2)}
         if not pair_sums or max(pair_sums) < d:
-            log.append(f"degree {d}: closure terminated, no candidate brackets remain")
-            break
+            break  # no candidate brackets remain
         candidates = sorted(
             (min(a.index, b.index), max(a.index, b.index))
             for a, b in itertools.combinations(elements, 2) if a.degree + b.degree == d)
@@ -179,8 +174,6 @@ def generate(
             certs[(i, j)] = br.valid_order
             if expr is not None:
                 raw_expr[(i, j)] = tuple(sorted(expr.items()))
-                status = str(jf.is_zero_up_to(br)) if not expr else "a combination of known elements"
-                log.append(f"degree {d}: [{ei.name},{ej.name}] dependent: {status}")
                 continue
             big = jf.bigrading_of(br)
             if big is None or big.d != d or big.r != ei.eigenvalue + ej.eigenvalue:
@@ -189,14 +182,12 @@ def generate(
             canonical = None
             if ei.canonical is not None and ej.canonical is not None:
                 canonical = (ei.canonical[0] + ej.canonical[0], ei.canonical[1] + ej.canonical[1])
-            el = BasisElement(0, "", br, br, Fraction(1), d, big.r, big,
-                              canonical, f"[{ei.name},{ej.name}]")
+            el = BasisElement(0, "", br, br, Fraction(1), d, big.r, big, canonical)
             el.pid = pid
             elements.append(el)
             span.insert(vec, pid)
             new_here.append(el)
             raw_expr[(i, j)] = ((pid, Fraction(1)),)
-            log.append(f"degree {d}: new element from [{ei.name},{ej.name}], eigenvalue {big.r}")
         # reference index order within a degree: eigenvalue descending, then discovery
         start = max(by_index) + 1 if by_index else 1
         for offset, el in enumerate(sorted(new_here, key=lambda e: (-e.eigenvalue, e.pid))):
@@ -207,7 +198,7 @@ def generate(
                 for key, coeffs in raw_expr.items()}
     elements = sorted(elements, key=lambda e: e.index)
 
-    scales = _normalization_scales(elements, raw_expr, target, log)
+    scales = _normalization_scales(elements, raw_expr, target)
     for el, c in zip(elements, scales):
         el.norm_scale = c
         if c != 1:
@@ -216,18 +207,16 @@ def generate(
     for (i, j), coeffs in raw_expr.items():
         ci, cj = scales[i - 1], scales[j - 1]
         brackets[(i, j)] = tuple((k, ci * cj * lam / scales[k - 1]) for k, lam in coeffs)
-    return ClosureResult(prefix, order, max_degree, f"{prefix}0", jf.make_X0(order),
-                         elements, brackets, certs, log)
+    return ClosureResult(order, max_degree, f"{prefix}0", elements, brackets, certs)
 
 
-def _normalization_scales(elements, raw_expr, target, log) -> list:
+def _normalization_scales(elements, raw_expr, target) -> list:
     """Scale factors c with normalized_n = c_n * raw_n, from the target rule."""
     n_el = len(elements)
     scales = [Fraction(1)] * n_el
     if target is None:
         return scales
     for n in range(3, n_el + 1):
-        chosen = None
         for q in range(1, (n + 1) // 2):
             l = n - q
             if l > n_el:
@@ -241,11 +230,9 @@ def _normalization_scales(elements, raw_expr, target, log) -> list:
                 raise MismatchError(
                     f"[{q},{l}] should be {kappa} * element {n} but the jet side gives {coeffs}")
             scales[n - 1] = scales[q - 1] * scales[l - 1] * lam / kappa
-            chosen = (q, l, kappa)
             break
-        if chosen is None:
+        else:
             raise MismatchError(f"no defining bracket with nonzero target constant for element {n}")
-        log.append(f"normalized element {n} via pair {chosen[0]},{chosen[1]} (target {chosen[2]})")
     return scales
 
 
@@ -264,12 +251,7 @@ def _abstract_bracket(result: ClosureResult, v: dict, w: dict) -> dict:
     out: dict = {}
     for a, ca in v.items():
         for b, cb in w.items():
-            for k, c in result.bracket_coeffs(a, b):
-                s = out.get(k, Fraction(0)) + ca * cb * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+            out = xr.vec_add_scaled(out, dict(result.bracket_coeffs(a, b)), ca * cb)
     return out
 
 

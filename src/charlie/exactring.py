@@ -18,6 +18,11 @@ jet bracket kernel in jetfield, fed int fields, computes in int throughout.
 An int and a Fraction of equal value compare and hash alike, so dict equality
 does not depend on which one a coefficient is.
 
+vec_add_scaled (a + c*b on any such dict, zeros dropped) is the one sparse
+accumulate: polynomial sums pass c = +-1, and linalg's row operations and the
+closure's abstract bracket call it too.  Only the jet bracket kernel in
+jetfield fuses its own multiply-accumulate over packed monomials.
+
 The weight of u_i is i; a polynomial is weight-homogeneous when all its monomials
 share one weight.  Zero-coefficient terms and zero polynomial parts are never stored,
 so canonical form is automatic and two values are equal iff their dicts are equal.
@@ -35,6 +40,20 @@ Poly = dict   # dict[Mono, int | Fraction]
 Quasi = dict  # dict[int, Poly]
 
 MONO_ONE: Mono = ()
+
+
+def vec_add_scaled(a: dict, b: dict, c) -> dict:
+    """a + c*b for sparse dicts of exact coefficients, zero entries dropped."""
+    if not c:
+        return dict(a)
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, 0) + c * v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +120,6 @@ def mono_key(m: Mono):
 # polynomials
 # ---------------------------------------------------------------------------
 
-def poly_zero() -> Poly:
-    return {}
-
-
 def poly_const(c) -> Poly:
     c = Fraction(c)
     return {MONO_ONE: c} if c else {}
@@ -112,42 +127,6 @@ def poly_const(c) -> Poly:
 
 def poly_var(i: int) -> Poly:
     return {mono_var(i): Fraction(1)}
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m)
-        if s is None:
-            out[m] = c
-        else:
-            s = s + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m)
-        if s is None:
-            out[m] = -c
-        else:
-            s = s - c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
 
 
 def poly_neg(a: Poly) -> Poly:
@@ -222,17 +201,13 @@ def poly_substitute(a: Poly, images: dict[int, Poly]) -> Poly:
             base = images.get(idx, poly_var(idx))
             for _ in range(exp):
                 term = poly_mul(term, base)
-        out = poly_add(out, term)
+        out = vec_add_scaled(out, term, 1)
     return out
 
 
 # ---------------------------------------------------------------------------
 # quasipolynomials  e^{a*u} * P(u_1, u_2, ...)
 # ---------------------------------------------------------------------------
-
-def qp_zero() -> Quasi:
-    return {}
-
 
 def qp_from_poly(p: Poly) -> Quasi:
     return {0: dict(p)} if p else {}
@@ -251,15 +226,12 @@ def _qp_norm(q: Quasi) -> Quasi:
 def qp_add(a: Quasi, b: Quasi) -> Quasi:
     out = {k: dict(v) for k, v in a.items()}
     for al, p in b.items():
-        out[al] = poly_add(out.get(al, {}), p)
+        out[al] = vec_add_scaled(out.get(al, {}), p, 1)
     return _qp_norm(out)
 
 
 def qp_sub(a: Quasi, b: Quasi) -> Quasi:
-    out = {k: dict(v) for k, v in a.items()}
-    for al, p in b.items():
-        out[al] = poly_sub(out.get(al, {}), p)
-    return _qp_norm(out)
+    return qp_add(a, qp_neg(b))
 
 
 def qp_neg(a: Quasi) -> Quasi:
@@ -279,7 +251,7 @@ def qp_mul(a: Quasi, b: Quasi) -> Quasi:
         for ab, pb in b.items():
             al = aa + ab
             prod = poly_mul(pa, pb)
-            out[al] = poly_add(out.get(al, {}), prod) if al in out else prod
+            out[al] = vec_add_scaled(out[al], prod, 1) if al in out else prod
     return _qp_norm(out)
 
 
@@ -300,10 +272,6 @@ def qp_max_index(a: Quasi) -> int:
 
 def qp_is_zero(a: Quasi) -> bool:
     return not a
-
-
-def qp_exponents(a: Quasi) -> list[int]:
-    return sorted(a.keys(), reverse=True)
 
 
 def qp_is_exponential_only(a: Quasi) -> bool:

@@ -29,7 +29,6 @@ these helpers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -266,10 +265,6 @@ def field_add(X: JetField, Y: JetField) -> JetField:
     )
 
 
-def field_sub(X: JetField, Y: JetField) -> JetField:
-    return field_add(X, field_scale(Y, -1))
-
-
 def field_scale(X: JetField, c) -> JetField:
     return make_field(
         xr.qp_scale(X.u_slot, c),
@@ -384,27 +379,3 @@ def eigencheck_adX0(X: JetField) -> Optional[int]:
         return alphas.pop()
     return None
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def field_to_dict(X: JetField) -> dict:
-    return {
-        "u_slot": xr.qp_to_text(X.u_slot),
-        "slots": [xr.qp_to_text(s) for s in X.slots],
-        "valid_order": X.valid_order,
-    }
-
-
-def field_to_json(X: JetField) -> str:
-    return json.dumps(field_to_dict(X))
-
-
-def field_from_dict(d: dict) -> JetField:
-    slots = [xr.qp_parse(s) for s in d["slots"]]
-    return make_field(xr.qp_parse(d["u_slot"]), slots, d["valid_order"])
-
-
-def field_from_json(text: str) -> JetField:
-    return field_from_dict(json.loads(text))

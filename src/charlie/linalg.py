@@ -2,7 +2,8 @@
 
 Vectors are dicts keyed by orderable hashable keys with int or Fraction
 values; zero entries are never stored.  Elimination is exact and fully
-deterministic: rows are processed in insertion order.
+deterministic: rows are processed in insertion order.  Every row operation
+goes through exactring.vec_add_scaled, the package's one sparse accumulate.
 
 Both LinearSpan and nullspace eliminate fraction-free: an input has its
 denominators cleared once and every stored row is an int vector.
@@ -31,21 +32,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Optional
 
+from .exactring import vec_add_scaled
+
 Vec = dict  # dict[key, int | Fraction]
-
-
-def vec_add_scaled(a: Vec, b: Vec, c: Fraction) -> Vec:
-    """a + c*b, normalized."""
-    if not c:
-        return dict(a)
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + c * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
 
 
 class LinearSpan:

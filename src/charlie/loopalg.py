@@ -210,7 +210,7 @@ def twisted_table_diff() -> list[tuple[int, int, int, Fraction]]:
     for q in range(8):
         for l in range(8):
             printed = Fraction(TWISTED_TABLE_TRANSCRIBED[q][l])
-            computed = _sl3_constant_by_residues(q, l)
+            computed = sl3_bracket_constant(q, l)
             if printed != computed:
                 diffs.append((q, l, TWISTED_TABLE_TRANSCRIBED[q][l], computed))
     return diffs
@@ -292,14 +292,16 @@ def canonical_bigrading_recursive(algebra: str, index: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def matrix_structure_constant(algebra: str, i: int, j: int) -> Fraction:
-    if algebra == "n1":
-        com = lm_commutator(sl2_basis(i), sl2_basis(j))
-        c = proportionality(com, sl2_basis(i + j))
-    elif algebra == "n2":
-        com = lm_commutator(sl3_twisted_basis(i), sl3_twisted_basis(j))
-        c = proportionality(com, sl3_twisted_basis(i + j))
-    else:
+    """c with [b_i, b_j] = c b_{i+j}, from the matrices of either basis.
+
+    n2 goes through sl3_bracket_constant, memoized by residue; n1 commutes the
+    sl(2) matrices on every call, the oracle for sl2_bracket_constant.
+    """
+    if algebra == "n2":
+        return sl3_bracket_constant(i, j)
+    if algebra != "n1":
         raise ValueError(f"unknown algebra {algebra!r}")
+    c = proportionality(lm_commutator(sl2_basis(i), sl2_basis(j)), sl2_basis(i + j))
     if c is None:
         raise ArithmeticError(f"[{i}, {j}] not proportional to basis element {i + j}")
     return c

@@ -27,7 +27,7 @@ def _series_mul(a, b, nmax):
             if i + j > nmax:
                 break
             if pb:
-                out[i + j] = xr.poly_add(out[i + j], xr.poly_mul(pa, pb))
+                out[i + j] = xr.vec_add_scaled(out[i + j], xr.poly_mul(pa, pb), 1)
     return out
 
 
@@ -40,7 +40,7 @@ def _exp_series(s, nmax):
     for m in range(1, nmax + 1):
         power = _series_mul(power, s, nmax)
         scaled = [xr.poly_scale(p, Fraction(1, factorial(m))) for p in power]
-        out = [xr.poly_add(a, b) for a, b in zip(out, scaled)]
+        out = [xr.vec_add_scaled(a, b, 1) for a, b in zip(out, scaled)]
     return out
 
 
@@ -89,7 +89,7 @@ def test_incomplete_sum_is_complete():
     for n in range(1, NMAX + 1):
         acc = {}
         for k in range(1, n + 1):
-            acc = xr.poly_add(acc, incomplete_bell(n, k))
+            acc = xr.vec_add_scaled(acc, incomplete_bell(n, k), 1)
         assert acc == complete_bell(n), n
 
 
@@ -143,7 +143,7 @@ def _recursive_complete(nmax):
         acc = {}
         for i in range(m + 1):
             term = xr.poly_scale(xr.poly_mul(out[m - i], xr.poly_var(i + 1)), comb(m, i))
-            acc = xr.poly_add(acc, term)
+            acc = xr.vec_add_scaled(acc, term, 1)
         out.append(acc)
     return out
 
@@ -156,7 +156,7 @@ def _recursive_incomplete(n, k):
     acc = {}
     for i in range(1, n - k + 2):
         term = xr.poly_mul(xr.poly_var(i), _recursive_incomplete(n - i, k - 1))
-        acc = xr.poly_add(acc, xr.poly_scale(term, comb(n - 1, i - 1)))
+        acc = xr.vec_add_scaled(acc, xr.poly_scale(term, comb(n - 1, i - 1)), 1)
     return acc
 
 

@@ -122,6 +122,31 @@ def test_exp2d_command(capsys):
     assert cli.run(["exp2d", "--matrix", "1,2,3"]) == 1
 
 
+def test_exp2d_rejects_orders_below_two(capsys):
+    # w2 uses u^a_2: order 1 truncates it away and order -1 checks nothing
+    for order in ("1", "-1"):
+        assert cli.run(["exp2d", "--matrix", "2,-4,-1,2", "--order", order]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: order {order} too small: w2 uses u^a_2, so the order must be >= 2\n")
+    code, rep = run_json(capsys, ["exp2d", "--matrix", "2,-4,-1,2", "--order", "2"])
+    assert code == 0 and rep["payload"]["annihilated"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["charalg", "--equation", "sinh", "--degree", "-3", "--order", "12"],
+    ["verify-iso", "--equation", "sinh", "--degree", "0"],
+    ["growth", "--equation", "sinh", "--degree", "0"],
+    ["growth", "--algebra", "m0", "--degree", "0"],
+    ["integrals", "--equation", "liouville", "--weight", "-1"],
+    ["jacobi", "--algebra", "W+", "--degree", "-1"],
+    ["loops", "--algebra", "sl3t", "--max", "-2"],
+])
+def test_non_positive_window_bounds_are_rejected(capsys, argv):
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_loops_command_lists_suspected_typos(capsys):
     code, rep = run_json(capsys, ["loops", "--algebra", "sl3t", "--table", "--max", "8"])
     assert code == 0

@@ -105,12 +105,6 @@ def test_is_zero_up_to():
     assert not nz.is_zero and nz.witness_slot == 1
 
 
-def test_field_json_roundtrip():
-    X = jf.make_Xf(TZITZEICA, 5)
-    back = jf.field_from_json(jf.field_to_json(X))
-    assert jf.fields_equal(back, X) and back.valid_order == X.valid_order
-
-
 def test_truncate_and_equality():
     X = jf.make_Xf(SINH, 9)
     Y = jf.truncate(X, 5)
