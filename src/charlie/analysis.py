@@ -13,7 +13,7 @@ from . import closure as cl
 from . import exactring as xr
 from . import jetfield as jf
 from . import loopalg as la
-from .bell import bell_at_scaled_args, complete_bell
+from .bell import complete_bell
 from .linalg import nullspace
 
 # canonical right-hand sides f(u), as exponential sums
@@ -50,61 +50,37 @@ def identify_equation(terms) -> Optional[str]:
 # x-integrals
 # ---------------------------------------------------------------------------
 
-def _monomials_of_weight(w: int, max_index: int) -> list:
-    """All jet monomials of exact weight w in u_1..u_max_index (partition-style)."""
-    out = []
-
-    def rec(remaining: int, max_part: int, acc: list) -> None:
-        if remaining == 0:
-            out.append(xr.mono_from_pairs(acc))
-            return
-        for i in range(min(max_part, remaining), 0, -1):
-            acc.append((i, 1))
-            rec(remaining - i, i, acc)
-            acc.pop()
-
-    rec(w, min(w, max_index), [])
-    return out
-
-
 def integral_candidates(weight_bound: int) -> list:
-    """Nonconstant u-free jet monomials of weight <= bound, canonically ordered."""
-    out = []
-    for w in range(1, weight_bound + 1):
-        out.extend(_monomials_of_weight(w, weight_bound))
-    return sorted(out, key=xr.mono_key)
+    """Nonconstant u-free jet monomials of weight <= bound, canonically ordered.
+    The monomials of B_w are the partitions of w, one each."""
+    return sorted((m for w in range(1, weight_bound + 1) for m in complete_bell(w)),
+                  key=xr.mono_key)
 
 
 def find_x_integrals(f_terms, weight_bound: int) -> list:
     """Basis of nonconstant x-integrals of weight <= bound: the exact nullspace
     of w -> X(f)w on u-free polynomials, each exponential component of X(f)w
     vanishing separately.  Constants are excluded by construction.  A
-    candidate of weight <= bound uses u_k only for k <= bound, so X(f)'s
-    slots 1..bound give every image exactly: no truncation order enters."""
+    candidate of weight <= bound uses u_k only for k <= bound, so X(f) at
+    valid order bound gives every image exactly through apply_field: no
+    truncation order enters."""
+    if weight_bound < 1:
+        return []
     candidates = integral_candidates(weight_bound)
-    alphas = sorted({a for _, a in f_terms})
-    # slot k of X(e^{a*u}), the e^{a*u} stripped, is B_{k-1}(a*u_1, ...)
-    slots = {alpha: [bell_at_scaled_args(k - 1, alpha) for k in range(1, weight_bound + 1)]
-             for alpha in alphas}
-    # image of each candidate monomial under X(e^{a*u}): sum_k slot_k * d/du_k
+    Xf = jf.make_Xf(equation_qp(f_terms), weight_bound)
     rows: dict = {}  # (alpha, out-monomial) -> {candidate: coeff}
-    for m in candidates:
-        for alpha in alphas:
-            img: xr.Poly = {}
-            for k, _ in m:
-                exp, rest = xr.mono_diff(m, k)
-                for bm, bc in slots[alpha][k - 1].items():
-                    om = xr.mono_mul(bm, rest)
-                    img[om] = img.get(om, 0) + exp * bc
-            for om, c in img.items():
-                if c:
-                    rows.setdefault((alpha, om), {})[m] = c
+    for m, img in zip(candidates, jf.apply_field(Xf, [{0: {m: 1}} for m in candidates])):
+        for alpha, p in img.items():
+            for om, c in p.items():
+                rows.setdefault((alpha, om), {})[m] = c
     basis = nullspace(list(rows.values()), candidates)
     return [dict(v) for v in basis]
 
 
 def annihilates(f_terms, ws: list, order: int) -> list:
-    """Exact check X(f) w = 0 at the given truncation order, one bool per w."""
+    """Exact check X(f) w = 0 at the given truncation order, one bool per w.
+    It runs the same apply_field as find_x_integrals, so re-verifying a found
+    integral checks the nullspace solution, not a second kernel."""
     Xf = jf.make_Xf(equation_qp(f_terms), order)
     return [xr.qp_is_zero(q) for q in jf.apply_field(Xf, [xr.qp_from_poly(w) for w in ws])]
 
@@ -138,25 +114,19 @@ def _dvar(component: int, i: int) -> int:
 @dataclass
 class ExpSystem2D:
     matrix: tuple                 # ((a11, a12), (a21, a22)) as Fractions
-    order: int
-    slots: tuple                  # slots[a-1][k-1] = coefficient of d/du^a_k
-
-    def apply(self, component: int, w: xr.Poly) -> xr.Poly:
-        out: xr.Poly = {}
-        for k in range(1, self.order + 1):
-            dk = xr.poly_diff(w, _dvar(component, k))
-            if dk:
-                out = xr.vec_add_scaled(out, xr.poly_mul(self.slots[component - 1][k - 1], dk), 1)
-        return out
+    fields: tuple                 # (X_1, X_2) over the interleaved u_{_dvar(a, k)}
 
 
 def build_exp_system(A, order: int = 6) -> ExpSystem2D:
     """Fields X_a = sum_k B_{k-1}(rho_a^1, ..., rho_a^{k-1}) d/du^a_k with
-    rho_a^i = a_{a1} u^1_i + a_{a2} u^2_i."""
+    rho_a^i = a_{a1} u^1_i + a_{a2} u^2_i, as JetFields of valid order
+    2*order over u^a_k = u_{_dvar(a, k)}."""
     M = tuple(tuple(Fraction(x) for x in row) for row in A)
     if len(M) != 2 or any(len(r) != 2 for r in M):
         raise ValueError("expected a 2x2 matrix")
-    slots = []
+    if order < 2:
+        raise ValueError(f"order {order} too small: w2 uses u^a_2, so the order must be >= 2")
+    fields = []
     for a in (1, 2):
         rho_images = {
             i: xr.vec_add_scaled(
@@ -164,11 +134,12 @@ def build_exp_system(A, order: int = 6) -> ExpSystem2D:
                 xr.poly_var(_dvar(2, i)), M[a - 1][1])
             for i in range(1, order + 1)
         }
-        comp = []
+        slots = [{} for _ in range(2 * order)]
         for k in range(1, order + 1):
-            comp.append(xr.poly_substitute(complete_bell(k - 1), rho_images))
-        slots.append(tuple(comp))
-    return ExpSystem2D(M, order, tuple(slots))
+            slots[_dvar(a, k) - 1] = xr.qp_from_poly(
+                xr.poly_substitute(complete_bell(k - 1), rho_images))
+        fields.append(jf.make_field({}, slots, 2 * order))
+    return ExpSystem2D(M, tuple(fields))
 
 
 def w2_integral(A) -> xr.Poly:
@@ -190,12 +161,9 @@ def w2_integral(A) -> xr.Poly:
 
 
 def check_w2_integral(sys: ExpSystem2D):
-    """X_1 w2 = X_2 w2 = 0, exact; returns (ok, residuals)."""
-    if sys.order < 2:
-        raise ValueError(f"order {sys.order} too small: w2 uses u^a_2, so the order must be >= 2")
-    w2 = w2_integral(sys.matrix)
-    r1 = sys.apply(1, w2)
-    r2 = sys.apply(2, w2)
+    """X_1 w2 = X_2 w2 = 0, exact, through apply_field; returns (ok, residuals)."""
+    w2 = xr.qp_from_poly(w2_integral(sys.matrix))
+    r1, r2 = (jf.apply_field(X, [w2])[0].get(0, {}) for X in sys.fields)
     return (not r1 and not r2), (r1, r2)
 
 

@@ -33,7 +33,6 @@ class UsageError(ValueError):
 class EquationSpec:
     terms: tuple          # ((Fraction, alpha), ...) by alpha descending
     alias: Optional[str]  # canonical name when the sum matches a known equation
-    text: str
 
 
 def parse_equation(text: str) -> EquationSpec:
@@ -44,7 +43,7 @@ def parse_equation(text: str) -> EquationSpec:
             "equation 'sin' is rejected: over the reals chi(sin u) is a different real form "
             "with non-rational structure constants; use 'sinh'")
     if key in an.EQUATIONS:
-        return EquationSpec(an.EQUATIONS[key], key, text)
+        return EquationSpec(an.EQUATIONS[key], key)
     # the term grammar is `[c] e^(k u)`: allow the coefficient to sit next to
     # the exponential without an explicit '*'
     normalized = re.sub(r"(\d)\s*e\^", r"\1*e^", text)
@@ -57,7 +56,7 @@ def parse_equation(text: str) -> EquationSpec:
     if not xr.qp_is_exponential_only(q):
         raise UsageError("equation right-hand side must not contain jet variables u1, u2, ...")
     terms = tuple(sorted(((p[xr.MONO_ONE], a) for a, p in q.items()), key=lambda t: -t[1]))
-    return EquationSpec(terms, an.identify_equation(terms), text)
+    return EquationSpec(terms, an.identify_equation(terms))
 
 
 def equation_text(terms) -> str:

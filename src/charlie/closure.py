@@ -18,7 +18,7 @@ of both reference bases, so reported tables compare literally.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -322,16 +322,8 @@ def _e_degree(label: str) -> int:
 
 
 def presented_m0() -> PresentedAlgebra:
-    """[e_1, e_i] = e_{i+1} for i >= 2; all other brackets vanish."""
-    def rule(a, b):
-        i, j = int(a[1:]), int(b[1:])
-        if i == 1 and j >= 2:
-            return ((f"e{j + 1}", 1),)
-        if j == 1 and i >= 2:
-            return ((f"e{i + 1}", -1),)
-        return ()
-    return PresentedAlgebra(
-        "m0", _e_degree, rule, lambda d: [f"e{i}" for i in range(1, d + 2)])
+    """[e_1, e_i] = e_{i+1} for i >= 2; all other brackets vanish: m0^S with S empty."""
+    return replace(presented_m0_S(frozenset()), name="m0")
 
 
 def presented_m2() -> PresentedAlgebra:

@@ -383,6 +383,8 @@ def qp_parse(text: str) -> Quasi:
         for f in factors:
             m = _FRAC_RE.match(f)
             if m:
+                if m.group(2) and not int(m.group(2)):
+                    raise ParseError(text, tpos + body.find(f), "zero denominator")
                 coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
                 continue
             m = _EXP_RE.match(f)

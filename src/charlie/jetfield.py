@@ -24,7 +24,9 @@ would never be multiplied.  A triangular element of degree d has empty slots
 monomial is packed into one int, so a monomial product is an integer
 addition; results are unpacked into the usual Quasi dicts.  apply_field, the
 exact total derivative D (apply_total_derivative) and bracket all go through
-these helpers.
+these helpers.  apply_field is the one way a field acts on a value: in
+analysis, the x-integral search, annihilates, the symmetry check and the 2D
+exponential system (two JetFields over interleaved variables) all call it.
 """
 
 from __future__ import annotations

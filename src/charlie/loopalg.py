@@ -316,10 +316,23 @@ def matrix_table(algebra: str, max_index: int) -> dict[tuple[int, int], Fraction
     return out
 
 
-def ad_power(x: LaurentMatrix, y: LaurentMatrix, m: int) -> LaurentMatrix:
+# defining ad-power relations ad^m g_x (g_y) = 0 of the nilpotent part, as
+# (x, y, m) on the degree-one generators g_1, g_2
+SERRE_RELATIONS = {"A1_1": ((1, 2, 3), (2, 1, 3)), "A2_2": ((2, 1, 2), (1, 2, 5))}
+
+
+def _serre_relations(algebra: str) -> tuple:
+    relations = SERRE_RELATIONS.get(algebra)
+    if relations is None:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    return relations
+
+
+def ad_power(x, y, m: int, bracket: Callable = lm_commutator):
+    """ad_x^m (y) under `bracket`."""
     out = y
     for _ in range(m):
-        out = lm_commutator(x, out)
+        out = bracket(x, out)
     return out
 
 
@@ -337,41 +350,18 @@ def serre_check(algebra: str, realization: str = "matrix", generators=None) -> d
     if not generators or len(generators) != 2:
         raise ValueError("jet realization needs the two degree-one generator fields")
     from .jetfield import bracket, is_zero_up_to
-    g1, g2 = generators
-    if algebra == "A1_1":
-        powers = {"ad^3 g1 (g2)": (g1, g2, 3), "ad^3 g2 (g1)": (g2, g1, 3)}
-    elif algebra == "A2_2":
-        powers = {"ad^2 g2 (g1)": (g2, g1, 2), "ad^5 g1 (g2)": (g1, g2, 5)}
-    else:
-        raise ValueError(f"unknown algebra {algebra!r}")
-    out = {}
-    for label, (x, y, m) in powers.items():
-        acc = y
-        for _ in range(m):
-            acc = bracket(x, acc)
-        out[label] = str(is_zero_up_to(acc))
-    return out
+    return {f"ad^{m} g{x} (g{y})":
+            str(is_zero_up_to(ad_power(generators[x - 1], generators[y - 1], m, bracket)))
+            for x, y, m in _serre_relations(algebra)}
 
 
 def serre_check_matrix(algebra: str) -> dict[str, bool]:
-    """Defining ad-power relations of the nilpotent part, exact matrix arithmetic.
-
-    A1(1) generators (e_1, e_2): ad^3 of each on the other vanishes.
-    A2(2) generators (f_1, f_2): ad^2 f_2 (f_1) = 0 and ad^5 f_1 (f_2) = 0.
-    """
-    if algebra == "A1_1":
-        e1, e2 = sl2_basis(1), sl2_basis(2)
-        return {
-            "ad^3 e1 (e2)": ad_power(e1, e2, 3).is_zero(),
-            "ad^3 e2 (e1)": ad_power(e2, e1, 3).is_zero(),
-        }
-    if algebra == "A2_2":
-        f1, f2 = sl3_twisted_basis(1), sl3_twisted_basis(2)
-        return {
-            "ad^2 f2 (f1)": ad_power(f2, f1, 2).is_zero(),
-            "ad^5 f1 (f2)": ad_power(f1, f2, 5).is_zero(),
-        }
-    raise ValueError(f"unknown algebra {algebra!r}")
+    """Defining ad-power relations of the nilpotent part, exact matrix arithmetic
+    on the generators (e_1, e_2) of A1(1) and (f_1, f_2) of A2(2)."""
+    relations = _serre_relations(algebra)
+    name, basis = ("e", sl2_basis) if algebra == "A1_1" else ("f", sl3_twisted_basis)
+    return {f"ad^{m} {name}{x} ({name}{y})": ad_power(basis(x), basis(y), m).is_zero()
+            for x, y, m in relations}
 
 
 # ---------------------------------------------------------------------------

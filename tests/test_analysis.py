@@ -6,6 +6,7 @@ import pytest
 from charlie import analysis as an
 from charlie import cli
 from charlie import exactring as xr
+from charlie.linalg import nullspace
 
 
 def test_find_x_integrals_liouville_weight2():
@@ -52,6 +53,72 @@ def test_integrals_order_independent(capsys):
     assert payloads[0] == payloads[1]
     assert payloads[0]["basis"] == [xr.poly_to_text(w) for w in
                                     an.find_x_integrals(an.EQUATIONS["sinh"], 4)]
+
+
+# -- the apply_field paths against their definitions ----------------------------
+
+def _partitions(w: int, top: int):
+    if not w:
+        yield ()
+    for part in range(min(w, top), 0, -1):
+        for rest in _partitions(w - part, part):
+            yield (part,) + rest
+
+
+def _total_derivative(g):
+    """D(g) term by term: u_1 dg/du + sum_k u_{k+1} dg/du_k."""
+    out = xr.qp_mul(xr.qp_from_poly(xr.poly_var(1)), xr.qp_derive_u(g))
+    for k in range(1, xr.qp_max_index(g) + 1):
+        out = xr.qp_add(out, xr.qp_mul(xr.qp_from_poly(xr.poly_var(k + 1)), xr.qp_derive_uk(g, k)))
+    return out
+
+
+def _x_integrals_by_definition(f_terms, weight_bound):
+    """Nullspace of w -> sum_k D^{k-1}(f) dw/du_k on the monomials of weight
+    <= bound, built with qp_derive_uk/qp_mul and no jet kernel."""
+    candidates = sorted((xr.mono_from_pairs((k, 1) for k in parts)
+                         for w in range(1, weight_bound + 1) for parts in _partitions(w, w)),
+                        key=xr.mono_key)
+    assert candidates == an.integral_candidates(weight_bound)
+    slots = [an.equation_qp(f_terms)]
+    while len(slots) < weight_bound:
+        slots.append(_total_derivative(slots[-1]))
+    rows: dict = {}
+    for m in candidates:
+        g = {0: {m: 1}}
+        img: dict = {}
+        for k in range(1, weight_bound + 1):
+            img = xr.qp_add(img, xr.qp_mul(slots[k - 1], xr.qp_derive_uk(g, k)))
+        for alpha, p in img.items():
+            for om, c in p.items():
+                rows.setdefault((alpha, om), {})[m] = c
+    return nullspace(list(rows.values()), candidates)
+
+
+@pytest.mark.parametrize("f_terms", [
+    an.EQUATIONS["liouville"], an.EQUATIONS["sinh"],
+    ((Fraction(1, 2), 1),), ((Fraction(1), 1), (Fraction(1), -3)),
+])
+def test_find_x_integrals_matches_its_definition(f_terms):
+    for w in range(1, 9):
+        assert an.find_x_integrals(f_terms, w) == _x_integrals_by_definition(f_terms, w)
+
+
+@pytest.mark.parametrize("A", an.INTRO_MATRICES + (((1, 2), (3, 4)),))
+def test_exp2d_residuals_match_their_definition(A):
+    # X_a w2 = sum_k slot_k * dw2/du^a_k over the fields' own slots, by poly_diff
+    w2 = an.w2_integral(A)
+    for order in range(2, 9):
+        system = an.build_exp_system(A, order)
+        want = []
+        for a, X in zip((1, 2), system.fields):
+            out: dict = {}
+            for k in range(1, order + 1):
+                slot = X.slot(an._dvar(a, k)).get(0, {})
+                out = xr.vec_add_scaled(out, xr.poly_mul(slot, xr.poly_diff(w2, an._dvar(a, k))), 1)
+            want.append(out)
+        ok, residuals = an.check_w2_integral(system)
+        assert list(residuals) == want and ok == (want == [{}, {}]), (A, order)
 
 
 def test_defining_equation_sinh_phi3():

@@ -147,6 +147,18 @@ def test_non_positive_window_bounds_are_rejected(capsys, argv):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["charalg", "--equation", "1/0e^u"],
+    ["integrals", "--equation", "3/0*e^u", "--weight", "2"],
+    ["symmetry", "--equation", "sinh", "--phi", "2/0*u1"],
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.endswith(": zero denominator\n")
+    assert err.count("\n") == 1
+
+
 def test_loops_command_lists_suspected_typos(capsys):
     code, rep = run_json(capsys, ["loops", "--algebra", "sl3t", "--table", "--max", "8"])
     assert code == 0

@@ -248,6 +248,17 @@ def test_mismatch_detection_on_wrong_target():
                 raise cl.MismatchError("table mismatch")
 
 
+@pytest.mark.xfail(strict=True, reason="a truncated jet closure undercounts e^u + e^(-3u): "
+                   "its degree-9 part has 50 elements at order 14 and 54 at order 15")
+def test_nonintegrable_degree9_dimension_is_stable_in_the_order():
+    # known defect, pinned without hiding it: when the closure no longer
+    # depends on the truncation order this passes, and the xfail must go
+    terms = ((Fraction(1), 1), (Fraction(1), -3))
+    dims = [sum(1 for el in closure_for(terms, order, 9).elements if el.degree == 9)
+            for order in (14, 15)]
+    assert dims[0] == dims[1], dims
+
+
 # ---------------------------------------------------------------------------
 # presented algebras
 # ---------------------------------------------------------------------------

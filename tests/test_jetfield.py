@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from charlie import closure as cl
-from charlie.analysis import _monomials_of_weight
+from charlie.bell import complete_bell
 from charlie import exactring as xr
 from charlie import jetfield as jf
 
@@ -140,7 +140,7 @@ def test_truncation_beyond_an_empty_partner_slot():
 # -- the kernel against the bracket's definition -------------------------------
 
 def _weight_monomials(w: int) -> list:
-    return _monomials_of_weight(w, w)
+    return list(complete_bell(w))
 
 
 coefficients = st.integers(min_value=-3, max_value=3) | st.fractions(

@@ -1,6 +1,7 @@
 """Property suites: exact ring laws, Leibniz, canonical-form roundtrips,
-bracket antisymmetry/Jacobi over random fields drawn from generated bases,
-bigrading additivity, and truncation stability of the closure."""
+parser robustness on arbitrary text, bracket antisymmetry/Jacobi over random
+fields drawn from generated bases, bigrading additivity, and truncation
+stability of the closure."""
 
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charlie import cli
 from charlie import closure as cl
 from charlie import exactring as xr
 from charlie import jetfield as jf
@@ -54,6 +56,22 @@ def test_leibniz(a, b, k):
 @settings(max_examples=200, deadline=None)
 def test_canonical_form_roundtrip(a):
     assert xr.qp_parse(xr.qp_to_text(a)) == a
+
+
+# the equation and polynomial grammar's alphabet, plus a few near misses
+grammar_text = st.text(alphabet="0123456789+-*/^() euE\t.sinh", max_size=16)
+
+
+@given(grammar_text)
+@settings(max_examples=600, deadline=None)
+def test_parsers_raise_only_value_errors(text):
+    # malformed input must surface as a ValueError (exit 1 with a reason in
+    # the CLI), never as another exception class
+    for parse in (xr.qp_parse, xr.poly_parse, cli.parse_equation):
+        try:
+            parse(text)
+        except ValueError:
+            pass
 
 
 @given(polys, polys)
