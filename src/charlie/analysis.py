@@ -80,8 +80,10 @@ def find_x_integrals(f_terms, weight_bound: int) -> list:
 def annihilates(f_terms, ws: list, order: int) -> list:
     """Exact check X(f) w = 0 at the given truncation order, one bool per w.
     It runs the same apply_field as find_x_integrals, so re-verifying a found
-    integral checks the nullspace solution, not a second kernel."""
-    Xf = jf.make_Xf(equation_qp(f_terms), order)
+    integral checks the nullspace solution, not a second kernel.  Slots past
+    the ws' top index are never read, so X(f) is built only up to it."""
+    top = max((xr.poly_max_index(w) for w in ws), default=0)
+    Xf = jf.make_Xf(equation_qp(f_terms), max(1, min(order, top)))
     return [xr.qp_is_zero(q) for q in jf.apply_field(Xf, [xr.qp_from_poly(w) for w in ws])]
 
 
@@ -90,12 +92,13 @@ def annihilates(f_terms, ws: list, order: int) -> list:
 # ---------------------------------------------------------------------------
 
 def check_defining_equation(f_terms, phi: xr.Poly, order: Optional[int] = None):
-    """(holds, residual) with residual = D X(f) phi - f'(u) phi, exact."""
+    """(holds, residual) with residual = D X(f) phi - f'(u) phi, exact.
+    X(f) is read only through phi's top index, whatever the order."""
     top = xr.poly_max_index(phi)
     order = order or top + 2
     if order < top + 2:
         raise ValueError(f"order {order} too small for phi with top index {top}")
-    Xf = jf.make_Xf(equation_qp(f_terms), order)
+    Xf = jf.make_Xf(equation_qp(f_terms), max(1, top))
     lhs = jf.apply_total_derivative(jf.apply_field(Xf, [xr.qp_from_poly(phi)])[0])
     fprime = equation_qp([(c * a, a) for c, a in f_terms])
     residual = xr.qp_sub(lhs, xr.qp_mul(fprime, xr.qp_from_poly(phi)))
@@ -234,7 +237,7 @@ class IsoReport:
     zero_confirmations: int        # truncation-zero claims confirmed exact on matrices
     mismatches: list
     grading_mismatches: list
-    serre_jet: dict                # relation -> ZeroStatus string
+    serre_jet: dict                # relation -> is_zero_up_to string
     serre_matrix: dict             # relation -> bool
     closure: cl.ClosureResult = field(repr=False, default=None)
 

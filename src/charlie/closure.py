@@ -37,7 +37,7 @@ class MismatchError(ArithmeticError):
     """The generated algebra contradicts the supplied target structure constants."""
 
 
-@dataclass
+@dataclass(eq=False)
 class BasisElement:
     index: int                  # position in the reference basis; name = prefix + index
     name: str
@@ -48,7 +48,6 @@ class BasisElement:
     eigenvalue: int             # ad-X_0 eigenvalue (= r of the operator bigrading)
     bigrading: Bigrading
     canonical: Optional[tuple]  # generator-count bigrading (p, q); None if undefined
-    pid: int = -1               # stable discovery id; .index is the reference position
 
 
 @dataclass
@@ -133,71 +132,53 @@ def generate(
         raise ClosureError(f"degree {max_degree} must be at least 1")
     if order <= max_degree + 2:
         raise ClosureError(f"order {order} too small for degree {max_degree} (need order > degree+2)")
-    span = LinearSpan()                 # tags = stable discovery ids (pids)
-    elements: list[BasisElement] = []   # in discovery order; .index assigned per degree
-    raw_expr: dict = {}                 # (idx_i, idx_j) -> tuple[(pid_k, Fraction)]
+    span = LinearSpan()                 # each element is its own tag
+    elements: list[BasisElement] = []   # by index; a degree's elements join after its pairs
+    raw_expr: dict = {}                 # (idx_i, idx_j) -> {element: Fraction}
     certs: dict = {}
-    by_index: dict = {}
-
-    def settle(el: BasisElement, idx: int) -> None:
-        el.index = idx
-        el.name = f"{prefix}{idx}"
-        by_index[idx] = el
 
     degree_one = eigencomponents(f, order)
     for alpha, fld in degree_one:
-        pid = len(elements)
+        idx = len(elements) + 1
         big = jf.bigrading_of(fld)
         assert big == Bigrading(1, alpha)
-        canonical = (1, 0) if pid == 0 else ((0, 1) if pid == 1 else None)
+        canonical = (1, 0) if idx == 1 else ((0, 1) if idx == 2 else None)
         if len(degree_one) > 2:
             canonical = None
-        el = BasisElement(0, "", fld, fld, Fraction(1), 1, alpha, big, canonical)
-        el.pid = pid
+        el = BasisElement(idx, f"{prefix}{idx}", fld, fld, Fraction(1), 1, alpha, big, canonical)
         elements.append(el)
-        settle(el, pid + 1)
-        span.insert(_vectorize(fld), pid)
+        span.insert(_vectorize(fld), el)
 
     for d in range(2, max_degree + 1):
-        pair_sums = {a.degree + b.degree for a, b in itertools.combinations(elements, 2)}
-        if not pair_sums or max(pair_sums) < d:
-            break  # no candidate brackets remain
-        candidates = sorted(
-            (min(a.index, b.index), max(a.index, b.index))
-            for a, b in itertools.combinations(elements, 2) if a.degree + b.degree == d)
         new_here: list[BasisElement] = []
-        for (i, j) in candidates:
-            ei, ej = by_index[i], by_index[j]
+        for ei, ej in itertools.combinations(elements, 2):
+            if ei.degree + ej.degree != d:
+                continue
             br = jf.bracket(ei.field_raw, ej.field_raw)
             vec = _vectorize(br)
             expr = span.express(vec)
-            certs[(i, j)] = br.valid_order
-            if expr is not None:
-                raw_expr[(i, j)] = tuple(sorted(expr.items()))
-                continue
-            big = jf.bigrading_of(br)
-            if big is None or big.d != d or big.r != ei.eigenvalue + ej.eigenvalue:
-                raise ClosureError(f"inhomogeneous bracket [{ei.name},{ej.name}]: {big}")
-            pid = len(elements)
-            canonical = None
-            if ei.canonical is not None and ej.canonical is not None:
-                canonical = (ei.canonical[0] + ej.canonical[0], ei.canonical[1] + ej.canonical[1])
-            el = BasisElement(0, "", br, br, Fraction(1), d, big.r, big, canonical)
-            el.pid = pid
+            certs[(ei.index, ej.index)] = br.valid_order
+            if expr is None:
+                big = jf.bigrading_of(br)
+                if big is None or big.d != d or big.r != ei.eigenvalue + ej.eigenvalue:
+                    raise ClosureError(f"inhomogeneous bracket [{ei.name},{ej.name}]: {big}")
+                canonical = None
+                if ei.canonical is not None and ej.canonical is not None:
+                    canonical = (ei.canonical[0] + ej.canonical[0], ei.canonical[1] + ej.canonical[1])
+                el = BasisElement(0, "", br, br, Fraction(1), d, big.r, big, canonical)
+                span.insert(vec, el)
+                new_here.append(el)
+                expr = {el: Fraction(1)}
+            raw_expr[(ei.index, ej.index)] = expr
+        # reference index order within a degree: eigenvalue descending, then
+        # discovery (the sort is stable)
+        for el in sorted(new_here, key=lambda e: -e.eigenvalue):
+            el.index = len(elements) + 1
+            el.name = f"{prefix}{el.index}"
             elements.append(el)
-            span.insert(vec, pid)
-            new_here.append(el)
-            raw_expr[(i, j)] = ((pid, Fraction(1)),)
-        # reference index order within a degree: eigenvalue descending, then discovery
-        start = max(by_index) + 1 if by_index else 1
-        for offset, el in enumerate(sorted(new_here, key=lambda e: (-e.eigenvalue, e.pid))):
-            settle(el, start + offset)
 
-    pid_to_index = {el.pid: el.index for el in elements}
-    raw_expr = {key: tuple(sorted((pid_to_index[p], c) for p, c in coeffs))
-                for key, coeffs in raw_expr.items()}
-    elements = sorted(elements, key=lambda e: e.index)
-
+    raw_expr = {key: tuple(sorted((el.index, c) for el, c in expr.items()))
+                for key, expr in raw_expr.items()}
     scales = _normalization_scales(elements, raw_expr, target)
     for el, c in zip(elements, scales):
         el.norm_scale = c

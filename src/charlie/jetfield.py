@@ -58,20 +58,6 @@ class JetField:
         return xr.qp_is_zero(self.u_slot) and all(xr.qp_is_zero(s) for s in self.slots)
 
 
-@dataclass(frozen=True)
-class ZeroStatus:
-    """Zero certificate: either all retained slots vanish up to `order`, or a
-    witness slot (0 = the u slot) is nonzero."""
-    is_zero: bool
-    order: int = 0
-    witness_slot: int = -1
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return f"ZERO_UP_TO({self.order})"
-        return f"NONZERO(slot {self.witness_slot})"
-
-
 def make_field(u_slot: Quasi, slots: list, valid_order: int) -> JetField:
     if valid_order < 1:
         raise ValueError(f"valid order must be >= 1, got {valid_order}")
@@ -316,14 +302,16 @@ def bracket(X: JetField, Y: JetField) -> JetField:
     return make_field(out_slots[0], out_slots[1:], len(out_slots) - 1)
 
 
-def is_zero_up_to(X: JetField) -> ZeroStatus:
-    """Truncation-level zero test; full certification is the matrix oracle's job."""
+def is_zero_up_to(X: JetField) -> str:
+    """Truncation-level zero certificate: ZERO_UP_TO(valid order), or
+    NONZERO(slot j) for the first nonzero slot (0 = the u slot).  Full
+    certification is the matrix oracle's job."""
     if X.u_slot:
-        return ZeroStatus(False, witness_slot=0)
+        return "NONZERO(slot 0)"
     for j in range(1, X.valid_order + 1):
         if X.slots[j - 1]:
-            return ZeroStatus(False, witness_slot=j)
-    return ZeroStatus(True, order=X.valid_order)
+            return f"NONZERO(slot {j})"
+    return f"ZERO_UP_TO({X.valid_order})"
 
 
 # ---------------------------------------------------------------------------

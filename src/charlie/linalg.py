@@ -5,8 +5,9 @@ values; zero entries are never stored.  Elimination is exact and fully
 deterministic: rows are processed in insertion order.  Every row operation
 goes through exactring.vec_add_scaled, the package's one sparse accumulate.
 
-Both LinearSpan and nullspace eliminate fraction-free: an input has its
-denominators cleared once and every stored row is an int vector.
+LinearSpan is the package's one elimination, and it is fraction-free: an
+input has its denominators cleared once and every stored row is an int
+vector.
 
 LinearSpan keeps int rows R together with int combinations C of the inputs,
 R = sum_t C[t]*input_t, and pivots on the smallest key present.  A vector v
@@ -18,12 +19,11 @@ returns the coordinates -C/scale as Fractions, the only place a Fraction
 appears; coordinates over an independent set are unique, so they equal
 those of monic Fraction pivoting.
 
-nullspace reduces by r <- lead*r - r[col]*row and keeps each row a
-primitive int vector (entries with gcd 1).  Each such row is a nonzero
-multiple of the monic row Fraction pivoting would give, so the pivots, and
-the normalized basis, are the same.  Back-substitution also runs in ints, on
-each solution up to a common scale; Fractions appear only in the final
-normalization, and the basis vectors are all Fractions.
+nullspace is column dependence: the columns of the rows go into one
+LinearSpan in column order.  A column that express already writes over the
+earlier (pivot) columns is free, and its unique coordinates give the kernel
+vector that back-substitution on the reduced rows would: 1 at the free
+column and minus the coordinate at each pivot.
 """
 
 from __future__ import annotations
@@ -105,20 +105,6 @@ def _cleared(vec: Vec) -> tuple[Vec, int]:
     return {k: (v * scale).numerator for k, v in vec.items()}, scale
 
 
-def _primitive(vec: Vec) -> Vec:
-    """The int vector on vec's line with coprime entries (denominators cleared)."""
-    out, _ = _cleared(vec)
-    g = gcd(*out.values())
-    return {k: v // g for k, v in out.items()} if g > 1 else out
-
-
-def _eliminate(r: Vec, row: Vec, col) -> Vec:
-    """lead*r - r[col]*row with lead = row[col], made primitive: r[col] drops out."""
-    lead = row[col]
-    out = vec_add_scaled({k: lead * v for k, v in r.items()}, row, -r[col])
-    return _primitive(out) if out else out
-
-
 def nullspace(rows: list[Vec], columns: list) -> list[Vec]:
     """Basis of {x : for every row r, sum_c r[c]*x[c] = 0}, deterministic.
 
@@ -126,35 +112,20 @@ def nullspace(rows: list[Vec], columns: list) -> list[Vec]:
     the normalization: each returned vector is scaled so its first nonzero
     coefficient in column order is 1.  Entries are Fractions.
     """
-    work = [_primitive(r) for r in rows if r]
-    pivots: dict = {}  # column -> eliminated primitive int row
-    for col in columns:
-        chosen = None
-        for i, r in enumerate(work):
-            if r.get(col):
-                chosen = i
-                break
-        if chosen is None:
-            continue
-        row = work.pop(chosen)
-        pivots[col] = row
-        work = [_eliminate(r, row, col) if r.get(col) else r for r in work]
-        work = [r for r in work if r]
-    free = [c for c in columns if c not in pivots]
-    pivot_cols = [c for c in columns if c in pivots]
+    span = LinearSpan()
+    pivots: list = []
     basis: list[Vec] = []
-    for f in free:
-        # back-substitution in ints: x is the solution up to one common scale
-        x = {f: 1}
-        for col in reversed(pivot_cols):
-            row = pivots[col]
-            s = sum(v * x[k] for k, v in row.items() if k in x)
-            if s:
-                g = gcd(s, row[col])
-                scale = row[col] // g
-                if scale != 1:
-                    x = {k: v * scale for k, v in x.items()}
-                x[col] = -s // g
+    for f in columns:
+        col = {i: r[f] for i, r in enumerate(rows) if r.get(f)}
+        coords = span.express(col)
+        if coords is None:
+            span.insert(col, f)
+            pivots.append(f)
+            continue
+        x = {f: Fraction(1)}
+        for p in reversed(pivots):
+            if p in coords:
+                x[p] = -coords[p]
         lead = x[next(c for c in columns if c in x)]
-        basis.append({k: Fraction(v, lead) for k, v in x.items()})
+        basis.append({k: v / lead for k, v in x.items()})
     return basis

@@ -351,7 +351,7 @@ def serre_check(algebra: str, realization: str = "matrix", generators=None) -> d
         raise ValueError("jet realization needs the two degree-one generator fields")
     from .jetfield import bracket, is_zero_up_to
     return {f"ad^{m} g{x} (g{y})":
-            str(is_zero_up_to(ad_power(generators[x - 1], generators[y - 1], m, bracket)))
+            is_zero_up_to(ad_power(generators[x - 1], generators[y - 1], m, bracket))
             for x, y, m in _serre_relations(algebra)}
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from charlie import cli
 from charlie import closure as cl
+from charlie import jetfield as jf
 
 
 def run_json(capsys, argv):
@@ -114,6 +115,27 @@ def test_integrals_order_sets_reverification_order(capsys):
     assert cli.run(["integrals", "--equation", "liouville", "--weight", "12",
                     "--order", "5"]) == 1
     assert capsys.readouterr().err == "error: order 5 too small for weight bound 12\n"
+
+
+def test_integrals_builds_x_f_only_through_the_weight(capsys, monkeypatch):
+    # apply_field reads slot k only where a candidate depends on u_k, so a
+    # large --order must not build the exponentially growing slots past it
+    orders = []
+    make_Xf = jf.make_Xf
+
+    def recording_make_Xf(f, order):
+        orders.append(order)
+        return make_Xf(f, order)
+
+    monkeypatch.setattr(jf, "make_Xf", recording_make_Xf)
+    reports = {}
+    for order in (5, 60):
+        code, reports[order] = run_json(capsys, ["integrals", "--equation", "e^u",
+                                                 "--weight", "2", "--order", str(order)])
+        assert code == 0 and reports[order]["status"] == "verified"
+    assert reports[5]["payload"] == reports[60]["payload"]
+    assert reports[60]["certificates"] == {"re-verified-at-order": 64}
+    assert orders and max(orders) <= 2
 
 
 def test_exp2d_command(capsys):

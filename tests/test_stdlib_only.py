@@ -1,0 +1,25 @@
+"""The runtime needs only the standard library: every absolute import in
+src/charlie names a standard-library module (relative imports stay inside
+the package)."""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "charlie").glob("*.py"))
+
+
+def _absolute_imports(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_runtime_imports_only_the_standard_library():
+    imported = set().union(*map(_absolute_imports, SOURCES))
+    assert imported, "no imports found: the source glob is wrong"
+    assert sorted(imported - sys.stdlib_module_names) == []
