@@ -1,12 +1,41 @@
 """Bracket closure of the characteristic algebra of u_xy = f(u), plus
 finitely-presented graded algebras with closed-form structure constants.
 
-generate() builds the algebra breadth-first by natural degree with exact
-independence detection (sparse Gaussian elimination over the rationals on
-truncated coefficient vectors), records for every computed pair -- those that
-gave a new element as well as the dependent ones -- the valid order of its
-bracket as a certificate, and keeps the toral element d/du separate so the
-result splits as <X_0> acting on the commutant-side basis.
+generate() builds the algebra breadth-first by natural degree and keeps the
+toral element d/du = X_0 separate, so the result splits as <X_0> acting on
+the commutant-side basis.  Every pair of elements whose degrees add up to d
+gets a table entry and a certificate: the order up to which the relation is
+exact on jets.
+
+Independence is decided on jets: a bracket is vectorized (slots 0..N of its
+truncated coefficients) and reduced by exact sparse elimination
+(linalg.LinearSpan); a vector outside the span is a new element.  Most pairs
+need no jet bracket, by the connection filter (ad_D, the classical tool of
+characteristic Lie rings).  With D = sum_k u_{k+1} d/du_k, every element Z
+of bigrading (d, r) satisfies
+
+    [D, Z] = sum_i lam_i e^{(r - r_i) u} Z_i
+
+over the elements Z_i of degree d - 1 (X_0 at d = 1).  Each BasisElement
+keeps its connection vector lam, keyed by (r - r_i, i) with i = 0 for X_0:
++-X(e^{alpha u}) has {(alpha, 0): -+1}, and since Z_i and B annihilate
+functions of u, [D, [A, B]] = [[D, A], B] + [A, [D, B]] gives
+
+    lam^{[A,B]} = sum_i lam^A_i [Z_i, B] + sum_j lam^B_j [A, Z_j]
+
+from table entries one degree lower ([X_0, B] = r_B B).  These vectors go
+into a second LinearSpan, one row per element of degree >= 2.  When the
+connection vector of a pair is sum_i c_i lam^{Z_i}, generate records c as
+the entry and min(N_A, N_B) as the certificate, and skips the bracket.  That
+is exactly what the jets would say: W = [A, B] - sum_i c_i Z_i has [D, W] = 0
+on slots 0..N-1 (the relations above hold there, one slot being spent on D)
+and an empty u slot, and [D, W]_k = D w_k - w_{k+1}, so w_0 = 0 gives W = 0 on
+slots 0..N.  A bracket of two triangular fields keeps min(N_A, N_B) = N
+slots, and the jet vectors of the elements are independent, so the jet
+span would return exactly c.  Any other pair is bracketed, and its jet
+vector alone decides whether it is new: the filter only skips, so the jet
+closure's tables, certificates and its known undercount on truncated jets
+come out unchanged.
 
 Discovered elements are stored raw (first-found bracket) and, when a target
 structure-constant rule is supplied, also in reference normalization:
@@ -48,6 +77,7 @@ class BasisElement:
     eigenvalue: int             # ad-X_0 eigenvalue (= r of the operator bigrading)
     bigrading: Bigrading
     canonical: Optional[tuple]  # generator-count bigrading (p, q); None if undefined
+    connection: dict            # [D, Z] = sum c e^{s*u} Z_i over {(s, i): c}; Z_0 = X_0
 
 
 @dataclass
@@ -125,6 +155,12 @@ def generate(
 ) -> ClosureResult:
     """Closure of <X_0, X(f)> through natural degree max_degree at truncation order.
 
+    Pairs are taken by degree.  A pair whose connection vector lies in the
+    span of the elements' connection vectors gets those coordinates and the
+    certificate min(N_A, N_B) without a jet bracket; any other pair is
+    bracketed, and its jet vector decides whether it is a new element (see
+    the module docstring for why both give the same table).
+
     target, when given, maps an index pair (q, l) to the reference structure
     constant used for normalization; a contradiction raises MismatchError.
     """
@@ -132,7 +168,8 @@ def generate(
         raise ClosureError(f"degree {max_degree} must be at least 1")
     if order <= max_degree + 2:
         raise ClosureError(f"order {order} too small for degree {max_degree} (need order > degree+2)")
-    span = LinearSpan()                 # each element is its own tag
+    span = LinearSpan()                 # jet vectors; each element is its own tag
+    connections = LinearSpan()          # connection vectors of the elements of degree >= 2
     elements: list[BasisElement] = []   # by index; a degree's elements join after its pairs
     raw_expr: dict = {}                 # (idx_i, idx_j) -> {element: Fraction}
     certs: dict = {}
@@ -145,30 +182,65 @@ def generate(
         canonical = (1, 0) if idx == 1 else ((0, 1) if idx == 2 else None)
         if len(degree_one) > 2:
             canonical = None
-        el = BasisElement(idx, f"{prefix}{idx}", fld, fld, Fraction(1), 1, alpha, big, canonical)
+        # [D, X(f)] = -f X_0, and f = sign * e^{alpha u} is slot 1
+        sign = fld.slots[0][alpha][xr.MONO_ONE]
+        el = BasisElement(idx, f"{prefix}{idx}", fld, fld, Fraction(1), 1, alpha, big, canonical,
+                          {(alpha, 0): -sign})
         elements.append(el)
         span.insert(_vectorize(fld), el)
+
+    def entry(i: int, j: int):
+        """(element, coefficient) pairs of the raw [Z_i, Z_j], Z_0 = X_0.
+
+        An integral coefficient comes as an int, so connection vectors stay
+        int where the table is integral: Fraction products are slow."""
+        if i == j:
+            return ()
+        if i == 0 or j == 0:
+            el = elements[i + j - 1]
+            return ((el, el.eigenvalue if i == 0 else -el.eigenvalue),)
+        sign, key = (1, (i, j)) if i < j else (-1, (j, i))
+        return ((el, sign * (c.numerator if c.denominator == 1 else c))
+                for el, c in raw_expr[key].items())
 
     for d in range(2, max_degree + 1):
         new_here: list[BasisElement] = []
         for ei, ej in itertools.combinations(elements, 2):
             if ei.degree + ej.degree != d:
                 continue
-            br = jf.bracket(ei.field_raw, ej.field_raw)
-            vec = _vectorize(br)
-            expr = span.express(vec)
-            certs[(ei.index, ej.index)] = br.valid_order
-            if expr is None:
-                big = jf.bigrading_of(br)
-                if big is None or big.d != d or big.r != ei.eigenvalue + ej.eigenvalue:
-                    raise ClosureError(f"inhomogeneous bracket [{ei.name},{ej.name}]: {big}")
+            # [D, [A, B]] = [[D, A], B] + [A, [D, B]], and [e^{su} Z, B] = e^{su} [Z, B]
+            # because B annihilates functions of u
+            terms = [((s, el.index), c * ck) for (s, i), c in ei.connection.items()
+                     for el, ck in entry(i, ej.index)]
+            terms += [((s, el.index), c * ck) for (s, j), c in ej.connection.items()
+                      for el, ck in entry(ei.index, j)]
+            lam: dict = {}
+            for key, c in terms:
+                lam[key] = lam.get(key, 0) + c
+            lam = {key: c for key, c in lam.items() if c}
+            expr = connections.express(lam)
+            if expr is not None:
+                certs[(ei.index, ej.index)] = min(ei.field_raw.valid_order, ej.field_raw.valid_order)
+            else:
+                br = jf.bracket(ei.field_raw, ej.field_raw)
+                certs[(ei.index, ej.index)] = br.valid_order
                 canonical = None
                 if ei.canonical is not None and ej.canonical is not None:
                     canonical = (ei.canonical[0] + ej.canonical[0], ei.canonical[1] + ej.canonical[1])
-                el = BasisElement(0, "", br, br, Fraction(1), d, big.r, big, canonical)
-                span.insert(vec, el)
-                new_here.append(el)
-                expr = {el: Fraction(1)}
+                el = BasisElement(0, "", br, br, Fraction(1), d, ei.eigenvalue + ej.eigenvalue,
+                                  None, canonical, lam)
+                expr = span.insert(_vectorize(br), el)
+                if expr is None:
+                    big = jf.bigrading_of(br)
+                    if big is None or big.d != d or big.r != el.eigenvalue:
+                        raise ClosureError(f"inhomogeneous bracket [{ei.name},{ej.name}]: {big}")
+                    el.bigrading = big
+                    # a second reduction of lam, but only for a new element:
+                    # inserting before the jets decide would leave a row for
+                    # every pair that the jets find dependent
+                    connections.insert(lam, el)
+                    new_here.append(el)
+                    expr = {el: Fraction(1)}
             raw_expr[(ei.index, ej.index)] = expr
         # reference index order within a degree: eigenvalue descending, then
         # discovery (the sort is stable)
@@ -243,7 +315,7 @@ def _word_span_dims(result: ClosureResult, generators: list, n_max: int) -> dict
     for g in generators:
         vec = {g: Fraction(1)}
         gen_vecs.append(vec)
-        if span.insert(dict(vec), ("g", g)):
+        if span.insert(dict(vec), ("g", g)) is None:
             frontier.append(vec)
     dims = {1: len(span)}
     for n in range(2, n_max + 1):
@@ -251,7 +323,7 @@ def _word_span_dims(result: ClosureResult, generators: list, n_max: int) -> dict
         for g in gen_vecs:
             for w in frontier:
                 b = _abstract_bracket(result, g, w)
-                if b and span.insert(b, ("w", n, len(span))):
+                if b and span.insert(b, ("w", n, len(span))) is None:
                     new_frontier.append(b)
         dims[n] = len(span)
         frontier = new_frontier

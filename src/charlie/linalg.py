@@ -14,13 +14,16 @@ R = sum_t C[t]*input_t, and pivots on the smallest key present.  A vector v
 is reduced by v <- a*v - b*R with g = gcd(lead, v[pivot]), a = lead/g and
 b = v[pivot]/g.  Rows are never re-reduced against later pivots: each row is
 zero at all earlier pivots, so reducing in insertion order never brings a
-cleared entry back.  express tracks the product of the a's (the scale) and
-returns the coordinates -C/scale as Fractions, the only place a Fraction
-appears; coordinates over an independent set are unique, so they equal
-those of monic Fraction pivoting.
+cleared entry back.  A reduction tracks the product of the a's (the scale);
+a vector that reduces to zero has the coordinates -C/scale, as Fractions,
+the only place a Fraction appears.  Coordinates over an independent set are
+unique, so they equal those of monic Fraction pivoting.  insert reduces a
+vector once: it keeps the reduced row when one is left and otherwise hands
+back the coordinates, so a caller that adds whatever is new never reduces a
+vector twice.
 
 nullspace is column dependence: the columns of the rows go into one
-LinearSpan in column order.  A column that express already writes over the
+LinearSpan in column order.  A column that insert already writes over the
 earlier (pivot) columns is free, and its unique coordinates give the kernel
 vector that back-substitution on the reduced rows would: 1 at the free
 column and minus the coordinate at each pivot.
@@ -40,9 +43,9 @@ Vec = dict  # dict[key, int | Fraction]
 class LinearSpan:
     """Growing echelonized span with coordinate tracking.
 
-    Each inserted vector carries a tag; express() writes later vectors as exact
-    linear combinations of the inserted (tagged) ones, or returns None when
-    they are independent.
+    Each inserted vector carries a tag; express() and a dependent insert()
+    write later vectors as exact linear combinations of the inserted (tagged)
+    ones.
     """
 
     def __init__(self) -> None:
@@ -53,13 +56,11 @@ class LinearSpan:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Vec, combo: dict, scale: int) -> tuple[Vec, dict, int]:
-        """Clear vec's entries at every pivot, all in ints.
-
-        If vec = scale*x + sum_t combo[t]*input_t on entry, the returned
-        (vec', combo', scale') satisfy the same with the same x.  insert
-        passes scale 0: its vec is a combination of the inputs alone.
-        """
+    def _reduce(self, vec: Vec) -> tuple[Vec, dict, int]:
+        """(vec', combo, scale) with vec' = scale*vec + sum_t combo[t]*input_t,
+        all in ints, and vec' zero at every pivot."""
+        vec, scale = _cleared(vec)
+        combo: dict = {}
         for pivot, row, rcombo in self._rows:
             c = vec.get(pivot)
             if c:
@@ -74,29 +75,33 @@ class LinearSpan:
                 combo = vec_add_scaled(combo, rcombo, -(c // g))
         return vec, combo, scale
 
-    def insert(self, vec: Vec, tag: Hashable) -> bool:
-        """Add vec under `tag` if independent; returns True when rank grew."""
-        vec, scale = _cleared(vec)
-        vec, combo, _ = self._reduce(vec, {tag: scale}, 0)
-        if not vec:
-            return False
-        pivot = min(vec)
-        g = gcd(*vec.values(), *combo.values())
-        if vec[pivot] < 0:
+    def insert(self, vec: Vec, tag: Hashable) -> Optional[dict]:
+        """Add vec under `tag` and return None when it is independent;
+        otherwise add nothing and return its coordinates, as express would.
+        Either way vec is reduced once."""
+        residual, combo, scale = self._reduce(vec)
+        if not residual:
+            return _coordinates(combo, scale)
+        combo[tag] = scale
+        pivot = min(residual)
+        g = gcd(*residual.values(), *combo.values())
+        if residual[pivot] < 0:
             g = -g
         if g != 1:
-            vec = {k: v // g for k, v in vec.items()}
+            residual = {k: v // g for k, v in residual.items()}
             combo = {t: v // g for t, v in combo.items()}
-        self._rows.append((pivot, vec, combo))
-        return True
+        self._rows.append((pivot, residual, combo))
+        return None
 
     def express(self, vec: Vec) -> Optional[dict]:
         """Coordinates of vec over inserted tags, or None if outside the span."""
-        vec, scale = _cleared(vec)
-        residual, combo, scale = self._reduce(vec, {}, scale)
-        if residual:
-            return None
-        return {t: Fraction(-c, scale) for t, c in combo.items() if c}
+        residual, combo, scale = self._reduce(vec)
+        return None if residual else _coordinates(combo, scale)
+
+
+def _coordinates(combo: dict, scale: int) -> dict:
+    """x = -sum_t combo[t]*input_t / scale, from 0 = scale*x + sum_t combo[t]*input_t."""
+    return {t: Fraction(-c, scale) for t, c in combo.items() if c}
 
 
 def _cleared(vec: Vec) -> tuple[Vec, int]:
@@ -117,9 +122,8 @@ def nullspace(rows: list[Vec], columns: list) -> list[Vec]:
     basis: list[Vec] = []
     for f in columns:
         col = {i: r[f] for i, r in enumerate(rows) if r.get(f)}
-        coords = span.express(col)
+        coords = span.insert(col, f)
         if coords is None:
-            span.insert(col, f)
             pivots.append(f)
             continue
         x = {f: Fraction(1)}

@@ -251,6 +251,72 @@ def test_mismatch_detection_on_wrong_target():
                 raise cl.MismatchError("table mismatch")
 
 
+# (equation, degree, order) runs on which the connection filter is checked
+# against the jets: both integrable reference cases, the non-integrable
+# e^u + e^(-3u) where its degree-9/10 undercount shows, and a three-term f
+FILTER_CASES = {
+    "sinh-12/16": ("sinh", 12, 16),
+    "tzitzeica-12/16": ("tzitzeica", 12, 16),
+    "nonint-9/13": (((Fraction(1), 1), (Fraction(1), -3)), 9, 13),
+    "nonint-10/14": (((Fraction(1), 1), (Fraction(1), -3)), 10, 14),
+    "three-term-6/12": (((Fraction(2), 2), (Fraction(1), -1), (Fraction(-3), 1)), 6, 12),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FILTER_CASES))
+def filter_case(request):
+    equation, degree, order = FILTER_CASES[request.param]
+    return closure_for(equation, order, degree)
+
+
+def test_every_table_entry_matches_its_jet_bracket(filter_case):
+    # all pairs, also those the connection filter kept from being bracketed
+    res = filter_case
+    fields = {el.index: el.field for el in res.elements}
+    assert set(res.brackets) == set(res.certificates)
+    for (i, j), coeffs in res.brackets.items():
+        br = jf.bracket(fields[i], fields[j])
+        rhs = jf.zero_field(res.order)
+        for k, c in coeffs:
+            rhs = jf.field_add(rhs, jf.field_scale(fields[k], c))
+        assert br.valid_order == res.certificates[(i, j)], (i, j)
+        assert jf.fields_equal(br, rhs), (i, j)
+
+
+def test_stored_connection_is_ad_D(filter_case):
+    # [D, Z] = sum lam_(s,i) e^{s u} Z_i on slots 0..order-1, Z_0 = X_0
+    res = filter_case
+    raw = {el.index: el.field_raw for el in res.elements}
+    raw[0] = jf.make_X0(res.order)
+    D = jf.make_D(res.order)
+    for el in res.elements:
+        lhs = jf.bracket(D, el.field_raw)
+        rhs = jf.zero_field(res.order)
+        for (s, i), c in el.connection.items():
+            rhs = jf.field_add(rhs, qp_times_field(xr.qp_exp(s, c), raw[i]))
+        assert lhs.valid_order == res.order - 1
+        assert jf.fields_equal(lhs, rhs), el.name
+
+
+@pytest.mark.parametrize("equation, degree, order, computed", [
+    ("sinh", 16, 20, 22),
+    ("tzitzeica", 14, 18, 17),
+    (((Fraction(1), 1), (Fraction(1), -3)), 10, 14, 326),
+], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14"])
+def test_generate_brackets_only_pairs_with_a_new_connection(monkeypatch, equation, degree,
+                                                            order, computed):
+    calls = []
+    bracket = jf.bracket
+
+    def counted(X, Y):
+        calls.append(None)
+        return bracket(X, Y)
+
+    monkeypatch.setattr(jf, "bracket", counted)
+    closure_for(equation, order, degree)
+    assert len(calls) == computed
+
+
 @pytest.mark.xfail(strict=True, reason="a truncated jet closure undercounts e^u + e^(-3u): "
                    "its degree-9 part has 50 elements at order 14 and 54 at order 15")
 def test_nonintegrable_degree9_dimension_is_stable_in_the_order():

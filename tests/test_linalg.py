@@ -16,9 +16,11 @@ def test_vec_add_scaled_drops_zeros():
 
 def test_span_insert_and_express():
     span = LinearSpan()
-    assert span.insert({1: F(1), 2: F(1)}, "u")
-    assert span.insert({2: F(1)}, "v")
-    assert not span.insert({1: F(2), 2: F(2)}, "dup")
+    assert span.insert({1: F(1), 2: F(1)}, "u") is None
+    assert span.insert({2: F(1)}, "v") is None
+    # a dependent insert adds nothing and hands back the coordinates
+    assert span.insert({1: F(2), 2: F(2)}, "dup") == {"u": F(2)}
+    assert span.insert({}, "zero") == {}
     assert len(span) == 2
     # 3*u - v = {1: 3, 2: 2}
     assert span.express({1: F(3), 2: F(2)}) == {"u": F(3), "v": F(-1)}
@@ -64,8 +66,8 @@ def test_int_vectors_divide_exactly():
     vecs = [{1: 2, 2: 4, 3: 1}, {1: 3, 3: 5}, {2: 7, 3: -3}]
     spans = LinearSpan(), LinearSpan()
     for tag, v in enumerate(vecs):
-        assert spans[0].insert(v, tag)
-        assert spans[1].insert({k: F(c) for k, c in v.items()}, tag)
+        assert spans[0].insert(v, tag) is None
+        assert spans[1].insert({k: F(c) for k, c in v.items()}, tag) is None
     int_rows, frac_rows = spans[0]._rows, spans[1]._rows
     assert int_rows == frac_rows
     for _, row, combo in int_rows:
@@ -202,12 +204,14 @@ def span_sessions(draw):
 def test_fraction_free_span_equals_fraction_pivots(ops):
     span, ref = LinearSpan(), _FractionPivotSpan()
     for n, (op, v) in enumerate(ops):
+        want = ref.express(v)
         if op == "insert":
-            assert span.insert(v, n) is ref.insert(v, n)
+            got = span.insert(v, n)  # a dependent insert returns what express would
+            assert ref.insert(v, n) is (got is None)
             assert len(span) == len(ref._rows)
         else:
-            got, want = span.express(v), ref.express(v)
-            assert got == want
-            if got is not None:
-                assert [(t, type(c)) for t, c in sorted(got.items())] == \
-                    [(t, type(c)) for t, c in sorted(want.items())]
+            got = span.express(v)
+        assert got == want
+        if got is not None:
+            assert [(t, type(c)) for t, c in sorted(got.items())] == \
+                [(t, type(c)) for t, c in sorted(want.items())]
