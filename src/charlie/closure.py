@@ -32,10 +32,13 @@ on slots 0..N-1 (the relations above hold there, one slot being spent on D)
 and an empty u slot, and [D, W]_k = D w_k - w_{k+1}, so w_0 = 0 gives W = 0 on
 slots 0..N.  A bracket of two triangular fields keeps min(N_A, N_B) = N
 slots, and the jet vectors of the elements are independent, so the jet
-span would return exactly c.  Any other pair is bracketed, and its jet
-vector alone decides whether it is new: the filter only skips, so the jet
-closure's tables, certificates and its known undercount on truncated jets
-come out unchanged.
+span would return exactly c.  Any other pair is integrated by the
+D-recursion (jetfield.bracket_from_connection): the same argument builds
+[A, B] slot by slot from lam, z_0 = 0 and z_{k+1} = D z_k - sum_i lam_i
+e^{(r - r_i) u} (Z_i)_k, which equals the jet bracket on slots 0..N, so no
+jet bracket is taken at all.  Its jet vector alone decides whether it is
+new: the filter only skips, so the jet closure's tables, certificates and
+its known undercount on truncated jets come out unchanged.
 
 Discovered elements are stored raw (first-found bracket) and, when a target
 structure-constant rule is supplied, also in reference normalization:
@@ -134,15 +137,18 @@ def eigencomponents(f: xr.Quasi, order: int) -> list[tuple[int, JetField]]:
     """(alpha, field) per exponential index of f, alpha descending.
 
     Each ad-X_0 eigencomponent of X(f) is c_alpha * X(e^{alpha u}); the
-    reference normalization scales it to sign(c_alpha) * X(e^{alpha u}),
-    built directly as X(sign * e^{alpha u}) with int coefficients.
+    reference normalization scales it to sign(c_alpha) * X(e^{alpha u}).
+    All of them are split off one X(sum_alpha sign(c_alpha) e^{alpha u}),
+    which has int coefficients and builds each Bell polynomial once.
     """
     if not xr.qp_is_exponential_only(f) or not f:
         raise ClosureError("closure needs a nonzero pure exponential sum f(u)")
+    signs = {alpha: {xr.MONO_ONE: 1 if p[xr.MONO_ONE] > 0 else -1} for alpha, p in f.items()}
+    signed = jf.make_Xf(signs, order)
     out = []
     for alpha in sorted(f, reverse=True):
-        sign = 1 if f[alpha][xr.MONO_ONE] > 0 else -1
-        out.append((alpha, jf.make_Xf(xr.qp_exp(alpha, sign), order)))
+        slots = [{alpha: q[alpha]} if alpha in q else {} for q in signed.slots]
+        out.append((alpha, jf.make_field({}, slots, order)))
     return out
 
 
@@ -157,9 +163,11 @@ def generate(
 
     Pairs are taken by degree.  A pair whose connection vector lies in the
     span of the elements' connection vectors gets those coordinates and the
-    certificate min(N_A, N_B) without a jet bracket; any other pair is
-    bracketed, and its jet vector decides whether it is a new element (see
-    the module docstring for why both give the same table).
+    certificate min(N_A, N_B) without a field; any other pair's field is
+    integrated by the D-recursion from its connection vector and the packed
+    slots of the degree d - 1 elements, and its jet vector decides whether
+    it is a new element (see the module docstring for why this gives the
+    jet bracket's table).
 
     target, when given, maps an index pair (q, l) to the reference structure
     constant used for normalization; a contradiction raises MismatchError.
@@ -205,6 +213,9 @@ def generate(
 
     for d in range(2, max_degree + 1):
         new_here: list[BasisElement] = []
+        # a degree-d connection runs over degree d - 1 only, so only those
+        # elements are packed, once per degree
+        lower = {el.index: jf.packed_slots(el.field_raw) for el in elements if el.degree == d - 1}
         for ei, ej in itertools.combinations(elements, 2):
             if ei.degree + ej.degree != d:
                 continue
@@ -222,7 +233,7 @@ def generate(
             if expr is not None:
                 certs[(ei.index, ej.index)] = min(ei.field_raw.valid_order, ej.field_raw.valid_order)
             else:
-                br = jf.bracket(ei.field_raw, ej.field_raw)
+                br = jf.bracket_from_connection(ei.field_raw, ej.field_raw, lam, lower)
                 certs[(ei.index, ej.index)] = br.valid_order
                 canonical = None
                 if ei.canonical is not None and ej.canonical is not None:

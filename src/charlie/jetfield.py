@@ -22,20 +22,30 @@ nonempty slot (k = 0 for the u slot), since a derivative along an empty slot
 would never be multiplied.  A triangular element of degree d has empty slots
 1..d-1, so most of the full gradient is of that kind.  Inside the kernel a
 monomial is packed into one int, so a monomial product is an integer
-addition; results are unpacked into the usual Quasi dicts.  apply_field, the
-exact total derivative D (apply_total_derivative) and bracket all go through
-these helpers.  apply_field is the one way a field acts on a value: in
-analysis, the x-integral search, annihilates, the symmetry check and the 2D
-exponential system (two JetFields over interleaved variables) all call it.
+addition; results are unpacked into the usual Quasi dicts.  apply_field and
+bracket go through these helpers.  apply_field is the one way a field acts on
+a value: in analysis, the x-integral search, annihilates, the symmetry check
+and the 2D exponential system (two JetFields over interleaved variables) all
+call it.
+
+The exact total derivative D acts on packed monomials directly (_total_derivative):
+it moves one unit from u_k to u_{k+1} and adds alpha * u_1 on the e^{alpha u}
+part.  apply_total_derivative and bracket_from_connection both use it.  The
+latter builds a bracket with an empty u slot from its ad_D connection,
+z_{k+1} = D z_k - sum_i c_i e^{s_i u} (Z_i)_k from z_0 = 0, over the packed
+slots of the elements one degree lower (packed_slots), with no gradient and
+no product of slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import exactring as xr
-from .bell import d_power_exp
+from .bell import complete_bell
 from .exactring import Quasi
 
 
@@ -92,19 +102,25 @@ def make_Xf(f: Quasi, order: int) -> JetField:
     """X(f) = f d/du_1 + D(f) d/du_2 + ... + D^{j-1}(f) d/du_j + ...
 
     f must be a pure exponential sum (no jet variables); each slot is assembled
-    from D^{j-1}(e^{a*u}) = e^{a*u} B_{j-1}(a*u_1, ...) per exponential part.
-    Bell coefficients and the exponents a are integers, so every coefficient
-    is an int where f's coefficient makes it integral.
+    from D^{j-1}(e^{a*u}) = e^{a*u} B_{j-1}(a*u_1, ...) per exponential part:
+    B_{j-1} is built once per slot, and its monomial of degree g is scaled by
+    c * a^g for each term c e^{a*u}.  For a = 0 only the constant monomial
+    survives, which only B_0 has, so only slot 1 gets a term.  Bell
+    coefficients and the exponents a are integers, so every coefficient is an
+    int where f's coefficient makes it integral.
     """
     if not xr.qp_is_exponential_only(f):
         raise ValueError("X(f) needs f depending on u only (pure exponential sum)")
-    terms = [(alpha, p[xr.MONO_ONE]) for alpha, p in f.items()]
+    terms = [(alpha, _exact(p[xr.MONO_ONE])) for alpha, p in f.items()]
     slots = []
     for j in range(1, order + 1):
+        bell = [(m, b, xr.mono_degree(m)) for m, b in complete_bell(j - 1).items()]
         slot: Quasi = {}
         for alpha, c in terms:
-            for lam, bell in d_power_exp(j - 1, alpha).items():
-                slot[lam] = {m: _exact(c * b) for m, b in bell.items()}
+            scale = [c * alpha ** g for g in range(j)]
+            p = {m: _exact(scale[g] * b) for m, b, g in bell if scale[g]}
+            if p:
+                slot[alpha] = p
         slots.append(slot)
     return make_field({}, slots, order)
 
@@ -235,9 +251,37 @@ def apply_field(X: JetField, gs: list) -> list:
     return images
 
 
+def _total_derivative(q: dict) -> dict:
+    """D(q) for a packed q, as an accumulator that may hold zeros.
+
+    D = u_1 d/du + sum_k u_{k+1} d/du_k: on e^{alpha u} m it adds alpha * u_1 m
+    and, per u_k^e in m, e * m u_{k+1} / u_k, i.e. one unit moves from field
+    k to field k + 1.  A result exponent exceeds an operand exponent by at
+    most one, so it stays inside its field (see _EXP_LIMIT).
+    """
+    out: dict = {}
+    mask = (1 << _BITS) - 1
+    for alpha, p in q.items():
+        acc = out[alpha] = {}
+        for m, c in p.items():
+            if alpha:
+                s = acc.get(m + 1)
+                acc[m + 1] = alpha * c if s is None else s + alpha * c
+            rest, unit = m, 1
+            while rest:
+                e = rest & mask
+                if e:
+                    t = m + unit * mask  # -unit on u_k, +unit << _BITS on u_{k+1}
+                    s = acc.get(t)
+                    acc[t] = e * c if s is None else s + e * c
+                rest >>= _BITS
+                unit <<= _BITS
+    return out
+
+
 def apply_total_derivative(g: Quasi) -> Quasi:
     """D(g), exact for any quasipolynomial (no truncation: D(u_k) = u_{k+1})."""
-    return apply_field(make_D(max(xr.qp_max_index(g), 1)), [g])[0]
+    return _settled(_total_derivative(_prepare(g, ())[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +344,63 @@ def bracket(X: JetField, Y: JetField) -> JetField:
     if len(out_slots) < 2:
         raise TruncationError("bracket result would have valid order < 1")
     return make_field(out_slots[0], out_slots[1:], len(out_slots) - 1)
+
+
+def packed_slots(X: JetField) -> list:
+    """X's coefficients with packed monomials, index 0 = the u slot: the
+    format bracket_from_connection reads the lower elements in."""
+    return [_prepare(q, ())[0] for q in (X.u_slot, *X.slots)]
+
+
+def bracket_from_connection(X: JetField, Y: JetField, connection: dict, lower: dict) -> JetField:
+    """[X, Y] from its ad_D connection, without a bracket.
+
+    connection is {(s, i): c} with [D, [X, Y]] = sum c e^{s u} Z_i, and lower
+    maps each i to packed_slots(Z_i).  Both u slots must be empty, so the u
+    slot z_0 of [X, Y] is too, and since [D, Z]_k = D z_k - z_{k+1},
+
+        z_{k+1} = D z_k - sum c e^{s u} (Z_i)_k,   k = 0 .. N-1,
+
+    gives slots 1..N, N = min(N_X, N_Y): the N slots bracket keeps for
+    triangular fields.  Two fields with an empty u slot and equal [D, .] on
+    slots 0..N-1 agree on slots 0..N, so this is the bracket there.  The
+    recursion runs on the connection scaled to ints (its denominators cleared
+    once), and each coefficient is divided back once: an int where integral.
+    """
+    if X.u_slot or Y.u_slot:
+        raise ValueError("the D-recursion needs fields with empty u slots")
+    n = min(X.valid_order, Y.valid_order)
+    if n >= _EXP_LIMIT:
+        raise ValueError(f"order {n} is too large for the packed D-recursion")
+    denom = lcm(*(c.denominator for c in connection.values()))
+    terms = []
+    for (s, i), c in connection.items():
+        z_i = lower[i]
+        if len(z_i) < n:
+            raise TruncationError(f"element {i} has no slot {n - 1}")
+        terms.append((s, z_i, (c * denom).numerator))
+    z: dict = {}
+    slots = []
+    for k in range(n):
+        out = _total_derivative(z)
+        for s, z_i, c in terms:
+            for alpha, p in z_i[k].items():
+                acc = out.get(alpha + s)
+                if acc is None:
+                    acc = out[alpha + s] = {}
+                for m, v in p.items():
+                    t = acc.get(m)
+                    acc[m] = -c * v if t is None else t - c * v
+        z = {}
+        for alpha, acc in out.items():
+            p = {m: c for m, c in acc.items() if c}
+            if p:
+                z[alpha] = p
+        slots.append(z)
+    if denom != 1:
+        slots = [{alpha: {m: c // denom if not c % denom else Fraction(c, denom)
+                          for m, c in p.items()} for alpha, p in q.items()} for q in slots]
+    return make_field({}, [_settled(q) for q in slots], n)
 
 
 def is_zero_up_to(X: JetField) -> str:

@@ -251,15 +251,18 @@ def test_mismatch_detection_on_wrong_target():
                 raise cl.MismatchError("table mismatch")
 
 
-# (equation, degree, order) runs on which the connection filter is checked
-# against the jets: both integrable reference cases, the non-integrable
-# e^u + e^(-3u) where its degree-9/10 undercount shows, and a three-term f
+# (equation, degree, order) runs on which the connection filter and the
+# D-recursion are checked against the jets: both integrable reference cases
+# (sinh with its 1/2), the non-integrable e^u + e^(-3u) where its degree-9/10
+# undercount shows (non-integral connections at 10/14), a three-term f, and a
+# constant term (an e^{0u} generator)
 FILTER_CASES = {
     "sinh-12/16": ("sinh", 12, 16),
     "tzitzeica-12/16": ("tzitzeica", 12, 16),
     "nonint-9/13": (((Fraction(1), 1), (Fraction(1), -3)), 9, 13),
     "nonint-10/14": (((Fraction(1), 1), (Fraction(1), -3)), 10, 14),
     "three-term-6/12": (((Fraction(2), 2), (Fraction(1), -1), (Fraction(-3), 1)), 6, 12),
+    "constant-term-6/10": (((Fraction(1), 1), (Fraction(3), 0)), 6, 10),
 }
 
 
@@ -298,6 +301,20 @@ def test_stored_connection_is_ad_D(filter_case):
         assert jf.fields_equal(lhs, rhs), el.name
 
 
+def _recorded_integrations(monkeypatch):
+    """Every (X, Y, connection, result) of jf.bracket_from_connection from now on."""
+    calls = []
+    integrate = jf.bracket_from_connection
+
+    def recorded(X, Y, connection, lower):
+        out = integrate(X, Y, connection, lower)
+        calls.append((X, Y, connection, out))
+        return out
+
+    monkeypatch.setattr(jf, "bracket_from_connection", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("equation, degree, order, computed", [
     ("sinh", 16, 20, 22),
     ("tzitzeica", 14, 18, 17),
@@ -305,16 +322,40 @@ def test_stored_connection_is_ad_D(filter_case):
 ], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14"])
 def test_generate_brackets_only_pairs_with_a_new_connection(monkeypatch, equation, degree,
                                                             order, computed):
-    calls = []
+    # the pairs with a new connection are integrated by the D-recursion, and
+    # no jet bracket is taken at all
+    brackets = []
     bracket = jf.bracket
 
     def counted(X, Y):
-        calls.append(None)
+        brackets.append(None)
         return bracket(X, Y)
 
     monkeypatch.setattr(jf, "bracket", counted)
+    integrations = _recorded_integrations(monkeypatch)
     closure_for(equation, order, degree)
-    assert len(calls) == computed
+    assert len(brackets) == 0
+    assert len(integrations) == computed
+
+
+def _typed(X):
+    """X's slots with every coefficient as (type, value): int 2 != Fraction(2)."""
+    return [{a: {m: (type(c), c) for m, c in p.items()} for a, p in q.items()}
+            for q in (X.u_slot, *X.slots)]
+
+
+@pytest.mark.parametrize("case", sorted(FILTER_CASES))
+def test_integrated_fields_equal_their_jet_brackets(monkeypatch, case):
+    equation, degree, order = FILTER_CASES[case]
+    integrations = _recorded_integrations(monkeypatch)
+    closure_for(equation, order, degree)
+    assert integrations
+    for X, Y, connection, got in integrations:
+        want = jf.bracket(X, Y)
+        assert got.valid_order == want.valid_order
+        assert _typed(got) == _typed(want), connection
+    if case == "nonint-10/14":
+        assert any(type(c) is Fraction for _, _, lam, _ in integrations for c in lam.values())
 
 
 @pytest.mark.xfail(strict=True, reason="a truncated jet closure undercounts e^u + e^(-3u): "
@@ -386,7 +427,8 @@ def test_m0S_rejects_bad_index_sets():
 
 # sha256 of closure reports that no golden workload reaches: three generators
 # (canonical is None, same-bigrading ties such as Z8/Z9 at (3, 7)), a
-# mixed-sign pair, and a single generator (nothing to bracket)
+# mixed-sign pair, a single generator (nothing to bracket), rational
+# coefficients and a constant term
 PINNED_REPORTS = {
     'charalg --equation "e^u+e^(2u)+e^(3u)" --degree 5 --order 9':
         "af1c6122faa49a610b0fdb6388389967317aa062add8dfb303a0941dd3d93a6f",
@@ -394,6 +436,12 @@ PINNED_REPORTS = {
         "1d382d68ebd3fd3fe3be9c0d61e8d0ba37fb2f96d9f7717de13fd43e578cbd07",
     "charalg --equation e^u --degree 4 --order 8":
         "956bc4f7b4caf8c7219348191084974a8a5e39b81d904ebf0231d964925d0388",
+    # non-integral f coefficients, and a constant term: the D-recursion's
+    # int/Fraction division must leave these bytes as the jet bracket gave them
+    'charalg --equation "1/3e^u-5/7e^(-2u)" --degree 8 --order 12':
+        "3d85c2cb99abc1f5ea9cec83ecef03a71ecf7b58c3547875fd5a095073a8e6f0",
+    'charalg --equation "e^u+3" --degree 6 --order 10':
+        "f74a5d2ec28701a6582f67714d42a95bdea667e3a3f0cd36aa76bbcb681b9b3f",
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from charlie import closure as cl
-from charlie.bell import complete_bell
+from charlie.bell import complete_bell, d_power_exp
 from charlie import exactring as xr
 from charlie import jetfield as jf
 
@@ -241,12 +241,83 @@ def test_apply_field_matches_definition(X, gs):
     assert jf.apply_field(X, gs) == want
 
 
+quasipolynomials = st.dictionaries(st.integers(min_value=-2, max_value=2), st.dictionaries(
+    st.sampled_from([m for w in range(5) for m in _weight_monomials(w)]), coefficients,
+    max_size=4), max_size=3)
+
+
+@given(quasipolynomials)
+@example({0: {(): 3, ((1, 2),): Fraction(1, 2)}, 1: {((1, 1), (2, 1)): 2}})
+@settings(max_examples=200, deadline=None)
+def test_packed_total_derivative_matches_apply_field(g):
+    # the packed D against D as a field, coefficient types included
+    g = {a: {m: c for m, c in p.items() if c} for a, p in g.items()}
+    g = {a: p for a, p in g.items() if p}
+    got = jf.apply_total_derivative(g)
+    want = jf.apply_field(jf.make_D(max(xr.qp_max_index(g), 1)), [g])[0]
+    assert got == want
+    assert [type(c) for p in got.values() for c in p.values()] == \
+        [type(want[a][m]) for a, p in got.items() for m in p]
+
+
+def _sinh_pair(order):
+    X1 = jf.make_Xf(EXP_U, order)
+    X2 = jf.make_Xf(xr.qp_exp(-1, -1), order)
+    return X1, X2, {1: jf.packed_slots(X1), 2: jf.packed_slots(X2)}
+
+
+def test_bracket_from_connection():
+    # [D, X1] = -e^u X0 and [D, X2] = e^-u X0 give
+    # [D, [X1, X2]] = -e^u [X0, X2] + e^-u [X1, X0] = e^u X2 - e^-u X1
+    X1, X2, lower = _sinh_pair(8)
+    got = jf.bracket_from_connection(X1, X2, {(1, 2): 1, (-1, 1): -1}, lower)
+    assert got.valid_order == 8
+    assert (got.u_slot, got.slots) == (jf.bracket(X1, X2).u_slot, jf.bracket(X1, X2).slots)
+    assert all(type(c) is int for c in _coefficients(got))
+    # a rational connection: each coefficient divided once, an int where integral
+    half = jf.bracket_from_connection(X1, X2, {(1, 2): Fraction(1, 2), (-1, 1): Fraction(-1, 2)},
+                                      lower)
+    assert jf.fields_equal(half, jf.field_scale(got, Fraction(1, 2)))
+    assert half.slot(2) == {0: {(): 1}} and type(half.slot(2)[0][()]) is int
+    third = jf.bracket_from_connection(X1, X2, {(1, 2): Fraction(1, 3), (-1, 1): Fraction(-1, 3)},
+                                       lower)
+    assert third.slot(2) == {0: {(): Fraction(2, 3)}}
+
+
+def test_bracket_from_connection_preconditions():
+    X1, X2, lower = _sinh_pair(4)
+    with pytest.raises(ValueError):
+        jf.bracket_from_connection(jf.make_X0(4), X2, {}, lower)  # X_0 has a u slot
+    short = {1: jf.packed_slots(jf.truncate(X1, 2)), 2: lower[2]}
+    with pytest.raises(jf.TruncationError):
+        jf.bracket_from_connection(X1, X2, {(1, 2): 1, (-1, 1): -1}, short)
+
+
 def test_kernel_exponent_range():
     # the largest exponent an operand may have survives a product with D exactly
     assert jf.apply_total_derivative(xr.qp_parse("u1^32767 * u3")) == \
         xr.qp_parse("32767 * u1^32766 * u2 * u3 + u1^32767 * u4")
     with pytest.raises(ValueError):
         jf.apply_field(jf.make_D(3), [xr.qp_parse("u1^32768")])
+
+
+@pytest.mark.parametrize("f", ["e^(u) + 3", "1/3 * e^(u) - 5/7 * e^(-2*u)", "4/2 * e^(3*u) - 1"])
+def test_make_Xf_matches_d_power_exp(f):
+    # slot j is sum_a c_a D^{j-1}(e^{a u}), an int wherever it is integral;
+    # the constant term (a = 0) reaches slot 1 only
+    f = xr.qp_parse(f)
+    X = jf.make_Xf(f, 7)
+    for j in range(1, 8):
+        want = {}
+        for alpha, p in f.items():
+            c = p[xr.MONO_ONE]
+            for a, bell in d_power_exp(j - 1, alpha).items():
+                want[a] = {m: (c * b).numerator if (c * b).denominator == 1 else c * b
+                           for m, b in bell.items()}
+        assert X.slot(j) == want, j
+        assert [type(c) for p in X.slot(j).values() for c in p.values()] == \
+            [type(want[a][m]) for a, p in X.slot(j).items() for m in p], j
+    assert all(0 not in X.slot(j) for j in range(2, 8))
 
 
 def test_make_Xf_integral_coefficients():
