@@ -33,7 +33,6 @@ from .jetfield import (
     apply_total_derivative,
     bigrading_of,
     bracket,
-    eigencheck_adX0,
     is_zero_up_to,
     make_D,
     make_X0,

@@ -69,8 +69,7 @@ def equation_text(terms) -> str:
 
 def _table_payload(result: cl.ClosureResult) -> dict:
     basis = [{"name": result.toral_name, "d": 0, "r": 0}]
-    basis += [{"name": el.name, "d": el.bigrading.d, "r": el.bigrading.r}
-              for el in result.elements]
+    basis += [{"name": el.name, "d": el.degree, "r": el.eigenvalue} for el in result.elements]
     brackets = []
     for el in result.elements:
         if el.eigenvalue:
@@ -395,10 +394,7 @@ def run(argv=None) -> int:
     started = time.monotonic()
     try:
         status, payload, certificates = args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (cl.ClosureError, ValueError) as e:
+    except ValueError as e:  # UsageError, ClosureError and parse errors among them
         print(f"error: {e}", file=sys.stderr)
         return 1
     except cl.MismatchError as e:
@@ -417,8 +413,12 @@ def run(argv=None) -> int:
     rendered = (json.dumps(report, indent=2) + "\n") if args.format == "json" \
         else _render_text(report)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(rendered.encode("utf-8"))
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(rendered.encode("utf-8"))
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
+            return 1
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(rendered)

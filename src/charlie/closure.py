@@ -40,11 +40,16 @@ jet bracket is taken at all.  Its jet vector alone decides whether it is
 new: the filter only skips, so the jet closure's tables, certificates and
 its known undercount on truncated jets come out unchanged.
 
-Discovered elements are stored raw (first-found bracket) and, when a target
-structure-constant rule is supplied, also in reference normalization:
-Z_n = (1/k_{q,l}) [Z_q, Z_l] for the first pair q < l, q + l = n with a
-nonzero target constant k.  That rule reproduces the defining recursions
-of both reference bases, so reported tables compare literally.
+An element is stored once, as the packed slots of its first-found bracket
+(jetfield.packed_slots): the D-recursion reads and returns that list, the
+jet span and the homogeneity check key on its packed monomials, and nothing
+is unpacked while the closure grows.  Its JetField, field_raw, is built on
+first read.  When a target structure-constant rule is supplied, the table
+is in reference normalization: Z_n = (1/k_{q,l}) [Z_q, Z_l] for the first
+pair q < l, q + l = n with a nonzero target constant k.  The normalized
+field, norm_scale times field_raw, is also built on first read.  That rule
+reproduces the defining recursions of both reference bases, so reported
+tables compare literally.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from . import exactring as xr
@@ -73,14 +79,23 @@ class MismatchError(ArithmeticError):
 class BasisElement:
     index: int                  # position in the reference basis; name = prefix + index
     name: str
-    field_raw: JetField         # first-found bracket result
-    field: JetField             # normalized: norm_scale * field_raw
+    slots: list                 # first-found bracket, packed; index 0 = the (empty) u slot
     norm_scale: Fraction
     degree: int                 # natural degree (= d of the operator bigrading)
     eigenvalue: int             # ad-X_0 eigenvalue (= r of the operator bigrading)
-    bigrading: Bigrading
     canonical: Optional[tuple]  # generator-count bigrading (p, q); None if undefined
     connection: dict            # [D, Z] = sum c e^{s*u} Z_i over {(s, i): c}; Z_0 = X_0
+
+    @cached_property
+    def field_raw(self) -> JetField:
+        return jf.unpacked_field(self.slots)
+
+    @cached_property
+    def field(self) -> JetField:
+        """Normalized: norm_scale * field_raw (field_raw itself when the scale is 1)."""
+        if self.norm_scale == 1:
+            return self.field_raw
+        return jf.field_scale(self.field_raw, self.norm_scale)
 
 
 @dataclass
@@ -120,36 +135,26 @@ class ClosureResult:
         return tuple((k, -c) for k, c in self.brackets[(j, i)])
 
 
-def _vectorize(X: JetField) -> dict:
-    """Coefficient vector keyed by (slot, exp index, monomial); slot 0 = u slot."""
-    vec: dict = {}
-    for alpha, p in X.u_slot.items():
-        for m, c in p.items():
-            vec[(0, alpha, m)] = c
-    for j in range(1, X.valid_order + 1):
-        for alpha, p in X.slots[j - 1].items():
-            for m, c in p.items():
-                vec[(j, alpha, m)] = c
-    return vec
+def _vectorize(slots: list) -> dict:
+    """Coefficient vector of packed slots keyed by (slot, exp index, packed monomial)."""
+    return {(j, alpha, m): c for j, q in enumerate(slots) for alpha, p in q.items()
+            for m, c in p.items()}
 
 
-def eigencomponents(f: xr.Quasi, order: int) -> list[tuple[int, JetField]]:
-    """(alpha, field) per exponential index of f, alpha descending.
+def eigencomponents(f: xr.Quasi, order: int) -> list[tuple[int, list]]:
+    """(alpha, packed slots) per exponential index of f, alpha descending.
 
     Each ad-X_0 eigencomponent of X(f) is c_alpha * X(e^{alpha u}); the
     reference normalization scales it to sign(c_alpha) * X(e^{alpha u}).
-    All of them are split off one X(sum_alpha sign(c_alpha) e^{alpha u}),
+    All of them are split off one packed X(sum_alpha sign(c_alpha) e^{alpha u}),
     which has int coefficients and builds each Bell polynomial once.
     """
     if not xr.qp_is_exponential_only(f) or not f:
         raise ClosureError("closure needs a nonzero pure exponential sum f(u)")
     signs = {alpha: {xr.MONO_ONE: 1 if p[xr.MONO_ONE] > 0 else -1} for alpha, p in f.items()}
-    signed = jf.make_Xf(signs, order)
-    out = []
-    for alpha in sorted(f, reverse=True):
-        slots = [{alpha: q[alpha]} if alpha in q else {} for q in signed.slots]
-        out.append((alpha, jf.make_field({}, slots, order)))
-    return out
+    signed = jf.packed_slots(jf.make_Xf(signs, order))
+    return [(alpha, [{alpha: q[alpha]} if alpha in q else {} for q in signed])
+            for alpha in sorted(f, reverse=True)]
 
 
 def generate(
@@ -163,11 +168,11 @@ def generate(
 
     Pairs are taken by degree.  A pair whose connection vector lies in the
     span of the elements' connection vectors gets those coordinates and the
-    certificate min(N_A, N_B) without a field; any other pair's field is
-    integrated by the D-recursion from its connection vector and the packed
-    slots of the degree d - 1 elements, and its jet vector decides whether
-    it is a new element (see the module docstring for why this gives the
-    jet bracket's table).
+    certificate min(N_A, N_B) without a field; any other pair's packed slots
+    are integrated by the D-recursion from its connection vector and the
+    stored slots of the degree d - 1 elements, and its jet vector decides
+    whether it is a new element (see the module docstring for why this gives
+    the jet bracket's table).
 
     target, when given, maps an index pair (q, l) to the reference structure
     constant used for normalization; a contradiction raises MismatchError.
@@ -183,19 +188,18 @@ def generate(
     certs: dict = {}
 
     degree_one = eigencomponents(f, order)
-    for alpha, fld in degree_one:
+    for alpha, slots in degree_one:
         idx = len(elements) + 1
-        big = jf.bigrading_of(fld)
-        assert big == Bigrading(1, alpha)
+        assert jf.packed_bigrading(slots) == Bigrading(1, alpha)
         canonical = (1, 0) if idx == 1 else ((0, 1) if idx == 2 else None)
         if len(degree_one) > 2:
             canonical = None
-        # [D, X(f)] = -f X_0, and f = sign * e^{alpha u} is slot 1
-        sign = fld.slots[0][alpha][xr.MONO_ONE]
-        el = BasisElement(idx, f"{prefix}{idx}", fld, fld, Fraction(1), 1, alpha, big, canonical,
+        # [D, X(f)] = -f X_0, and f = sign * e^{alpha u} is slot 1 (packed 1 is 0)
+        sign = slots[1][alpha][0]
+        el = BasisElement(idx, f"{prefix}{idx}", slots, Fraction(1), 1, alpha, canonical,
                           {(alpha, 0): -sign})
         elements.append(el)
-        span.insert(_vectorize(fld), el)
+        span.insert(_vectorize(slots), el)
 
     def entry(i: int, j: int):
         """(element, coefficient) pairs of the raw [Z_i, Z_j], Z_0 = X_0.
@@ -213,9 +217,7 @@ def generate(
 
     for d in range(2, max_degree + 1):
         new_here: list[BasisElement] = []
-        # a degree-d connection runs over degree d - 1 only, so only those
-        # elements are packed, once per degree
-        lower = {el.index: jf.packed_slots(el.field_raw) for el in elements if el.degree == d - 1}
+        lower = {el.index: el.slots for el in elements}
         for ei, ej in itertools.combinations(elements, 2):
             if ei.degree + ej.degree != d:
                 continue
@@ -229,23 +231,21 @@ def generate(
             for key, c in terms:
                 lam[key] = lam.get(key, 0) + c
             lam = {key: c for key, c in lam.items() if c}
+            n = min(len(ei.slots), len(ej.slots)) - 1  # the valid order of [A, B]
+            certs[(ei.index, ej.index)] = n
             expr = connections.express(lam)
-            if expr is not None:
-                certs[(ei.index, ej.index)] = min(ei.field_raw.valid_order, ej.field_raw.valid_order)
-            else:
-                br = jf.bracket_from_connection(ei.field_raw, ej.field_raw, lam, lower)
-                certs[(ei.index, ej.index)] = br.valid_order
+            if expr is None:
+                br = jf.bracket_from_connection(lam, lower, n)
                 canonical = None
                 if ei.canonical is not None and ej.canonical is not None:
                     canonical = (ei.canonical[0] + ej.canonical[0], ei.canonical[1] + ej.canonical[1])
-                el = BasisElement(0, "", br, br, Fraction(1), d, ei.eigenvalue + ej.eigenvalue,
-                                  None, canonical, lam)
+                el = BasisElement(0, "", br, Fraction(1), d, ei.eigenvalue + ej.eigenvalue,
+                                  canonical, lam)
                 expr = span.insert(_vectorize(br), el)
                 if expr is None:
-                    big = jf.bigrading_of(br)
-                    if big is None or big.d != d or big.r != el.eigenvalue:
+                    big = jf.packed_bigrading(br)
+                    if big != Bigrading(d, el.eigenvalue):
                         raise ClosureError(f"inhomogeneous bracket [{ei.name},{ej.name}]: {big}")
-                    el.bigrading = big
                     # a second reduction of lam, but only for a new element:
                     # inserting before the jets decide would leave a row for
                     # every pair that the jets find dependent
@@ -265,8 +265,6 @@ def generate(
     scales = _normalization_scales(elements, raw_expr, target)
     for el, c in zip(elements, scales):
         el.norm_scale = c
-        if c != 1:
-            el.field = jf.field_scale(el.field_raw, c)
     brackets = {}
     for (i, j), coeffs in raw_expr.items():
         ci, cj = scales[i - 1], scales[j - 1]

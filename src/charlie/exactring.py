@@ -347,14 +347,13 @@ def qp_parse(text: str) -> Quasi:
     if s == "0":
         return {}
     out: Quasi = {}
-    pos = 0
     sign = 1
     # split into signed terms at top level (no nesting beyond e^(...))
     term = ""
     terms: list[tuple[int, str, int]] = []  # (sign, body, start_pos)
     start = 0
     depth = 0
-    for i, ch in enumerate(s + "+"):  # sentinel
+    for i, ch in enumerate(s):
         if ch == "(":
             depth += 1
         elif ch == ")":
@@ -372,15 +371,18 @@ def qp_parse(text: str) -> Quasi:
         term += ch
     if depth != 0:
         raise ParseError(text, len(s), "unbalanced parentheses")
+    if not term.strip():
+        raise ParseError(text, len(s), "missing last term")
+    terms.append((sign, term, start))
     for tsign, body, tpos in terms:
         coeff = Fraction(tsign)
         alpha = 0
         mono_pairs: list[tuple[int, int]] = []
-        factors = [f.strip() for f in re.split(r"\*(?!\s*u\s*\))", body) if f.strip()]
+        factors = [f.strip() for f in re.split(r"\*(?!\s*u\s*\))", body)]
         # the split above keeps "e^(2*u)" together by not splitting before "u)"
-        if not factors:
-            raise ParseError(text, tpos, "empty term")
         for f in factors:
+            if not f:
+                raise ParseError(text, tpos, "empty factor")
             m = _FRAC_RE.match(f)
             if m:
                 if m.group(2) and not int(m.group(2)):

@@ -33,8 +33,11 @@ it moves one unit from u_k to u_{k+1} and adds alpha * u_1 on the e^{alpha u}
 part.  apply_total_derivative and bracket_from_connection both use it.  The
 latter builds a bracket with an empty u slot from its ad_D connection,
 z_{k+1} = D z_k - sum_i c_i e^{s_i u} (Z_i)_k from z_0 = 0, over the packed
-slots of the elements one degree lower (packed_slots), with no gradient and
-no product of slots.
+slots of the elements one degree lower, with no gradient and no product of
+slots.  Its result stays packed: a closure keeps every element as the slot
+list packed_slots produces (index 0 = the u slot), reads weights off the
+packed monomials (packed_bigrading), and builds a JetField from the list
+(unpacked_field) only where one is read.
 """
 
 from __future__ import annotations
@@ -348,28 +351,32 @@ def bracket(X: JetField, Y: JetField) -> JetField:
 
 def packed_slots(X: JetField) -> list:
     """X's coefficients with packed monomials, index 0 = the u slot: the
-    format bracket_from_connection reads the lower elements in."""
+    representation a closure stores its elements in and
+    bracket_from_connection reads and returns (see unpacked_field)."""
     return [_prepare(q, ())[0] for q in (X.u_slot, *X.slots)]
 
 
-def bracket_from_connection(X: JetField, Y: JetField, connection: dict, lower: dict) -> JetField:
-    """[X, Y] from its ad_D connection, without a bracket.
+def unpacked_field(slots: list) -> JetField:
+    """The JetField of packed slots without zero terms (index 0 = the u slot)."""
+    return make_field(_settled(slots[0]), [_settled(q) for q in slots[1:]], len(slots) - 1)
+
+
+def bracket_from_connection(connection: dict, lower: dict, n: int) -> list:
+    """The packed slots 0..n of a bracket [X, Y] from its ad_D connection.
 
     connection is {(s, i): c} with [D, [X, Y]] = sum c e^{s u} Z_i, and lower
-    maps each i to packed_slots(Z_i).  Both u slots must be empty, so the u
-    slot z_0 of [X, Y] is too, and since [D, Z]_k = D z_k - z_{k+1},
+    maps each i to the packed slots of Z_i.  X and Y must have empty u slots,
+    as every commutant element of a closure has, so the u slot z_0 of
+    [X, Y] is empty too, and since [D, Z]_k = D z_k - z_{k+1},
 
-        z_{k+1} = D z_k - sum c e^{s u} (Z_i)_k,   k = 0 .. N-1,
+        z_{k+1} = D z_k - sum c e^{s u} (Z_i)_k,   k = 0 .. n-1,
 
-    gives slots 1..N, N = min(N_X, N_Y): the N slots bracket keeps for
-    triangular fields.  Two fields with an empty u slot and equal [D, .] on
-    slots 0..N-1 agree on slots 0..N, so this is the bracket there.  The
-    recursion runs on the connection scaled to ints (its denominators cleared
-    once), and each coefficient is divided back once: an int where integral.
+    gives slots 1..n; n = min(N_X, N_Y) is what bracket keeps for triangular
+    fields.  Two fields with an empty u slot and equal [D, .] on slots
+    0..n-1 agree on slots 0..n, so this is the bracket there.  The recursion
+    runs on the connection scaled to ints (its denominators cleared once),
+    and each coefficient is divided back once: an int where integral.
     """
-    if X.u_slot or Y.u_slot:
-        raise ValueError("the D-recursion needs fields with empty u slots")
-    n = min(X.valid_order, Y.valid_order)
     if n >= _EXP_LIMIT:
         raise ValueError(f"order {n} is too large for the packed D-recursion")
     denom = lcm(*(c.denominator for c in connection.values()))
@@ -380,7 +387,7 @@ def bracket_from_connection(X: JetField, Y: JetField, connection: dict, lower: d
             raise TruncationError(f"element {i} has no slot {n - 1}")
         terms.append((s, z_i, (c * denom).numerator))
     z: dict = {}
-    slots = []
+    slots = [z]
     for k in range(n):
         out = _total_derivative(z)
         for s, z_i, c in terms:
@@ -400,7 +407,7 @@ def bracket_from_connection(X: JetField, Y: JetField, connection: dict, lower: d
     if denom != 1:
         slots = [{alpha: {m: c // denom if not c % denom else Fraction(c, denom)
                           for m, c in p.items()} for alpha, p in q.items()} for q in slots]
-    return make_field({}, [_settled(q) for q in slots], n)
+    return slots
 
 
 def is_zero_up_to(X: JetField) -> str:
@@ -425,48 +432,23 @@ class Bigrading:
     r: int  # exponential degree: slots are multiples of e^{r*u}
 
 
-def _slot_profile(q: Quasi, j: int) -> Optional[Bigrading]:
-    """(d, r) implied by one nonzero slot, or None if inhomogeneous."""
-    if len(q) != 1:
-        return None
-    (r, p), = q.items()
-    w = xr.weight_of(p)
-    if w is None:
-        return None
-    return Bigrading(j - w, r)
+def packed_bigrading(slots: list) -> Optional[Bigrading]:
+    """Homogeneity type of packed slots (index 0 = the u slot): a term
+    e^{r u} m in slot j has weight j - d, the weight of m being sum k e_k."""
+    mask = (1 << _BITS) - 1
+    types = set()
+    for j, q in enumerate(slots):
+        for r, p in q.items():
+            for m in p:
+                w, k, rest = 0, 1, m
+                while rest:
+                    w += k * (rest & mask)
+                    rest >>= _BITS
+                    k += 1
+                types.add((j - w, r))
+    return Bigrading(*types.pop()) if len(types) == 1 else None
 
 
 def bigrading_of(X: JetField) -> Optional[Bigrading]:
     """Homogeneity type: slot j = e^{r*u} * (weight j-d), u slot e^{r*u} * (weight -d)."""
-    grading: Optional[Bigrading] = None
-    for j in range(1, X.valid_order + 1):
-        q = X.slots[j - 1]
-        if not q:
-            continue
-        b = _slot_profile(q, j)
-        if b is None or (grading is not None and b != grading):
-            return None
-        grading = b
-    if X.u_slot:
-        b = _slot_profile(X.u_slot, 0)  # weight of u slot must be -d
-        if b is None or (grading is not None and b != grading):
-            return None
-        grading = b
-    return grading
-
-
-def eigencheck_adX0(X: JetField) -> Optional[int]:
-    """lambda with [X_0, X] = lambda*X, if X is an ad-X_0 eigenvector.
-
-    [X_0, .] differentiates every coefficient by u, i.e. multiplies the e^{a*u}
-    part by a; X is an eigenvector iff a single exponential index occurs.
-    """
-    alphas = set()
-    for q in (X.u_slot, *X.slots):
-        alphas.update(q.keys())
-    if not alphas:
-        return None  # zero field: any eigenvalue
-    if len(alphas) == 1:
-        return alphas.pop()
-    return None
-
+    return packed_bigrading(packed_slots(X))

@@ -181,6 +181,29 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["symmetry", "--equation", "sinh", "--phi", "u1^"],
+    ["symmetry", "--equation", "sinh", "--phi", "u1*"],
+    ["charalg", "--equation", "e^u + 2e"],
+    ["charalg", "--equation", "e^(u)+"],
+    ["charalg", "--equation", "-"],
+])
+def test_truncated_last_term_is_a_usage_error(capsys, argv):
+    # a last term cut short is an error, not a term silently dropped
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    argv = ["charalg", "--equation", "sinh", "--degree", "4", "--order", "8", "--out", str(path)]
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1 and not path.exists()
+
+
 def test_loops_command_lists_suspected_typos(capsys):
     code, rep = run_json(capsys, ["loops", "--algebra", "sl3t", "--table", "--max", "8"])
     assert code == 0

@@ -52,12 +52,13 @@ def test_sinh_generators_are_the_split_exponentials(sinh_small):
 def test_sinh_operator_bigradings(sinh_small):
     for el in sinh_small.elements:
         k, s = divmod(el.index, 3)
+        big = jf.bigrading_of(el.field_raw)
         if s == 0:
-            assert (el.bigrading.d, el.bigrading.r) == (2 * k, 0)
+            assert big == jf.Bigrading(2 * k, 0)
         elif s == 1:
-            assert (el.bigrading.d, el.bigrading.r) == (2 * k + 1, 1)
+            assert big == jf.Bigrading(2 * k + 1, 1)
         else:
-            assert (el.bigrading.d, el.bigrading.r) == (2 * k + 1, -1)
+            assert big == jf.Bigrading(2 * k + 1, -1)
 
 
 def test_sinh_normalization_matches_reference_recursion(sinh_small):
@@ -113,9 +114,10 @@ def test_tzitzeica_basis_and_bigradings(tz_small):
         ("Y6", 5, 2), ("Y7", 5, -1), ("Y8", 6, 0), ("Y9", 7, 1), ("Y10", 7, -2),
         ("Y11", 8, -1),
     ]
-    bigs = {el.name: (el.bigrading.d, el.bigrading.r) for el in tz_small.elements}
-    assert bigs["Y3"] == (2, -1) and bigs["Y4"] == (3, 0)
-    assert bigs["Y5"] == (4, 1) and bigs["Y6"] == (5, 2) and bigs["Y7"] == (5, -1)
+    bigs = {el.name: jf.bigrading_of(el.field_raw) for el in tz_small.elements}
+    B = jf.Bigrading
+    assert bigs["Y3"] == B(2, -1) and bigs["Y4"] == B(3, 0)
+    assert bigs["Y5"] == B(4, 1) and bigs["Y6"] == B(5, 2) and bigs["Y7"] == B(5, -1)
 
 
 def test_tzitzeica_printed_leading_terms(tz_small):
@@ -187,7 +189,7 @@ def test_tzitzeica_spot_identities(tz_small):
 def test_table_grading_compatibility(sinh_small, tz_small):
     # a nonzero coefficient at k requires bigrading_k = bigrading_i + bigrading_j
     for res in (sinh_small, tz_small):
-        big = {el.index: el.bigrading for el in res.elements}
+        big = {el.index: jf.bigrading_of(el.field_raw) for el in res.elements}
         for (i, j), coeffs in res.brackets.items():
             for k, c in coeffs:
                 assert c != 0
@@ -301,17 +303,16 @@ def test_stored_connection_is_ad_D(filter_case):
         assert jf.fields_equal(lhs, rhs), el.name
 
 
-def _recorded_integrations(monkeypatch):
-    """Every (X, Y, connection, result) of jf.bracket_from_connection from now on."""
+def _counted(monkeypatch, module, name):
+    """A list that gets one entry per call of module.name from now on."""
     calls = []
-    integrate = jf.bracket_from_connection
+    fn = getattr(module, name)
 
-    def recorded(X, Y, connection, lower):
-        out = integrate(X, Y, connection, lower)
-        calls.append((X, Y, connection, out))
-        return out
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
 
-    monkeypatch.setattr(jf, "bracket_from_connection", recorded)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -323,19 +324,15 @@ def _recorded_integrations(monkeypatch):
 def test_generate_brackets_only_pairs_with_a_new_connection(monkeypatch, equation, degree,
                                                             order, computed):
     # the pairs with a new connection are integrated by the D-recursion, and
-    # no jet bracket is taken at all
-    brackets = []
-    bracket = jf.bracket
-
-    def counted(X, Y):
-        brackets.append(None)
-        return bracket(X, Y)
-
-    monkeypatch.setattr(jf, "bracket", counted)
-    integrations = _recorded_integrations(monkeypatch)
+    # no jet bracket is taken at all; elements stay packed: X(f) is packed
+    # once for the generators, and no field is unpacked, scaled or graded
+    calls = {name: _counted(monkeypatch, jf, name)
+             for name in ("bracket", "bracket_from_connection", "packed_slots", "_prepare",
+                          "_unpack", "field_scale", "bigrading_of")}
     closure_for(equation, order, degree)
-    assert len(brackets) == 0
-    assert len(integrations) == computed
+    assert {name: len(c) for name, c in calls.items()} == {
+        "bracket": 0, "bracket_from_connection": computed, "packed_slots": 1,
+        "_prepare": order + 1, "_unpack": 0, "field_scale": 0, "bigrading_of": 0}
 
 
 def _typed(X):
@@ -345,17 +342,19 @@ def _typed(X):
 
 
 @pytest.mark.parametrize("case", sorted(FILTER_CASES))
-def test_integrated_fields_equal_their_jet_brackets(monkeypatch, case):
+def test_integrated_fields_equal_their_jet_brackets(case):
+    # every element of degree >= 2 is the D-recursion's result for the pair
+    # that created it: the first pair in index order whose entry names it
     equation, degree, order = FILTER_CASES[case]
-    integrations = _recorded_integrations(monkeypatch)
-    closure_for(equation, order, degree)
-    assert integrations
-    for X, Y, connection, got in integrations:
-        want = jf.bracket(X, Y)
-        assert got.valid_order == want.valid_order
-        assert _typed(got) == _typed(want), connection
-    if case == "nonint-10/14":
-        assert any(type(c) is Fraction for _, _, lam, _ in integrations for c in lam.values())
+    res = closure_for(equation, order, degree)
+    raw = {el.index: el.field_raw for el in res.elements}
+    integrated = [el for el in res.elements if el.degree > 1]
+    assert integrated
+    for el in integrated:
+        i, j = next(key for key in sorted(res.brackets) if el.index in dict(res.brackets[key]))
+        want = jf.bracket(raw[i], raw[j])
+        assert el.field_raw.valid_order == want.valid_order
+        assert _typed(el.field_raw) == _typed(want), (el.name, i, j)
 
 
 @pytest.mark.xfail(strict=True, reason="a truncated jet closure undercounts e^u + e^(-3u): "

@@ -76,6 +76,12 @@ def test_parse_rejects_garbage():
         xr.poly_parse("e^(u) * u1")  # exponential part not allowed in plain polynomials
 
 
+@pytest.mark.parametrize("text", ["u1^", "u1*", "e^u + 2e", "e^(u)+", "-", "u1 *  * u2"])
+def test_parse_rejects_a_cut_last_term_or_an_empty_factor(text):
+    with pytest.raises(xr.ParseError):
+        xr.qp_parse(text)
+
+
 def test_canonical_text_shapes():
     q = Q("-1/2 * e^(-2*u) * u1^2*u2 + 3 * u1")
     assert xr.qp_to_text(q) == "3 * u1 - 1/2 * e^(-2*u) * u1^2*u2"

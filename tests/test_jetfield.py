@@ -69,7 +69,6 @@ def test_bracket_sinh_generators_matches_printed_terms():
     assert X3.slot(4) == xr.qp_parse("2*u1^2")
     assert X3.slot(5) == xr.qp_parse("10*u1*u2")
     assert jf.bigrading_of(X3) == jf.Bigrading(2, 0)
-    assert jf.eigencheck_adX0(X3) == 0
 
 
 def test_bracket_antisymmetric_exact():
@@ -88,13 +87,6 @@ def test_bracket_valid_order_floor():
     # at order 2 the single retained slot of [D, D] is computable and zero
     dd = jf.bracket(jf.make_D(2), jf.make_D(2))
     assert dd.valid_order == 1 and dd.is_zero()
-
-
-def test_eigencheck():
-    order = 6
-    assert jf.eigencheck_adX0(jf.make_Xf(EXP_U, order)) == 1
-    assert jf.eigencheck_adX0(jf.make_Xf(xr.qp_parse("e^(-2*u)"), order)) == -2
-    assert jf.eigencheck_adX0(jf.make_Xf(SINH, order)) is None  # mixes e^u and e^-u
 
 
 def test_is_zero_up_to():
@@ -270,28 +262,28 @@ def test_bracket_from_connection():
     # [D, X1] = -e^u X0 and [D, X2] = e^-u X0 give
     # [D, [X1, X2]] = -e^u [X0, X2] + e^-u [X1, X0] = e^u X2 - e^-u X1
     X1, X2, lower = _sinh_pair(8)
-    got = jf.bracket_from_connection(X1, X2, {(1, 2): 1, (-1, 1): -1}, lower)
+    packed = jf.bracket_from_connection({(1, 2): 1, (-1, 1): -1}, lower, 8)
     want = jf.bracket(X1, X2)
+    assert packed == jf.packed_slots(want)  # slots 0..8, the u slot empty
+    got = jf.unpacked_field(packed)
     assert got.valid_order == want.valid_order == 8
     assert (got.u_slot, got.slots) == (want.u_slot, want.slots)
     assert all(type(c) is int for c in _coefficients(got))
     # a rational connection: each coefficient divided once, an int where integral
-    half = jf.bracket_from_connection(X1, X2, {(1, 2): Fraction(1, 2), (-1, 1): Fraction(-1, 2)},
-                                      lower)
+    half = jf.unpacked_field(jf.bracket_from_connection(
+        {(1, 2): Fraction(1, 2), (-1, 1): Fraction(-1, 2)}, lower, 8))
     assert jf.fields_equal(half, jf.field_scale(got, Fraction(1, 2)))
     assert half.slot(2) == {0: {(): 1}} and type(half.slot(2)[0][()]) is int
-    third = jf.bracket_from_connection(X1, X2, {(1, 2): Fraction(1, 3), (-1, 1): Fraction(-1, 3)},
-                                       lower)
+    third = jf.unpacked_field(jf.bracket_from_connection(
+        {(1, 2): Fraction(1, 3), (-1, 1): Fraction(-1, 3)}, lower, 8))
     assert third.slot(2) == {0: {(): Fraction(2, 3)}}
 
 
 def test_bracket_from_connection_preconditions():
-    X1, X2, lower = _sinh_pair(4)
-    with pytest.raises(ValueError):
-        jf.bracket_from_connection(jf.make_X0(4), X2, {}, lower)  # X_0 has a u slot
+    X1, _, lower = _sinh_pair(4)
     short = {1: jf.packed_slots(jf.truncate(X1, 2)), 2: lower[2]}
     with pytest.raises(jf.TruncationError):
-        jf.bracket_from_connection(X1, X2, {(1, 2): 1, (-1, 1): -1}, short)
+        jf.bracket_from_connection({(1, 2): 1, (-1, 1): -1}, short, 4)
 
 
 def test_kernel_exponent_range():
@@ -332,12 +324,28 @@ def test_make_Xf_integral_coefficients():
     ("1/2 * e^(u) - 1/2 * e^(-u)", 12, 8),
     ("e^(u) + e^(-2*u)", 12, 8),
     ("e^(u) + e^(-3*u)", 10, 6),
+    ("e^(u) + e^(-3*u)", 14, 10),  # Fraction connections
 ])
-def test_closure_fields_stay_integral(f, order, degree):
-    # every raw closure field is integral: a Fraction leaking into the bracket
-    # kernel's inputs or outputs fails here
+def test_closure_fields_stay_integral(monkeypatch, f, order, degree):
+    # every raw closure field and every D-recursion result is integral, also
+    # one integrated from a Fraction connection: a Fraction leaking into the
+    # recursion's inputs or outputs fails here
+    calls = []
+    integrate = jf.bracket_from_connection
+
+    def recorded(connection, lower, n):
+        slots = integrate(connection, lower, n)
+        calls.append((connection, slots))
+        return slots
+
+    monkeypatch.setattr(jf, "bracket_from_connection", recorded)
     result = cl.generate(xr.qp_parse(f), order, degree)
     assert len(result.elements) > 2
     for el in result.elements:
         bad = [c for c in _coefficients(el.field_raw) if type(c) is not int]
         assert not bad, (el.name, bad[:3])
+    for connection, slots in calls:
+        bad = [c for q in slots for p in q.values() for c in p.values() if type(c) is not int]
+        assert not bad, (connection, bad[:3])
+    if degree == 10:
+        assert any(type(c) is Fraction for lam, _ in calls for c in lam.values())
