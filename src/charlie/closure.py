@@ -7,11 +7,8 @@ the commutant-side basis.  Every pair of elements whose degrees add up to d
 gets a table entry and a certificate: the order up to which the relation is
 exact on jets.
 
-Independence is decided on jets: a bracket is vectorized (slots 0..N of its
-truncated coefficients) and reduced by exact sparse elimination
-(linalg.LinearSpan); a vector outside the span is a new element.  Most pairs
-need no jet bracket, by the connection filter (ad_D, the classical tool of
-characteristic Lie rings).  With D = sum_k u_{k+1} d/du_k, every element Z
+Most pairs need no field, by the connection filter (ad_D, the classical tool
+of characteristic Lie rings).  With D = sum_k u_{k+1} d/du_k, every element Z
 of bigrading (d, r) satisfies
 
     [D, Z] = sum_i lam_i e^{(r - r_i) u} Z_i
@@ -25,31 +22,42 @@ functions of u, [D, [A, B]] = [[D, A], B] + [A, [D, B]] gives
 
 from table entries one degree lower ([X_0, B] = r_B B).  These vectors go
 into a second LinearSpan, one row per element of degree >= 2.  When the
-connection vector of a pair is sum_i c_i lam^{Z_i}, generate records c as
-the entry and min(N_A, N_B) as the certificate, and skips the bracket.  That
-is exactly what the jets would say: W = [A, B] - sum_i c_i Z_i has [D, W] = 0
-on slots 0..N-1 (the relations above hold there, one slot being spent on D)
-and an empty u slot, and [D, W]_k = D w_k - w_{k+1}, so w_0 = 0 gives W = 0 on
-slots 0..N.  A bracket of two triangular fields keeps min(N_A, N_B) = N
-slots, and the jet vectors of the elements are independent, so the jet
-span would return exactly c.  Any other pair is integrated by the
-D-recursion (jetfield.bracket_from_connection): the same argument builds
-[A, B] slot by slot from lam, z_0 = 0 and z_{k+1} = D z_k - sum_i lam_i
-e^{(r - r_i) u} (Z_i)_k, which equals the jet bracket on slots 0..N, so no
-jet bracket is taken at all.  Its jet vector alone decides whether it is
-new: the filter only skips, so the jet closure's tables, certificates and
-its known undercount on truncated jets come out unchanged.
+connection vector of a pair is sum_i c_i lam^{Z_i}, c is the entry, with
+no field: W = [A, B] - sum_i c_i Z_i has [D, W] = 0 and an empty u slot,
+and [D, W]_k = D w_k - w_{k+1}, so w_0 = 0 gives W = 0 on every slot.  Any
+other pair is integrated by the D-recursion (jetfield.bracket_from_connection):
+the same argument builds [A, B] slot by slot from lam, z_0 = 0 and
+z_{k+1} = D z_k - sum_i lam_i e^{(r - r_i) u} (Z_i)_k, the jet bracket on
+every slot it builds, and its jet vector decides whether it is new: the
+vector of its slots, reduced by exact sparse elimination (linalg.LinearSpan)
+against the elements of its degree.
 
-An element is stored once, as the packed slots of its first-found bracket
-(jetfield.packed_slots): the D-recursion reads and returns that list, the
-jet span and the homogeneity check key on its packed monomials, and nothing
-is unpacked while the closure grows.  Its JetField, field_raw, is built on
-first read.  When a target structure-constant rule is supplied, the table
-is in reference normalization: Z_n = (1/k_{q,l}) [Z_q, Z_l] for the first
-pair q < l, q + l = n with a nonzero target constant k.  The normalized
-field, norm_scale times field_raw, is also built on first read.  That rule
-reproduces the defining recursions of both reference bases, so reported
-tables compare literally.
+The jets decide on a weight window.  Slot j of a degree-d element has
+weight j - d, and the recursion builds slot k + 1 from slot k of the lower
+elements, all of weight k + 1 - d.  So with N = order and w = N - max_degree,
+degree d is decided first on slots 0..d + w (N at the top degree), and X(f)
+is packed through slot 1 + w.  The window is a projection of the order-N
+jet vector, and a projection is linear, so a candidate new on the window is
+new at order N.  A relation the window finds may be one that order N breaks
+(a truncated closure undercounts a non-integrable f); then the degree
+widens: its elements, and recursively the lower ones their slots need, are
+extended to slot N by the recursion, continued from their last stored slot,
+and the degree is decided on slots 0..N from then on.  So every decision,
+table entry and undercount is the order-N jets', and every certificate is
+N: a relation comes from the filter or from the jets at order N, and holds
+on the min(N_A, N_B) = N slots that the jet bracket of two full-order
+fields keeps.
+
+An element is stored as packed slots (jetfield.packed_slots), read and
+extended by the D-recursion; the jet span and the homogeneity guard, which
+checks every slot the closure builds, key on its packed monomials.  Its
+JetField, field_raw, is built on first read at valid order N, its slots
+extended first.  When a target structure-constant rule is supplied, the
+table is in reference normalization: Z_n = (1/k_{q,l}) [Z_q, Z_l] for the
+first pair q < l, q + l = n with a nonzero target constant k.  The
+normalized field, norm_scale times field_raw, is also built on first read.
+That rule reproduces the defining recursions of both reference bases, so
+reported tables compare literally.
 """
 
 from __future__ import annotations
@@ -79,15 +87,36 @@ class MismatchError(ArithmeticError):
 class BasisElement:
     index: int                  # position in the reference basis; name = prefix + index
     name: str
-    slots: list                 # first-found bracket, packed; index 0 = the (empty) u slot
+    slots: list                 # packed slots 0..N built so far; index 0 = the (empty) u slot
     norm_scale: Fraction
     degree: int                 # natural degree (= d of the operator bigrading)
     eigenvalue: int             # ad-X_0 eigenvalue (= r of the operator bigrading)
     canonical: Optional[tuple]  # generator-count bigrading (p, q); None if undefined
     connection: dict            # [D, Z] = sum c e^{s*u} Z_i over {(s, i): c}; Z_0 = X_0
+    lower: dict                 # i -> the element Z_i of the connection
+    order: int                  # the valid order of field_raw
+
+    def extend(self, n: int) -> None:
+        """Store slots 0..n: the D-recursion continues from the last stored
+        slot, after the lower elements are extended through n - 1."""
+        start = len(self.slots)
+        if start > n:
+            return
+        for z in self.lower.values():
+            z.extend(n - 1)
+        self.slots = jf.bracket_from_connection(
+            self.connection, {i: z.slots for i, z in self.lower.items()}, n, self.slots)
+        self.check(start)
+
+    def check(self, start: int = 0) -> None:
+        """The homogeneity guard: slots start.. must have the bigrading (degree, eigenvalue)."""
+        big = jf.packed_bigrading(self.slots, start)
+        if any(self.slots[start:]) and big != Bigrading(self.degree, self.eigenvalue):
+            raise ClosureError(f"inhomogeneous {self.name} from slot {start}: {big}")
 
     @cached_property
     def field_raw(self) -> JetField:
+        self.extend(self.order)
         return jf.unpacked_field(self.slots)
 
     @cached_property
@@ -167,12 +196,12 @@ def generate(
     """Closure of <X_0, X(f)> through natural degree max_degree at truncation order.
 
     Pairs are taken by degree.  A pair whose connection vector lies in the
-    span of the elements' connection vectors gets those coordinates and the
-    certificate min(N_A, N_B) without a field; any other pair's packed slots
-    are integrated by the D-recursion from its connection vector and the
-    stored slots of the degree d - 1 elements, and its jet vector decides
-    whether it is a new element (see the module docstring for why this gives
-    the jet bracket's table).
+    span of the elements' connection vectors gets those coordinates without
+    a field; any other pair's packed slots are integrated by the D-recursion,
+    and its jet vector decides whether it is a new element: on the weight
+    window order - max_degree, or on the full order once the window has
+    found a relation in that degree.  Each certificate is `order` (see the
+    module docstring for why this gives the order-N jet closure's table).
 
     target, when given, maps an index pair (q, l) to the reference structure
     constant used for normalization; a contradiction raises MismatchError.
@@ -181,25 +210,27 @@ def generate(
         raise ClosureError(f"degree {max_degree} must be at least 1")
     if order <= max_degree + 2:
         raise ClosureError(f"order {order} too small for degree {max_degree} (need order > degree+2)")
-    span = LinearSpan()                 # jet vectors; each element is its own tag
+    if order >= jf._EXP_LIMIT:
+        raise ClosureError(f"order {order} too large for the packed jet kernel")
+    window = order - max_degree         # weight through which each degree is decided first
     connections = LinearSpan()          # connection vectors of the elements of degree >= 2
     elements: list[BasisElement] = []   # by index; a degree's elements join after its pairs
     raw_expr: dict = {}                 # (idx_i, idx_j) -> {element: Fraction}
     certs: dict = {}
 
-    degree_one = eigencomponents(f, order)
+    x0 = BasisElement(0, f"{prefix}0", [{0: {0: 1}}], Fraction(1), 0, 0, None, {}, {}, order)
+    degree_one = eigencomponents(f, 1 + window)
     for alpha, slots in degree_one:
         idx = len(elements) + 1
-        assert jf.packed_bigrading(slots) == Bigrading(1, alpha)
         canonical = (1, 0) if idx == 1 else ((0, 1) if idx == 2 else None)
         if len(degree_one) > 2:
             canonical = None
         # [D, X(f)] = -f X_0, and f = sign * e^{alpha u} is slot 1 (packed 1 is 0)
         sign = slots[1][alpha][0]
         el = BasisElement(idx, f"{prefix}{idx}", slots, Fraction(1), 1, alpha, canonical,
-                          {(alpha, 0): -sign})
+                          {(alpha, 0): -sign}, {0: x0}, order)
+        el.check()
         elements.append(el)
-        span.insert(_vectorize(slots), el)
 
     def entry(i: int, j: int):
         """(element, coefficient) pairs of the raw [Z_i, Z_j], Z_0 = X_0.
@@ -217,7 +248,8 @@ def generate(
 
     for d in range(2, max_degree + 1):
         new_here: list[BasisElement] = []
-        lower = {el.index: el.slots for el in elements}
+        span = LinearSpan()             # jet vectors of this degree's elements
+        n = d + window                  # the slots this degree is decided on
         for ei, ej in itertools.combinations(elements, 2):
             if ei.degree + ej.degree != d:
                 continue
@@ -231,21 +263,25 @@ def generate(
             for key, c in terms:
                 lam[key] = lam.get(key, 0) + c
             lam = {key: c for key, c in lam.items() if c}
-            n = min(len(ei.slots), len(ej.slots)) - 1  # the valid order of [A, B]
-            certs[(ei.index, ej.index)] = n
+            certs[(ei.index, ej.index)] = order
             expr = connections.express(lam)
             if expr is None:
-                br = jf.bracket_from_connection(lam, lower, n)
                 canonical = None
                 if ei.canonical is not None and ej.canonical is not None:
                     canonical = (ei.canonical[0] + ej.canonical[0], ei.canonical[1] + ej.canonical[1])
-                el = BasisElement(0, "", br, Fraction(1), d, ei.eigenvalue + ej.eigenvalue,
-                                  canonical, lam)
-                expr = span.insert(_vectorize(br), el)
+                el = BasisElement(0, f"[{ei.name},{ej.name}]", [{}], Fraction(1), d,
+                                  ei.eigenvalue + ej.eigenvalue, canonical, lam,
+                                  {i: elements[i - 1] for _, i in lam}, order)
+                el.extend(n)
+                expr = span.insert(_vectorize(el.slots), el)
+                if expr is not None and n < order:
+                    # the window may see a relation that full order breaks:
+                    # this degree is decided at full order from here on
+                    n, span = order, LinearSpan()
+                    for z in (*new_here, el):
+                        z.extend(order)
+                        expr = span.insert(_vectorize(z.slots), z)
                 if expr is None:
-                    big = jf.packed_bigrading(br)
-                    if big != Bigrading(d, el.eigenvalue):
-                        raise ClosureError(f"inhomogeneous bracket [{ei.name},{ej.name}]: {big}")
                     # a second reduction of lam, but only for a new element:
                     # inserting before the jets decide would leave a row for
                     # every pair that the jets find dependent

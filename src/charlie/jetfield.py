@@ -31,12 +31,12 @@ call it.
 The exact total derivative D acts on packed monomials directly (_total_derivative):
 it moves one unit from u_k to u_{k+1} and adds alpha * u_1 on the e^{alpha u}
 part.  apply_total_derivative and bracket_from_connection both use it.  The
-latter builds a bracket with an empty u slot from its ad_D connection,
-z_{k+1} = D z_k - sum_i c_i e^{s_i u} (Z_i)_k from z_0 = 0, over the packed
-slots of the elements one degree lower, with no gradient and no product of
-slots.  Its result stays packed: a closure keeps every element as the slot
-list packed_slots produces (index 0 = the u slot), reads weights off the
-packed monomials (packed_bigrading), and builds a JetField from the list
+latter builds or continues the slots of a field from its ad_D connection,
+z_{k+1} = D z_k - sum_i c_i e^{s_i u} (Z_i)_k, over the packed slots of the
+elements one degree lower, with no gradient and no product of slots.  Its
+result stays packed: a closure keeps every element as the slot list
+packed_slots produces (index 0 = the u slot), reads weights off the packed
+monomials (packed_bigrading), and builds a JetField from the list
 (unpacked_field) only where one is read.
 """
 
@@ -361,24 +361,25 @@ def unpacked_field(slots: list) -> JetField:
     return make_field(_settled(slots[0]), [_settled(q) for q in slots[1:]], len(slots) - 1)
 
 
-def bracket_from_connection(connection: dict, lower: dict, n: int) -> list:
-    """The packed slots 0..n of a bracket [X, Y] from its ad_D connection.
+def bracket_from_connection(connection: dict, lower: dict, n: int,
+                            slots: Optional[list] = None) -> list:
+    """The packed slots 0..n of a field Z from its ad_D connection.
 
-    connection is {(s, i): c} with [D, [X, Y]] = sum c e^{s u} Z_i, and lower
-    maps each i to the packed slots of Z_i.  X and Y must have empty u slots,
-    as every commutant element of a closure has, so the u slot z_0 of
-    [X, Y] is empty too, and since [D, Z]_k = D z_k - z_{k+1},
+    connection is {(s, i): c} with [D, Z] = sum c e^{s u} Z_i, lower maps
+    each i to the packed slots of Z_i, and slots holds Z's known slots 0..k,
+    by default the empty u slot of a commutant element.  Since
+    [D, Z]_k = D z_k - z_{k+1},
 
-        z_{k+1} = D z_k - sum c e^{s u} (Z_i)_k,   k = 0 .. n-1,
+        z_{k+1} = D z_k - sum c e^{s u} (Z_i)_k
 
-    gives slots 1..n; n = min(N_X, N_Y) is what bracket keeps for triangular
-    fields.  Two fields with an empty u slot and equal [D, .] on slots
-    0..n-1 agree on slots 0..n, so this is the bracket there.  The recursion
-    runs on the connection scaled to ints (its denominators cleared once),
-    and each coefficient is divided back once: an int where integral.
+    continues them through slot n.  Fields with equal u slots and equal
+    [D, .] on slots 0..n-1 agree on slots 0..n, so for Z = [X, Y] this is
+    the jet bracket on the n = min(N_X, N_Y) slots it keeps for triangular
+    X, Y.  The recursion runs on the connection scaled to ints (its
+    denominators cleared once, slot k scaled alike), and each new
+    coefficient is divided back once: an int where integral.
     """
-    if n >= _EXP_LIMIT:
-        raise ValueError(f"order {n} is too large for the packed D-recursion")
+    slots = slots or [{}]
     denom = lcm(*(c.denominator for c in connection.values()))
     terms = []
     for (s, i), c in connection.items():
@@ -386,9 +387,11 @@ def bracket_from_connection(connection: dict, lower: dict, n: int) -> list:
         if len(z_i) < n:
             raise TruncationError(f"element {i} has no slot {n - 1}")
         terms.append((s, z_i, (c * denom).numerator))
-    z: dict = {}
-    slots = [z]
-    for k in range(n):
+    z = slots[-1]
+    if denom != 1:
+        z = {alpha: {m: c * denom for m, c in p.items()} for alpha, p in z.items()}
+    new = []
+    for k in range(len(slots) - 1, n):
         out = _total_derivative(z)
         for s, z_i, c in terms:
             for alpha, p in z_i[k].items():
@@ -403,11 +406,11 @@ def bracket_from_connection(connection: dict, lower: dict, n: int) -> list:
             p = {m: c for m, c in acc.items() if c}
             if p:
                 z[alpha] = p
-        slots.append(z)
+        new.append(z)
     if denom != 1:
-        slots = [{alpha: {m: c // denom if not c % denom else Fraction(c, denom)
-                          for m, c in p.items()} for alpha, p in q.items()} for q in slots]
-    return slots
+        new = [{alpha: {m: c // denom if not c % denom else Fraction(c, denom)
+                        for m, c in p.items()} for alpha, p in q.items()} for q in new]
+    return [*slots, *new]
 
 
 def is_zero_up_to(X: JetField) -> str:
@@ -432,12 +435,12 @@ class Bigrading:
     r: int  # exponential degree: slots are multiples of e^{r*u}
 
 
-def packed_bigrading(slots: list) -> Optional[Bigrading]:
-    """Homogeneity type of packed slots (index 0 = the u slot): a term
+def packed_bigrading(slots: list, start: int = 0) -> Optional[Bigrading]:
+    """Homogeneity type of packed slots start.. (index 0 = the u slot): a term
     e^{r u} m in slot j has weight j - d, the weight of m being sum k e_k."""
     mask = (1 << _BITS) - 1
     types = set()
-    for j, q in enumerate(slots):
+    for j, q in enumerate(slots[start:], start):
         for r, p in q.items():
             for m in p:
                 w, k, rest = 0, 1, m

@@ -169,6 +169,13 @@ def test_non_positive_window_bounds_are_rejected(capsys, argv):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_order_beyond_the_packed_kernel_is_a_usage_error(capsys):
+    # rejected before X(f) is built: building it to this order would not end
+    assert cli.run(["charalg", "--equation", "sinh", "--degree", "4", "--order", "40000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: order 40000 too large") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["charalg", "--equation", "1/0e^u"],
     ["integrals", "--equation", "3/0*e^u", "--weight", "2"],

@@ -29,6 +29,8 @@ def test_liouville_closure_is_two_dimensional():
 def test_generate_precondition():
     with pytest.raises(cl.ClosureError):
         cl.generate(equation_qp(EQUATIONS["sinh"]), 10, 8, "X")
+    with pytest.raises(cl.ClosureError):  # beyond the packed kernel's exponents
+        cl.generate(equation_qp(EQUATIONS["sinh"]), 1 << 15, 4, "X")
     with pytest.raises(cl.ClosureError):
         cl.generate(xr.qp_parse("u1"), 12, 4, "X")
 
@@ -319,20 +321,43 @@ def _counted(monkeypatch, module, name):
 @pytest.mark.parametrize("equation, degree, order, computed", [
     ("sinh", 16, 20, 22),
     ("tzitzeica", 14, 18, 17),
-    (((Fraction(1), 1), (Fraction(1), -3)), 10, 14, 326),
+    (((Fraction(1), 1), (Fraction(1), -3)), 10, 14, 428),
 ], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14"])
 def test_generate_brackets_only_pairs_with_a_new_connection(monkeypatch, equation, degree,
                                                             order, computed):
     # the pairs with a new connection are integrated by the D-recursion, and
     # no jet bracket is taken at all; elements stay packed: X(f) is packed
-    # once for the generators, and no field is unpacked, scaled or graded
+    # once for the generators, through the window, and no field is unpacked,
+    # scaled or graded.  sinh and Tzitzeica call the recursion once per new
+    # connection; nonint's 326 such calls are joined by 102 that extend
+    # elements when its degree 9 widens
     calls = {name: _counted(monkeypatch, jf, name)
              for name in ("bracket", "bracket_from_connection", "packed_slots", "_prepare",
                           "_unpack", "field_scale", "bigrading_of")}
     closure_for(equation, order, degree)
     assert {name: len(c) for name, c in calls.items()} == {
         "bracket": 0, "bracket_from_connection": computed, "packed_slots": 1,
-        "_prepare": order + 1, "_unpack": 0, "field_scale": 0, "bigrading_of": 0}
+        "_prepare": order - degree + 2, "_unpack": 0, "field_scale": 0, "bigrading_of": 0}
+
+
+def _widened(res):
+    """Degrees below the top whose elements were extended to the full order."""
+    return {el.degree for el in res.elements
+            if el.degree < res.max_degree and len(el.slots) == res.order + 1}
+
+
+@pytest.mark.parametrize("equation, degree, order, widened", [
+    ("sinh", 16, 20, set()),
+    ("tzitzeica", 14, 18, set()),
+    (((Fraction(1), 1), (Fraction(1), -3)), 10, 14, {9}),
+], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14"])
+def test_window_widens_only_where_it_cannot_decide(equation, degree, order, widened):
+    # degree d is decided on slots 0..d + order - degree; only a new connection
+    # whose jets the window finds dependent extends its degree to the full order
+    res = closure_for(equation, order, degree)
+    assert _widened(res) == widened
+    if not widened:
+        assert all(len(el.slots) - 1 == el.degree + order - degree for el in res.elements)
 
 
 def _typed(X):
@@ -344,9 +369,13 @@ def _typed(X):
 @pytest.mark.parametrize("case", sorted(FILTER_CASES))
 def test_integrated_fields_equal_their_jet_brackets(case):
     # every element of degree >= 2 is the D-recursion's result for the pair
-    # that created it: the first pair in index order whose entry names it
+    # that created it: the first pair in index order whose entry names it.
+    # Its slots past the window are continued from the stored ones, by the
+    # widening of its degree (nonint-10/14 widens degree 9) or when
+    # field_raw is read
     equation, degree, order = FILTER_CASES[case]
     res = closure_for(equation, order, degree)
+    assert bool(_widened(res)) == (case == "nonint-10/14")
     raw = {el.index: el.field_raw for el in res.elements}
     integrated = [el for el in res.elements if el.degree > 1]
     assert integrated
@@ -441,6 +470,15 @@ PINNED_REPORTS = {
         "3d85c2cb99abc1f5ea9cec83ecef03a71ecf7b58c3547875fd5a095073a8e6f0",
     'charalg --equation "e^u+3" --degree 6 --order 10':
         "f74a5d2ec28701a6582f67714d42a95bdea667e3a3f0cd36aa76bbcb681b9b3f",
+    # long degree windows, where each degree is decided on a short weight window
+    "charalg --equation sinh --degree 24 --order 28":
+        "ce00b9c79a5d01053b697a44ce20a2c21ba7ea309db7d473ee43fa17d641d868",
+    "charalg --equation tzitzeica --degree 24 --order 28":
+        "9993518533c905731d0929ea5a161815252a1b15935035d522eeb977874be9fd",
+    "charalg --equation sinh --degree 32 --order 36":
+        "3e72035876b01ba6370d1dc5f1448021400fa6679ea4295700ca20d3a2673ea0",
+    "growth --equation tzitzeica --degree 20":
+        "c85f415ec45dc8a50834b086e0b1688883c19eb763f7eed3d57f685fc60386cf",
 }
 
 
@@ -449,3 +487,17 @@ PINNED_REPORTS = {
 def test_closure_report_matches_pinned_hash(capsys, command, digest):
     assert cli.run(shlex.split(command)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_long_window_builds_x_f_only_through_the_window(capsys, monkeypatch):
+    # a degree-d element is decided on weight order - degree, so the
+    # generators, and the Bell polynomials of X(f), stop at slot 1 + that
+    asked = []
+    for name in ("make_Xf", "complete_bell"):
+        def recorded(*args, fn=getattr(jf, name)):
+            asked.append(args[-1])  # the order of X(f), the index of a Bell polynomial
+            return fn(*args)
+        monkeypatch.setattr(jf, name, recorded)
+    assert cli.run(shlex.split("charalg --equation sinh --degree 32 --order 36")) == 0
+    capsys.readouterr()
+    assert asked and max(asked) <= 36 - 32 + 1

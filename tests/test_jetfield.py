@@ -279,6 +279,23 @@ def test_bracket_from_connection():
     assert third.slot(2) == {0: {(): Fraction(2, 3)}}
 
 
+def test_bracket_from_connection_continues_known_slots():
+    # continued from its first k slots, the recursion gives the same slots,
+    # type for type: the known last slot is scaled by the cleared denominator
+    _, _, lower = _sinh_pair(8)
+
+    def typed(slots):
+        return [{a: {m: (type(c), c) for m, c in p.items()} for a, p in q.items()} for q in slots]
+
+    for c in (1, Fraction(1, 2), Fraction(1, 3)):
+        connection = {(1, 2): c, (-1, 1): -c}
+        full = jf.bracket_from_connection(connection, lower, 8)
+        for k in (1, 3, 8):
+            known = full[:k]
+            assert typed(jf.bracket_from_connection(connection, lower, 8, known)) == typed(full)
+            assert known == full[:k]
+
+
 def test_bracket_from_connection_preconditions():
     X1, _, lower = _sinh_pair(4)
     short = {1: jf.packed_slots(jf.truncate(X1, 2)), 2: lower[2]}
@@ -333,8 +350,8 @@ def test_closure_fields_stay_integral(monkeypatch, f, order, degree):
     calls = []
     integrate = jf.bracket_from_connection
 
-    def recorded(connection, lower, n):
-        slots = integrate(connection, lower, n)
+    def recorded(connection, lower, n, *known):
+        slots = integrate(connection, lower, n, *known)
         calls.append((connection, slots))
         return slots
 
