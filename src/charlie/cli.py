@@ -264,7 +264,10 @@ def cmd_jacobi(args) -> tuple:
     if name == "m0S":
         if not args.s:
             raise UsageError("jacobi --algebra m0S needs --s like --s 3,5")
-        S = frozenset(int(x) for x in args.s.split(","))
+        try:
+            S = frozenset(int(x) for x in args.s.split(","))
+        except ValueError as e:
+            raise UsageError(f"bad --s: {e}") from e
         alg = cl.presented_m0_S(S)
     else:
         factory = cl.PRESENTED.get(name)

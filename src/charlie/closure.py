@@ -15,8 +15,9 @@ of bigrading (d, r) satisfies
 
 over the elements Z_i of degree d - 1 (X_0 at d = 1).  Each BasisElement
 keeps its connection vector lam, keyed by (r - r_i, i) with i = 0 for X_0:
-+-X(e^{alpha u}) has {(alpha, 0): -+1}, and since Z_i and B annihilate
-functions of u, [D, [A, B]] = [[D, A], B] + [A, [D, B]] gives
++-X(e^{alpha u}) has {(alpha, 0): -+1}, as [D, X(g)] = -g X_0 for g(u); since
+Z_i and B annihilate functions of u, [D, [A, B]] = [[D, A], B] + [A, [D, B]]
+gives
 
     lam^{[A,B]} = sum_i lam^A_i [Z_i, B] + sum_j lam^B_j [A, Z_j]
 
@@ -30,33 +31,34 @@ the same argument builds [A, B] slot by slot from lam, z_0 = 0 and
 z_{k+1} = D z_k - sum_i lam_i e^{(r - r_i) u} (Z_i)_k, the jet bracket on
 every slot it builds, and its jet vector decides whether it is new: the
 vector of its slots, reduced by exact sparse elimination (linalg.LinearSpan)
-against the elements of its degree.
+against the elements of its degree.  The generators come from the same
+recursion over X_0: z_1 = +-e^{alpha u} and z_{k+1} = D z_k.
 
 The jets decide on a weight window.  Slot j of a degree-d element has
 weight j - d, and the recursion builds slot k + 1 from slot k of the lower
 elements, all of weight k + 1 - d.  So with N = order and w = N - max_degree,
-degree d is decided first on slots 0..d + w (N at the top degree), and X(f)
-is packed through slot 1 + w.  The window is a projection of the order-N
-jet vector, and a projection is linear, so a candidate new on the window is
-new at order N.  A relation the window finds may be one that order N breaks
-(a truncated closure undercounts a non-integrable f); then the degree
-widens: its elements, and recursively the lower ones their slots need, are
-extended to slot N by the recursion, continued from their last stored slot,
-and the degree is decided on slots 0..N from then on.  So every decision,
-table entry and undercount is the order-N jets', and every certificate is
-N: a relation comes from the filter or from the jets at order N, and holds
-on the min(N_A, N_B) = N slots that the jet bracket of two full-order
-fields keeps.
+degree d is decided first on slots 0..d + w (N at the top degree), and the
+generators are built through slot 1 + w.  The window is a projection of the
+order-N jet vector, and a projection is linear, so a candidate new on the
+window is new at order N.  A relation the window finds may be one that order
+N breaks (a truncated closure undercounts a non-integrable f); then the
+degree widens: its elements, and recursively the lower ones their slots
+need, are extended to slot N by the recursion, continued from their last
+stored slot, and the degree is decided on slots 0..N from then on.  So every
+decision, table entry and undercount is the order-N jets', and every
+certificate is N: a relation comes from the filter or from the jets at order
+N, and holds on the min(N_A, N_B) = N slots that the jet bracket of two
+full-order fields keeps.
 
-An element is stored as packed slots (jetfield.packed_slots), read and
-extended by the D-recursion; the jet span and the homogeneity guard, which
-checks every slot the closure builds, key on its packed monomials.  Its
-JetField, field_raw, is built on first read at valid order N, its slots
-extended first.  When a target structure-constant rule is supplied, the
-table is in reference normalization: Z_n = (1/k_{q,l}) [Z_q, Z_l] for the
-first pair q < l, q + l = n with a nonzero target constant k.  The
-normalized field, norm_scale times field_raw, is also built on first read.
-That rule reproduces the defining recursions of both reference bases, so
+An element is stored as packed slots, built, read and extended only by the
+D-recursion; the jet span and the homogeneity guard, which checks every slot
+the closure builds, key on its packed monomials.  Its JetField, field_raw,
+is built on first read at valid order N, its slots extended first.  When a
+target structure-constant rule is supplied, the table is in reference
+normalization: Z_n = (1/k_{q,l}) [Z_q, Z_l] for the first pair q < l,
+q + l = n with a nonzero target constant k.  The normalized field,
+norm_scale times field_raw, is also built on first read.  That rule
+reproduces the defining recursions of both reference bases, so
 reported tables compare literally.
 """
 
@@ -170,22 +172,6 @@ def _vectorize(slots: list) -> dict:
             for m, c in p.items()}
 
 
-def eigencomponents(f: xr.Quasi, order: int) -> list[tuple[int, list]]:
-    """(alpha, packed slots) per exponential index of f, alpha descending.
-
-    Each ad-X_0 eigencomponent of X(f) is c_alpha * X(e^{alpha u}); the
-    reference normalization scales it to sign(c_alpha) * X(e^{alpha u}).
-    All of them are split off one packed X(sum_alpha sign(c_alpha) e^{alpha u}),
-    which has int coefficients and builds each Bell polynomial once.
-    """
-    if not xr.qp_is_exponential_only(f) or not f:
-        raise ClosureError("closure needs a nonzero pure exponential sum f(u)")
-    signs = {alpha: {xr.MONO_ONE: 1 if p[xr.MONO_ONE] > 0 else -1} for alpha, p in f.items()}
-    signed = jf.packed_slots(jf.make_Xf(signs, order))
-    return [(alpha, [{alpha: q[alpha]} if alpha in q else {} for q in signed])
-            for alpha in sorted(f, reverse=True)]
-
-
 def generate(
     f: xr.Quasi,
     order: int,
@@ -195,10 +181,11 @@ def generate(
 ) -> ClosureResult:
     """Closure of <X_0, X(f)> through natural degree max_degree at truncation order.
 
-    Pairs are taken by degree.  A pair whose connection vector lies in the
-    span of the elements' connection vectors gets those coordinates without
-    a field; any other pair's packed slots are integrated by the D-recursion,
-    and its jet vector decides whether it is a new element: on the weight
+    The generators +-X(e^{alpha u}), one per exponential of f, and every pair
+    whose connection vector is not in the span of the elements' connection
+    vectors get their packed slots from the D-recursion; the other pairs get
+    those coordinates without a field.  Pairs are taken by degree, and a
+    new pair's jet vector decides whether it is a new element: on the weight
     window order - max_degree, or on the full order once the window has
     found a relation in that degree.  Each certificate is `order` (see the
     module docstring for why this gives the order-N jet closure's table).
@@ -212,6 +199,8 @@ def generate(
         raise ClosureError(f"order {order} too small for degree {max_degree} (need order > degree+2)")
     if order >= jf._EXP_LIMIT:
         raise ClosureError(f"order {order} too large for the packed jet kernel")
+    if not xr.qp_is_exponential_only(f) or not f:
+        raise ClosureError("closure needs a nonzero pure exponential sum f(u)")
     window = order - max_degree         # weight through which each degree is decided first
     connections = LinearSpan()          # connection vectors of the elements of degree >= 2
     elements: list[BasisElement] = []   # by index; a degree's elements join after its pairs
@@ -219,17 +208,15 @@ def generate(
     certs: dict = {}
 
     x0 = BasisElement(0, f"{prefix}0", [{0: {0: 1}}], Fraction(1), 0, 0, None, {}, {}, order)
-    degree_one = eigencomponents(f, 1 + window)
-    for alpha, slots in degree_one:
+    for alpha in sorted(f, reverse=True):
         idx = len(elements) + 1
-        canonical = (1, 0) if idx == 1 else ((0, 1) if idx == 2 else None)
-        if len(degree_one) > 2:
-            canonical = None
-        # [D, X(f)] = -f X_0, and f = sign * e^{alpha u} is slot 1 (packed 1 is 0)
-        sign = slots[1][alpha][0]
-        el = BasisElement(idx, f"{prefix}{idx}", slots, Fraction(1), 1, alpha, canonical,
+        canonical = ((1, 0), (0, 1))[idx - 1] if len(f) <= 2 else None
+        # each ad-X_0 eigencomponent c X(e^{alpha u}) of X(f) is normalized to
+        # sign(c) X(e^{alpha u}), and [D, X(g)] = -g X_0
+        sign = 1 if f[alpha][xr.MONO_ONE] > 0 else -1
+        el = BasisElement(idx, f"{prefix}{idx}", [{}], Fraction(1), 1, alpha, canonical,
                           {(alpha, 0): -sign}, {0: x0}, order)
-        el.check()
+        el.extend(1 + window)
         elements.append(el)
 
     def entry(i: int, j: int):

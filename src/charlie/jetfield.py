@@ -33,7 +33,8 @@ it moves one unit from u_k to u_{k+1} and adds alpha * u_1 on the e^{alpha u}
 part.  apply_total_derivative and bracket_from_connection both use it.  The
 latter builds or continues the slots of a field from its ad_D connection,
 z_{k+1} = D z_k - sum_i c_i e^{s_i u} (Z_i)_k, over the packed slots of the
-elements one degree lower, with no gradient and no product of slots.  Its
+elements one degree lower, with no gradient and no product of slots: the
+one slot builder, for X(f) (make_Xf) as for every closure element.  Its
 result stays packed: a closure keeps every element as the slot list
 packed_slots produces (index 0 = the u slot), reads weights off the packed
 monomials (packed_bigrading), and builds a JetField from the list
@@ -48,7 +49,6 @@ from math import lcm
 from typing import Optional
 
 from . import exactring as xr
-from .bell import complete_bell
 from .exactring import Quasi
 
 
@@ -96,36 +96,20 @@ def make_X0(order: int) -> JetField:
     return make_field({0: {xr.MONO_ONE: 1}}, [{} for _ in range(order)], order)
 
 
-def _exact(c):
-    """c as an int when it is integral, otherwise unchanged."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def make_Xf(f: Quasi, order: int) -> JetField:
     """X(f) = f d/du_1 + D(f) d/du_2 + ... + D^{j-1}(f) d/du_j + ...
 
-    f must be a pure exponential sum (no jet variables); each slot is assembled
-    from D^{j-1}(e^{a*u}) = e^{a*u} B_{j-1}(a*u_1, ...) per exponential part:
-    B_{j-1} is built once per slot, and its monomial of degree g is scaled by
-    c * a^g for each term c e^{a*u}.  For a = 0 only the constant monomial
-    survives, which only B_0 has, so only slot 1 gets a term.  Bell
-    coefficients and the exponents a are integers, so every coefficient is an
-    int where f's coefficient makes it integral.
+    f must be a pure exponential sum (no jet variables).  X(f) has an empty
+    u slot and [D, X(f)] = -f X_0, so its slots come from the D-recursion
+    (bracket_from_connection) on the connection {(a, 0): -c_a} over X_0:
+    z_1 = f and z_{k+1} = D z_k.  A constant term (a = 0) reaches slot 1
+    only.  Every coefficient is an int where it is integral.
     """
     if not xr.qp_is_exponential_only(f):
         raise ValueError("X(f) needs f depending on u only (pure exponential sum)")
-    terms = [(alpha, _exact(p[xr.MONO_ONE])) for alpha, p in f.items()]
-    slots = []
-    for j in range(1, order + 1):
-        bell = [(m, b, xr.mono_degree(m)) for m, b in complete_bell(j - 1).items()]
-        slot: Quasi = {}
-        for alpha, c in terms:
-            scale = [c * alpha ** g for g in range(j)]
-            p = {m: _exact(scale[g] * b) for m, b, g in bell if scale[g]}
-            if p:
-                slot[alpha] = p
-        slots.append(slot)
-    return make_field({}, slots, order)
+    connection = {(alpha, 0): -p[xr.MONO_ONE] for alpha, p in f.items()}
+    return unpacked_field(
+        bracket_from_connection(connection, {0: packed_slots(make_X0(order))}, order))
 
 
 # ---------------------------------------------------------------------------

@@ -172,11 +172,12 @@ def twist_check(m: LaurentMatrix) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _sl3_constant_by_residues(qr: int, lr: int) -> Fraction:
-    com = lm_commutator(sl3_twisted_basis(qr), sl3_twisted_basis(lr))
-    c = proportionality(com, sl3_twisted_basis(qr + lr))
+def _constant_by_residues(algebra: str, qr: int, lr: int) -> Fraction:
+    """c with [b_qr, b_lr] = c b_{qr+lr}, commuting the matrices of the basis."""
+    basis = sl2_basis if algebra == "n1" else sl3_twisted_basis
+    c = proportionality(lm_commutator(basis(qr), basis(lr)), basis(qr + lr))
     if c is None:
-        raise ArithmeticError(f"[f_{qr}, f_{lr}] is not a multiple of f_{qr + lr}")
+        raise ArithmeticError(f"[b_{qr}, b_{lr}] is not a multiple of b_{qr + lr} in {algebra}")
     return c
 
 
@@ -186,7 +187,7 @@ def sl3_bracket_constant(q: int, l: int) -> Fraction:
     The constant depends only on the residues mod 8 (checked over a sweep in
     the tests), so it is memoized by residue.
     """
-    return _sl3_constant_by_residues(q % 8, l % 8)
+    return _constant_by_residues("n2", q % 8, l % 8)
 
 
 # transcribed structure-constant table (data-under-test; rows = first argument
@@ -294,17 +295,15 @@ def canonical_bigrading_recursive(algebra: str, index: int) -> tuple[int, int]:
 def matrix_structure_constant(algebra: str, i: int, j: int) -> Fraction:
     """c with [b_i, b_j] = c b_{i+j}, from the matrices of either basis.
 
-    n2 goes through sl3_bracket_constant, memoized by residue; n1 commutes the
-    sl(2) matrices on every call, the oracle for sl2_bracket_constant.
+    Shifting an index by the period (3 for n1, 8 for n2) multiplies the basis
+    element by a power of t, so the constant depends only on the residues of
+    i and j and is memoized by them (checked over sweeps in the tests).  For
+    n1 it is the oracle for sl2_bracket_constant.
     """
-    if algebra == "n2":
-        return sl3_bracket_constant(i, j)
-    if algebra != "n1":
+    period = {"n1": 3, "n2": 8}.get(algebra)
+    if period is None:
         raise ValueError(f"unknown algebra {algebra!r}")
-    c = proportionality(lm_commutator(sl2_basis(i), sl2_basis(j)), sl2_basis(i + j))
-    if c is None:
-        raise ArithmeticError(f"[{i}, {j}] not proportional to basis element {i + j}")
-    return c
+    return _constant_by_residues(algebra, i % period, j % period)
 
 
 def matrix_table(algebra: str, max_index: int) -> dict[tuple[int, int], Fraction]:

@@ -238,6 +238,9 @@ def test_jacobi_command(capsys):
                                   "--degree", "8"])
     assert code == 0 and rep["payload"]["ok"] is True
     assert cli.run(["jacobi", "--algebra", "nope"]) == 1
+    assert cli.run(["jacobi", "--algebra", "m0S", "--s", "3,x"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: bad --s: invalid literal for int() with base 10: 'x'\n")
 
 
 def test_jacobi_violation_payload(capsys, monkeypatch, bad_algebra):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from charlie import bell
 from charlie import cli
 from charlie import closure as cl
 from charlie import exactring as xr
@@ -33,6 +34,8 @@ def test_generate_precondition():
         cl.generate(equation_qp(EQUATIONS["sinh"]), 1 << 15, 4, "X")
     with pytest.raises(cl.ClosureError):
         cl.generate(xr.qp_parse("u1"), 12, 4, "X")
+    with pytest.raises(cl.ClosureError):
+        cl.generate({}, 12, 4, "X")
 
 
 def test_sinh_basis_names_degrees_eigenvalues(sinh_small):
@@ -319,25 +322,26 @@ def _counted(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("equation, degree, order, computed", [
-    ("sinh", 16, 20, 22),
-    ("tzitzeica", 14, 18, 17),
-    (((Fraction(1), 1), (Fraction(1), -3)), 10, 14, 428),
+    ("sinh", 16, 20, 25),
+    ("tzitzeica", 14, 18, 20),
+    (((Fraction(1), 1), (Fraction(1), -3)), 10, 14, 431),
 ], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14"])
 def test_generate_brackets_only_pairs_with_a_new_connection(monkeypatch, equation, degree,
                                                             order, computed):
-    # the pairs with a new connection are integrated by the D-recursion, and
-    # no jet bracket is taken at all; elements stay packed: X(f) is packed
-    # once for the generators, through the window, and no field is unpacked,
-    # scaled or graded.  sinh and Tzitzeica call the recursion once per new
-    # connection; nonint's 326 such calls are joined by 102 that extend
-    # elements when its degree 9 widens
+    # every field, the generators' included, is integrated by the D-recursion,
+    # and no jet bracket is taken at all; elements stay packed: nothing is
+    # packed from a JetField, no Bell polynomial is built, and no field is
+    # unpacked, scaled or graded.  The recursion runs once for X_0, once per
+    # generator and once per new connection; nonint's 326 such calls are
+    # joined by 102 that extend elements when its degree 9 widens
     calls = {name: _counted(monkeypatch, jf, name)
              for name in ("bracket", "bracket_from_connection", "packed_slots", "_prepare",
-                          "_unpack", "field_scale", "bigrading_of")}
+                          "_unpack", "field_scale", "bigrading_of", "make_Xf")}
+    calls["complete_bell"] = _counted(monkeypatch, bell, "complete_bell")
     closure_for(equation, order, degree)
     assert {name: len(c) for name, c in calls.items()} == {
-        "bracket": 0, "bracket_from_connection": computed, "packed_slots": 1,
-        "_prepare": order - degree + 2, "_unpack": 0, "field_scale": 0, "bigrading_of": 0}
+        "bracket": 0, "bracket_from_connection": computed, "packed_slots": 0, "_prepare": 0,
+        "_unpack": 0, "field_scale": 0, "bigrading_of": 0, "make_Xf": 0, "complete_bell": 0}
 
 
 def _widened(res):
@@ -350,10 +354,12 @@ def _widened(res):
     ("sinh", 16, 20, set()),
     ("tzitzeica", 14, 18, set()),
     (((Fraction(1), 1), (Fraction(1), -3)), 10, 14, {9}),
-], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14"])
+    ("sinh", 32, 36, set()),
+], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14", "sinh-32/36"])
 def test_window_widens_only_where_it_cannot_decide(equation, degree, order, widened):
-    # degree d is decided on slots 0..d + order - degree; only a new connection
-    # whose jets the window finds dependent extends its degree to the full order
+    # degree d is decided on slots 0..d + order - degree, so the generators
+    # stop at slot 1 + order - degree; only a new connection whose jets the
+    # window finds dependent extends its degree to the full order
     res = closure_for(equation, order, degree)
     assert _widened(res) == widened
     if not widened:
@@ -487,17 +493,3 @@ PINNED_REPORTS = {
 def test_closure_report_matches_pinned_hash(capsys, command, digest):
     assert cli.run(shlex.split(command)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
-
-
-def test_long_window_builds_x_f_only_through_the_window(capsys, monkeypatch):
-    # a degree-d element is decided on weight order - degree, so the
-    # generators, and the Bell polynomials of X(f), stop at slot 1 + that
-    asked = []
-    for name in ("make_Xf", "complete_bell"):
-        def recorded(*args, fn=getattr(jf, name)):
-            asked.append(args[-1])  # the order of X(f), the index of a Bell polynomial
-            return fn(*args)
-        monkeypatch.setattr(jf, name, recorded)
-    assert cli.run(shlex.split("charalg --equation sinh --degree 32 --order 36")) == 0
-    capsys.readouterr()
-    assert asked and max(asked) <= 36 - 32 + 1

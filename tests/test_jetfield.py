@@ -33,8 +33,12 @@ def test_make_Xf_slots():
     assert X.slot(3) == xr.qp_parse("e^(u)*u1^2 + e^(u)*u2")
     Xs = jf.make_Xf(SINH, 2)
     assert Xs.slot(2) == xr.qp_parse("1/2 * e^(u) * u1 + 1/2 * e^(-u) * u1")  # cosh(u) u1
+    slot2 = jf.make_Xf(xr.qp_parse("1/2 * e^(2*u)"), 2).slot(2)  # u1 e^(2u), the int 1
+    assert slot2 == {2: {((1, 1),): 1}} and type(slot2[2][((1, 1),)]) is int
     with pytest.raises(ValueError):
         jf.make_Xf(xr.qp_parse("e^(u) * u1"), 3)
+    with pytest.raises(ValueError):
+        jf.make_Xf(EXP_U, 0)
 
 
 def test_bracket_X0_Xf():
@@ -311,30 +315,39 @@ def test_kernel_exponent_range():
         jf.apply_field(jf.make_D(3), [xr.qp_parse("u1^32768")])
 
 
-@pytest.mark.parametrize("f", ["e^(u) + 3", "1/3 * e^(u) - 5/7 * e^(-2*u)", "4/2 * e^(3*u) - 1"])
+@pytest.mark.parametrize("f", ["e^(u) + 3", "1/3 * e^(u) - 5/7 * e^(-2*u)", "4/2 * e^(3*u) - 1",
+                               "0", "1/2 * e^(2*u)"])
 def test_make_Xf_matches_d_power_exp(f):
-    # slot j is sum_a c_a D^{j-1}(e^{a u}), an int wherever it is integral;
-    # the constant term (a = 0) reaches slot 1 only
+    # the D-recursion against the Bell closed form: slot j is
+    # sum_a c_a D^{j-1}(e^{a u}), an int wherever it is integral; the
+    # constant term (a = 0) reaches slot 1 only
     f = xr.qp_parse(f)
-    X = jf.make_Xf(f, 7)
-    for j in range(1, 8):
-        want = {}
-        for alpha, p in f.items():
-            c = p[xr.MONO_ONE]
-            for a, bell in d_power_exp(j - 1, alpha).items():
-                want[a] = {m: (c * b).numerator if (c * b).denominator == 1 else c * b
-                           for m, b in bell.items()}
-        assert X.slot(j) == want, j
-        assert [type(c) for p in X.slot(j).values() for c in p.values()] == \
-            [type(want[a][m]) for a, p in X.slot(j).items() for m in p], j
-    assert all(0 not in X.slot(j) for j in range(2, 8))
+    for order in (1, 7):
+        X = jf.make_Xf(f, order)
+        assert X.valid_order == order and X.u_slot == {}
+        for j in range(1, order + 1):
+            want = {}
+            for alpha, p in f.items():
+                c = p[xr.MONO_ONE]
+                for a, bell in d_power_exp(j - 1, alpha).items():
+                    want[a] = {m: (c * b).numerator if (c * b).denominator == 1 else c * b
+                               for m, b in bell.items()}
+            assert X.slot(j) == want, (order, j)
+            assert [type(c) for p in X.slot(j).values() for c in p.values()] == \
+                [type(want[a][m]) for a, p in X.slot(j).items() for m in p], (order, j)
+        assert all(0 not in X.slot(j) for j in range(2, order + 1))
 
 
 def test_make_Xf_integral_coefficients():
-    assert all(type(c) is int for c in _coefficients(jf.make_Xf(TZITZEICA, 8)))
-    assert all(type(c) is int for c in _coefficients(jf.make_Xf(xr.qp_exp(-3, -1), 8)))
-    # a non-integral f keeps its Fractions
-    assert Fraction(1, 2) in _coefficients(jf.make_Xf(SINH, 3))
+    # a non-integral f keeps its Fractions; those of 1/2 e^(2u) stay in slot 1
+    for f, order, fractions in [
+        (TZITZEICA, 8, set()),
+        (xr.qp_exp(-3, -1), 8, set()),
+        (SINH, 3, {Fraction(1, 2), Fraction(-1, 2)}),
+        (xr.qp_parse("1/2 * e^(2*u)"), 6, {Fraction(1, 2)}),
+    ]:
+        X = jf.make_Xf(f, order)
+        assert {c for c in _coefficients(X) if type(c) is not int} == fractions, f
 
 
 @pytest.mark.parametrize("f, order, degree", [

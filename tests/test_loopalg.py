@@ -17,6 +17,7 @@ def test_sl2_matrix_oracle_full_sweep():
             com = la.lm_commutator(la.sl2_basis(i), la.sl2_basis(j))
             c = la.proportionality(com, la.sl2_basis(i + j))
             assert c == la.sl2_bracket_constant(i, j), (i, j)
+            assert la.matrix_structure_constant("n1", i, j) == c, (i, j)
 
 
 def test_sl3_examples():
