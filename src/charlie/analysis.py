@@ -120,7 +120,7 @@ class ExpSystem2D:
     fields: tuple                 # (X_1, X_2) over the interleaved u_{_dvar(a, k)}
 
 
-def build_exp_system(A, order: int = 6) -> ExpSystem2D:
+def build_exp_system(A, order: int) -> ExpSystem2D:
     """Fields X_a = sum_k B_{k-1}(rho_a^1, ..., rho_a^{k-1}) d/du^a_k with
     rho_a^i = a_{a1} u^1_i + a_{a2} u^2_i, as JetFields of valid order
     2*order over u^a_k = u_{_dvar(a, k)}."""
@@ -141,7 +141,7 @@ def build_exp_system(A, order: int = 6) -> ExpSystem2D:
         for k in range(1, order + 1):
             slots[_dvar(a, k) - 1] = xr.qp_from_poly(
                 xr.poly_substitute(complete_bell(k - 1), rho_images))
-        fields.append(jf.make_field({}, slots, 2 * order))
+        fields.append(jf.make_field({}, slots))
     return ExpSystem2D(M, tuple(fields))
 
 
@@ -251,7 +251,7 @@ def closure_for(equation, order: int, degree: int) -> cl.ClosureResult:
     return cl.generate(equation_qp(terms), order, degree, prefix, target)
 
 
-def verify_isomorphism(equation: str, degree: int = 8, order: int = 12) -> IsoReport:
+def verify_isomorphism(equation: str, degree: int, order: int) -> IsoReport:
     """Generate the closure, map basis element n to matrix basis element n, and
     demand the two structure tables agree exactly on the whole degree window;
     every jet-side zero-by-truncation must be exactly zero on the matrix side."""

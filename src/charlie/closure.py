@@ -53,7 +53,7 @@ full-order fields keeps.
 An element is stored as packed slots, built, read and extended only by the
 D-recursion; the jet span and the homogeneity guard, which checks every slot
 the closure builds, key on its packed monomials.  Its JetField, field_raw,
-is built on first read at valid order N, its slots extended first.  When a
+wraps those same slots, extended to valid order N on first read.  When a
 target structure-constant rule is supplied, the table is in reference
 normalization: Z_n = (1/k_{q,l}) [Z_q, Z_l] for the first pair q < l,
 q + l = n with a nonzero target constant k.  The normalized field,
@@ -110,7 +110,7 @@ class BasisElement:
             self.connection, {i: z.slots for i, z in self.lower.items()}, n, self.slots)
         self.check(start)
 
-    def check(self, start: int = 0) -> None:
+    def check(self, start: int) -> None:
         """The homogeneity guard: slots start.. must have the bigrading (degree, eigenvalue)."""
         big = jf.packed_bigrading(self.slots, start)
         if any(self.slots[start:]) and big != Bigrading(self.degree, self.eigenvalue):
@@ -119,7 +119,7 @@ class BasisElement:
     @cached_property
     def field_raw(self) -> JetField:
         self.extend(self.order)
-        return jf.unpacked_field(self.slots)
+        return JetField(tuple(self.slots))
 
     @cached_property
     def field(self) -> JetField:
@@ -340,7 +340,7 @@ def _abstract_bracket(result: ClosureResult, v: dict, w: dict) -> dict:
     return out
 
 
-def _word_span_dims(result: ClosureResult, generators: list, n_max: int) -> dict:
+def _word_span_dims(result: ClosureResult, generators: list) -> dict:
     span = LinearSpan()
     frontier = []
     gen_vecs = []
@@ -350,7 +350,7 @@ def _word_span_dims(result: ClosureResult, generators: list, n_max: int) -> dict
         if span.insert(dict(vec), ("g", g)) is None:
             frontier.append(vec)
     dims = {1: len(span)}
-    for n in range(2, n_max + 1):
+    for n in range(2, result.max_degree + 1):
         new_frontier = []
         for g in gen_vecs:
             for w in frontier:
@@ -362,23 +362,22 @@ def _word_span_dims(result: ClosureResult, generators: list, n_max: int) -> dict
     return dims
 
 
-def commutant_growth_offset(result: ClosureResult, n_max: Optional[int] = None) -> int:
+def commutant_growth_offset(result: ClosureResult) -> int:
     """Verify F_chi(n) - F_commutant(n) is one constant over the window; return it.
 
     Both growth functions are recomputed from scratch as word spans over the
     structure table (products of generators of length <= n), independently of
     the degree bookkeeping.
     """
-    n_max = n_max or result.max_degree
     gens = [el.index for el in result.elements if el.degree == 1]
-    full = _word_span_dims(result, [0] + gens, n_max)
-    comm = _word_span_dims(result, gens, n_max)
+    full = _word_span_dims(result, [0] + gens)
+    comm = _word_span_dims(result, gens)
     offsets = {n: full[n] - comm[n] for n in full}
     values = set(offsets.values())
     if values != {1}:
         raise MismatchError(f"growth offset not the constant 1: {offsets}")
     # the word-span commutant growth must agree with the graded count
-    for n in range(1, n_max + 1):
+    for n in comm:
         if comm[n] != growth_function(result, n):
             raise MismatchError(
                 f"word-span F({n}) = {comm[n]} != graded count {growth_function(result, n)}")

@@ -1,11 +1,12 @@
 """Truncated first-order differential operators on the jet space of u_xy = f(u).
 
-A JetField stores the coefficient of d/du (the "u slot") plus coefficients of
-d/du_1 ... d/du_N as quasipolynomials.  Slots are kept only where they are
-provably exact, i.e. equal to the corresponding coefficient of the untruncated
-operator; bracketing tracks exactness slot by slot, which is what makes every
-equality claim in this package a statement about retained slots rather than an
-approximation.
+A JetField stores the coefficients of d/du (the "u slot", index 0) and
+d/du_1 ... d/du_N as quasipolynomials with packed monomials, one int per
+monomial (see _BITS); a closure stores its elements as the same slot lists.
+Slots are kept only where they are provably exact, i.e. equal to the
+corresponding coefficient of the untruncated operator; bracketing tracks
+exactness slot by slot, which is what makes every equality claim in this
+package a statement about retained slots rather than an approximation.
 
 Coefficients are plain Python numbers, and the kernel below never converts
 them.  X_0, D and X(f) for an integral f -- every eigencomponent
@@ -14,31 +15,25 @@ fields stay int.  A Fraction enters only with an input that has one: a
 non-integral f such as the 1/2 of sinh, or a field scaled by a rational in
 normalization; it then propagates by ordinary int/Fraction arithmetic.
 
-The kernel takes the gradient {k: dq/du_k} of a coefficient in one pass over
-its monomials (_prepare) and sums slot_k * dq/du_k over k into one
-accumulator per result slot (_accumulate).  The gradient is restricted to the
-partner's support: only the k where the field that multiplies it has a
-nonempty slot (k = 0 for the u slot), since a derivative along an empty slot
-would never be multiplied.  A triangular element of degree d has empty slots
-1..d-1, so most of the full gradient is of that kind.  Inside the kernel a
-monomial is packed into one int, so a monomial product is an integer
-addition; results are unpacked into the usual Quasi dicts.  apply_field and
-bracket go through these helpers.  apply_field is the one way a field acts on
-a value: in analysis, the x-integral search, annihilates, the symmetry check
-and the 2D exponential system (two JetFields over interleaved variables) all
-call it.
+Quasi dicts of tuple monomials exist only at the value boundary: make_field
+and slot(j), and the values apply_field and apply_total_derivative take and
+return.  The kernel takes the gradient {k: dq/du_k} of a coefficient in one
+pass over its monomials (_gradient), which checks every exponent since a
+bracket result is never re-packed, and sums slot_k * dq/du_k over k into
+one accumulator per result slot (_accumulate).  The gradient is restricted
+to the partner's support: only the k where the field that multiplies it has
+a nonempty slot (k = 0 for the u slot); a triangular element of degree d
+has empty slots 1..d-1, so most of the full gradient is of that kind.
+apply_field is the one way a field acts on a value: the x-integral search,
+annihilates, the symmetry check and the 2D exponential system call it.
 
-The exact total derivative D acts on packed monomials directly (_total_derivative):
-it moves one unit from u_k to u_{k+1} and adds alpha * u_1 on the e^{alpha u}
-part.  apply_total_derivative and bracket_from_connection both use it.  The
-latter builds or continues the slots of a field from its ad_D connection,
+The exact total derivative D acts on packed monomials directly
+(_total_derivative): it moves one unit from u_k to u_{k+1} and adds
+alpha * u_1 on the e^{alpha u} part.  bracket_from_connection uses it to
+build or continue a field's slots from its ad_D connection,
 z_{k+1} = D z_k - sum_i c_i e^{s_i u} (Z_i)_k, over the packed slots of the
 elements one degree lower, with no gradient and no product of slots: the
-one slot builder, for X(f) (make_Xf) as for every closure element.  Its
-result stays packed: a closure keeps every element as the slot list
-packed_slots produces (index 0 = the u slot), reads weights off the packed
-monomials (packed_bigrading), and builds a JetField from the list
-(unpacked_field) only where one is read.
+one slot builder, for X(f) (make_Xf) as for every closure element.
 """
 
 from __future__ import annotations
@@ -51,6 +46,13 @@ from typing import Optional
 from . import exactring as xr
 from .exactring import Quasi
 
+# A packed monomial prod u_k^e_k is one int, sum e_k << _BITS*(k-1): a
+# monomial product is an integer addition and d/du_k lowers by one unit.
+# Operand exponents stay below _EXP_LIMIT, so the sum of two never carries
+# into the next variable's field.
+_BITS = 16
+_EXP_LIMIT = 1 << (_BITS - 1)
+
 
 class TruncationError(ValueError):
     """An operation needed slots beyond the stored valid order."""
@@ -58,42 +60,49 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class JetField:
-    u_slot: Quasi
-    slots: tuple  # slots[j-1] = coefficient of d/du_j, j = 1..valid_order
-    valid_order: int
+    coeffs: tuple  # coeffs[j] = packed coefficient of d/du_j, j = 0..valid_order (0 = d/du)
+
+    @property
+    def valid_order(self) -> int:
+        return len(self.coeffs) - 1
+
+    # the packed u slot and slots 1..N, which bench/tracer.py reads
+    u_slot = property(lambda self: self.coeffs[0])
+    slots = property(lambda self: self.coeffs[1:])
 
     def slot(self, j: int) -> Quasi:
-        if not 1 <= j <= self.valid_order:
+        """Coefficient j (0 = the u slot), unpacked for its reader."""
+        if not 0 <= j <= self.valid_order:
             raise TruncationError(f"slot {j} outside valid order {self.valid_order}")
-        return self.slots[j - 1]
+        return _unpacked(self.coeffs[j])
 
     def is_zero(self) -> bool:
-        return xr.qp_is_zero(self.u_slot) and all(xr.qp_is_zero(s) for s in self.slots)
+        return not any(self.coeffs)
 
 
-def make_field(u_slot: Quasi, slots: list, valid_order: int) -> JetField:
-    if valid_order < 1:
-        raise ValueError(f"valid order must be >= 1, got {valid_order}")
-    if len(slots) != valid_order:
-        raise ValueError(f"expected {valid_order} slots, got {len(slots)}")
-    return JetField(u_slot, tuple(slots), valid_order)
+def make_field(u_slot: Quasi, slots: list) -> JetField:
+    """u_slot d/du + sum_j slots[j-1] d/du_j, of valid order len(slots)."""
+    if not slots:
+        raise ValueError("valid order must be >= 1, got 0")
+    return JetField(tuple(_packed(q) for q in (u_slot, *slots)))
 
 
 def zero_field(order: int) -> JetField:
-    return make_field({}, [{} for _ in range(order)], order)
+    return make_field({}, [{} for _ in range(order)])
 
 
 def make_D(order: int) -> JetField:
     """D = u_1 d/du + u_2 d/du_1 + u_3 d/du_2 + ...; operator bigrading (-1, 0)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    slots = [{0: {xr.mono_var(k + 1): 1}} for k in range(1, order + 1)]
-    return make_field({0: {xr.mono_var(1): 1}}, slots, order)
+    return JetField(tuple({0: {1 << (_BITS * j): 1}} for j in range(order + 1)))
 
 
 def make_X0(order: int) -> JetField:
     """X_0 = d/du."""
-    return make_field({0: {xr.MONO_ONE: 1}}, [{} for _ in range(order)], order)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    return JetField(({0: {0: 1}}, *({} for _ in range(order))))
 
 
 def make_Xf(f: Quasi, order: int) -> JetField:
@@ -108,25 +117,25 @@ def make_Xf(f: Quasi, order: int) -> JetField:
     if not xr.qp_is_exponential_only(f):
         raise ValueError("X(f) needs f depending on u only (pure exponential sum)")
     connection = {(alpha, 0): -p[xr.MONO_ONE] for alpha, p in f.items()}
-    return unpacked_field(
-        bracket_from_connection(connection, {0: packed_slots(make_X0(order))}, order))
+    return JetField(tuple(
+        bracket_from_connection(connection, {0: make_X0(order).coeffs}, order)))
 
 
 # ---------------------------------------------------------------------------
 # the kernel: packed monomials, one-pass gradients, fused multiply-accumulate
 # ---------------------------------------------------------------------------
 
-# Inside the kernel a monomial prod u_k^e_k is one int, sum e_k << _BITS*(k-1):
-# a monomial product is an integer addition and d/du_k lowers by one unit.
-# Operand exponents stay below _EXP_LIMIT, so the sum of two never carries
-# into the next variable's field.
-_BITS = 16
-_EXP_LIMIT = 1 << (_BITS - 1)
+def _packed(q: Quasi) -> dict:
+    """q with packed monomials, the way in at the value boundary."""
+    for k, e in (pair for p in q.values() for m in p for pair in m):
+        if e >= _EXP_LIMIT:
+            raise ValueError(f"exponent {e} of u{k} is too large for the bracket kernel")
+    return {alpha: {sum(e << (_BITS * (k - 1)) for k, e in m): c for m, c in p.items()}
+            for alpha, p in q.items()}
 
 
-def _prepare(q: Quasi, along) -> tuple:
-    """(q with packed monomials, gradient of q along `along`, top index of q),
-    in one pass over q's monomials.
+def _gradient(q: dict, along) -> tuple:
+    """(gradient along `along`, top index) of a packed q, in one pass over it.
 
     The gradient maps k in `along` to dq/du_k (packed) where q depends on u_k,
     and 0, when in `along`, to dq/du.  `along` is the partner's support (see
@@ -134,44 +143,46 @@ def _prepare(q: Quasi, along) -> tuple:
     For a fixed k, distinct monomials have distinct derivatives, so no terms
     collide and no zero is ever stored.  The top index is the largest k with
     u_k in q (0 if none): truncation checks need it whatever `along` holds.
+    An exponent of _EXP_LIMIT or more, which a chain of brackets can build,
+    raises ValueError before a product could carry it into the next field.
     """
-    packed_q: dict = {}
     grad: dict = {}
     top = 0
+    mask = (1 << _BITS) - 1
     for alpha, p in q.items():
-        packed_p = packed_q[alpha] = {}
         parts: dict = {}
         for m, c in p.items():
-            packed = 0
-            for k, e in m:
-                if e >= _EXP_LIMIT:
-                    raise ValueError(f"exponent {e} of u{k} is too large for the bracket kernel")
-                packed += e << (_BITS * (k - 1))
-                if k > top:
-                    top = k
-            packed_p[packed] = c
-            for k, e in m:
-                if k not in along:
-                    continue
-                lowered = packed - (1 << (_BITS * (k - 1)))
-                part = parts.get(k)
-                if part is None:
-                    parts[k] = {lowered: c * e}
-                else:
-                    part[lowered] = c * e
+            rest, k, unit = m, 1, 1
+            while rest:
+                e = rest & mask
+                if e:
+                    if e >= _EXP_LIMIT:
+                        raise ValueError(
+                            f"exponent {e} of u{k} is too large for the bracket kernel")
+                    if k in along:
+                        part = parts.get(k)
+                        if part is None:
+                            parts[k] = {m - unit: c * e}
+                        else:
+                            part[m - unit] = c * e
+                rest >>= _BITS
+                k += 1
+                unit <<= _BITS
+            if k - 1 > top:
+                top = k - 1
         if alpha and 0 in along:
-            parts[0] = {m: alpha * c for m, c in packed_p.items()}
+            parts[0] = {m: alpha * c for m, c in p.items()}
         for k, part in parts.items():
             grad.setdefault(k, {})[alpha] = part
-    return packed_q, grad, top
+    return grad, top
 
 
 def _support(X: JetField) -> set:
     """Indices of X's nonempty slots, 0 for the u slot."""
-    return {k for k, q in enumerate((X.u_slot, *X.slots)) if q}
+    return {k for k, q in enumerate(X.coeffs) if q}
 
 
-def _accumulate(out: dict, coeffs: list, grad: dict, sign: int) -> None:
+def _accumulate(out: dict, coeffs: tuple, grad: dict, sign: int) -> None:
     """out += sign * sum_k coeffs[k] * grad[k], all packed.
 
     coeffs[k] is a field's packed slot k (0 = the u slot); grad holds only
@@ -207,11 +218,16 @@ def _unpack(packed: int) -> xr.Mono:
     return tuple(pairs)
 
 
-def _settled(out: dict) -> Quasi:
-    """Canonical Quasi from an accumulator: zero terms and empty parts dropped."""
-    q: Quasi = {}
+def _unpacked(q: dict) -> Quasi:
+    """The Quasi of a packed coefficient, the way out at the value boundary."""
+    return {alpha: {_unpack(m): c for m, c in p.items()} for alpha, p in q.items()}
+
+
+def _settled(out: dict) -> dict:
+    """A packed coefficient from an accumulator: zero terms and empty parts dropped."""
+    q: dict = {}
     for alpha, acc in out.items():
-        p = {_unpack(m): c for m, c in acc.items() if c}
+        p = {m: c for m, c in acc.items() if c}
         if p:
             q[alpha] = p
     return q
@@ -220,21 +236,22 @@ def _settled(out: dict) -> Quasi:
 def apply_field(X: JetField, gs: list) -> list:
     """[X(g) for g in gs], X(g) = u_slot * dg/du + sum_k slot_k * dg/du_k, exact.
 
-    X's slots are packed once for the whole list.  Raises TruncationError
-    when a g depends on a jet variable beyond X's valid order (the
-    contribution of the unknown slot would be missing).
+    Each g is packed on the way in and its image unpacked on the way out.
+    Raises TruncationError when a g depends on a jet variable beyond X's
+    valid order (the contribution of the unknown slot would be missing).
     """
-    coeffs = [_prepare(q, ())[0] for q in (X.u_slot, *X.slots)]
+    for q in X.coeffs:
+        _gradient(q, ())  # the exponent guard on X's own coefficients
     support = _support(X)
     images = []
     for g in gs:
-        _, grad, top = _prepare(g, support)
+        grad, top = _gradient(_packed(g), support)
         if top > X.valid_order:
             raise TruncationError(
                 f"applying a field of valid order {X.valid_order} to a value using u_{top}")
         out: dict = {}
-        _accumulate(out, coeffs, grad, 1)
-        images.append(_settled(out))
+        _accumulate(out, X.coeffs, grad, 1)
+        images.append(_unpacked(_settled(out)))
     return images
 
 
@@ -268,7 +285,7 @@ def _total_derivative(q: dict) -> dict:
 
 def apply_total_derivative(g: Quasi) -> Quasi:
     """D(g), exact for any quasipolynomial (no truncation: D(u_k) = u_{k+1})."""
-    return _settled(_total_derivative(_prepare(g, ())[0]))
+    return _unpacked(_settled(_total_derivative(_packed(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -276,32 +293,24 @@ def apply_total_derivative(g: Quasi) -> Quasi:
 # ---------------------------------------------------------------------------
 
 def field_add(X: JetField, Y: JetField) -> JetField:
-    n = min(X.valid_order, Y.valid_order)
-    return make_field(
-        xr.qp_add(X.u_slot, Y.u_slot),
-        [xr.qp_add(X.slots[j], Y.slots[j]) for j in range(n)],
-        n,
-    )
+    return JetField(tuple(xr.qp_add(a, b) for a, b in zip(X.coeffs, Y.coeffs)))
 
 
 def field_scale(X: JetField, c) -> JetField:
-    return make_field(
-        xr.qp_scale(X.u_slot, c),
-        [xr.qp_scale(s, c) for s in X.slots],
-        X.valid_order,
-    )
+    return JetField(tuple(xr.qp_scale(q, c) for q in X.coeffs))
 
 
 def truncate(X: JetField, order: int) -> JetField:
+    if order < 1:
+        raise ValueError(f"valid order must be >= 1, got {order}")
     if order > X.valid_order:
         raise TruncationError(f"cannot extend valid order {X.valid_order} to {order}")
-    return make_field(X.u_slot, list(X.slots[:order]), order)
+    return JetField(X.coeffs[:order + 1])
 
 
 def fields_equal(X: JetField, Y: JetField) -> bool:
     """Equality on the common valid range (and u slots)."""
-    n = min(X.valid_order, Y.valid_order)
-    return X.u_slot == Y.u_slot and all(X.slots[j] == Y.slots[j] for j in range(n))
+    return all(a == b for a, b in zip(X.coeffs, Y.coeffs))
 
 
 def bracket(X: JetField, Y: JetField) -> JetField:
@@ -313,36 +322,23 @@ def bracket(X: JetField, Y: JetField) -> JetField:
     min(N_X, N_Y) slots; one bracket with D costs exactly one slot.
     """
     sx, sy = _support(X), _support(Y)
-    px = [_prepare(q, sy) for q in (X.u_slot, *X.slots)]
-    py = [_prepare(q, sx) for q in (Y.u_slot, *Y.slots)]
-    cx, cy = [packed for packed, _, _ in px], [packed for packed, _, _ in py]
-    out_slots = []  # index 0 is the u slot
+    gx = [_gradient(q, sy) for q in X.coeffs]
+    gy = [_gradient(q, sx) for q in Y.coeffs]
+    out_coeffs = []  # index 0 is the u slot
     for j in range(min(X.valid_order, Y.valid_order) + 1):
-        _, gx, tx = px[j]
-        _, gy, ty = py[j]
+        grad_x, tx = gx[j]
+        grad_y, ty = gy[j]
         if ty > X.valid_order or tx > Y.valid_order:
             if j == 0:
                 raise TruncationError("u slots exceed the operands' valid orders")
             break
         out: dict = {}
-        _accumulate(out, cx, gy, 1)
-        _accumulate(out, cy, gx, -1)
-        out_slots.append(_settled(out))
-    if len(out_slots) < 2:
+        _accumulate(out, X.coeffs, grad_y, 1)
+        _accumulate(out, Y.coeffs, grad_x, -1)
+        out_coeffs.append(_settled(out))
+    if len(out_coeffs) < 2:
         raise TruncationError("bracket result would have valid order < 1")
-    return make_field(out_slots[0], out_slots[1:], len(out_slots) - 1)
-
-
-def packed_slots(X: JetField) -> list:
-    """X's coefficients with packed monomials, index 0 = the u slot: the
-    representation a closure stores its elements in and
-    bracket_from_connection reads and returns (see unpacked_field)."""
-    return [_prepare(q, ())[0] for q in (X.u_slot, *X.slots)]
-
-
-def unpacked_field(slots: list) -> JetField:
-    """The JetField of packed slots without zero terms (index 0 = the u slot)."""
-    return make_field(_settled(slots[0]), [_settled(q) for q in slots[1:]], len(slots) - 1)
+    return JetField(tuple(out_coeffs))
 
 
 def bracket_from_connection(connection: dict, lower: dict, n: int,
@@ -385,11 +381,7 @@ def bracket_from_connection(connection: dict, lower: dict, n: int,
                 for m, v in p.items():
                     t = acc.get(m)
                     acc[m] = -c * v if t is None else t - c * v
-        z = {}
-        for alpha, acc in out.items():
-            p = {m: c for m, c in acc.items() if c}
-            if p:
-                z[alpha] = p
+        z = _settled(out)
         new.append(z)
     if denom != 1:
         new = [{alpha: {m: c // denom if not c % denom else Fraction(c, denom)
@@ -401,12 +393,8 @@ def is_zero_up_to(X: JetField) -> str:
     """Truncation-level zero certificate: ZERO_UP_TO(valid order), or
     NONZERO(slot j) for the first nonzero slot (0 = the u slot).  Full
     certification is the matrix oracle's job."""
-    if X.u_slot:
-        return "NONZERO(slot 0)"
-    for j in range(1, X.valid_order + 1):
-        if X.slots[j - 1]:
-            return f"NONZERO(slot {j})"
-    return f"ZERO_UP_TO({X.valid_order})"
+    j = next((j for j, q in enumerate(X.coeffs) if q), None)
+    return f"ZERO_UP_TO({X.valid_order})" if j is None else f"NONZERO(slot {j})"
 
 
 # ---------------------------------------------------------------------------
@@ -438,4 +426,4 @@ def packed_bigrading(slots: list, start: int = 0) -> Optional[Bigrading]:
 
 def bigrading_of(X: JetField) -> Optional[Bigrading]:
     """Homogeneity type: slot j = e^{r*u} * (weight j-d), u slot e^{r*u} * (weight -d)."""
-    return packed_bigrading(packed_slots(X))
+    return packed_bigrading(X.coeffs)

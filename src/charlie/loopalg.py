@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-Entry = tuple  # (row, col, t-power)
-
 
 @dataclass(frozen=True)
 class LaurentMatrix:

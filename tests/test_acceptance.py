@@ -79,7 +79,7 @@ def test_criterion_03_D_bracket_is_minus_f_X0():
     for name in ("liouville", "sinh", "tzitzeica"):
         f = an.equation_qp(an.EQUATIONS[name])
         br = jf.bracket(D, jf.make_Xf(f, order))
-        assert br.u_slot == xr.qp_neg(f), name
+        assert br.slot(0) == xr.qp_neg(f), name
         assert all(not br.slot(j) for j in range(1, br.valid_order + 1)), name
         assert br.valid_order == order - 1
 

@@ -185,6 +185,18 @@ def test_verify_isomorphism_tzitzeica():
     assert not rep.mismatches
 
 
+def test_jet_serre_check_brackets_packed_fields(monkeypatch):
+    # the A2(2) relations ad^2 and ad^5 take 7 jet brackets, on the packed
+    # coefficients the closure stores: nothing is packed or unpacked
+    from charlie import jetfield as jf
+    calls = {}
+    for name in ("bracket", "_packed", "_unpack"):
+        fn, calls[name] = getattr(jf, name), []
+        monkeypatch.setattr(jf, name, lambda *args, fn=fn, c=calls[name]: c.append(None) or fn(*args))
+    assert an.verify_isomorphism("tzitzeica", 14, 18).status == "verified"
+    assert {name: len(c) for name, c in calls.items()} == {"bracket": 7, "_packed": 0, "_unpack": 0}
+
+
 def test_verify_isomorphism_detects_mismatch(monkeypatch):
     from charlie import loopalg as la
     orig = la.matrix_structure_constant

@@ -38,3 +38,13 @@ def test_serre_check_binds_the_tracer_call():
     params = inspect.signature(loopalg.serre_check).parameters
     assert list(params) == ["algebra", "realization", "generators"]
     inspect.signature(loopalg.serre_check).bind("A1_1", "matrix", None)
+
+
+def test_tracer_counts_bracket_monomials():
+    # jetfield.bracket.out_monomials is read through the result's u_slot and
+    # slots; [D, X(e^u)] = -e^u X_0 has one monomial
+    from charlie import exactring as xr
+    from charlie import jetfield as jf
+
+    result = jf.bracket(jf.make_D(4), jf.make_Xf(xr.qp_parse("e^(u)"), 4))
+    assert _tracer()._field_monomials(result) == 1

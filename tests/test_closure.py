@@ -16,7 +16,7 @@ from charlie.analysis import EQUATIONS, closure_for, equation_qp
 def qp_times_field(g, X):
     """The operator g*X (coefficient-wise multiplication by a quasipolynomial)."""
     return jf.make_field(
-        xr.qp_mul(g, X.u_slot), [xr.qp_mul(g, s) for s in X.slots], X.valid_order)
+        xr.qp_mul(g, X.slot(0)), [xr.qp_mul(g, X.slot(j)) for j in range(1, X.valid_order + 1)])
 
 
 def test_liouville_closure_is_two_dimensional():
@@ -330,17 +330,17 @@ def test_generate_brackets_only_pairs_with_a_new_connection(monkeypatch, equatio
                                                             order, computed):
     # every field, the generators' included, is integrated by the D-recursion,
     # and no jet bracket is taken at all; elements stay packed: nothing is
-    # packed from a JetField, no Bell polynomial is built, and no field is
-    # unpacked, scaled or graded.  The recursion runs once for X_0, once per
+    # packed or unpacked, no gradient or Bell polynomial is built, and no
+    # field is scaled or graded.  The recursion runs once for X_0, once per
     # generator and once per new connection; nonint's 326 such calls are
     # joined by 102 that extend elements when its degree 9 widens
     calls = {name: _counted(monkeypatch, jf, name)
-             for name in ("bracket", "bracket_from_connection", "packed_slots", "_prepare",
+             for name in ("bracket", "bracket_from_connection", "_packed", "_gradient",
                           "_unpack", "field_scale", "bigrading_of", "make_Xf")}
     calls["complete_bell"] = _counted(monkeypatch, bell, "complete_bell")
     closure_for(equation, order, degree)
     assert {name: len(c) for name, c in calls.items()} == {
-        "bracket": 0, "bracket_from_connection": computed, "packed_slots": 0, "_prepare": 0,
+        "bracket": 0, "bracket_from_connection": computed, "_packed": 0, "_gradient": 0,
         "_unpack": 0, "field_scale": 0, "bigrading_of": 0, "make_Xf": 0, "complete_bell": 0}
 
 
@@ -369,7 +369,7 @@ def test_window_widens_only_where_it_cannot_decide(equation, degree, order, wide
 def _typed(X):
     """X's slots with every coefficient as (type, value): int 2 != Fraction(2)."""
     return [{a: {m: (type(c), c) for m, c in p.items()} for a, p in q.items()}
-            for q in (X.u_slot, *X.slots)]
+            for q in X.coeffs]
 
 
 @pytest.mark.parametrize("case", sorted(FILTER_CASES))

@@ -15,7 +15,7 @@ EXP_U = xr.qp_parse("e^(u)")
 
 def test_make_D_slots():
     D = jf.make_D(6)
-    assert D.u_slot == xr.qp_parse("u1")
+    assert D.slot(0) == xr.qp_parse("u1")
     assert D.slot(3) == xr.qp_parse("u4")
     assert jf.bigrading_of(D) == jf.Bigrading(-1, 0)
 
@@ -58,7 +58,7 @@ def test_bracket_D_Xf_is_minus_f_X0():
     for f in (EXP_U, SINH, TZITZEICA):
         br = jf.bracket(D, jf.make_Xf(f, order))
         assert br.valid_order == order - 1  # one bracket with D costs one slot
-        assert br.u_slot == xr.qp_neg(f)
+        assert br.slot(0) == xr.qp_neg(f)
         assert all(not br.slot(j) for j in range(1, br.valid_order + 1))
 
 
@@ -97,6 +97,9 @@ def test_is_zero_up_to():
     order = 6
     assert jf.is_zero_up_to(jf.zero_field(order)) == "ZERO_UP_TO(6)"
     assert jf.is_zero_up_to(jf.make_Xf(EXP_U, order)) == "NONZERO(slot 1)"
+    assert jf.is_zero_up_to(jf.make_X0(order)) == "NONZERO(slot 0)"
+    slot3 = jf.make_field({}, [{}, {}, xr.qp_parse("u1"), {}, {}, {}])
+    assert jf.is_zero_up_to(slot3) == "NONZERO(slot 3)"
 
 
 def test_truncate_and_equality():
@@ -118,8 +121,8 @@ def test_truncation_beyond_an_empty_partner_slot():
     # the kernel differentiates only along the partner's nonempty slots, so
     # it builds no d/du_3 here; a value using u_3 still needs the partner's
     # slot 3, which lies beyond its valid order 2 and is unknown
-    partner = jf.make_field({}, [xr.qp_parse("1"), {}], 2)   # d/du_1, valid order 2
-    value = jf.make_field({}, [xr.qp_parse("u3"), {}, {}, {}], 4)
+    partner = jf.make_field({}, [xr.qp_parse("1"), {}])   # d/du_1, valid order 2
+    value = jf.make_field({}, [xr.qp_parse("u3"), {}, {}, {}])
     with pytest.raises(jf.TruncationError):
         jf.apply_field(partner, [xr.qp_parse("u3")])
     with pytest.raises(jf.TruncationError):
@@ -156,7 +159,7 @@ def bihomogeneous_fields(draw):
         p = {m: c for m, c in terms.items() if c}
         return {r: p} if p else {}
 
-    return jf.make_field(part(-d), [part(j - d) for j in range(1, order + 1)], order)
+    return jf.make_field(part(-d), [part(j - d) for j in range(1, order + 1)])
 
 
 fields = bihomogeneous_fields() | st.integers(min_value=1, max_value=6).flatmap(
@@ -167,29 +170,29 @@ def _apply_by_definition(X, g):
     top = xr.qp_max_index(g)
     if top > X.valid_order:
         raise jf.TruncationError("needs a slot beyond the valid order")
-    out = xr.qp_mul(X.u_slot, xr.qp_derive_u(g))
+    out = xr.qp_mul(X.slot(0), xr.qp_derive_u(g))
     for k in range(1, top + 1):
-        out = xr.qp_add(out, xr.qp_mul(X.slots[k - 1], xr.qp_derive_uk(g, k)))
+        out = xr.qp_add(out, xr.qp_mul(X.slot(k), xr.qp_derive_uk(g, k)))
     return out
 
 
 def _bracket_by_definition(X, Y):
     """(u slot, slots) of [X, Y]: slot j = X(Q_j^Y) - Y(Q_j^X), term by term."""
-    if xr.qp_max_index(X.u_slot) > Y.valid_order or xr.qp_max_index(Y.u_slot) > X.valid_order:
-        raise jf.TruncationError("u slots exceed the operands' valid orders")
-    u_slot = xr.qp_sub(_apply_by_definition(X, Y.u_slot), _apply_by_definition(Y, X.u_slot))
-    slots = []
-    for qx, qy in zip(X.slots, Y.slots):
+    slots = []  # index 0 is the u slot
+    for j in range(min(X.valid_order, Y.valid_order) + 1):
+        qx, qy = X.slot(j), Y.slot(j)
         if xr.qp_max_index(qy) > X.valid_order or xr.qp_max_index(qx) > Y.valid_order:
+            if j == 0:
+                raise jf.TruncationError("u slots exceed the operands' valid orders")
             break
         slots.append(xr.qp_sub(_apply_by_definition(X, qy), _apply_by_definition(Y, qx)))
-    if not slots:
+    if len(slots) < 2:
         raise jf.TruncationError("bracket result would have valid order < 1")
-    return u_slot, slots
+    return slots[0], slots[1:]
 
 
 def _coefficients(X):
-    return [c for q in (X.u_slot, *X.slots) for p in q.values() for c in p.values()]
+    return [c for q in X.coeffs for p in q.values() for c in p.values()]
 
 
 def _closure_element(degree):
@@ -213,7 +216,7 @@ def test_bracket_matches_definition(X, Y):
             jf.bracket(X, Y)
         return
     got = jf.bracket(X, Y)
-    assert (got.u_slot, list(got.slots)) == want
+    assert (got.slot(0), [got.slot(j) for j in range(1, got.valid_order + 1)]) == want
     assert got.valid_order == len(want[1])
     if all(type(c) is int for c in _coefficients(X) + _coefficients(Y)):
         assert all(type(c) is int for c in _coefficients(got))
@@ -259,7 +262,7 @@ def test_packed_total_derivative_matches_apply_field(g):
 def _sinh_pair(order):
     X1 = jf.make_Xf(EXP_U, order)
     X2 = jf.make_Xf(xr.qp_exp(-1, -1), order)
-    return X1, X2, {1: jf.packed_slots(X1), 2: jf.packed_slots(X2)}
+    return X1, X2, {1: list(X1.coeffs), 2: list(X2.coeffs)}
 
 
 def test_bracket_from_connection():
@@ -268,18 +271,17 @@ def test_bracket_from_connection():
     X1, X2, lower = _sinh_pair(8)
     packed = jf.bracket_from_connection({(1, 2): 1, (-1, 1): -1}, lower, 8)
     want = jf.bracket(X1, X2)
-    assert packed == jf.packed_slots(want)  # slots 0..8, the u slot empty
-    got = jf.unpacked_field(packed)
+    assert packed == list(want.coeffs)  # slots 0..8, the u slot empty
+    got = jf.JetField(tuple(packed))
     assert got.valid_order == want.valid_order == 8
-    assert (got.u_slot, got.slots) == (want.u_slot, want.slots)
     assert all(type(c) is int for c in _coefficients(got))
     # a rational connection: each coefficient divided once, an int where integral
-    half = jf.unpacked_field(jf.bracket_from_connection(
-        {(1, 2): Fraction(1, 2), (-1, 1): Fraction(-1, 2)}, lower, 8))
+    half = jf.JetField(tuple(jf.bracket_from_connection(
+        {(1, 2): Fraction(1, 2), (-1, 1): Fraction(-1, 2)}, lower, 8)))
     assert jf.fields_equal(half, jf.field_scale(got, Fraction(1, 2)))
     assert half.slot(2) == {0: {(): 1}} and type(half.slot(2)[0][()]) is int
-    third = jf.unpacked_field(jf.bracket_from_connection(
-        {(1, 2): Fraction(1, 3), (-1, 1): Fraction(-1, 3)}, lower, 8))
+    third = jf.JetField(tuple(jf.bracket_from_connection(
+        {(1, 2): Fraction(1, 3), (-1, 1): Fraction(-1, 3)}, lower, 8)))
     assert third.slot(2) == {0: {(): Fraction(2, 3)}}
 
 
@@ -302,7 +304,7 @@ def test_bracket_from_connection_continues_known_slots():
 
 def test_bracket_from_connection_preconditions():
     X1, _, lower = _sinh_pair(4)
-    short = {1: jf.packed_slots(jf.truncate(X1, 2)), 2: lower[2]}
+    short = {1: list(jf.truncate(X1, 2).coeffs), 2: lower[2]}
     with pytest.raises(jf.TruncationError):
         jf.bracket_from_connection({(1, 2): 1, (-1, 1): -1}, short, 4)
 
@@ -313,6 +315,14 @@ def test_kernel_exponent_range():
         xr.qp_parse("32767 * u1^32766 * u2 * u3 + u1^32767 * u4")
     with pytest.raises(ValueError):
         jf.apply_field(jf.make_D(3), [xr.qp_parse("u1^32768")])
+    # a bracket result is not re-packed: [A, B] = 32767 u1^65533 d/du_2 fits
+    # its field, and the next product would carry, so as an operand it raises
+    A = jf.make_field({}, [xr.qp_parse("u1^32767"), {}])
+    B = jf.make_field({}, [{}, xr.qp_parse("u1^32767")])
+    with pytest.raises(ValueError):
+        jf.bracket(A, jf.bracket(A, B))
+    with pytest.raises(ValueError):
+        jf.apply_field(jf.bracket(A, B), [xr.qp_parse("u2")])
 
 
 @pytest.mark.parametrize("f", ["e^(u) + 3", "1/3 * e^(u) - 5/7 * e^(-2*u)", "4/2 * e^(3*u) - 1",
@@ -324,7 +334,7 @@ def test_make_Xf_matches_d_power_exp(f):
     f = xr.qp_parse(f)
     for order in (1, 7):
         X = jf.make_Xf(f, order)
-        assert X.valid_order == order and X.u_slot == {}
+        assert X.valid_order == order and X.slot(0) == {}
         for j in range(1, order + 1):
             want = {}
             for alpha, p in f.items():
