@@ -161,6 +161,10 @@ def test_expected_gradings_reference_rows():
     assert row == {"natural": 5, "canonical": (3, 2), "pair": (5, 1)}
     row = an.expected_gradings("sinh", 0)
     assert row == {"natural": 0, "canonical": (0, 0), "pair": (0, 0)}
+    for i in range(400):
+        assert an.expected_gradings("sinh", i)["pair"][1] == (0, 1, -1)[i % 3], i
+        assert an.expected_gradings("tzitzeica", i)["pair"][1] == \
+            (0, 1, -2, -1, 0, 1, 2, -1)[i % 8], i
 
 
 def test_grading_rows_match(sinh_small, tz_small):

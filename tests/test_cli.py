@@ -31,6 +31,8 @@ def test_parse_equation_juxtaposed_coefficient():
     assert spec.alias is None
     spec = cli.parse_equation("1/2 e^u - 1/2 e^(-u)")
     assert spec.alias == "sinh"
+    spec = cli.parse_equation("-1/2 e^(-u) + 1/2 e^u")
+    assert spec.alias == "sinh"
 
 
 def test_parse_equation_rejects_sin():

@@ -493,3 +493,31 @@ PINNED_REPORTS = {
 def test_closure_report_matches_pinned_hash(capsys, command, digest):
     assert cli.run(shlex.split(command)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+# (exit code, sha256) of reports that read an equation or a loop algebra
+# through its stored data and that no golden reaches: the sl(2) table with its
+# gradings, both isomorphisms with their Serre relations (tzitzeica spelled
+# with its terms out of order), the presented n2^3 degrees, and a constant term
+# in f, which f' drops (the symmetry check fails, exit 2)
+PINNED_DATA_REPORTS = {
+    "loops --algebra sl2 --max 60":
+        (0, "21e69d43802287e896369cdf930753998c10cf91e46792308866e87e2841f648"),
+    "verify-iso --equation sinh --degree 16 --order 20":
+        (0, "1df0730529345e9f69c90ba5a5ae2b45a28265a496d918c484cdd3e826348533"),
+    'verify-iso --equation "e^(-2u) + e^u" --degree 8 --order 12':
+        (0, "eafdc4108cc30f3cf347ccc340325571565dfb737a12631460b880939f90f331"),
+    "growth --algebra n2^3 --degree 40":
+        (0, "9d35f6d0d0f4c19ac0c2c9d008d1d0d21c1a106646d12c064d340844f7f05a36"),
+    'integrals --equation "e^u + 3" --weight 4':
+        (0, "31a908ad8f2571ce11e6f097d0b6efe7b59aef8ca6eb978160ea7469ca06df7f"),
+    'symmetry --equation "e^u + 3" --phi u2':
+        (2, "91a5f9dd7cb28518de918d418556b427ab82a6ae23738a94a8a425d3b2a5a01e"),
+}
+
+
+@pytest.mark.parametrize("command, pinned", sorted(PINNED_DATA_REPORTS.items()),
+                         ids=sorted(PINNED_DATA_REPORTS))
+def test_data_report_matches_pinned_hash(capsys, command, pinned):
+    code = cli.run(shlex.split(command))
+    assert (code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()) == pinned

@@ -123,8 +123,14 @@ def test_real_form_relations_all_indices_up_to_9():
 
 
 def test_natural_degrees_and_dims():
-    assert [la.n1_natural_degree(i) for i in range(9)] == [0, 1, 1, 2, 3, 3, 4, 5, 5]
-    assert [la.n2_natural_degree(n) for n in range(9)] == [0, 1, 1, 2, 3, 4, 5, 5, 6]
+    for i in range(400):
+        k1, s1 = divmod(i, 3)
+        k2, s2 = divmod(i, 8)
+        assert la.n1_natural_degree(i) == 2 * k1 + (0, 1, 1)[s1], i
+        assert la.n2_natural_degree(i) == 6 * k2 + (0, 1, 1, 2, 3, 4, 5, 5)[s2], i
+    # growth rates: period / natural degree of the period's basis element
+    assert (Fraction(3, la.n1_natural_degree(3)), Fraction(8, la.n2_natural_degree(8))) == \
+        (Fraction(3, 2), Fraction(4, 3))
     dims1 = [len(la.natural_grading_basis("n1", d)) for d in range(1, 13)]
     dims2 = [len(la.natural_grading_basis("n2", d)) for d in range(1, 13)]
     assert dims1 == [2, 1] * 6
