@@ -16,14 +16,15 @@ from . import loopalg as la
 from .bell import complete_bell
 from .linalg import nullspace
 
-# canonical right-hand sides f(u), as exponential sums
+# canonical right-hand sides f(u), as quasipolynomials
 EQUATIONS = {
-    "liouville": ((Fraction(1), 1),),
-    "sinh": ((Fraction(1, 2), 1), (Fraction(-1, 2), -1)),
-    "tzitzeica": ((Fraction(1), 1), (Fraction(1), -2)),
+    "liouville": xr.qp_parse("e^(u)"),
+    "sinh": xr.qp_parse("1/2 * e^(u) - 1/2 * e^(-u)"),
+    "tzitzeica": xr.qp_parse("e^(u) + e^(-2*u)"),
 }
 
-# target algebra and reference basis-name prefix per equation
+# loop algebra (a key of loopalg.ALGEBRAS), reference basis-name prefix and
+# normalizing structure constants per equation
 TARGETS = {
     "liouville": (None, "X", None),
     "sinh": ("n1", "X", la.sl2_bracket_constant),
@@ -31,19 +32,8 @@ TARGETS = {
 }
 
 
-def equation_qp(terms) -> xr.Quasi:
-    out: xr.Quasi = {}
-    for c, alpha in terms:
-        out = xr.qp_add(out, xr.qp_exp(alpha, c))
-    return out
-
-
-def identify_equation(terms) -> Optional[str]:
-    canon = tuple(sorted(((Fraction(c), a) for c, a in terms), key=lambda t: -t[1]))
-    for name, ref in EQUATIONS.items():
-        if canon == ref:
-            return name
-    return None
+def identify_equation(f: xr.Quasi) -> Optional[str]:
+    return next((name for name, g in EQUATIONS.items() if g == f), None)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +47,7 @@ def integral_candidates(weight_bound: int) -> list:
                   key=xr.mono_key)
 
 
-def find_x_integrals(f_terms, weight_bound: int) -> list:
+def find_x_integrals(f: xr.Quasi, weight_bound: int) -> list:
     """Basis of nonconstant x-integrals of weight <= bound: the exact nullspace
     of w -> X(f)w on u-free polynomials, each exponential component of X(f)w
     vanishing separately.  Constants are excluded by construction.  A
@@ -67,7 +57,7 @@ def find_x_integrals(f_terms, weight_bound: int) -> list:
     if weight_bound < 1:
         return []
     candidates = integral_candidates(weight_bound)
-    Xf = jf.make_Xf(equation_qp(f_terms), weight_bound)
+    Xf = jf.make_Xf(f, weight_bound)
     rows: dict = {}  # (alpha, out-monomial) -> {candidate: coeff}
     for m, img in zip(candidates, jf.apply_field(Xf, [{0: {m: 1}} for m in candidates])):
         for alpha, p in img.items():
@@ -77,13 +67,13 @@ def find_x_integrals(f_terms, weight_bound: int) -> list:
     return [dict(v) for v in basis]
 
 
-def annihilates(f_terms, ws: list, order: int) -> list:
+def annihilates(f: xr.Quasi, ws: list, order: int) -> list:
     """Exact check X(f) w = 0 at the given truncation order, one bool per w.
     It runs the same apply_field as find_x_integrals, so re-verifying a found
     integral checks the nullspace solution, not a second kernel.  Slots past
     the ws' top index are never read, so X(f) is built only up to it."""
     top = max((xr.poly_max_index(w) for w in ws), default=0)
-    Xf = jf.make_Xf(equation_qp(f_terms), max(1, min(order, top)))
+    Xf = jf.make_Xf(f, max(1, min(order, top)))
     return [xr.qp_is_zero(q) for q in jf.apply_field(Xf, [xr.qp_from_poly(w) for w in ws])]
 
 
@@ -91,17 +81,16 @@ def annihilates(f_terms, ws: list, order: int) -> list:
 # defining equation of higher symmetries:  D X(f) phi = f'(u) phi
 # ---------------------------------------------------------------------------
 
-def check_defining_equation(f_terms, phi: xr.Poly, order: Optional[int] = None):
+def check_defining_equation(f: xr.Quasi, phi: xr.Poly, order: Optional[int] = None):
     """(holds, residual) with residual = D X(f) phi - f'(u) phi, exact.
     X(f) is read only through phi's top index, whatever the order."""
     top = xr.poly_max_index(phi)
     order = order or top + 2
     if order < top + 2:
         raise ValueError(f"order {order} too small for phi with top index {top}")
-    Xf = jf.make_Xf(equation_qp(f_terms), max(1, top))
+    Xf = jf.make_Xf(f, max(1, top))
     lhs = jf.apply_total_derivative(jf.apply_field(Xf, [xr.qp_from_poly(phi)])[0])
-    fprime = equation_qp([(c * a, a) for c, a in f_terms])
-    residual = xr.qp_sub(lhs, xr.qp_mul(fprime, xr.qp_from_poly(phi)))
+    residual = xr.qp_sub(lhs, xr.qp_mul(xr.qp_derive_u(f), xr.qp_from_poly(phi)))
     return xr.qp_is_zero(residual), residual
 
 
@@ -186,39 +175,26 @@ INTRO_MATRICES = (
 
 def expected_gradings(equation: str, index: int) -> dict:
     """Reference grading-table row for basis element `index` (0 = toral):
-    natural degree, canonical bigrading, (natural, eigenvalue) pair."""
-    if equation == "sinh":
-        natural = la.n1_natural_degree(index) if index else 0
-        canonical = la.canonical_bigrading("n1", index)
-        ev = (0, 1, -1)[index % 3]
-    elif equation == "tzitzeica":
-        natural = la.n2_natural_degree(index) if index else 0
-        canonical = la.canonical_bigrading("n2", index)
-        ev = (0, 1, -2, -1, 0, 1, 2, -1)[index % 8]
-    else:
-        raise ValueError(f"no reference gradings for {equation!r}")
-    return {"natural": natural, "canonical": canonical, "pair": (natural, ev)}
+    natural degree, canonical bigrading, (natural, eigenvalue) pair, with the
+    eigenvalue c of [b_0, b_index] = c b_index from the matrices."""
+    algebra = TARGETS[equation][0]
+    canonical = la.canonical_bigrading(algebra, index)
+    natural = sum(canonical)
+    return {"natural": natural, "canonical": canonical,
+            "pair": (natural, la.matrix_structure_constant(algebra, 0, index))}
 
 
 def grading_rows(result: cl.ClosureResult, equation: str) -> list:
     """Computed vs reference grading columns; empty diff means Table match."""
     rows = []
-    toral = {"name": result.toral_name, "natural": 0, "canonical": (0, 0), "pair": (0, 0)}
-    exp0 = expected_gradings(equation, 0)
-    toral["match"] = (0, (0, 0), (0, 0)) == (exp0["natural"], exp0["canonical"], exp0["pair"])
-    rows.append(toral)
-    for el in result.elements:
-        exp = expected_gradings(equation, el.index)
-        computed = {
-            "name": el.name,
-            "natural": el.degree,
-            "canonical": el.canonical,
-            "pair": (el.degree, el.eigenvalue),
-        }
-        computed["match"] = (computed["natural"] == exp["natural"]
-                             and computed["canonical"] == exp["canonical"]
-                             and computed["pair"] == exp["pair"])
-        rows.append(computed)
+    computed = [(result.toral_name, 0, 0, (0, 0), 0)]
+    computed += [(el.name, el.index, el.degree, el.canonical, el.eigenvalue)
+                 for el in result.elements]
+    for name, index, degree, canonical, eigenvalue in computed:
+        row = {"name": name, "natural": degree, "canonical": canonical,
+               "pair": (degree, eigenvalue)}
+        row["match"] = all(row[k] == v for k, v in expected_gradings(equation, index).items())
+        rows.append(row)
     return rows
 
 
@@ -242,13 +218,13 @@ class IsoReport:
     closure: cl.ClosureResult = field(repr=False, default=None)
 
 
-def closure_for(equation, order: int, degree: int) -> cl.ClosureResult:
+def closure_for(f, order: int, degree: int) -> cl.ClosureResult:
     """The closure of f(u) through `degree`, the one route from an equation to
-    cl.generate.  `equation` is a name in EQUATIONS or parsed (c, alpha) terms;
-    a known equation gets its reference prefix and target normalization."""
-    terms = EQUATIONS[equation] if isinstance(equation, str) else equation
-    _, prefix, target = TARGETS.get(identify_equation(terms), (None, "Z", None))
-    return cl.generate(equation_qp(terms), order, degree, prefix, target)
+    cl.generate.  `f` is f(u) or a name in EQUATIONS; a known equation gets
+    its reference prefix and target normalization."""
+    f = EQUATIONS[f] if isinstance(f, str) else f
+    _, prefix, target = TARGETS.get(identify_equation(f), (None, "Z", None))
+    return cl.generate(f, order, degree, prefix, target)
 
 
 def verify_isomorphism(equation: str, degree: int, order: int) -> IsoReport:
@@ -297,9 +273,7 @@ def _coeff_text(result: cl.ClosureResult, coeffs) -> str:
 def serre_relations(equation: str, result: cl.ClosureResult):
     """Defining ad-power relations on both sides of the isomorphism: the jet
     side certifies up to the truncation order, the matrix side is exact."""
-    algebra = {"sinh": "A1_1", "tzitzeica": "A2_2"}.get(equation)
-    if algebra is None:
-        raise ValueError(f"no Serre relations registered for {equation!r}")
+    algebra = TARGETS[equation][0]
     generators = (result.elements[0].field, result.elements[1].field)
     jet = la.serre_check(algebra, "jet", generators)
     matrix = la.serre_check(algebra, "matrix")

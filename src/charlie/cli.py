@@ -12,9 +12,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import analysis as an
 from . import closure as cl
@@ -29,21 +27,16 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EquationSpec:
-    terms: tuple          # ((Fraction, alpha), ...) by alpha descending
-    alias: Optional[str]  # canonical name when the sum matches a known equation
-
-
-def parse_equation(text: str) -> EquationSpec:
-    """Exponential sums `[c] e^(k u)` joined by +/-, or a named equation."""
+def parse_equation(text: str) -> xr.Quasi:
+    """f(u) from exponential sums `[c] e^(k u)` joined by +/-, or from a
+    named equation; its terms are ordered by exponent descending."""
     key = text.strip().lower()
     if key == "sin":
         raise UsageError(
             "equation 'sin' is rejected: over the reals chi(sin u) is a different real form "
             "with non-rational structure constants; use 'sinh'")
     if key in an.EQUATIONS:
-        return EquationSpec(an.EQUATIONS[key], key)
+        return an.EQUATIONS[key]
     # the term grammar is `[c] e^(k u)`: allow the coefficient to sit next to
     # the exponential without an explicit '*'
     normalized = re.sub(r"(\d)\s*e\^", r"\1*e^", text)
@@ -55,12 +48,7 @@ def parse_equation(text: str) -> EquationSpec:
         raise UsageError("equation right-hand side must be a nonzero exponential sum")
     if not xr.qp_is_exponential_only(q):
         raise UsageError("equation right-hand side must not contain jet variables u1, u2, ...")
-    terms = tuple(sorted(((p[xr.MONO_ONE], a) for a, p in q.items()), key=lambda t: -t[1]))
-    return EquationSpec(terms, an.identify_equation(terms))
-
-
-def equation_text(terms) -> str:
-    return xr.qp_to_text(an.equation_qp(terms))
+    return dict(sorted(q.items(), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +95,10 @@ def cmd_bell(args) -> tuple:
 
 
 def cmd_charalg(args) -> tuple:
-    spec = parse_equation(args.equation)
-    result = an.closure_for(spec.terms, args.order, args.degree)
+    f = parse_equation(args.equation)
+    result = an.closure_for(f, args.order, args.degree)
     payload = {
-        "equation": equation_text(spec.terms),
+        "equation": xr.qp_to_text(f),
         "order": args.order,
         "degree": args.degree,
         "dimension_with_toral": len(result.elements) + 1,
@@ -120,48 +108,50 @@ def cmd_charalg(args) -> tuple:
 
 
 def cmd_loops(args) -> tuple:
-    algebra = {"sl2": "n1", "sl3t": "n2"}.get(args.algebra)
+    # the loop algebra of each --algebra name, and what lists the cells where
+    # its transcribed table disagrees with the matrices
+    algebra, typos = {"sl2": ("n1", None), "sl3t": ("n2", la.twisted_table_diff)}.get(
+        args.algebra, (None, None))
     if algebra is None:
         raise UsageError(f"unknown algebra {args.algebra!r} (choose sl2 or sl3t)")
     if args.max < 1:
         raise UsageError(f"--max {args.max} must be at least 1")
-    prefix = "e" if algebra == "n1" else "f"
+    prefix = la.ALGEBRAS[algebra].prefix
     table = la.matrix_table(algebra, args.max)
     payload = {
         "algebra": args.algebra,
         "max_index": args.max,
-        "basis": [{"name": f"{prefix}{i}", "natural": (la.n1_natural_degree(i) if algebra == "n1"
-                                                       else la.n2_natural_degree(i)),
+        "basis": [{"name": f"{prefix}{i}", "natural": la.natural_degree(algebra, i),
                    "canonical": list(la.canonical_bigrading(algebra, i))}
                   for i in range(0, args.max + 1)],
         "brackets": [{"i": f"{prefix}{i}", "j": f"{prefix}{j}",
                       "out": ([[f"{prefix}{i + j}", xr.frac_text(c)]] if c else [])}
                      for (i, j), c in sorted(table.items())],
     }
-    if algebra == "n2":
+    if typos:
         payload["transcribed_table_suspected_typos"] = [
             {"row_residue": q, "col_residue": l, "transcribed": printed,
              "matrix": xr.frac_text(computed)}
-            for q, l, printed, computed in la.twisted_table_diff()
+            for q, l, printed, computed in typos()
         ]
     return "verified", payload, {"arithmetic": "exact"}
 
 
 def cmd_integrals(args) -> tuple:
-    spec = parse_equation(args.equation)
+    f = parse_equation(args.equation)
     if args.weight < 1:
         raise UsageError(f"--weight {args.weight} must be at least 1")
     order = args.order or args.weight + 1
     if order < args.weight + 1:
         raise UsageError(f"order {order} too small for weight bound {args.weight}")
-    basis = an.find_x_integrals(spec.terms, args.weight)
+    basis = an.find_x_integrals(f, args.weight)
     # re-verify each reported integral at a higher order
     reverify_order = order + 4
-    for w, ok in zip(basis, an.annihilates(spec.terms, basis, reverify_order)):
+    for w, ok in zip(basis, an.annihilates(f, basis, reverify_order)):
         if not ok:
             return "mismatch", {"error": f"reported integral fails re-verification: {xr.poly_to_text(w)}"}, {}
     payload = {
-        "equation": equation_text(spec.terms),
+        "equation": xr.qp_to_text(f),
         "weight_bound": args.weight,
         "dimension": len(basis),
         "basis": [xr.poly_to_text(w) for w in basis],
@@ -170,14 +160,14 @@ def cmd_integrals(args) -> tuple:
 
 
 def cmd_symmetry(args) -> tuple:
-    spec = parse_equation(args.equation)
+    f = parse_equation(args.equation)
     try:
         phi = xr.poly_parse(args.phi)
     except ValueError as e:
         raise UsageError(f"bad --phi: {e}") from e
-    holds, residual = an.check_defining_equation(spec.terms, phi, args.order or None)
+    holds, residual = an.check_defining_equation(f, phi, args.order or None)
     payload = {
-        "equation": equation_text(spec.terms),
+        "equation": xr.qp_to_text(f),
         "phi": xr.poly_to_text(phi),
         "holds": holds,
         "residual": xr.qp_to_text(residual),
@@ -186,12 +176,12 @@ def cmd_symmetry(args) -> tuple:
 
 
 def cmd_verify_iso(args) -> tuple:
-    spec = parse_equation(args.equation)
-    if spec.alias not in ("sinh", "tzitzeica"):
+    name = an.identify_equation(parse_equation(args.equation))
+    if name not in ("sinh", "tzitzeica"):
         raise UsageError("verify-iso supports --equation sinh or tzitzeica")
-    rep = an.verify_isomorphism(spec.alias, args.degree, args.order)
+    rep = an.verify_isomorphism(name, args.degree, args.order)
     payload = {
-        "equation": spec.alias,
+        "equation": name,
         "order": rep.order,
         "degree": rep.degree,
         "basis_size": rep.basis_size,
@@ -239,16 +229,16 @@ def cmd_growth(args) -> tuple:
         return "verified", payload, {"arithmetic": "exact"}
     if not args.equation:
         raise UsageError("growth needs --equation or --algebra")
-    spec = parse_equation(args.equation)
+    f = parse_equation(args.equation)
     order = args.order or args.degree + 4
-    result = an.closure_for(spec.terms, order, args.degree)
+    result = an.closure_for(f, order, args.degree)
     offset = cl.commutant_growth_offset(result)
     rows = []
     for n in range(1, args.degree + 1):
         F = cl.growth_function(result, n)
         rows.append({"n": n, "commutant": F, "full": F + offset})
     payload = {
-        "equation": equation_text(spec.terms),
+        "equation": xr.qp_to_text(f),
         "degree": args.degree,
         "order": order,
         "toral_offset": offset,

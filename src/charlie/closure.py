@@ -74,7 +74,7 @@ from . import exactring as xr
 from . import jetfield as jf
 from .jetfield import Bigrading, JetField
 from .linalg import LinearSpan
-from .loopalg import n2_natural_degree, sl3_bracket_constant
+from .loopalg import natural_degree, sl3_bracket_constant
 
 
 class ClosureError(ValueError):
@@ -438,7 +438,7 @@ def presented_n2_central() -> PresentedAlgebra:
     """One-dimensional central extension of the twisted positive part:
     the n2 rule plus [f_2, f_3] = c, with c central."""
     def degree(label):
-        return 3 if label == "c" else n2_natural_degree(int(label[1:]))
+        return 3 if label == "c" else natural_degree("n2", int(label[1:]))
 
     def rule(a, b):
         if a == "c" or b == "c":
@@ -456,7 +456,7 @@ def presented_n2_central() -> PresentedAlgebra:
 
     def labels(d):
         out = [f"f{i}" for i in range(1, 1 + max(0, 8 * (d + 6) // 6))
-               if n2_natural_degree(i) <= d]
+               if natural_degree("n2", i) <= d]
         if d >= 3:
             out.append("c")
         return out

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional
 
 Mono = tuple  # tuple[tuple[int, int], ...]
@@ -77,7 +76,6 @@ def mono_var(i: int) -> Mono:
     return ((i, 1),)
 
 
-@lru_cache(maxsize=1 << 17)
 def mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
@@ -89,7 +87,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(acc.items()))
 
 
-@lru_cache(maxsize=1 << 16)
 def mono_weight(m: Mono) -> int:
     return sum(i * e for i, e in m)
 

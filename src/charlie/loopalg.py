@@ -169,10 +169,38 @@ def twist_check(m: LaurentMatrix) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# the two loop algebras, one row each
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LoopAlgebra:
+    """The facts a realization b_0, b_1, ... of a non-negative loop algebra
+    part rests on.  Shifting an index by the period multiplies b_i by a power
+    of t, so b_{i+P} has the canonical bigrading of b_i plus that of b_P, and
+    every structure constant depends only on the residues mod P."""
+    period: int
+    basis: Callable[[int], LaurentMatrix]
+    prefix: str                 # label of b_i: prefix + i
+    bigradings: tuple           # canonical (generator-count) bigradings of b_0..b_P
+    serre: tuple                # (x, y, m): ad^m b_x (b_y) = 0 on the generators b_1, b_2
+
+
+ALGEBRAS = {
+    # L(sl(2))^{>=0}, A_1^(1)
+    "n1": LoopAlgebra(3, sl2_basis, "e", ((0, 0), (1, 0), (0, 1), (1, 1)),
+                      ((1, 2, 3), (2, 1, 3))),
+    # L(sl(3), mu)^{>=0}, A_2^(2)
+    "n2": LoopAlgebra(8, sl3_twisted_basis, "f",
+                      ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (3, 2), (4, 2)),
+                      ((2, 1, 2), (1, 2, 5))),
+}
+
+
 @lru_cache(maxsize=None)
 def _constant_by_residues(algebra: str, qr: int, lr: int) -> Fraction:
     """c with [b_qr, b_lr] = c b_{qr+lr}, commuting the matrices of the basis."""
-    basis = sl2_basis if algebra == "n1" else sl3_twisted_basis
+    basis = ALGEBRAS[algebra].basis
     c = proportionality(lm_commutator(basis(qr), basis(lr)), basis(qr + lr))
     if c is None:
         raise ArithmeticError(f"[b_{qr}, b_{lr}] is not a multiple of b_{qr + lr} in {algebra}")
@@ -219,54 +247,32 @@ def twisted_table_diff() -> list[tuple[int, int, int, Fraction]]:
 # gradings
 # ---------------------------------------------------------------------------
 
-def n1_natural_degree(i: int) -> int:
-    """Natural degree of e_i: e_{3k} -> 2k, e_{3k+1} and e_{3k+2} -> 2k+1."""
-    k, s = divmod(i, 3)
-    return 2 * k if s == 0 else 2 * k + 1
+def canonical_bigrading(algebra: str, index: int) -> tuple[int, int]:
+    """Canonical (generator-count) bigrading (p, q) of b_index: b_{kP+s} has
+    the bigrading of b_s plus k times that of b_P."""
+    row = ALGEBRAS[algebra]
+    k, s = divmod(index, row.period)
+    (p, q), (dp, dq) = row.bigradings[s], row.bigradings[-1]
+    return p + k * dp, q + k * dq
 
 
-def n2_natural_degree(n: int) -> int:
-    """Natural degree of f_n: 6k + (0,1,1,2,3,4,5,5) for residues 0..7."""
-    k, s = divmod(n, 8)
-    return 6 * k + (0, 1, 1, 2, 3, 4, 5, 5)[s]
+def natural_degree(algebra: str, index: int) -> int:
+    """Natural degree of b_index: p + q of its canonical bigrading (Kac's
+    principal gradation)."""
+    return sum(canonical_bigrading(algebra, index))
 
 
 def natural_grading_basis(algebra: str, degree: int) -> list[str]:
     """Labels of the homogeneous component of the given natural degree."""
-    if degree < 1:
-        return []
-    if algebra == "n1":
-        out = [i for i in range(1, 3 * degree + 3) if n1_natural_degree(i) == degree]
-        return [f"e{i}" for i in out]
-    if algebra == "n2":
-        out = [n for n in range(1, 8 * degree + 8) if n2_natural_degree(n) == degree]
-        return [f"f{n}" for n in out]
-    raise ValueError(f"unknown algebra {algebra!r}")
-
-
-def canonical_bigrading(algebra: str, index: int) -> tuple[int, int]:
-    """Canonical (generator-count) bigrading of a basis element.
-
-    n1: e_{3k} -> (k, k), e_{3k+1} -> (k+1, k), e_{3k+2} -> (k, k+1).
-    n2: f_{8m+s} -> (4m+s, 2m) for s <= 1, (4m+s-2, 2m+1) for s >= 2, -1 <= s <= 6.
-    """
-    if algebra == "n1":
-        k, s = divmod(index, 3)
-        return ((k, k), (k + 1, k), (k, k + 1))[s]
-    if algebra == "n2":
-        s = (index + 1) % 8 - 1
-        m = (index - s) // 8
-        return (4 * m + s, 2 * m) if s <= 1 else (4 * m + s - 2, 2 * m + 1)
-    raise ValueError(f"unknown algebra {algebra!r}")
+    row = ALGEBRAS[algebra]
+    return [f"{row.prefix}{i}" for i in range(1, row.period * (degree + 1))
+            if natural_degree(algebra, i) == degree]
 
 
 def canonical_bigrading_recursive(algebra: str, index: int) -> tuple[int, int]:
-    """Oracle for the closed formulas: canonical bigradings computed by recursion
-    over generating brackets, checking that all generating pairs agree."""
-    const: Callable[[int, int], Fraction]
-    const = sl2_bracket_constant if algebra == "n1" else sl3_bracket_constant
-    if algebra not in ("n1", "n2"):
-        raise ValueError(f"unknown algebra {algebra!r}")
+    """Oracle for the stored bigradings: canonical bigradings computed by
+    recursion over generating brackets of the matrices, checking that all
+    generating pairs agree."""
     memo: dict[int, tuple[int, int]] = {0: (0, 0), 1: (1, 0), 2: (0, 1)}  # index 0 is toral
 
     def grade(n: int) -> tuple[int, int]:
@@ -275,7 +281,7 @@ def canonical_bigrading_recursive(algebra: str, index: int) -> tuple[int, int]:
         results = set()
         for q in range(1, n // 2 + 1):
             l = n - q
-            if q != l and const(q, l):
+            if q != l and matrix_structure_constant(algebra, q, l):
                 gq, gl = grade(q), grade(l)
                 results.add((gq[0] + gl[0], gq[1] + gl[1]))
         if len(results) != 1:
@@ -291,16 +297,11 @@ def canonical_bigrading_recursive(algebra: str, index: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def matrix_structure_constant(algebra: str, i: int, j: int) -> Fraction:
-    """c with [b_i, b_j] = c b_{i+j}, from the matrices of either basis.
-
-    Shifting an index by the period (3 for n1, 8 for n2) multiplies the basis
-    element by a power of t, so the constant depends only on the residues of
-    i and j and is memoized by them (checked over sweeps in the tests).  For
-    n1 it is the oracle for sl2_bracket_constant.
+    """c with [b_i, b_j] = c b_{i+j}, from the matrices of either basis,
+    memoized by the residues of i and j mod the period (checked over sweeps
+    in the tests).  For n1 it is the oracle for sl2_bracket_constant.
     """
-    period = {"n1": 3, "n2": 8}.get(algebra)
-    if period is None:
-        raise ValueError(f"unknown algebra {algebra!r}")
+    period = ALGEBRAS[algebra].period
     return _constant_by_residues(algebra, i % period, j % period)
 
 
@@ -311,18 +312,6 @@ def matrix_table(algebra: str, max_index: int) -> dict[tuple[int, int], Fraction
         for j in range(i + 1, max_index - i + 1):
             out[(i, j)] = matrix_structure_constant(algebra, i, j)
     return out
-
-
-# defining ad-power relations ad^m g_x (g_y) = 0 of the nilpotent part, as
-# (x, y, m) on the degree-one generators g_1, g_2
-SERRE_RELATIONS = {"A1_1": ((1, 2, 3), (2, 1, 3)), "A2_2": ((2, 1, 2), (1, 2, 5))}
-
-
-def _serre_relations(algebra: str) -> tuple:
-    relations = SERRE_RELATIONS.get(algebra)
-    if relations is None:
-        raise ValueError(f"unknown algebra {algebra!r}")
-    return relations
 
 
 def ad_power(x, y, m: int, bracket: Callable = lm_commutator):
@@ -349,16 +338,15 @@ def serre_check(algebra: str, realization: str = "matrix", generators=None) -> d
     from .jetfield import bracket, is_zero_up_to
     return {f"ad^{m} g{x} (g{y})":
             is_zero_up_to(ad_power(generators[x - 1], generators[y - 1], m, bracket))
-            for x, y, m in _serre_relations(algebra)}
+            for x, y, m in ALGEBRAS[algebra].serre}
 
 
 def serre_check_matrix(algebra: str) -> dict[str, bool]:
     """Defining ad-power relations of the nilpotent part, exact matrix arithmetic
     on the generators (e_1, e_2) of A1(1) and (f_1, f_2) of A2(2)."""
-    relations = _serre_relations(algebra)
-    name, basis = ("e", sl2_basis) if algebra == "A1_1" else ("f", sl3_twisted_basis)
-    return {f"ad^{m} {name}{x} ({name}{y})": ad_power(basis(x), basis(y), m).is_zero()
-            for x, y, m in relations}
+    row = ALGEBRAS[algebra]
+    return {f"ad^{m} {row.prefix}{x} ({row.prefix}{y})":
+            ad_power(row.basis(x), row.basis(y), m).is_zero() for x, y, m in row.serre}
 
 
 # ---------------------------------------------------------------------------

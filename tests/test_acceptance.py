@@ -77,7 +77,7 @@ def test_criterion_03_D_bracket_is_minus_f_X0():
     order = 12
     D = jf.make_D(order)
     for name in ("liouville", "sinh", "tzitzeica"):
-        f = an.equation_qp(an.EQUATIONS[name])
+        f = an.EQUATIONS[name]
         br = jf.bracket(D, jf.make_Xf(f, order))
         assert br.slot(0) == xr.qp_neg(f), name
         assert all(not br.slot(j) for j in range(1, br.valid_order + 1)), name
@@ -87,7 +87,7 @@ def test_criterion_03_D_bracket_is_minus_f_X0():
 # --- criterion 4: Liouville --------------------------------------------------
 
 def test_criterion_04_liouville_closure():
-    res = cl.generate(an.equation_qp(an.EQUATIONS["liouville"]), 12, 8, "X")
+    res = cl.generate(an.EQUATIONS["liouville"], 12, 8, "X")
     assert len(res.elements) == 1  # dimension 2 with the toral element
     assert res.brackets == {}
     assert res.bracket_coeffs(0, 1) == ((1, Fraction(1)),)  # the sole relation
@@ -165,7 +165,7 @@ def test_criterion_07a_growth_bounds_sinh(sinh_big):
 def test_criterion_07b_growth_offset_is_one(sinh_big, tz_big):
     assert cl.commutant_growth_offset(sinh_big) == 1
     assert cl.commutant_growth_offset(tz_big) == 1
-    res = cl.generate(an.equation_qp(an.EQUATIONS["liouville"]), 12, 8, "X")
+    res = cl.generate(an.EQUATIONS["liouville"], 12, 8, "X")
     assert cl.commutant_growth_offset(res) == 1
 
 

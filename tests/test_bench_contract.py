@@ -37,7 +37,7 @@ def test_serre_check_binds_the_tracer_call():
 
     params = inspect.signature(loopalg.serre_check).parameters
     assert list(params) == ["algebra", "realization", "generators"]
-    inspect.signature(loopalg.serre_check).bind("A1_1", "matrix", None)
+    inspect.signature(loopalg.serre_check).bind("n1", "matrix", None)
 
 
 def test_tracer_counts_bracket_monomials():

@@ -1,10 +1,11 @@
 import json
-from fractions import Fraction
 
 import pytest
 
+from charlie import analysis as an
 from charlie import cli
 from charlie import closure as cl
+from charlie import exactring as xr
 from charlie import jetfield as jf
 
 
@@ -15,24 +16,22 @@ def run_json(capsys, argv):
 
 
 def test_parse_equation_aliases():
-    spec = cli.parse_equation("sinh")
-    assert spec.terms == ((Fraction(1, 2), 1), (Fraction(-1, 2), -1))
-    assert spec.alias == "sinh"
-    spec = cli.parse_equation("e^u + e^(-2u)")
-    assert spec.terms == ((Fraction(1), 1), (Fraction(1), -2))
-    assert spec.alias == "tzitzeica"
-    spec = cli.parse_equation("e^u")
-    assert spec.terms == ((Fraction(1), 1),) and spec.alias == "liouville"
+    f = cli.parse_equation("sinh")
+    assert f == xr.qp_parse("1/2 * e^(u) - 1/2 * e^(-u)")
+    assert an.identify_equation(f) == "sinh"
+    f = cli.parse_equation("e^u + e^(-2u)")
+    assert f == xr.qp_parse("e^(u) + e^(-2*u)")
+    assert an.identify_equation(f) == "tzitzeica"
+    f = cli.parse_equation("e^u")
+    assert f == xr.qp_parse("e^(u)") and an.identify_equation(f) == "liouville"
 
 
 def test_parse_equation_juxtaposed_coefficient():
-    spec = cli.parse_equation("2e^(u) + e^(-u)")
-    assert spec.terms == ((Fraction(2), 1), (Fraction(1), -1))
-    assert spec.alias is None
-    spec = cli.parse_equation("1/2 e^u - 1/2 e^(-u)")
-    assert spec.alias == "sinh"
-    spec = cli.parse_equation("-1/2 e^(-u) + 1/2 e^u")
-    assert spec.alias == "sinh"
+    f = cli.parse_equation("2e^(u) + e^(-u)")
+    assert f == xr.qp_parse("2 * e^(u) + e^(-u)")
+    assert an.identify_equation(f) is None
+    assert an.identify_equation(cli.parse_equation("1/2 e^u - 1/2 e^(-u)")) == "sinh"
+    assert an.identify_equation(cli.parse_equation("-1/2 e^(-u) + 1/2 e^u")) == "sinh"
 
 
 def test_parse_equation_rejects_sin():

@@ -79,8 +79,8 @@ def test_twist_closed_under_brackets():
 
 
 def test_serre_matrix():
-    assert la.serre_check("A1_1") == {"ad^3 e1 (e2)": True, "ad^3 e2 (e1)": True}
-    assert la.serre_check("A2_2", "matrix") == {"ad^2 f2 (f1)": True, "ad^5 f1 (f2)": True}
+    assert la.serre_check("n1") == {"ad^3 e1 (e2)": True, "ad^3 e2 (e1)": True}
+    assert la.serre_check("n2", "matrix") == {"ad^2 f2 (f1)": True, "ad^5 f1 (f2)": True}
     # one power fewer must NOT vanish (the relations are sharp)
     e1, e2 = la.sl2_basis(1), la.sl2_basis(2)
     assert not la.ad_power(e1, e2, 2).is_zero()
@@ -93,10 +93,10 @@ def test_serre_jet_realization():
     from charlie import exactring as xr
     g1 = jf.make_Xf(xr.qp_parse("e^(u)"), 10)
     g2 = jf.make_Xf(xr.qp_parse("e^(-2*u)"), 10)
-    rep = la.serre_check("A2_2", "jet", (g1, g2))
+    rep = la.serre_check("n2", "jet", (g1, g2))
     assert rep == {"ad^2 g2 (g1)": "ZERO_UP_TO(10)", "ad^5 g1 (g2)": "ZERO_UP_TO(10)"}
     with pytest.raises(ValueError):
-        la.serre_check("A2_2", "jet")
+        la.serre_check("n2", "jet")
 
 
 def test_real_form_examples():
@@ -126,11 +126,12 @@ def test_natural_degrees_and_dims():
     for i in range(400):
         k1, s1 = divmod(i, 3)
         k2, s2 = divmod(i, 8)
-        assert la.n1_natural_degree(i) == 2 * k1 + (0, 1, 1)[s1], i
-        assert la.n2_natural_degree(i) == 6 * k2 + (0, 1, 1, 2, 3, 4, 5, 5)[s2], i
+        assert la.natural_degree("n1", i) == 2 * k1 + (0, 1, 1)[s1], i
+        assert la.natural_degree("n2", i) == 6 * k2 + (0, 1, 1, 2, 3, 4, 5, 5)[s2], i
     # growth rates: period / natural degree of the period's basis element
-    assert (Fraction(3, la.n1_natural_degree(3)), Fraction(8, la.n2_natural_degree(8))) == \
-        (Fraction(3, 2), Fraction(4, 3))
+    rates = [Fraction(row.period, la.natural_degree(name, row.period))
+             for name, row in sorted(la.ALGEBRAS.items())]
+    assert rates == [Fraction(3, 2), Fraction(4, 3)]
     dims1 = [len(la.natural_grading_basis("n1", d)) for d in range(1, 13)]
     dims2 = [len(la.natural_grading_basis("n2", d)) for d in range(1, 13)]
     assert dims1 == [2, 1] * 6
