@@ -2,10 +2,12 @@
 algebra of sl(3), their gradings, Serre relations and real forms.
 
 This is the independent oracle side: everything here is finite exact matrix
-arithmetic over Laurent polynomials in t, with no jet-space machinery.  The
-transcribed structure-constant table for the twisted algebra is kept as
-data-under-test; the matrices are ground truth and `twisted_table_diff` reports any
-cell where the print drifts from the arithmetic.
+arithmetic over Laurent polynomials in t, with no jet-space machinery.  Each
+realization is one ALGEBRAS row, and its gradings, structure constants and
+Serre checks are read from that row.  The transcribed structure-constant
+table for the twisted algebra is kept as data-under-test; the matrices are
+ground truth and `twisted_table_diff` reports any cell where the print
+drifts from the arithmetic.
 """
 
 from __future__ import annotations
