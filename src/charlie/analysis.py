@@ -274,7 +274,6 @@ def serre_relations(equation: str, result: cl.ClosureResult):
     """Defining ad-power relations on both sides of the isomorphism: the jet
     side certifies up to the truncation order, the matrix side is exact."""
     algebra = TARGETS[equation][0]
-    generators = (result.elements[0].field, result.elements[1].field)
-    jet = la.serre_check(algebra, "jet", generators)
+    jet = la.serre_check(algebra, "jet", result.elements[:2])
     matrix = la.serre_check(algebra, "matrix")
     return jet, matrix

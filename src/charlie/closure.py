@@ -129,6 +129,23 @@ class BasisElement:
         return jf.field_scale(self.field_raw, self.norm_scale)
 
 
+def serre_rungs(x: BasisElement, y: BasisElement, m: int) -> list:
+    """ad_x^k y, k = 0..m, from the generators alone: [D, x] = c_x e^{a u} X_0,
+    [D, y] = c_y e^{b u} X_0 and x(g(u)) = 0 give [D, ad_x^k y] = c_x (r_0 + ...
+    + r_{k-1}) e^{a u} ad_x^{k-1} y (and -a c_y e^{b u} x at k = 1), r_i = b + i a."""
+    a, b = x.eigenvalue, y.eigenvalue
+    rungs = [y]
+    for k in range(1, m + 1):
+        lam = {(a, k - 1): x.connection[(a, 0)] * sum(b + i * a for i in range(k))}
+        if k == 1:
+            lam[(b, -1)] = -a * y.connection[(b, 0)]   # lower element -1 is x
+        lam = {key: c for key, c in lam.items() if c}
+        rungs.append(BasisElement(0, f"ad^{k} {x.name} ({y.name})", [{}], Fraction(1), k + 1,
+                                  b + k * a, None, lam,
+                                  {i: rungs[i] if i >= 0 else x for _, i in lam}, x.order))
+    return rungs
+
+
 @dataclass
 class ClosureResult:
     order: int

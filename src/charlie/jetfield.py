@@ -32,8 +32,9 @@ The exact total derivative D acts on packed monomials directly
 alpha * u_1 on the e^{alpha u} part.  bracket_from_connection uses it to
 build or continue a field's slots from its ad_D connection,
 z_{k+1} = D z_k - sum_i c_i e^{s_i u} (Z_i)_k, over the packed slots of the
-elements one degree lower, with no gradient and no product of slots: the
-one slot builder, for X(f) (make_Xf) as for every closure element.
+elements one degree lower, with no gradient and no product of slots: the one
+slot builder, for X(f), every closure element and the Serre rungs alike.  The
+program no longer calls bracket: it is the tests' reference for the recursion.
 """
 
 from __future__ import annotations

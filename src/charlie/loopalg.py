@@ -316,11 +316,11 @@ def matrix_table(algebra: str, max_index: int) -> dict[tuple[int, int], Fraction
     return out
 
 
-def ad_power(x, y, m: int, bracket: Callable = lm_commutator):
-    """ad_x^m (y) under `bracket`."""
+def ad_power(x: LaurentMatrix, y: LaurentMatrix, m: int) -> LaurentMatrix:
+    """ad_x^m (y) by matrix commutators."""
     out = y
     for _ in range(m):
-        out = bracket(x, out)
+        out = lm_commutator(x, out)
     return out
 
 
@@ -328,18 +328,21 @@ def serre_check(algebra: str, realization: str = "matrix", generators=None) -> d
     """Defining ad-power relations in either realization.
 
     matrix: exact Laurent-matrix arithmetic on the canonical generators.
-    jet: `generators` supplies the two degree-one jet fields; each relation is
-    certified up to the fields' truncation order (ZERO_UP_TO / NONZERO strings).
+    jet: each relation on the closure's two degree-one `generators`, up to
+    their order (ZERO_UP_TO / NONZERO strings); closure.serre_rungs builds its
+    rungs from [D, X(g)] = -g X_0 and their eigenvalues and slots, as ad_D is
+    injective on fields with an empty u slot, and reads no table entry.
     """
     if realization == "matrix":
         return serre_check_matrix(algebra)
     if realization != "jet":
         raise ValueError(f"unknown realization {realization!r}")
     if not generators or len(generators) != 2:
-        raise ValueError("jet realization needs the two degree-one generator fields")
-    from .jetfield import bracket, is_zero_up_to
+        raise ValueError("jet realization needs the two degree-one generators")
+    from .closure import serre_rungs
+    from .jetfield import is_zero_up_to
     return {f"ad^{m} g{x} (g{y})":
-            is_zero_up_to(ad_power(generators[x - 1], generators[y - 1], m, bracket))
+            is_zero_up_to(serre_rungs(generators[x - 1], generators[y - 1], m)[-1].field_raw)
             for x, y, m in ALGEBRAS[algebra].serre}
 
 

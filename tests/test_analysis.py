@@ -189,15 +189,51 @@ def test_verify_isomorphism_tzitzeica():
 
 
 def test_jet_serre_check_brackets_packed_fields(monkeypatch):
-    # the A2(2) relations ad^2 and ad^5 take 7 jet brackets, on the packed
-    # coefficients the closure stores: nothing is packed or unpacked
+    # the A2(2) rungs ad^k come from the generators' connections by the
+    # D-recursion: no jet bracket, and nothing is packed or unpacked.  The
+    # top rungs ad^2 f2 (f1) and ad^5 f1 (f2) have empty connections (their
+    # eigenvalue sums are 0), so the row builds those two rungs, no lower
+    # rung, and no generator slot past what the closure built
     from charlie import jetfield as jf
     calls = {}
-    for name in ("bracket", "_packed", "_unpack"):
+    for name in ("bracket", "bracket_from_connection", "_packed", "_unpack"):
         fn, calls[name] = getattr(jf, name), []
         monkeypatch.setattr(jf, name, lambda *args, fn=fn, c=calls[name]: c.append(None) or fn(*args))
+    an.closure_for("tzitzeica", 18, 14)
+    own = len(calls["bracket_from_connection"])
+    for c in calls.values():
+        c.clear()
     assert an.verify_isomorphism("tzitzeica", 14, 18).status == "verified"
-    assert {name: len(c) for name, c in calls.items()} == {"bracket": 7, "_packed": 0, "_unpack": 0}
+    assert {name: len(c) for name, c in calls.items()} == {
+        "bracket": 0, "bracket_from_connection": own + 2, "_packed": 0, "_unpack": 0}
+
+
+@pytest.mark.parametrize("equation", ["sinh", "tzitzeica"])
+def test_jet_serre_rows_are_sharp(monkeypatch, equation):
+    # one power fewer leaves a nonzero top rung, whose first nonzero slot is
+    # the generic bracket tower's, and the jet row alone fails verify-iso:
+    # the matrix row is held at the true relations' values
+    from dataclasses import replace
+    from charlie import jetfield as jf
+    from charlie import loopalg as la
+    algebra = an.TARGETS[equation][0]
+    row = la.ALGEBRAS[algebra]
+    truth = la.serre_check(algebra, "matrix")
+    lowered = tuple((x, y, m - 1) for x, y, m in row.serre)
+    monkeypatch.setitem(la.ALGEBRAS, algebra, replace(row, serre=lowered))
+    monkeypatch.setattr(la, "serre_check_matrix", lambda name: truth)
+    rep = an.verify_isomorphism(equation, 8, 12)
+    generators = [el.field for el in rep.closure.elements[:2]]
+    want = {}
+    for x, y, m in lowered:
+        tower = generators[y - 1]
+        for _ in range(m):
+            tower = jf.bracket(generators[x - 1], tower)
+        want[f"ad^{m} g{x} (g{y})"] = jf.is_zero_up_to(tower)
+    assert all(s.startswith("NONZERO(slot ") for s in want.values())
+    assert rep.serre_jet == want
+    assert rep.serre_matrix == truth
+    assert rep.status == "mismatch"
 
 
 def test_verify_isomorphism_detects_mismatch(monkeypatch):

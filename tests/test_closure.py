@@ -392,6 +392,46 @@ def test_integrated_fields_equal_their_jet_brackets(case):
         assert _typed(el.field_raw) == _typed(want), (el.name, i, j)
 
 
+def _reference_tower(x, y, m):
+    """ad_x^k y for k = 0..m by the generic jet bracket."""
+    tower = [y]
+    for _ in range(m):
+        tower.append(jf.bracket(x, tower[-1]))
+    return tower
+
+
+@pytest.mark.parametrize("equation, algebra, degree, order", [
+    ("sinh", "n1", 6, 10), ("sinh", "n1", 10, 14),
+    ("tzitzeica", "n2", 6, 10), ("tzitzeica", "n2", 10, 14),
+    (xr.qp_parse("e^(-2*u) + e^u"), "n2", 8, 12),
+], ids=["sinh-6/10", "sinh-10/14", "tzitzeica-6/10", "tzitzeica-10/14", "reordered-8/12"])
+def test_serre_rungs_equal_the_jet_bracket_tower(equation, algebra, degree, order):
+    # every rung ad_x^k y that the D-recursion builds from the generators'
+    # connections is the generic bracket tower, slot for slot and type for
+    # type; the top rung of each defining relation has an empty connection
+    res = closure_for(equation, order, degree)
+    for x, y, m in la.ALGEBRAS[algebra].serre:
+        gx, gy = res.elements[x - 1], res.elements[y - 1]
+        rungs = cl.serre_rungs(gx, gy, m)
+        assert not rungs[-1].connection
+        for k, want in enumerate(_reference_tower(gx.field, gy.field, m)):
+            assert rungs[k].field_raw.valid_order == want.valid_order == order
+            assert _typed(rungs[k].field_raw) == _typed(want), (x, y, k)
+
+
+def test_serre_rungs_do_not_read_the_table():
+    # the generators of a degree-1 closure, which has no table, give every
+    # rung and the Serre row of those of the degree-14 closure
+    short, long = (closure_for("tzitzeica", 18, degree) for degree in (1, 14))
+    assert not short.brackets and long.brackets
+    for x, y, m in la.ALGEBRAS["n2"].serre:
+        rungs = [cl.serre_rungs(res.elements[x - 1], res.elements[y - 1], m)
+                 for res in (short, long)]
+        assert [_typed(r.field_raw) for r in rungs[0]] == [_typed(r.field_raw) for r in rungs[1]]
+    assert la.serre_check("n2", "jet", short.elements[:2]) == \
+        la.serre_check("n2", "jet", long.elements[:2])
+
+
 @pytest.mark.xfail(strict=True, reason="a truncated jet closure undercounts e^u + e^(-3u): "
                    "its degree-9 part has 50 elements at order 14 and 54 at order 15")
 def test_nonintegrable_degree9_dimension_is_stable_in_the_order():
@@ -507,6 +547,9 @@ PINNED_DATA_REPORTS = {
         (0, "1df0730529345e9f69c90ba5a5ae2b45a28265a496d918c484cdd3e826348533"),
     'verify-iso --equation "e^(-2u) + e^u" --degree 8 --order 12':
         (0, "eafdc4108cc30f3cf347ccc340325571565dfb737a12631460b880939f90f331"),
+    # the long window, where the Serre rows run at order 28
+    "verify-iso --equation tzitzeica --degree 24 --order 28":
+        (0, "32b5f9d347d4e56c18eda5aecdb47e2939e8b1f1c64e07d8365b7a3b0a02101e"),
     "growth --algebra n2^3 --degree 40":
         (0, "9d35f6d0d0f4c19ac0c2c9d008d1d0d21c1a106646d12c064d340844f7f05a36"),
     'integrals --equation "e^u + 3" --weight 4':
