@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from . import closure as cl
@@ -23,12 +24,12 @@ EQUATIONS = {
     "tzitzeica": xr.qp_parse("e^(u) + e^(-2*u)"),
 }
 
-# loop algebra (a key of loopalg.ALGEBRAS), reference basis-name prefix and
-# normalizing structure constants per equation
+# loop algebra (a key of loopalg.ALGEBRAS, whose matrices give the
+# normalizing structure constants) and reference basis-name prefix per equation
 TARGETS = {
-    "liouville": (None, "X", None),
-    "sinh": ("n1", "X", la.sl2_bracket_constant),
-    "tzitzeica": ("n2", "Y", la.sl3_bracket_constant),
+    "liouville": (None, "X"),
+    "sinh": ("n1", "X"),
+    "tzitzeica": ("n2", "Y"),
 }
 
 
@@ -221,9 +222,11 @@ class IsoReport:
 def closure_for(f, order: int, degree: int) -> cl.ClosureResult:
     """The closure of f(u) through `degree`, the one route from an equation to
     cl.generate.  `f` is f(u) or a name in EQUATIONS; a known equation gets
-    its reference prefix and target normalization."""
+    its reference prefix and is normalized by its loop algebra's matrix
+    structure constants."""
     f = EQUATIONS[f] if isinstance(f, str) else f
-    _, prefix, target = TARGETS.get(identify_equation(f), (None, "Z", None))
+    algebra, prefix = TARGETS.get(identify_equation(f), (None, "Z"))
+    target = partial(la.matrix_structure_constant, algebra) if algebra else None
     return cl.generate(f, order, degree, prefix, target)
 
 

@@ -74,13 +74,16 @@ def _table_payload(result: cl.ClosureResult) -> dict:
 
 
 def _closure_certs(result: cl.ClosureResult) -> dict:
+    """Every table entry is exact on jets up to the closure's order."""
     return {
-        f"{result.elements[i - 1].name},{result.elements[j - 1].name}": f"zero-up-to-{n}"
-        for (i, j), n in sorted(result.certificates.items())
+        f"{result.elements[i - 1].name},{result.elements[j - 1].name}": f"zero-up-to-{result.order}"
+        for i, j in sorted(result.brackets)
     }
 
 
 def cmd_bell(args) -> tuple:
+    if args.complete is not None and args.incomplete is not None:
+        raise UsageError("bell takes --complete N or --incomplete N K, not both")
     if args.incomplete is not None:
         n, k = args.incomplete
         p = incomplete_bell(n, k)
@@ -218,6 +221,10 @@ def cmd_growth(args) -> tuple:
     if args.degree < 1:
         raise UsageError(f"--degree {args.degree} must be at least 1")
     if args.algebra:
+        if args.equation:
+            raise UsageError("growth takes --equation or --algebra, not both")
+        if args.order:
+            raise UsageError("--order applies to growth --equation only")
         factory = cl.PRESENTED.get(args.algebra)
         if factory is None:
             raise UsageError(f"unknown presented algebra {args.algebra!r}; "
@@ -251,6 +258,8 @@ def cmd_jacobi(args) -> tuple:
     if args.degree < 1:
         raise UsageError(f"--degree {args.degree} must be at least 1")
     name = args.algebra
+    if args.s is not None and name != "m0S":
+        raise UsageError("--s applies to jacobi --algebra m0S only")
     if name == "m0S":
         if not args.s:
             raise UsageError("jacobi --algebra m0S needs --s like --s 3,5")

@@ -4,8 +4,8 @@ finitely-presented graded algebras with closed-form structure constants.
 generate() builds the algebra breadth-first by natural degree and keeps the
 toral element d/du = X_0 separate, so the result splits as <X_0> acting on
 the commutant-side basis.  Every pair of elements whose degrees add up to d
-gets a table entry and a certificate: the order up to which the relation is
-exact on jets.
+gets a table entry, exact on jets up to the order (the closure's one
+certificate).
 
 Most pairs need no field, by the connection filter (ad_D, the classical tool
 of characteristic Lie rings).  With D = sum_k u_{k+1} d/du_k, every element Z
@@ -74,7 +74,7 @@ from . import exactring as xr
 from . import jetfield as jf
 from .jetfield import Bigrading, JetField
 from .linalg import LinearSpan
-from .loopalg import natural_degree, sl3_bracket_constant
+from .loopalg import matrix_structure_constant, natural_degree
 
 
 class ClosureError(ValueError):
@@ -152,8 +152,8 @@ class ClosureResult:
     max_degree: int
     toral_name: str
     elements: list               # BasisElement, by index 1..n
-    brackets: dict               # (i, j) index pair, i<j -> tuple[(k, Fraction), ...] normalized
-    certificates: dict           # (i, j) -> valid order up to which the relation is exact
+    brackets: dict               # (i, j) index pair, i<j -> tuple[(k, Fraction), ...] normalized,
+                                 # each exact on jets up to `order`
 
     def by_name(self, name: str) -> BasisElement:
         for el in self.elements:
@@ -204,8 +204,8 @@ def generate(
     those coordinates without a field.  Pairs are taken by degree, and a
     new pair's jet vector decides whether it is a new element: on the weight
     window order - max_degree, or on the full order once the window has
-    found a relation in that degree.  Each certificate is `order` (see the
-    module docstring for why this gives the order-N jet closure's table).
+    found a relation in that degree.  Every entry is exact up to `order` (see
+    the module docstring for why this gives the order-N jet closure's table).
 
     target, when given, maps an index pair (q, l) to the reference structure
     constant used for normalization; a contradiction raises MismatchError.
@@ -222,7 +222,6 @@ def generate(
     connections = LinearSpan()          # connection vectors of the elements of degree >= 2
     elements: list[BasisElement] = []   # by index; a degree's elements join after its pairs
     raw_expr: dict = {}                 # (idx_i, idx_j) -> {element: Fraction}
-    certs: dict = {}
 
     x0 = BasisElement(0, f"{prefix}0", [{0: {0: 1}}], Fraction(1), 0, 0, None, {}, {}, order)
     for alpha in sorted(f, reverse=True):
@@ -267,7 +266,6 @@ def generate(
             for key, c in terms:
                 lam[key] = lam.get(key, 0) + c
             lam = {key: c for key, c in lam.items() if c}
-            certs[(ei.index, ej.index)] = order
             expr = connections.express(lam)
             if expr is None:
                 canonical = None
@@ -309,7 +307,7 @@ def generate(
     for (i, j), coeffs in raw_expr.items():
         ci, cj = scales[i - 1], scales[j - 1]
         brackets[(i, j)] = tuple((k, ci * cj * lam / scales[k - 1]) for k, lam in coeffs)
-    return ClosureResult(order, max_degree, f"{prefix}0", elements, brackets, certs)
+    return ClosureResult(order, max_degree, f"{prefix}0", elements, brackets)
 
 
 def _normalization_scales(elements, raw_expr, target) -> list:
@@ -413,9 +411,6 @@ class PresentedAlgebra:
     rule: Callable[[str, str], tuple]        # (a, b) -> tuple[(label, int), ...]
     labels_up_to: Callable[[int], list]
 
-    def bracket(self, a: str, b: str) -> tuple:
-        return self.rule(a, b)
-
 
 def _e_degree(label: str) -> int:
     i = int(label[1:])
@@ -462,7 +457,7 @@ def presented_n2_central() -> PresentedAlgebra:
             return ()
         q, l = int(a[1:]), int(b[1:])
         out = []
-        d = sl3_bracket_constant(q, l)
+        d = matrix_structure_constant("n2", q, l)
         if d:
             out.append((f"f{q + l}", d.numerator))  # the twisted constants are integers
         if (q, l) == (2, 3):

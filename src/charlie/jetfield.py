@@ -17,23 +17,20 @@ normalization; it then propagates by ordinary int/Fraction arithmetic.
 
 Quasi dicts of tuple monomials exist only at the value boundary: make_field
 and slot(j), and the values apply_field and apply_total_derivative take and
-return.  The kernel takes the gradient {k: dq/du_k} of a coefficient in one
-pass over its monomials (_gradient), which checks every exponent since a
-bracket result is never re-packed, and sums slot_k * dq/du_k over k into
-one accumulator per result slot (_accumulate).  The gradient is restricted
-to the partner's support: only the k where the field that multiplies it has
-a nonempty slot (k = 0 for the u slot); a triangular element of degree d
-has empty slots 1..d-1, so most of the full gradient is of that kind.
-apply_field is the one way a field acts on a value: the x-integral search,
-annihilates, the symmetry check and the 2D exponential system call it.
+return.  A field acts on a packed coefficient in one pass over its
+monomials (_act), which adds slot_k * dq/du_k term by term into an
+accumulator and checks every exponent, since a bracket result is never
+re-packed.  apply_field and bracket both call it; apply_field is the one
+way a field acts on a value: the x-integral search, annihilates, the
+symmetry check and the 2D exponential system call it.
 
 The exact total derivative D acts on packed monomials directly
 (_total_derivative): it moves one unit from u_k to u_{k+1} and adds
 alpha * u_1 on the e^{alpha u} part.  bracket_from_connection uses it to
 build or continue a field's slots from its ad_D connection,
 z_{k+1} = D z_k - sum_i c_i e^{s_i u} (Z_i)_k, over the packed slots of the
-elements one degree lower, with no gradient and no product of slots: the one
-slot builder, for X(f), every closure element and the Serre rungs alike.  The
+elements one degree lower, with no product of slots: the one way slots are
+built, for X(f), every closure element and the Serre rungs alike.  The
 program no longer calls bracket: it is the tests' reference for the recursion.
 """
 
@@ -123,7 +120,7 @@ def make_Xf(f: Quasi, order: int) -> JetField:
 
 
 # ---------------------------------------------------------------------------
-# the kernel: packed monomials, one-pass gradients, fused multiply-accumulate
+# the kernel: packed monomials and a field acting on them in one pass
 # ---------------------------------------------------------------------------
 
 def _packed(q: Quasi) -> dict:
@@ -135,24 +132,28 @@ def _packed(q: Quasi) -> dict:
             for alpha, p in q.items()}
 
 
-def _gradient(q: dict, along) -> tuple:
-    """(gradient along `along`, top index) of a packed q, in one pass over it.
+def _act(out: dict, coeffs: tuple, q: dict, sign: int = 1) -> int:
+    """out += sign * X(q) for the field X of packed slots coeffs, in one pass
+    over the monomials of a packed q; returns q's top index.
 
-    The gradient maps k in `along` to dq/du_k (packed) where q depends on u_k,
-    and 0, when in `along`, to dq/du.  `along` is the partner's support (see
-    _support): derivatives along the partner's empty slots are never built.
-    For a fixed k, distinct monomials have distinct derivatives, so no terms
-    collide and no zero is ever stored.  The top index is the largest k with
-    u_k in q (0 if none): truncation checks need it whatever `along` holds.
-    An exponent of _EXP_LIMIT or more, which a chain of brackets can build,
-    raises ValueError before a product could carry it into the next field.
+    Per u_k^e of a monomial m of q's e^{alpha u} part it adds e * coeffs[k] *
+    m / u_k, and alpha * coeffs[0] * m.  Empty slots and slots past X's valid
+    order add nothing; the top index, the largest k with u_k in q (0 if
+    none), tells the caller whether one was needed.  An exponent of
+    _EXP_LIMIT or more, which a chain of brackets can build, raises
+    ValueError before a product could carry it into the next field, so
+    _act({}, (), q) is the exponent guard alone.  out maps an exponential
+    index to a {packed mono: coeff} accumulator that may hold zeros;
+    _settled drops them.
     """
-    grad: dict = {}
     top = 0
+    n = len(coeffs)
     mask = (1 << _BITS) - 1
     for alpha, p in q.items():
-        parts: dict = {}
         for m, c in p.items():
+            if sign < 0:
+                c = -c
+            parts = [(0, m, alpha)] if alpha else []  # (k, m / u_k, d/du_k factor)
             rest, k, unit = m, 1, 1
             while rest:
                 e = rest & mask
@@ -160,49 +161,24 @@ def _gradient(q: dict, along) -> tuple:
                     if e >= _EXP_LIMIT:
                         raise ValueError(
                             f"exponent {e} of u{k} is too large for the bracket kernel")
-                    if k in along:
-                        part = parts.get(k)
-                        if part is None:
-                            parts[k] = {m - unit: c * e}
-                        else:
-                            part[m - unit] = c * e
+                    parts.append((k, m - unit, e))
                 rest >>= _BITS
                 k += 1
                 unit <<= _BITS
             if k - 1 > top:
                 top = k - 1
-        if alpha and 0 in along:
-            parts[0] = {m: alpha * c for m, c in p.items()}
-        for k, part in parts.items():
-            grad.setdefault(k, {})[alpha] = part
-    return grad, top
-
-
-def _support(X: JetField) -> set:
-    """Indices of X's nonempty slots, 0 for the u slot."""
-    return {k for k, q in enumerate(X.coeffs) if q}
-
-
-def _accumulate(out: dict, coeffs: tuple, grad: dict, sign: int) -> None:
-    """out += sign * sum_k coeffs[k] * grad[k], all packed.
-
-    coeffs[k] is a field's packed slot k (0 = the u slot); grad holds only
-    the k of that field's support.  out maps an exponential index to a
-    {packed mono: coeff} accumulator that may hold zeros; _settled drops them.
-    """
-    for k, dk in grad.items():
-        for a1, p1 in coeffs[k].items():
-            for a2, p2 in dk.items():
-                acc = out.get(a1 + a2)
-                if acc is None:
-                    acc = out[a1 + a2] = {}
-                for m1, c1 in p1.items():
-                    if sign < 0:
-                        c1 = -c1
-                    for m2, c2 in p2.items():
-                        m = m1 + m2
-                        s = acc.get(m)
-                        acc[m] = c1 * c2 if s is None else s + c1 * c2
+            for k, m2, e in parts:
+                if k < n and coeffs[k]:
+                    c2 = c * e
+                    for a1, p1 in coeffs[k].items():
+                        acc = out.get(a1 + alpha)
+                        if acc is None:
+                            acc = out[a1 + alpha] = {}
+                        for m1, c1 in p1.items():
+                            t = m1 + m2
+                            s = acc.get(t)
+                            acc[t] = c1 * c2 if s is None else s + c1 * c2
+    return top
 
 
 def _unpack(packed: int) -> xr.Mono:
@@ -242,16 +218,14 @@ def apply_field(X: JetField, gs: list) -> list:
     valid order (the contribution of the unknown slot would be missing).
     """
     for q in X.coeffs:
-        _gradient(q, ())  # the exponent guard on X's own coefficients
-    support = _support(X)
+        _act({}, (), q)  # the exponent guard on X's own coefficients
     images = []
     for g in gs:
-        grad, top = _gradient(_packed(g), support)
+        out: dict = {}
+        top = _act(out, X.coeffs, _packed(g))
         if top > X.valid_order:
             raise TruncationError(
                 f"applying a field of valid order {X.valid_order} to a value using u_{top}")
-        out: dict = {}
-        _accumulate(out, X.coeffs, grad, 1)
         images.append(_unpacked(_settled(out)))
     return images
 
@@ -322,20 +296,16 @@ def bracket(X: JetField, Y: JetField) -> JetField:
     For the triangular fields generated from X_0 and X(f) this keeps
     min(N_X, N_Y) slots; one bracket with D costs exactly one slot.
     """
-    sx, sy = _support(X), _support(Y)
-    gx = [_gradient(q, sy) for q in X.coeffs]
-    gy = [_gradient(q, sx) for q in Y.coeffs]
+    for q in (*X.coeffs, *Y.coeffs):
+        _act({}, (), q)  # the exponent guard on both operands
     out_coeffs = []  # index 0 is the u slot
     for j in range(min(X.valid_order, Y.valid_order) + 1):
-        grad_x, tx = gx[j]
-        grad_y, ty = gy[j]
-        if ty > X.valid_order or tx > Y.valid_order:
+        out: dict = {}
+        if _act(out, X.coeffs, Y.coeffs[j]) > X.valid_order \
+                or _act(out, Y.coeffs, X.coeffs[j], -1) > Y.valid_order:
             if j == 0:
                 raise TruncationError("u slots exceed the operands' valid orders")
             break
-        out: dict = {}
-        _accumulate(out, X.coeffs, grad_y, 1)
-        _accumulate(out, Y.coeffs, grad_x, -1)
         out_coeffs.append(_settled(out))
     if len(out_coeffs) < 2:
         raise TruncationError("bracket result would have valid order < 1")

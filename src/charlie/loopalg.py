@@ -209,15 +209,6 @@ def _constant_by_residues(algebra: str, qr: int, lr: int) -> Fraction:
     return c
 
 
-def sl3_bracket_constant(q: int, l: int) -> Fraction:
-    """d_{q,l} of [f_q, f_l] = d_{q,l} f_{q+l}, computed from the matrices.
-
-    The constant depends only on the residues mod 8 (checked over a sweep in
-    the tests), so it is memoized by residue.
-    """
-    return _constant_by_residues("n2", q % 8, l % 8)
-
-
 # transcribed structure-constant table (data-under-test; rows = first argument
 # residue, columns = second argument residue, both mod 8)
 TWISTED_TABLE_TRANSCRIBED = (
@@ -239,7 +230,7 @@ def twisted_table_diff() -> list[tuple[int, int, int, Fraction]]:
     for q in range(8):
         for l in range(8):
             printed = Fraction(TWISTED_TABLE_TRANSCRIBED[q][l])
-            computed = sl3_bracket_constant(q, l)
+            computed = matrix_structure_constant("n2", q, l)
             if printed != computed:
                 diffs.append((q, l, TWISTED_TABLE_TRANSCRIBED[q][l], computed))
     return diffs

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -230,6 +231,37 @@ def test_growth_command(capsys):
     assert [r["commutant"] for r in rep["payload"]["F"]] == [2, 3, 5, 6, 8, 9]
     code, rep = run_json(capsys, ["growth", "--algebra", "m0", "--degree", "5"])
     assert [r["value"] for r in rep["payload"]["F"]] == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("equation, period", [
+    ("sinh", (2, 1)), ("tzitzeica", (2, 1, 1, 1, 2, 1)),
+])
+def test_growth_rates_at_degree_120(capsys, equation, period):
+    # the paper's growth rates on the jet side, at the automatic order 124:
+    # the per-degree dimensions repeat with the period, so F(n) grows at
+    # exactly 3/2 (sinh) and 4/3 (Tzitzeica), F(120) = 180 and 160
+    code, rep = run_json(capsys, ["growth", "--equation", equation, "--degree", "120"])
+    assert code == 0 and rep["status"] == "verified" and rep["payload"]["order"] == 124
+    F = [r["commutant"] for r in rep["payload"]["F"]]
+    assert [r["full"] for r in rep["payload"]["F"]] == [v + 1 for v in F]
+    assert [b - a for a, b in zip([0, *F], F)] == [period[n % len(period)] for n in range(120)]
+    assert F[-1] == {"sinh": 180, "tzitzeica": 160}[equation] \
+        == Fraction(sum(period), len(period)) * 120
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["growth", "--equation", "sinh", "--algebra", "m0"],
+     "growth takes --equation or --algebra, not both"),
+    (["growth", "--algebra", "m0", "--order", "8"], "--order applies to growth --equation only"),
+    (["bell", "--complete", "3", "--incomplete", "3", "2"],
+     "bell takes --complete N or --incomplete N K, not both"),
+    (["jacobi", "--algebra", "m0", "--s", "3,5"], "--s applies to jacobi --algebra m0S only"),
+], ids=["growth-equation-and-algebra", "growth-algebra-order", "bell-both", "jacobi-s-without-m0S"])
+def test_an_input_the_command_would_ignore_is_a_usage_error(capsys, argv, reason):
+    # the report's inputs would name a flag the payload never read
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {reason}\n"
 
 
 def test_jacobi_command(capsys):

@@ -118,9 +118,9 @@ def test_apply_field_truncation_guard():
 
 
 def test_truncation_beyond_an_empty_partner_slot():
-    # the kernel differentiates only along the partner's nonempty slots, so
-    # it builds no d/du_3 here; a value using u_3 still needs the partner's
-    # slot 3, which lies beyond its valid order 2 and is unknown
+    # the kernel skips the partner's empty slots, so it multiplies nothing
+    # by d/du_3 here; a value using u_3 still needs the partner's slot 3,
+    # which lies beyond its valid order 2 and is unknown
     partner = jf.make_field({}, [xr.qp_parse("1"), {}])   # d/du_1, valid order 2
     value = jf.make_field({}, [xr.qp_parse("u3"), {}, {}, {}])
     with pytest.raises(jf.TruncationError):
@@ -323,6 +323,19 @@ def test_kernel_exponent_range():
         jf.bracket(A, jf.bracket(A, B))
     with pytest.raises(ValueError):
         jf.apply_field(jf.bracket(A, B), [xr.qp_parse("u2")])
+
+
+def test_exponent_guard_covers_slots_past_the_partners_order():
+    # P's slot 2 holds u1^65533 and lies past Q's valid order 1, so no slot of
+    # the result walks it; P(Q_1) still multiplies it by u1^3, which would
+    # carry into u2, so the guard checks every slot of both operands first
+    A = jf.make_field({}, [xr.qp_parse("u1^32767"), {}])
+    B = jf.make_field({}, [{}, xr.qp_parse("u1^32767")])
+    P = jf.bracket(A, B)
+    Q = jf.make_field({}, [xr.qp_parse("u1^3 * u2")])
+    for X, Y in ((P, Q), (Q, P)):
+        with pytest.raises(ValueError):
+            jf.bracket(X, Y)
 
 
 @pytest.mark.parametrize("f", ["e^(u) + 3", "1/3 * e^(u) - 5/7 * e^(-2*u)", "4/2 * e^(3*u) - 1",

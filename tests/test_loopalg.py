@@ -21,11 +21,11 @@ def test_sl2_matrix_oracle_full_sweep():
 
 
 def test_sl3_examples():
-    assert la.sl3_bracket_constant(0, 2) == -2
-    assert la.sl3_bracket_constant(1, 4) == -3
-    assert la.sl3_bracket_constant(4, 8) == 0
-    assert la.sl3_bracket_constant(3, 4) == 3
-    assert la.sl3_bracket_constant(1, 5) == -2
+    assert la.matrix_structure_constant("n2", 0, 2) == -2
+    assert la.matrix_structure_constant("n2", 1, 4) == -3
+    assert la.matrix_structure_constant("n2", 4, 8) == 0
+    assert la.matrix_structure_constant("n2", 3, 4) == 3
+    assert la.matrix_structure_constant("n2", 1, 5) == -2
 
 
 def test_sl3_residue_dependence():
@@ -33,15 +33,15 @@ def test_sl3_residue_dependence():
         for l in range(17):
             com = la.lm_commutator(la.sl3_twisted_basis(q), la.sl3_twisted_basis(l))
             c = la.proportionality(com, la.sl3_twisted_basis(q + l))
-            assert c == la.sl3_bracket_constant(q % 8, l % 8), (q, l)
+            assert c == la.matrix_structure_constant("n2", q % 8, l % 8), (q, l)
 
 
 def test_sl3_skew_and_mod8_relation():
     for i in range(8):
         for j in range(8):
-            d = la.sl3_bracket_constant(i, j)
-            assert d == -la.sl3_bracket_constant(j, i)
-            assert d + la.sl3_bracket_constant((8 - i) % 8, (8 - j) % 8) == 0
+            d = la.matrix_structure_constant("n2", i, j)
+            assert d == -la.matrix_structure_constant("n2", j, i)
+            assert d + la.matrix_structure_constant("n2", (8 - i) % 8, (8 - j) % 8) == 0
 
 
 def test_printed_table_diff_is_the_known_typo_pair():
