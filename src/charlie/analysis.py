@@ -5,7 +5,7 @@ comparison between the generated jet-side algebra and its matrix realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -15,7 +15,7 @@ from . import exactring as xr
 from . import jetfield as jf
 from . import loopalg as la
 from .bell import complete_bell
-from .linalg import nullspace
+from .linalg import cleared, nullspace
 
 # canonical right-hand sides f(u), as quasipolynomials
 EQUATIONS = {
@@ -71,11 +71,13 @@ def find_x_integrals(f: xr.Quasi, weight_bound: int) -> list:
 def annihilates(f: xr.Quasi, ws: list, order: int) -> list:
     """Exact check X(f) w = 0 at the given truncation order, one bool per w.
     It runs the same apply_field as find_x_integrals, so re-verifying a found
-    integral checks the nullspace solution, not a second kernel.  Slots past
-    the ws' top index are never read, so X(f) is built only up to it."""
+    integral checks the nullspace solution, not a second kernel.  X(f) is built
+    only through the ws' top index, the last slot read, and each w is cleared
+    to int coefficients: a nonzero scale does not change whether X(f) w = 0."""
     top = max((xr.poly_max_index(w) for w in ws), default=0)
     Xf = jf.make_Xf(f, max(1, min(order, top)))
-    return [xr.qp_is_zero(q) for q in jf.apply_field(Xf, [xr.qp_from_poly(w) for w in ws])]
+    qs = [xr.qp_from_poly(cleared(w)[0]) for w in ws]
+    return [xr.qp_is_zero(q) for q in jf.apply_field(Xf, qs)]
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +106,10 @@ def _dvar(component: int, i: int) -> int:
     return 2 * (i - 1) + component
 
 
-@dataclass
-class ExpSystem2D:
-    matrix: tuple                 # ((a11, a12), (a21, a22)) as Fractions
-    fields: tuple                 # (X_1, X_2) over the interleaved u_{_dvar(a, k)}
+ExpSystem2D = namedtuple("ExpSystem2D", (
+    "matrix",                     # ((a11, a12), (a21, a22)) as Fractions
+    "fields",                     # (X_1, X_2) over the interleaved u_{_dvar(a, k)}
+))
 
 
 def build_exp_system(A, order: int) -> ExpSystem2D:
@@ -203,20 +205,20 @@ def grading_rows(result: cl.ClosureResult, equation: str) -> list:
 # isomorphism verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IsoReport:
-    equation: str
-    order: int
-    degree: int
-    status: str                    # "verified" | "mismatch"
-    basis_size: int
-    bracket_pairs: int
-    zero_confirmations: int        # truncation-zero claims confirmed exact on matrices
-    mismatches: list
-    grading_mismatches: list
-    serre_jet: dict                # relation -> is_zero_up_to string
-    serre_matrix: dict             # relation -> bool
-    closure: cl.ClosureResult = field(repr=False, default=None)
+IsoReport = namedtuple("IsoReport", (
+    "equation",
+    "order",
+    "degree",
+    "status",                      # "verified" | "mismatch"
+    "basis_size",
+    "bracket_pairs",
+    "zero_confirmations",          # truncation-zero claims confirmed exact on matrices
+    "mismatches",
+    "grading_mismatches",
+    "serre_jet",                   # relation -> is_zero_up_to string
+    "serre_matrix",                # relation -> bool
+    "closure",                     # the cl.ClosureResult the tables were read from
+))
 
 
 def closure_for(f, order: int, degree: int) -> cl.ClosureResult:

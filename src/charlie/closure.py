@@ -65,7 +65,7 @@ reported tables compare literally.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
@@ -85,18 +85,20 @@ class MismatchError(ArithmeticError):
     """The generated algebra contradicts the supplied target structure constants."""
 
 
-@dataclass(eq=False)
 class BasisElement:
-    index: int                  # position in the reference basis; name = prefix + index
-    name: str
-    slots: list                 # packed slots 0..N built so far; index 0 = the (empty) u slot
-    norm_scale: Fraction
-    degree: int                 # natural degree (= d of the operator bigrading)
-    eigenvalue: int             # ad-X_0 eigenvalue (= r of the operator bigrading)
-    canonical: Optional[tuple]  # generator-count bigrading (p, q); None if undefined
-    connection: dict            # [D, Z] = sum c e^{s*u} Z_i over {(s, i): c}; Z_0 = X_0
-    lower: dict                 # i -> the element Z_i of the connection
-    order: int                  # the valid order of field_raw
+    def __init__(self, index: int, name: str, slots: list, norm_scale: Fraction, degree: int,
+                 eigenvalue: int, canonical: Optional[tuple], connection: dict, lower: dict,
+                 order: int):
+        self.index = index            # position in the reference basis; name = prefix + index
+        self.name = name
+        self.slots = slots            # packed slots 0..N built so far; 0 = the (empty) u slot
+        self.norm_scale = norm_scale
+        self.degree = degree          # natural degree (= d of the operator bigrading)
+        self.eigenvalue = eigenvalue  # ad-X_0 eigenvalue (= r of the operator bigrading)
+        self.canonical = canonical    # generator-count bigrading (p, q); None if undefined
+        self.connection = connection  # [D, Z] = sum c e^{s*u} Z_i over {(s, i): c}; Z_0 = X_0
+        self.lower = lower            # i -> the element Z_i of the connection
+        self.order = order            # the valid order of field_raw
 
     def extend(self, n: int) -> None:
         """Store slots 0..n: the D-recursion continues from the last stored
@@ -146,14 +148,15 @@ def serre_rungs(x: BasisElement, y: BasisElement, m: int) -> list:
     return rungs
 
 
-@dataclass
 class ClosureResult:
-    order: int
-    max_degree: int
-    toral_name: str
-    elements: list               # BasisElement, by index 1..n
-    brackets: dict               # (i, j) index pair, i<j -> tuple[(k, Fraction), ...] normalized,
-                                 # each exact on jets up to `order`
+    def __init__(self, order: int, max_degree: int, toral_name: str, elements: list,
+                 brackets: dict):
+        self.order = order
+        self.max_degree = max_degree
+        self.toral_name = toral_name
+        self.elements = elements    # BasisElement, by index 1..n
+        self.brackets = brackets    # (i, j) index pair, i<j -> tuple[(k, Fraction), ...]
+                                    # normalized, each exact on jets up to `order`
 
     def by_name(self, name: str) -> BasisElement:
         for el in self.elements:
@@ -403,13 +406,10 @@ def commutant_growth_offset(result: ClosureResult) -> int:
 # finitely presented graded algebras
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PresentedAlgebra:
-    """Basis labels with degrees and a closed-form bracket rule on label pairs."""
-    name: str
-    degree_of: Callable[[str], int]
-    rule: Callable[[str, str], tuple]        # (a, b) -> tuple[(label, int), ...]
-    labels_up_to: Callable[[int], list]
+# Basis labels with degrees and a closed-form bracket rule on label pairs:
+# degree_of(label) -> int, rule(a, b) -> tuple[(label, int), ...] and
+# labels_up_to(degree) -> list.
+PresentedAlgebra = namedtuple("PresentedAlgebra", "name degree_of rule labels_up_to")
 
 
 def _e_degree(label: str) -> int:
@@ -419,7 +419,7 @@ def _e_degree(label: str) -> int:
 
 def presented_m0() -> PresentedAlgebra:
     """[e_1, e_i] = e_{i+1} for i >= 2; all other brackets vanish: m0^S with S empty."""
-    return replace(presented_m0_S(frozenset()), name="m0")
+    return presented_m0_S(frozenset())._replace(name="m0")
 
 
 def presented_m2() -> PresentedAlgebra:

@@ -36,7 +36,7 @@ program no longer calls bracket: it is the tests' reference for the recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -56,9 +56,9 @@ class TruncationError(ValueError):
     """An operation needed slots beyond the stored valid order."""
 
 
-@dataclass(frozen=True)
-class JetField:
-    coeffs: tuple  # coeffs[j] = packed coefficient of d/du_j, j = 0..valid_order (0 = d/du)
+class JetField(namedtuple("JetField", "coeffs")):
+    # coeffs[j] = packed coefficient of d/du_j, j = 0..valid_order (0 = d/du)
+    __slots__ = ()
 
     @property
     def valid_order(self) -> int:
@@ -372,10 +372,9 @@ def is_zero_up_to(X: JetField) -> str:
 # gradings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bigrading:
-    d: int  # natural/weight degree: slot j carries weight j - d
-    r: int  # exponential degree: slots are multiples of e^{r*u}
+# d: natural/weight degree, slot j carries weight j - d;
+# r: exponential degree, slots are multiples of e^{r*u}
+Bigrading = namedtuple("Bigrading", "d r")
 
 
 def packed_bigrading(slots: list, start: int = 0) -> Optional[Bigrading]:

@@ -59,7 +59,7 @@ class LinearSpan:
     def _reduce(self, vec: Vec) -> tuple[Vec, dict, int]:
         """(vec', combo, scale) with vec' = scale*vec + sum_t combo[t]*input_t,
         all in ints, and vec' zero at every pivot."""
-        vec, scale = _cleared(vec)
+        vec, scale = cleared(vec)
         combo: dict = {}
         for pivot, row, rcombo in self._rows:
             c = vec.get(pivot)
@@ -104,7 +104,7 @@ def _coordinates(combo: dict, scale: int) -> dict:
     return {t: Fraction(-c, scale) for t, c in combo.items() if c}
 
 
-def _cleared(vec: Vec) -> tuple[Vec, int]:
+def cleared(vec: Vec) -> tuple[Vec, int]:
     """(s*vec as an int vector, s) with s the lcm of vec's denominators."""
     scale = lcm(*(v.denominator for v in vec.values()))
     return {k: (v * scale).numerator for k, v in vec.items()}, scale

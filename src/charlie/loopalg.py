@@ -12,17 +12,16 @@ drifts from the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 
-@dataclass(frozen=True)
-class LaurentMatrix:
-    """size x size matrix of Laurent polynomials; entries sparse on (i, j, t^p)."""
-    size: int
-    entries: tuple  # tuple[((i, j, p), Fraction), ...] sorted
+class LaurentMatrix(namedtuple("LaurentMatrix", "size entries")):
+    """size x size matrix of Laurent polynomials; entries sparse on (i, j, t^p).
+    entries: tuple[((i, j, p), Fraction), ...] sorted."""
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -175,17 +174,17 @@ def twist_check(m: LaurentMatrix) -> bool:
 # the two loop algebras, one row each
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoopAlgebra:
-    """The facts a realization b_0, b_1, ... of a non-negative loop algebra
-    part rests on.  Shifting an index by the period multiplies b_i by a power
-    of t, so b_{i+P} has the canonical bigrading of b_i plus that of b_P, and
-    every structure constant depends only on the residues mod P."""
-    period: int
-    basis: Callable[[int], LaurentMatrix]
-    prefix: str                 # label of b_i: prefix + i
-    bigradings: tuple           # canonical (generator-count) bigradings of b_0..b_P
-    serre: tuple                # (x, y, m): ad^m b_x (b_y) = 0 on the generators b_1, b_2
+# The facts a realization b_0, b_1, ... of a non-negative loop algebra part
+# rests on.  Shifting an index by the period multiplies b_i by a power of t,
+# so b_{i+P} has the canonical bigrading of b_i plus that of b_P, and every
+# structure constant depends only on the residues mod P.
+LoopAlgebra = namedtuple("LoopAlgebra", (
+    "period",
+    "basis",                    # int -> LaurentMatrix
+    "prefix",                   # label of b_i: prefix + i
+    "bigradings",               # canonical (generator-count) bigradings of b_0..b_P
+    "serre",                    # (x, y, m): ad^m b_x (b_y) = 0 on the generators b_1, b_2
+))
 
 
 ALGEBRAS = {

@@ -42,6 +42,13 @@ def test_integrals_reverified_at_higher_order():
         assert an.annihilates(an.EQUATIONS["liouville"], [w], 9) == [True]
 
 
+def test_annihilates_is_blind_to_a_scale_but_not_to_a_wrong_ratio():
+    # a Fraction-scaled integral still passes and a wrong coefficient ratio
+    # still fails once each w is cleared to int coefficients
+    scaled, off = xr.poly_parse("1/4*u1^2 - 1/2*u2"), xr.poly_parse("1/2*u1^2 - 1/3*u2")
+    assert an.annihilates(an.EQUATIONS["liouville"], [scaled, off], 9) == [True, False]
+
+
 def test_integrals_order_independent(capsys):
     # the search takes no order; --order moves only the re-verification
     payloads = []
@@ -213,14 +220,13 @@ def test_jet_serre_rows_are_sharp(monkeypatch, equation):
     # one power fewer leaves a nonzero top rung, whose first nonzero slot is
     # the generic bracket tower's, and the jet row alone fails verify-iso:
     # the matrix row is held at the true relations' values
-    from dataclasses import replace
     from charlie import jetfield as jf
     from charlie import loopalg as la
     algebra = an.TARGETS[equation][0]
     row = la.ALGEBRAS[algebra]
     truth = la.serre_check(algebra, "matrix")
     lowered = tuple((x, y, m - 1) for x, y, m in row.serre)
-    monkeypatch.setitem(la.ALGEBRAS, algebra, replace(row, serre=lowered))
+    monkeypatch.setitem(la.ALGEBRAS, algebra, row._replace(serre=lowered))
     monkeypatch.setattr(la, "serre_check_matrix", lambda name: truth)
     rep = an.verify_isomorphism(equation, 8, 12)
     generators = [el.field for el in rep.closure.elements[:2]]

@@ -1,8 +1,11 @@
 """The runtime needs only the standard library: every absolute import in
 src/charlie names a standard-library module (relative imports stay inside
-the package)."""
+the package).  Importing the CLI loads neither dataclasses nor inspect:
+together they were a fifth of the cold start, and no computation needs them."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +26,15 @@ def test_runtime_imports_only_the_standard_library():
     imported = set().union(*map(_absolute_imports, SOURCES))
     assert imported, "no imports found: the source glob is wrong"
     assert sorted(imported - sys.stdlib_module_names) == []
+
+
+def test_cli_imports_without_dataclasses_or_inspect():
+    # a fresh interpreter, since pytest itself loads both modules
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys, charlie.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
