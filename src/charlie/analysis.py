@@ -114,8 +114,9 @@ ExpSystem2D = namedtuple("ExpSystem2D", (
 
 def build_exp_system(A, order: int) -> ExpSystem2D:
     """Fields X_a = sum_k B_{k-1}(rho_a^1, ..., rho_a^{k-1}) d/du^a_k with
-    rho_a^i = a_{a1} u^1_i + a_{a2} u^2_i, as JetFields of valid order
-    2*order over u^a_k = u_{_dvar(a, k)}."""
+    rho_a^i = a_{a1} u^1_i + a_{a2} u^2_i over u^a_k = u_{_dvar(a, k)}, built
+    only through u^a_2, the top variable w2 reads, whatever the order: slot 1
+    is B_0 = 1 and slot 2 is rho_a^1."""
     M = tuple(tuple(Fraction(x) for x in row) for row in A)
     if len(M) != 2 or any(len(r) != 2 for r in M):
         raise ValueError("expected a 2x2 matrix")
@@ -123,16 +124,11 @@ def build_exp_system(A, order: int) -> ExpSystem2D:
         raise ValueError(f"order {order} too small: w2 uses u^a_2, so the order must be >= 2")
     fields = []
     for a in (1, 2):
-        rho_images = {
-            i: xr.vec_add_scaled(
-                xr.poly_scale(xr.poly_var(_dvar(1, i)), M[a - 1][0]),
-                xr.poly_var(_dvar(2, i)), M[a - 1][1])
-            for i in range(1, order + 1)
-        }
-        slots = [{} for _ in range(2 * order)]
-        for k in range(1, order + 1):
-            slots[_dvar(a, k) - 1] = xr.qp_from_poly(
-                xr.poly_substitute(complete_bell(k - 1), rho_images))
+        rho = {1: xr.vec_add_scaled(xr.poly_scale(xr.poly_var(_dvar(1, 1)), M[a - 1][0]),
+                                    xr.poly_var(_dvar(2, 1)), M[a - 1][1])}
+        slots = [{} for _ in range(_dvar(2, 2))]
+        for k in (1, 2):
+            slots[_dvar(a, k) - 1] = xr.qp_from_poly(xr.poly_substitute(complete_bell(k - 1), rho))
         fields.append(jf.make_field({}, slots))
     return ExpSystem2D(M, tuple(fields))
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from fractions import Fraction
@@ -37,11 +36,8 @@ def parse_equation(text: str) -> xr.Quasi:
             "with non-rational structure constants; use 'sinh'")
     if key in an.EQUATIONS:
         return an.EQUATIONS[key]
-    # the term grammar is `[c] e^(k u)`: allow the coefficient to sit next to
-    # the exponential without an explicit '*'
-    normalized = re.sub(r"(\d)\s*e\^", r"\1*e^", text)
     try:
-        q = xr.qp_parse(normalized)
+        q = xr.qp_parse(text)
     except ValueError as e:
         raise UsageError(f"bad equation: {e}") from e
     if not q:

@@ -21,7 +21,10 @@ does not depend on which one a coefficient is.
 vec_add_scaled (a + c*b on any such dict, zeros dropped) is the one sparse
 accumulate: polynomial sums pass c = +-1, and linalg's row operations and the
 closure's abstract bracket call it too.  Only the jet bracket kernel in
-jetfield fuses its own multiply-accumulate over packed monomials.
+jetfield fuses its own multiply-accumulate over packed monomials.  The
+matrix oracle in loopalg keeps this one format, a Laurent matrix being a
+plain dict of Fraction entries, but its own sum and product, so that it
+shares no arithmetic code with the jet side it checks.
 
 The weight of u_i is i; a polynomial is weight-homogeneous when all its monomials
 share one weight.  Zero-coefficient terms and zero polynomial parts are never stored,
@@ -336,8 +339,12 @@ class ParseError(ValueError):
 
 
 def qp_parse(text: str) -> Quasi:
-    """Parse the canonical text form (tolerates missing '*' around e^ factors
-    and '^1' exponents).  Inverse of qp_to_text on its own output."""
+    """Parse terms joined by + and -, each a product of factors joined by '*':
+    a rational c or c/d, where a sign right after '*' belongs to it
+    (`u1 * -1`); an exponential e^(k*u), where '^', the parentheses, '*' and
+    the integer k are each optional (`e^u`, `e^(-2u)`); or a jet variable u<i>
+    or u<i>^<e>, e >= 1.  A number directly before `e^` multiplies it with no
+    '*' (`2e^u`, `3 e^(-2u)`).  Inverse of qp_to_text on its own output."""
     s = text.strip()
     if not s:
         raise ParseError(text, 0, "empty input")
@@ -355,7 +362,8 @@ def qp_parse(text: str) -> Quasi:
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "(^*/eE" and term.strip():
+        if (ch in "+-" and depth == 0 and i > 0 and s[i - 1] not in "(^*/eE"
+                and term.strip() and term.rstrip()[-1] != "*"):
             terms.append((sign, term, start))
             sign = 1 if ch == "+" else -1
             term = ""
@@ -375,8 +383,9 @@ def qp_parse(text: str) -> Quasi:
         coeff = Fraction(tsign)
         alpha = 0
         mono_pairs: list[tuple[int, int]] = []
-        factors = [f.strip() for f in re.split(r"\*(?!\s*u\s*\))", body)]
-        # the split above keeps "e^(2*u)" together by not splitting before "u)"
+        factors = [f.strip() for f in re.split(r"\*(?!\s*u\s*\))|(?<=\d)\s*(?=e\^)", body)]
+        # the split keeps "e^(2*u)" together by not splitting before "u)", and
+        # splits a number from the e^ right after it
         for f in factors:
             if not f:
                 raise ParseError(text, tpos, "empty factor")

@@ -18,86 +18,69 @@ from functools import lru_cache
 from typing import Optional
 
 
-class LaurentMatrix(namedtuple("LaurentMatrix", "size entries")):
-    """size x size matrix of Laurent polynomials; entries sparse on (i, j, t^p).
-    entries: tuple[((i, j, p), Fraction), ...] sorted."""
-    __slots__ = ()
-
-    def is_zero(self) -> bool:
-        return not self.entries
+def lm(items: dict) -> dict:
+    """The Laurent matrix {(i, j, p): c}: entry (i, j) of its t^p part, every
+    c a Fraction and zeros never stored, so equality is dict equality."""
+    return {k: Fraction(v) for k, v in items.items() if v}
 
 
-def lm(size: int, items: dict) -> LaurentMatrix:
-    ent = tuple(sorted((k, Fraction(v)) for k, v in items.items() if v))
-    return LaurentMatrix(size, ent)
+def lm_add(a: dict, b: dict, ca=1, cb=1) -> dict:
+    out = {k: v * ca for k, v in a.items()}
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v * cb
+    return lm(out)
 
 
-def lm_dict(m: LaurentMatrix) -> dict:
-    return dict(m.entries)
-
-
-def lm_add(a: LaurentMatrix, b: LaurentMatrix, ca=1, cb=1) -> LaurentMatrix:
-    out = {k: v * Fraction(ca) for k, v in a.entries}
-    for k, v in b.entries:
-        out[k] = out.get(k, Fraction(0)) + v * Fraction(cb)
-    return lm(a.size, out)
-
-
-def lm_scale(a: LaurentMatrix, c) -> LaurentMatrix:
-    return lm(a.size, {k: v * Fraction(c) for k, v in a.entries})
-
-
-def lm_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+def lm_mul(a: dict, b: dict) -> dict:
     out: dict = {}
-    bd: dict = {}
-    for (i, j, p), v in b.entries:
-        bd.setdefault(i, []).append((j, p, v))
-    for (i, k, p), va in a.entries:
-        for (j, q, vb) in bd.get(k, ()):
+    rows: dict = {}
+    for (k, j, q), v in b.items():
+        rows.setdefault(k, []).append((j, q, v))
+    for (i, k, p), va in a.items():
+        for j, q, vb in rows.get(k, ()):
             key = (i, j, p + q)
-            out[key] = out.get(key, Fraction(0)) + va * vb
-    return lm(a.size, out)
+            out[key] = out.get(key, 0) + va * vb
+    return lm(out)
 
 
-def lm_commutator(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+def lm_commutator(a: dict, b: dict) -> dict:
     return lm_add(lm_mul(a, b), lm_mul(b, a), 1, -1)
 
 
-def lm_t_shift(a: LaurentMatrix, p: int) -> LaurentMatrix:
-    return lm(a.size, {(i, j, q + p): v for (i, j, q), v in a.entries})
+def lm_t_shift(a: dict, p: int) -> dict:
+    return lm({(i, j, q + p): v for (i, j, q), v in a.items()})
 
 
-def proportionality(a: LaurentMatrix, b: LaurentMatrix) -> Optional[Fraction]:
+def proportionality(a: dict, b: dict) -> Optional[Fraction]:
     """c with a = c*b exactly (b != 0), or None.  a = 0 gives 0."""
-    if a.is_zero():
+    if not a:
         return Fraction(0)
-    if b.is_zero():
+    if not b:
         return None
-    key, lead = b.entries[0]
-    da = lm_dict(a)
-    if key not in da:
+    key = min(b)
+    if key not in a:
         return None
-    c = da[key] / lead
-    return c if lm_add(a, b, 1, -c).is_zero() else None
+    c = a[key] / b[key]
+    return None if lm_add(a, b, 1, -c) else c
 
 
 # ---------------------------------------------------------------------------
 # loop algebra of sl(2): basis e_0, e_1, e_2, ... of the non-negative part
 # ---------------------------------------------------------------------------
 
-def sl2_basis(i: int) -> LaurentMatrix:
+def sl2_basis(i: int) -> dict:
     """e_{3k} = (1/2) diag(t^k, -t^k); e_{3k+1} = (1/2) E12 t^k; e_{3k+2} = E21 t^{k+1}."""
     if i < 0:
         raise ValueError(f"non-negative part needs index >= 0, got {i}")
     s = i % 3
     if s == 0:
         k = i // 3
-        return lm(2, {(0, 0, k): Fraction(1, 2), (1, 1, k): Fraction(-1, 2)})
+        return lm({(0, 0, k): Fraction(1, 2), (1, 1, k): Fraction(-1, 2)})
     if s == 1:
         k = (i - 1) // 3
-        return lm(2, {(0, 1, k): Fraction(1, 2)})
+        return lm({(0, 1, k): Fraction(1, 2)})
     k = (i + 1) // 3
-    return lm(2, {(1, 0, k): Fraction(1)})
+    return lm({(1, 0, k): Fraction(1)})
 
 
 def sl2_bracket_constant(i: int, j: int) -> Fraction:
@@ -110,19 +93,15 @@ def sl2_bracket_constant(i: int, j: int) -> Fraction:
 # twisted loop algebra of sl(3)
 # ---------------------------------------------------------------------------
 
-def _m3(rows) -> LaurentMatrix:
-    return lm(3, {(i, j, 0): rows[i][j] for i in range(3) for j in range(3) if rows[i][j]})
-
-
 SL3_F = {
-    -1: _m3([[0, 0, 0], [1, 0, 0], [0, 1, 0]]),
-    0: _m3([[1, 0, 0], [0, 0, 0], [0, 0, -1]]),
-    1: _m3([[0, 1, 0], [0, 0, 1], [0, 0, 0]]),
-    2: _m3([[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
-    3: _m3([[0, 0, 0], [1, 0, 0], [0, -1, 0]]),
-    4: _m3([[1, 0, 0], [0, -2, 0], [0, 0, 1]]),
-    5: _m3([[0, 1, 0], [0, 0, -1], [0, 0, 0]]),
-    6: _m3([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
+    -1: lm({(1, 0, 0): 1, (2, 1, 0): 1}),
+    0: lm({(0, 0, 0): 1, (2, 2, 0): -1}),
+    1: lm({(0, 1, 0): 1, (1, 2, 0): 1}),
+    2: lm({(2, 0, 0): 1}),
+    3: lm({(1, 0, 0): 1, (2, 1, 0): -1}),
+    4: lm({(0, 0, 0): 1, (1, 1, 0): -2, (2, 2, 0): 1}),
+    5: lm({(0, 1, 0): 1, (1, 2, 0): -1}),
+    6: lm({(0, 2, 0): 1}),
 }
 
 # eigenspaces of the diagram automorphism: g_0 (eigenvalue +1), g_1 (eigenvalue -1)
@@ -130,7 +109,7 @@ G0_KEYS = (-1, 0, 1)
 G1_KEYS = (2, 3, 4, 5, 6)
 
 
-def sl3_twisted_basis(n: int) -> LaurentMatrix:
+def sl3_twisted_basis(n: int) -> dict:
     """f_{8k+s}: s in {-1,0,1} on t^{2k} (g_0 part), s in {2..6} on t^{2k+1} (g_1 part)."""
     if n < 0:
         raise ValueError(f"non-negative part needs index >= 0, got {n}")
@@ -140,34 +119,15 @@ def sl3_twisted_basis(n: int) -> LaurentMatrix:
     return lm_t_shift(SL3_F[s], p)
 
 
-def mu_twist(m: LaurentMatrix) -> LaurentMatrix:
-    """Diagram automorphism of sl(3), entrywise (a_ij) -> given pattern, applied
-    to each t-power component separately."""
-    if m.size != 3:
-        raise ValueError("the twist is defined on 3x3 matrices")
-    out: dict = {}
-    pat = {  # (i, j) of the image -> ((i', j') source, sign)
-        (0, 0): ((2, 2), -1), (0, 1): ((1, 2), 1), (0, 2): ((0, 2), -1),
-        (1, 0): ((2, 1), 1), (1, 1): ((1, 1), -1), (1, 2): ((0, 1), 1),
-        (2, 0): ((2, 0), -1), (2, 1): ((1, 0), 1), (2, 2): ((0, 0), -1),
-    }
-    src = lm_dict(m)
-    for (i, j), ((si, sj), sign) in pat.items():
-        for (a, b, p), v in src.items():
-            if (a, b) == (si, sj):
-                out[(i, j, p)] = out.get((i, j, p), Fraction(0)) + sign * v
-    return lm(3, out)
+def mu_twist(m: dict) -> dict:
+    """Diagram automorphism of sl(3) on each t-power component: entry (i, j)
+    goes to (2 - j, 2 - i) with sign -(-1)^(i + j)."""
+    return lm({(2 - j, 2 - i, p): v if (i + j) % 2 else -v for (i, j, p), v in m.items()})
 
 
-def twist_check(m: LaurentMatrix) -> bool:
+def twist_check(m: dict) -> bool:
     """True iff every t^p component lies in the (-1)^p eigenspace of the twist."""
-    powers = sorted({p for (_, _, p), _ in m.entries})
-    for p in powers:
-        comp = lm(3, {k: v for k, v in m.entries if k[2] == p})
-        sign = 1 if p % 2 == 0 else -1
-        if not lm_add(mu_twist(comp), comp, 1, -sign).is_zero():
-            return False
-    return True
+    return mu_twist(m) == {(i, j, p): -v if p % 2 else v for (i, j, p), v in m.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +140,7 @@ def twist_check(m: LaurentMatrix) -> bool:
 # structure constant depends only on the residues mod P.
 LoopAlgebra = namedtuple("LoopAlgebra", (
     "period",
-    "basis",                    # int -> LaurentMatrix
+    "basis",                    # int -> Laurent matrix
     "prefix",                   # label of b_i: prefix + i
     "bigradings",               # canonical (generator-count) bigradings of b_0..b_P
     "serre",                    # (x, y, m): ad^m b_x (b_y) = 0 on the generators b_1, b_2
@@ -306,7 +266,7 @@ def matrix_table(algebra: str, max_index: int) -> dict[tuple[int, int], Fraction
     return out
 
 
-def ad_power(x: LaurentMatrix, y: LaurentMatrix, m: int) -> LaurentMatrix:
+def ad_power(x: dict, y: dict, m: int) -> dict:
     """ad_x^m (y) by matrix commutators."""
     out = y
     for _ in range(m):
@@ -341,35 +301,35 @@ def serre_check_matrix(algebra: str) -> dict[str, bool]:
     on the generators (e_1, e_2) of A1(1) and (f_1, f_2) of A2(2)."""
     row = ALGEBRAS[algebra]
     return {f"ad^{m} {row.prefix}{x} ({row.prefix}{y})":
-            ad_power(row.basis(x), row.basis(y), m).is_zero() for x, y, m in row.serre}
+            not ad_power(row.basis(x), row.basis(y), m) for x, y, m in row.serre}
 
 
 # ---------------------------------------------------------------------------
 # real forms: u, v+/-, w+/- inside so(3)[t] and so(2,1)[t]
 # ---------------------------------------------------------------------------
 
-def real_u(k: int) -> LaurentMatrix:
+def real_u(k: int) -> dict:
     """u_{2k-1} = (E12 - E21) t^{2k-1}."""
     if k < 1:
         raise ValueError("u is indexed by odd 2k-1 with k >= 1")
     p = 2 * k - 1
-    return lm(3, {(0, 1, p): 1, (1, 0, p): -1})
+    return lm({(0, 1, p): 1, (1, 0, p): -1})
 
 
-def real_v(sign: int, k: int) -> LaurentMatrix:
+def real_v(sign: int, k: int) -> dict:
     """v^{+-}_{2k-1} = (E23 -+ E32) t^{2k-1}."""
     if k < 1 or sign not in (1, -1):
         raise ValueError("v is indexed by odd 2k-1 with k >= 1 and sign +-1")
     p = 2 * k - 1
-    return lm(3, {(1, 2, p): 1, (2, 1, p): -sign})
+    return lm({(1, 2, p): 1, (2, 1, p): -sign})
 
 
-def real_w(sign: int, k: int) -> LaurentMatrix:
+def real_w(sign: int, k: int) -> dict:
     """w^{+-}_{2k} = (E13 -+ E31) t^{2k}."""
     if k < 1 or sign not in (1, -1):
         raise ValueError("w is indexed by even 2k with k >= 1 and sign +-1")
     p = 2 * k
-    return lm(3, {(0, 2, p): 1, (2, 0, p): -sign})
+    return lm({(0, 2, p): 1, (2, 0, p): -sign})
 
 
 def real_form_bracket(sign: int, family: tuple[str, str], k: int, l: int):
@@ -386,7 +346,7 @@ def real_form_bracket(sign: int, family: tuple[str, str], k: int, l: int):
         return got, real_w(sign, k + l - 1), f"w{2 * (k + l) - 2}"
     if family == ("v", "w"):
         got = lm_commutator(real_v(sign, k), real_w(sign, l))
-        return got, lm_scale(real_u(k + l), sign), f"{'+' if sign > 0 else '-'}u{2 * (k + l) - 1}"
+        return got, lm_add(real_u(k + l), {}, sign), f"{'+' if sign > 0 else '-'}u{2 * (k + l) - 1}"
     if family == ("w", "u"):
         got = lm_commutator(real_w(sign, k), real_u(l))
         return got, real_v(sign, k + l), f"v{2 * (k + l) - 1}"

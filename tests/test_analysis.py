@@ -112,19 +112,31 @@ def test_find_x_integrals_matches_its_definition(f_terms):
 
 @pytest.mark.parametrize("A", an.INTRO_MATRICES + (((1, 2), (3, 4)),))
 def test_exp2d_residuals_match_their_definition(A):
-    # X_a w2 = sum_k slot_k * dw2/du^a_k over the fields' own slots, by poly_diff
+    # X_a w2 = sum_k slot_k * dw2/du^a_k over the fields' own slots, by poly_diff;
+    # w2 reads u^a_1 and u^a_2 only
     w2 = an.w2_integral(A)
     for order in range(2, 9):
         system = an.build_exp_system(A, order)
         want = []
         for a, X in zip((1, 2), system.fields):
             out: dict = {}
-            for k in range(1, order + 1):
+            for k in (1, 2):
                 slot = X.slot(an._dvar(a, k)).get(0, {})
                 out = xr.vec_add_scaled(out, xr.poly_mul(slot, xr.poly_diff(w2, an._dvar(a, k))), 1)
             want.append(out)
         ok, residuals = an.check_w2_integral(system)
         assert list(residuals) == want and ok == (want == [{}, {}]), (A, order)
+
+
+def test_exp_system_builds_no_slot_past_u_a_2():
+    # u^1_1, u^2_1, u^1_2, u^2_2 are u1..u4; slot 2 of X_a is rho_a^1
+    rho1 = {1: "2*u1 - 4*u2", 2: "-u1 + 2*u2"}
+    for order in (2, 3, 6, 40):
+        for a, X in zip((1, 2), an.build_exp_system(((2, -4), (-1, 2)), order).fields):
+            assert X.valid_order == an._dvar(2, 2), (order, a)
+            assert [j for j, q in enumerate(X.coeffs) if q] == [an._dvar(a, 1), an._dvar(a, 2)]
+            assert X.slot(an._dvar(a, 1)) == xr.qp_parse("1")
+            assert X.slot(an._dvar(a, 2)) == xr.qp_parse(rho1[a])
 
 
 def test_defining_equation_sinh_phi3():

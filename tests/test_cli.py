@@ -35,6 +35,11 @@ def test_parse_equation_juxtaposed_coefficient():
     assert an.identify_equation(cli.parse_equation("-1/2 e^(-u) + 1/2 e^u")) == "sinh"
 
 
+def test_parse_equation_reports_the_text_as_typed():
+    with pytest.raises(cli.UsageError, match=r"cannot parse '2e\^u2'"):
+        cli.parse_equation("2e^u2")
+
+
 def test_parse_equation_rejects_sin():
     with pytest.raises(cli.UsageError, match="real form"):
         cli.parse_equation("sin")

@@ -82,6 +82,27 @@ def test_parse_rejects_a_cut_last_term_or_an_empty_factor(text):
         xr.qp_parse(text)
 
 
+def test_parse_reads_a_number_before_e_as_a_factor():
+    assert xr.qp_parse("2e^u") == xr.qp_parse("2 * e^(u)")
+    assert xr.qp_parse("3 e^(-2u) - 1/2e^u") == xr.qp_parse("3 * e^(-2*u) - 1/2 * e^(u)")
+    with pytest.raises(xr.ParseError, match=r"cannot parse '2e\^u2' .* 'e\^u2'"):
+        xr.qp_parse("2e^u2")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3*-2", "-6"), ("3 * -2", "-6"), ("3 *-2", "-6"), ("3* -2", "-6"),
+    ("u1*-1", "-u1"), ("u1 * -1", "-u1"), ("u1 * -1/2 - u2", "-1/2 * u1 - u2"),
+])
+def test_parse_reads_a_signed_number_after_star_as_a_factor(text, value):
+    assert xr.qp_parse(text) == xr.qp_parse(value)
+
+
+@pytest.mark.parametrize("text", ["e - u", "e -u", "u1 * - 1"])
+def test_parse_keeps_a_spaced_sign_out_of_a_factor(text):
+    with pytest.raises(xr.ParseError):
+        xr.qp_parse(text)
+
+
 def test_canonical_text_shapes():
     q = Q("-1/2 * e^(-2*u) * u1^2*u2 + 3 * u1")
     assert xr.qp_to_text(q) == "3 * u1 - 1/2 * e^(-2*u) * u1^2*u2"

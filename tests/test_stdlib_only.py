@@ -1,7 +1,9 @@
 """The runtime needs only the standard library: every absolute import in
 src/charlie names a standard-library module (relative imports stay inside
-the package).  Importing the CLI loads neither dataclasses nor inspect:
-together they were a fifth of the cold start, and no computation needs them."""
+the package), and every module parses as the Python 3.10 grammar that
+requires-python declares.  Importing the CLI loads neither dataclasses nor
+inspect: together they were a fifth of the cold start, and no computation
+needs them."""
 
 import ast
 import os
@@ -26,6 +28,13 @@ def test_runtime_imports_only_the_standard_library():
     imported = set().union(*map(_absolute_imports, SOURCES))
     assert imported, "no imports found: the source glob is wrong"
     assert sorted(imported - sys.stdlib_module_names) == []
+
+
+def test_sources_parse_with_the_declared_python_floor():
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
+    for path in SOURCES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_cli_imports_without_dataclasses_or_inspect():
