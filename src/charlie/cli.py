@@ -58,7 +58,7 @@ def _table_payload(result: cl.ClosureResult) -> dict:
     for el in result.elements:
         if el.eigenvalue:
             brackets.append({"i": result.toral_name, "j": el.name,
-                             "out": [[el.name, xr.frac_text(Fraction(el.eigenvalue))]]})
+                             "out": [[el.name, xr.frac_text(el.eigenvalue)]]})
     for (i, j) in sorted(result.brackets):
         coeffs = result.brackets[(i, j)]
         brackets.append({
@@ -309,10 +309,20 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names
+    one (its usage line still lists them all, so every message is the same)."""
     p = argparse.ArgumentParser(prog="charlie",
                                 description="exact characteristic Lie algebras of u_xy = f(u)")
     sub = p.add_subparsers(dest="command", required=True)
+    names = []
+
+    def add(name, help_, fn):
+        names.append(name)
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_)
+            sp.set_defaults(fn=fn)
+            return sp
 
     def common(sp, order_default=None):
         sp.add_argument("--format", choices=("json", "text"), default="json")
@@ -322,69 +332,56 @@ def build_parser() -> argparse.ArgumentParser:
                             help="truncation order (0 = choose automatically)"
                             if order_default == 0 else "truncation order")
 
-    sp = sub.add_parser("bell", help="complete/incomplete Bell polynomials")
-    sp.add_argument("--complete", type=int, metavar="N")
-    sp.add_argument("--incomplete", type=int, nargs=2, metavar=("N", "K"))
-    common(sp)
-    sp.set_defaults(fn=cmd_bell)
-
-    sp = sub.add_parser("charalg", help="generate the characteristic algebra table")
-    sp.add_argument("--equation", required=True)
-    sp.add_argument("--degree", type=int, default=8)
-    common(sp, order_default=12)
-    sp.set_defaults(fn=cmd_charalg)
-
-    sp = sub.add_parser("loops", help="matrix-side loop algebra tables")
-    sp.add_argument("--algebra", required=True, help="sl2 or sl3t")
-    sp.add_argument("--table", action="store_true", help="emit the structure table")
-    sp.add_argument("--max", type=int, default=16)
-    common(sp)
-    sp.set_defaults(fn=cmd_loops)
-
-    sp = sub.add_parser("integrals", help="search x-integrals up to a weight bound")
-    sp.add_argument("--equation", required=True)
-    sp.add_argument("--weight", type=int, required=True)
-    common(sp)
-    sp.add_argument("--order", type=int, default=0,
-                    help="sets the re-verification order, order + 4; the search itself is "
-                         "exact at any order (0 = weight + 1, the smallest allowed)")
-    sp.set_defaults(fn=cmd_integrals)
-
-    sp = sub.add_parser("symmetry", help="check the defining equation for a candidate phi")
-    sp.add_argument("--equation", required=True)
-    sp.add_argument("--phi", required=True)
-    common(sp, order_default=0)
-    sp.set_defaults(fn=cmd_symmetry)
-
-    sp = sub.add_parser("verify-iso", help="compare the jet-side table with its matrix realization")
-    sp.add_argument("--equation", required=True)
-    sp.add_argument("--degree", type=int, default=8)
-    common(sp, order_default=12)
-    sp.set_defaults(fn=cmd_verify_iso)
-
-    sp = sub.add_parser("exp2d", help="second-order integral of a 2D exponential system")
-    sp.add_argument("--matrix", required=True, help="a11,a12,a21,a22")
-    common(sp, order_default=0)
-    sp.set_defaults(fn=cmd_exp2d)
-
-    sp = sub.add_parser("growth", help="growth functions of closures or presented algebras")
-    sp.add_argument("--equation", default=None)
-    sp.add_argument("--algebra", default=None, help="presented algebra: m0, m2, W+, n2^3")
-    sp.add_argument("--degree", type=int, default=12)
-    common(sp, order_default=0)
-    sp.set_defaults(fn=cmd_growth)
-
-    sp = sub.add_parser("jacobi", help="Jacobi identity sweep for presented algebras")
-    sp.add_argument("--algebra", required=True, help="m0, m2, W+, n2^3, or m0S with --s")
-    sp.add_argument("--s", default=None, help="comma-separated odd integers for m0S")
-    sp.add_argument("--degree", type=int, default=20)
-    common(sp)
-    sp.set_defaults(fn=cmd_jacobi)
-    return p
+    if sp := add("bell", "complete/incomplete Bell polynomials", cmd_bell):
+        sp.add_argument("--complete", type=int, metavar="N")
+        sp.add_argument("--incomplete", type=int, nargs=2, metavar=("N", "K"))
+        common(sp)
+    if sp := add("charalg", "generate the characteristic algebra table", cmd_charalg):
+        sp.add_argument("--equation", required=True)
+        sp.add_argument("--degree", type=int, default=8)
+        common(sp, order_default=12)
+    if sp := add("loops", "matrix-side loop algebra tables", cmd_loops):
+        sp.add_argument("--algebra", required=True, help="sl2 or sl3t")
+        sp.add_argument("--table", action="store_true", help="emit the structure table")
+        sp.add_argument("--max", type=int, default=16)
+        common(sp)
+    if sp := add("integrals", "search x-integrals up to a weight bound", cmd_integrals):
+        sp.add_argument("--equation", required=True)
+        sp.add_argument("--weight", type=int, required=True)
+        common(sp)
+        sp.add_argument("--order", type=int, default=0,
+                        help="sets the re-verification order, order + 4; the search itself is "
+                             "exact at any order (0 = weight + 1, the smallest allowed)")
+    if sp := add("symmetry", "check the defining equation for a candidate phi", cmd_symmetry):
+        sp.add_argument("--equation", required=True)
+        sp.add_argument("--phi", required=True)
+        common(sp, order_default=0)
+    if sp := add("verify-iso", "compare the jet-side table with its matrix realization",
+                 cmd_verify_iso):
+        sp.add_argument("--equation", required=True)
+        sp.add_argument("--degree", type=int, default=8)
+        common(sp, order_default=12)
+    if sp := add("exp2d", "second-order integral of a 2D exponential system", cmd_exp2d):
+        sp.add_argument("--matrix", required=True, help="a11,a12,a21,a22")
+        common(sp, order_default=0)
+    if sp := add("growth", "growth functions of closures or presented algebras", cmd_growth):
+        sp.add_argument("--equation", default=None)
+        sp.add_argument("--algebra", default=None, help="presented algebra: m0, m2, W+, n2^3")
+        sp.add_argument("--degree", type=int, default=12)
+        common(sp, order_default=0)
+    if sp := add("jacobi", "Jacobi identity sweep for presented algebras", cmd_jacobi):
+        sp.add_argument("--algebra", required=True, help="m0, m2, W+, n2^3, or m0S with --s")
+        sp.add_argument("--s", default=None, help="comma-separated odd integers for m0S")
+        sp.add_argument("--degree", type=int, default=20)
+        common(sp)
+    if command in names:
+        sub.metavar = "{" + ",".join(names) + "}"
+    return p if command in (None, *names) else build_parser()
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

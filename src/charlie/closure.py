@@ -22,7 +22,7 @@ gives
     lam^{[A,B]} = sum_i lam^A_i [Z_i, B] + sum_j lam^B_j [A, Z_j]
 
 from table entries one degree lower ([X_0, B] = r_B B).  These vectors go
-into a second LinearSpan, one row per element of degree >= 2.  When the
+into LinearSpans, one row per element of degree >= 2.  When the
 connection vector of a pair is sum_i c_i lam^{Z_i}, c is the entry, with
 no field: W = [A, B] - sum_i c_i Z_i has [D, W] = 0 and an empty u slot,
 and [D, W]_k = D w_k - w_{k+1}, so w_0 = 0 gives W = 0 on every slot.  Any
@@ -31,7 +31,7 @@ the same argument builds [A, B] slot by slot from lam, z_0 = 0 and
 z_{k+1} = D z_k - sum_i lam_i e^{(r - r_i) u} (Z_i)_k, the jet bracket on
 every slot it builds, and its jet vector decides whether it is new: the
 vector of its slots, reduced by exact sparse elimination (linalg.LinearSpan)
-against the elements of its degree.  The generators come from the same
+against the elements of its bigrading.  The generators come from the same
 recursion over X_0: z_1 = +-e^{alpha u} and z_{k+1} = D z_k.
 
 The jets decide on a weight window.  Slot j of a degree-d element has
@@ -50,6 +50,17 @@ certificate is N: a relation comes from the filter or from the jets at order
 N, and holds on the min(N_A, N_B) = N slots that the jet bracket of two
 full-order fields keeps.
 
+Each pair is decided inside its bigrading block.  [A, B] has bigrading
+(d, r) = (d_A + d_B, r_A + r_B), and every key (s, i) of its connection
+vector has s + r_i = r with Z_i of degree d - 1, so the connection vectors
+of distinct blocks have disjoint supports; every term of a (d, r) element's
+slots carries e^{r u} (the homogeneity guard), so its jet vector keys on the
+slot and the monomial alone and distinct r have disjoint jet vectors too.
+Elimination never mixes disjoint supports, so one connection span and one
+jet span per block give the same decisions and the same unique coordinates
+as one span for all of them, while each reduction visits only its block's
+rows.  A widening still rebuilds every block of its degree.
+
 An element is stored as packed slots, built, read and extended only by the
 D-recursion; the jet span and the homogeneity guard, which checks every slot
 the closure builds, key on its packed monomials.  Its JetField, field_raw,
@@ -59,7 +70,8 @@ normalization: Z_n = (1/k_{q,l}) [Z_q, Z_l] for the first pair q < l,
 q + l = n with a nonzero target constant k.  The normalized field,
 norm_scale times field_raw, is also built on first read.  That rule
 reproduces the defining recursions of both reference bases, so
-reported tables compare literally.
+reported tables compare literally.  Without a target every scale is 1 and
+the table is the raw coordinates, with no normalization pass.
 """
 
 from __future__ import annotations
@@ -187,8 +199,10 @@ class ClosureResult:
 
 
 def _vectorize(slots: list) -> dict:
-    """Coefficient vector of packed slots keyed by (slot, exp index, packed monomial)."""
-    return {(j, alpha, m): c for j, q in enumerate(slots) for alpha, p in q.items()
+    """Coefficient vector of packed slots keyed by m << 16 | j for the term
+    c e^{r u} m of slot j: the homogeneity guard gives every term of an
+    element the one exponent r of its block, and j < order < 2^15."""
+    return {m << 16 | j: c for j, q in enumerate(slots) for p in q.values()
             for m, c in p.items()}
 
 
@@ -222,7 +236,6 @@ def generate(
     if not xr.qp_is_exponential_only(f) or not f:
         raise ClosureError("closure needs a nonzero pure exponential sum f(u)")
     window = order - max_degree         # weight through which each degree is decided first
-    connections = LinearSpan()          # connection vectors of the elements of degree >= 2
     elements: list[BasisElement] = []   # by index; a degree's elements join after its pairs
     raw_expr: dict = {}                 # (idx_i, idx_j) -> {element: Fraction}
 
@@ -254,11 +267,13 @@ def generate(
 
     for d in range(2, max_degree + 1):
         new_here: list[BasisElement] = []
-        span = LinearSpan()             # jet vectors of this degree's elements
+        connections: dict = {}          # r -> the connection vectors of this degree's elements
+        spans: dict = {}                # r -> their jet vectors
         n = d + window                  # the slots this degree is decided on
         for ei, ej in itertools.combinations(elements, 2):
             if ei.degree + ej.degree != d:
                 continue
+            r = ei.eigenvalue + ej.eigenvalue
             # [D, [A, B]] = [[D, A], B] + [A, [D, B]], and [e^{su} Z, B] = e^{su} [Z, B]
             # because B annihilates functions of u
             terms = [((s, el.index), c * ck) for (s, i), c in ei.connection.items()
@@ -269,28 +284,29 @@ def generate(
             for key, c in terms:
                 lam[key] = lam.get(key, 0) + c
             lam = {key: c for key, c in lam.items() if c}
-            expr = connections.express(lam)
+            block = connections.setdefault(r, LinearSpan())
+            expr = block.express(lam)
             if expr is None:
                 canonical = None
                 if ei.canonical is not None and ej.canonical is not None:
                     canonical = (ei.canonical[0] + ej.canonical[0], ei.canonical[1] + ej.canonical[1])
-                el = BasisElement(0, f"[{ei.name},{ej.name}]", [{}], Fraction(1), d,
-                                  ei.eigenvalue + ej.eigenvalue, canonical, lam,
-                                  {i: elements[i - 1] for _, i in lam}, order)
+                el = BasisElement(0, f"[{ei.name},{ej.name}]", [{}], Fraction(1), d, r,
+                                  canonical, lam, {i: elements[i - 1] for _, i in lam}, order)
                 el.extend(n)
-                expr = span.insert(_vectorize(el.slots), el)
+                expr = spans.setdefault(r, LinearSpan()).insert(_vectorize(el.slots), el)
                 if expr is not None and n < order:
                     # the window may see a relation that full order breaks:
                     # this degree is decided at full order from here on
-                    n, span = order, LinearSpan()
+                    n, spans = order, {}
                     for z in (*new_here, el):
                         z.extend(order)
-                        expr = span.insert(_vectorize(z.slots), z)
+                        expr = spans.setdefault(z.eigenvalue, LinearSpan()).insert(
+                            _vectorize(z.slots), z)
                 if expr is None:
                     # a second reduction of lam, but only for a new element:
                     # inserting before the jets decide would leave a row for
                     # every pair that the jets find dependent
-                    connections.insert(lam, el)
+                    block.insert(lam, el)
                     new_here.append(el)
                     expr = {el: Fraction(1)}
             raw_expr[(ei.index, ej.index)] = expr
@@ -301,15 +317,15 @@ def generate(
             el.name = f"{prefix}{el.index}"
             elements.append(el)
 
-    raw_expr = {key: tuple(sorted((el.index, c) for el, c in expr.items()))
+    brackets = {key: tuple(sorted((el.index, c) for el, c in expr.items()))
                 for key, expr in raw_expr.items()}
-    scales = _normalization_scales(elements, raw_expr, target)
-    for el, c in zip(elements, scales):
-        el.norm_scale = c
-    brackets = {}
-    for (i, j), coeffs in raw_expr.items():
-        ci, cj = scales[i - 1], scales[j - 1]
-        brackets[(i, j)] = tuple((k, ci * cj * lam / scales[k - 1]) for k, lam in coeffs)
+    if target is not None:
+        scales = _normalization_scales(elements, brackets, target)
+        for el, c in zip(elements, scales):
+            el.norm_scale = c
+        brackets = {(i, j): tuple((k, scales[i - 1] * scales[j - 1] * lam / scales[k - 1])
+                                  for k, lam in coeffs)
+                    for (i, j), coeffs in brackets.items()}
     return ClosureResult(order, max_degree, f"{prefix}0", elements, brackets)
 
 
@@ -317,8 +333,6 @@ def _normalization_scales(elements, raw_expr, target) -> list:
     """Scale factors c with normalized_n = c_n * raw_n, from the target rule."""
     n_el = len(elements)
     scales = [Fraction(1)] * n_el
-    if target is None:
-        return scales
     for n in range(3, n_el + 1):
         for q in range(1, (n + 1) // 2):
             l = n - q

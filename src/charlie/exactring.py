@@ -284,8 +284,9 @@ def qp_is_exponential_only(a: Quasi) -> bool:
 # ---------------------------------------------------------------------------
 
 def frac_text(c: Fraction) -> str:
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    """c, an int or a Fraction, as `n` or `n/d`."""
+    n, d = c.numerator, c.denominator
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _exp_text(alpha: int) -> str:
@@ -328,7 +329,7 @@ def poly_to_text(p: Poly) -> str:
 
 
 _FRAC_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
-_EXP_RE = re.compile(r"^e\^?\(?\s*(-?\d*)\s*\*?\s*u\s*\)?$")
+_EXP_RE = re.compile(r"^e\^\(?\s*(-?\d*)\s*\*?\s*u\s*\)?$")
 _VAR_RE = re.compile(r"^u(\d+)(?:\^(-?\d+))?$")
 
 
@@ -341,9 +342,9 @@ class ParseError(ValueError):
 def qp_parse(text: str) -> Quasi:
     """Parse terms joined by + and -, each a product of factors joined by '*':
     a rational c or c/d, where a sign right after '*' belongs to it
-    (`u1 * -1`); an exponential e^(k*u), where '^', the parentheses, '*' and
-    the integer k are each optional (`e^u`, `e^(-2u)`); or a jet variable u<i>
-    or u<i>^<e>, e >= 1.  A number directly before `e^` multiplies it with no
+    (`u1 * -1`); an exponential e^(k*u), where the parentheses, '*' and
+    the integer k are each optional but '^' is not (`e^u`, `e^(-2u)`); or
+    a jet variable u<i> or u<i>^<e>, e >= 1.  A number directly before `e^` multiplies it with no
     '*' (`2e^u`, `3 e^(-2u)`).  Inverse of qp_to_text on its own output."""
     s = text.strip()
     if not s:

@@ -21,13 +21,13 @@ from typing import Optional
 def lm(items: dict) -> dict:
     """The Laurent matrix {(i, j, p): c}: entry (i, j) of its t^p part, every
     c a Fraction and zeros never stored, so equality is dict equality."""
-    return {k: Fraction(v) for k, v in items.items() if v}
+    return {k: v if type(v) is Fraction else Fraction(v) for k, v in items.items() if v}
 
 
 def lm_add(a: dict, b: dict, ca=1, cb=1) -> dict:
-    out = {k: v * ca for k, v in a.items()}
+    out = dict(a) if ca == 1 else {k: v * ca for k, v in a.items()}
     for k, v in b.items():
-        out[k] = out.get(k, 0) + v * cb
+        out[k] = out.get(k, 0) + (v if cb == 1 else -v if cb == -1 else v * cb)
     return lm(out)
 
 

@@ -209,6 +209,15 @@ def test_truncated_last_term_is_a_usage_error(capsys, argv):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("equation", ["e-u", "eu", "e2u", "e^u + e(-2u)", "2eu"])
+def test_an_exponential_without_its_caret_is_a_usage_error(capsys, equation):
+    # `e-u` once read as e^(-u) and `e2u` as e^(2u): the '^' is required
+    assert cli.run(["charalg", "--equation", equation]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad equation: ") and err.count("\n") == 1
+    assert "unrecognized factor" in err
+
+
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "missing" / "x.json"
     argv = ["charalg", "--equation", "sinh", "--degree", "4", "--order", "8", "--out", str(path)]
@@ -328,3 +337,18 @@ def test_text_format(capsys):
 
 def test_usage_error_unknown_subcommand(capsys):
     assert cli.run(["frobnicate"]) == 1
+
+
+def test_run_builds_only_the_named_subcommand(capsys):
+    # a known first word gets a parser of that subcommand alone, with the
+    # full usage line; an unknown one or an option gets the full parser
+    full, one = cli.build_parser(), cli.build_parser("charalg")
+    assert one.format_usage() == full.format_usage()
+    assert cli.build_parser("frobnicate").format_help() == full.format_help()
+    assert cli.build_parser("--help").format_help() == full.format_help()
+    with pytest.raises(SystemExit):
+        one.parse_args(["bell", "--complete", "2"])
+    capsys.readouterr()
+    assert cli.run(["charalg", "--equation", "sinh", "--foo"]) == 1
+    assert capsys.readouterr().err == full.format_usage() + \
+        "charlie: error: unrecognized arguments: --foo\n"

@@ -536,6 +536,33 @@ def test_closure_report_matches_pinned_hash(capsys, command, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+def _block_cases():
+    """(equation, degree, order) of every FILTER_CASES entry and pinned charalg argv."""
+    cases = dict(FILTER_CASES)
+    for command in PINNED_REPORTS:
+        argv = shlex.split(command)
+        if argv[0] == "charalg":
+            args = cli.build_parser().parse_args(argv)
+            cases[command] = (cli.parse_equation(args.equation), args.degree, args.order)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_block_cases()))
+def test_elements_stay_inside_their_bigrading_block(case):
+    # the two facts that let generate decide each pair inside its (d, r)
+    # block: a connection key (s, i) has s + r_i = r with Z_i of degree
+    # d - 1 (X_0 at d = 1), and every stored slot term carries e^{r u}
+    equation, degree, order = _block_cases()[case]
+    res = closure_for(equation, order, degree)
+    grading = {0: (0, 0), **{el.index: (el.degree, el.eigenvalue) for el in res.elements}}
+    for el in res.elements:
+        assert el.connection, el.name
+        for s, i in el.connection:
+            assert grading[i] == (el.degree - 1, el.eigenvalue - s), (el.name, s, i)
+        assert all(set(q) <= {el.eigenvalue} for q in el.slots), el.name
+        assert any(el.slots), el.name
+
+
 # (exit code, sha256) of reports that read an equation or a loop algebra
 # through its stored data and that no golden reaches: the sl(2) table with its
 # gradings, both isomorphisms with their Serre relations (tzitzeica spelled
