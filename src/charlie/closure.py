@@ -77,7 +77,7 @@ the table is the raw coordinates, with no normalization pass.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
@@ -267,8 +267,8 @@ def generate(
 
     for d in range(2, max_degree + 1):
         new_here: list[BasisElement] = []
-        connections: dict = {}          # r -> the connection vectors of this degree's elements
-        spans: dict = {}                # r -> their jet vectors
+        connections = defaultdict(LinearSpan)   # r -> this degree's connection vectors
+        spans = defaultdict(LinearSpan)         # r -> their jet vectors
         n = d + window                  # the slots this degree is decided on
         for ei, ej in itertools.combinations(elements, 2):
             if ei.degree + ej.degree != d:
@@ -284,8 +284,7 @@ def generate(
             for key, c in terms:
                 lam[key] = lam.get(key, 0) + c
             lam = {key: c for key, c in lam.items() if c}
-            block = connections.setdefault(r, LinearSpan())
-            expr = block.express(lam)
+            expr = connections[r].express(lam)
             if expr is None:
                 canonical = None
                 if ei.canonical is not None and ej.canonical is not None:
@@ -293,20 +292,19 @@ def generate(
                 el = BasisElement(0, f"[{ei.name},{ej.name}]", [{}], Fraction(1), d, r,
                                   canonical, lam, {i: elements[i - 1] for _, i in lam}, order)
                 el.extend(n)
-                expr = spans.setdefault(r, LinearSpan()).insert(_vectorize(el.slots), el)
+                expr = spans[r].insert(_vectorize(el.slots), el)
                 if expr is not None and n < order:
                     # the window may see a relation that full order breaks:
                     # this degree is decided at full order from here on
-                    n, spans = order, {}
+                    n, spans = order, defaultdict(LinearSpan)
                     for z in (*new_here, el):
                         z.extend(order)
-                        expr = spans.setdefault(z.eigenvalue, LinearSpan()).insert(
-                            _vectorize(z.slots), z)
+                        expr = spans[z.eigenvalue].insert(_vectorize(z.slots), z)
                 if expr is None:
                     # a second reduction of lam, but only for a new element:
                     # inserting before the jets decide would leave a row for
                     # every pair that the jets find dependent
-                    block.insert(lam, el)
+                    connections[r].insert(lam, el)
                     new_here.append(el)
                     expr = {el: Fraction(1)}
             raw_expr[(ei.index, ej.index)] = expr
