@@ -2,6 +2,8 @@
 
 Reports are deterministic: given identical flags the JSON bytes are identical
 across runs (wall-clock timing goes to stderr only, never into the report).
+_render_json writes the bytes of json.dumps(report, indent=2) from json's C
+scalar encoders; with an indent set, json would use its pure-Python encoder.
 Exit codes: 0 verified (or zero-up-to), 2 mismatch, 1 usage error.
 """
 
@@ -20,6 +22,7 @@ from . import loopalg as la
 from .bell import complete_bell, incomplete_bell
 
 SCHEMA = "charlie-report/1"
+_enc = json.encoder.encode_basestring_ascii
 
 
 class UsageError(ValueError):
@@ -284,6 +287,22 @@ def cmd_jacobi(args) -> tuple:
 # report plumbing
 # ---------------------------------------------------------------------------
 
+def _render_json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, with every string from
+    encode_basestring_ascii and every other scalar from the compact encoder."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return _enc(obj) if isinstance(obj, str) else json.dumps(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        body = ("," + inner).join([
+            _enc(k if isinstance(k, str) else json.dumps(k)) + ": "
+            + (_enc(v) if type(v) is str else _render_json(v, inner))
+            for k, v in obj.items()])
+        return f"{{{inner}{body}{pad}}}"
+    body = ("," + inner).join([_enc(v) if type(v) is str else _render_json(v, inner) for v in obj])
+    return f"[{inner}{body}{pad}]"
+
+
 def _render_text(report: dict) -> str:
     lines = [f"{report['command']}: {report['status']}"]
     for k, v in report["inputs"].items():
@@ -405,7 +424,7 @@ def run(argv=None) -> int:
         "certificates": certificates,
         "payload": payload,
     }
-    rendered = (json.dumps(report, indent=2) + "\n") if args.format == "json" \
+    rendered = (_render_json(report) + "\n") if args.format == "json" \
         else _render_text(report)
     if args.out:
         try:

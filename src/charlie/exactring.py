@@ -18,12 +18,13 @@ jet bracket kernel in jetfield, fed int fields, computes in int throughout.
 An int and a Fraction of equal value compare and hash alike, so dict equality
 does not depend on which one a coefficient is.
 
-vec_add_scaled (a + c*b on any such dict, zeros dropped) is the one sparse
-accumulate: polynomial sums pass c = +-1, and linalg's row operations and the
-closure's abstract bracket call it too.  Only the jet bracket kernel in
+vec_iadd_scaled (out += c*b in place on any such dict, zeros dropped) is
+the one sparse accumulate: linalg's row operations call it on the vectors
+they own, and vec_add_scaled, its copying wrapper, serves polynomial sums
+(c = +-1) and the closure's abstract bracket.  Only the jet bracket kernel in
 jetfield fuses its own multiply-accumulate over packed monomials.  The
 matrix oracle in loopalg keeps this one format, a Laurent matrix being a
-plain dict of Fraction entries, but its own sum and product, so that it
+plain dict of exact entries, but its own sum and product, so that it
 shares no arithmetic code with the jet side it checks.
 
 The weight of u_i is i; a polynomial is weight-homogeneous when all its monomials
@@ -44,18 +45,21 @@ Quasi = dict  # dict[int, Poly]
 MONO_ONE: Mono = ()
 
 
-def vec_add_scaled(a: dict, b: dict, c) -> dict:
-    """a + c*b for sparse dicts of exact coefficients, zero entries dropped."""
-    if not c:
-        return dict(a)
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + c * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+def vec_iadd_scaled(out: dict, b: dict, c) -> dict:
+    """out += c*b in place for sparse exact dicts, zeros dropped; returns out."""
+    if c:
+        for k, v in b.items():
+            s = out.get(k, 0) + c * v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
     return out
+
+
+def vec_add_scaled(a: dict, b: dict, c) -> dict:
+    """a + c*b as a new dict, zero entries dropped."""
+    return vec_iadd_scaled(dict(a), b, c)
 
 
 # ---------------------------------------------------------------------------

@@ -337,7 +337,7 @@ def bracket_from_connection(connection: dict, lower: dict, n: int,
         z_i = lower[i]
         if len(z_i) < n:
             raise TruncationError(f"element {i} has no slot {n - 1}")
-        terms.append((s, z_i, (c * denom).numerator))
+        terms.append((s, z_i, c.numerator * (denom // c.denominator)))
     z = slots[-1]
     if denom != 1:
         z = {alpha: {m: c * denom for m, c in p.items()} for alpha, p in z.items()}

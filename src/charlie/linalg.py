@@ -3,7 +3,8 @@
 Vectors are dicts keyed by orderable hashable keys with int or Fraction
 values; zero entries are never stored.  Elimination is exact and fully
 deterministic: rows are processed in insertion order.  Every row operation
-goes through exactring.vec_add_scaled, the package's one sparse accumulate.
+goes through exactring.vec_iadd_scaled, the package's one sparse accumulate,
+in place on the vector and combination that the reduction owns.
 
 LinearSpan is the package's one elimination, and it is fraction-free: an
 input has its denominators cleared once and every stored row is an int
@@ -35,7 +36,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Optional
 
-from .exactring import vec_add_scaled
+from .exactring import vec_iadd_scaled
 
 Vec = dict  # dict[key, int | Fraction]
 
@@ -58,7 +59,8 @@ class LinearSpan:
 
     def _reduce(self, vec: Vec) -> tuple[Vec, dict, int]:
         """(vec', combo, scale) with vec' = scale*vec + sum_t combo[t]*input_t,
-        all in ints, and vec' zero at every pivot."""
+        all in ints, and vec' zero at every pivot.  vec' and combo are new
+        dicts, updated in place; neither vec nor any stored row is touched."""
         vec, scale = cleared(vec)
         combo: dict = {}
         for pivot, row, rcombo in self._rows:
@@ -68,11 +70,13 @@ class LinearSpan:
                 g = gcd(lead, c)
                 a = lead // g
                 if a != 1:
-                    vec = {k: a * v for k, v in vec.items()}
-                    combo = {t: a * v for t, v in combo.items()}
+                    for k in vec:
+                        vec[k] *= a
+                    for t in combo:
+                        combo[t] *= a
                     scale *= a
-                vec = vec_add_scaled(vec, row, -(c // g))
-                combo = vec_add_scaled(combo, rcombo, -(c // g))
+                vec_iadd_scaled(vec, row, -(c // g))
+                vec_iadd_scaled(combo, rcombo, -(c // g))
         return vec, combo, scale
 
     def insert(self, vec: Vec, tag: Hashable) -> Optional[dict]:
@@ -105,9 +109,9 @@ def _coordinates(combo: dict, scale: int) -> dict:
 
 
 def cleared(vec: Vec) -> tuple[Vec, int]:
-    """(s*vec as an int vector, s) with s the lcm of vec's denominators."""
+    """(s*vec as a new int vector, s) with s the lcm of vec's denominators."""
     scale = lcm(*(v.denominator for v in vec.values()))
-    return {k: (v * scale).numerator for k, v in vec.items()}, scale
+    return {k: v.numerator * (scale // v.denominator) for k, v in vec.items()}, scale
 
 
 def nullspace(rows: list[Vec], columns: list) -> list[Vec]:

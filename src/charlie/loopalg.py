@@ -19,9 +19,9 @@ from typing import Optional
 
 
 def lm(items: dict) -> dict:
-    """The Laurent matrix {(i, j, p): c}: entry (i, j) of its t^p part, every
-    c a Fraction and zeros never stored, so equality is dict equality."""
-    return {k: v if type(v) is Fraction else Fraction(v) for k, v in items.items() if v}
+    """The Laurent matrix {(i, j, p): c}: entry (i, j) of its t^p part, an int
+    or a non-integral Fraction, zeros never stored: equality is dict equality."""
+    return {k: v if v.denominator != 1 else v.numerator for k, v in items.items() if v}
 
 
 def lm_add(a: dict, b: dict, ca=1, cb=1) -> dict:
@@ -60,7 +60,7 @@ def proportionality(a: dict, b: dict) -> Optional[Fraction]:
     key = min(b)
     if key not in a:
         return None
-    c = a[key] / b[key]
+    c = Fraction(a[key]) / b[key]
     return None if lm_add(a, b, 1, -c) else c
 
 
@@ -80,7 +80,7 @@ def sl2_basis(i: int) -> dict:
         k = (i - 1) // 3
         return lm({(0, 1, k): Fraction(1, 2)})
     k = (i + 1) // 3
-    return lm({(1, 0, k): Fraction(1)})
+    return lm({(1, 0, k): 1})
 
 
 def sl2_bracket_constant(i: int, j: int) -> Fraction:

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charlie import analysis as an
 from charlie import cli
@@ -352,3 +353,29 @@ def test_run_builds_only_the_named_subcommand(capsys):
     assert cli.run(["charalg", "--equation", "sinh", "--foo"]) == 1
     assert capsys.readouterr().err == full.format_usage() + \
         "charlie: error: unrecognized arguments: --foo\n"
+
+
+json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600')))
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), json_text)
+json_keys = st.one_of(json_text, st.integers(), st.floats(), st.booleans(), st.none())
+json_trees = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(json_keys, inner, max_size=4)),
+    max_leaves=25)
+
+
+@given(json_trees)
+@settings(max_examples=300, deadline=None)
+def test_render_json_equals_indented_dumps(tree):
+    assert cli._render_json(tree) == json.dumps(tree, indent=2)
+
+
+def test_out_file_bytes_equal_stdout_bytes(capsys, tmp_path):
+    argv = ["charalg", "--equation", "tzitzeica", "--degree", "5", "--order", "9"]
+    assert cli.run(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    path = tmp_path / "report.json"
+    assert cli.run([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == stdout
+    assert stdout == (json.dumps(json.loads(stdout), indent=2) + "\n").encode("utf-8")

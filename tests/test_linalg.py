@@ -2,7 +2,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from charlie.linalg import LinearSpan, nullspace, vec_add_scaled
+from charlie.exactring import vec_add_scaled
+from charlie.linalg import LinearSpan, nullspace
 
 
 def F(x):
@@ -215,3 +216,30 @@ def test_fraction_free_span_equals_fraction_pivots(ops):
         if got is not None:
             assert [(t, type(c)) for t, c in sorted(got.items())] == \
                 [(t, type(c)) for t, c in sorted(want.items())]
+
+
+@given(span_sessions())
+@settings(max_examples=120, deadline=None)
+def test_span_mutates_neither_its_inputs_nor_its_rows(ops):
+    # the reduction updates its own vector and combination in place: the
+    # caller's vector and every stored row and combination stay as they were
+    span = LinearSpan()
+    for n, (op, v) in enumerate(ops):
+        before = list(v.items())
+        stored = [(p, list(row.items()), list(combo.items())) for p, row, combo in span._rows]
+        if op == "insert":
+            span.insert(v, n)
+        else:
+            span.express(v)
+        assert list(v.items()) == before
+        assert [(p, list(row.items()), list(combo.items()))
+                for p, row, combo in span._rows[:len(stored)]] == stored
+        assert all(row is not v for _, row, _ in span._rows)
+
+
+@given(matrices, st.permutations(COLUMNS))
+@settings(max_examples=80, deadline=None)
+def test_nullspace_leaves_its_rows_untouched(rows, columns):
+    before = [list(r.items()) for r in rows]
+    nullspace(rows, columns)
+    assert [list(r.items()) for r in rows] == before

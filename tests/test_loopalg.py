@@ -86,12 +86,16 @@ def test_mu_closed_form_matches_the_pattern_table():
         assert la.mu_twist(m) == _mu_by_pattern(m), m
 
 
-def test_matrix_entries_and_constants_are_fractions():
+def test_matrix_entries_are_ints_or_fractions_and_constants_are_fractions():
+    # every entry is a nonzero int or a non-integral Fraction; every constant is a Fraction
     mats = [la.sl2_basis(i) for i in range(12)] + [la.sl3_twisted_basis(i) for i in range(20)]
     mats += [la.lm_commutator(a, b) for a in mats[:12] for b in mats[:12]]
     mats += [la.lm_commutator(a, b) for a in mats[12:32] for b in mats[12:32]]
+    assert any(type(c) is int for m in mats for c in m.values())
+    assert any(type(c) is Fraction for m in mats for c in m.values())
     for m in mats:
-        assert all(type(c) is Fraction and c for c in m.values()), m
+        assert all(c and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+                   for c in m.values()), m
     for algebra, row in la.ALGEBRAS.items():
         for i in range(2 * row.period):
             for j in range(2 * row.period):
