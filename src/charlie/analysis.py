@@ -8,6 +8,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from itertools import groupby
 from typing import Optional
 
 from . import closure as cl
@@ -54,18 +55,26 @@ def find_x_integrals(f: xr.Quasi, weight_bound: int) -> list:
     vanishing separately.  Constants are excluded by construction.  A
     candidate of weight <= bound uses u_k only for k <= bound, so X(f) at
     valid order bound gives every image exactly through apply_field: no
-    truncation order enters."""
+    truncation order enters.  X(f) lowers weight by exactly one, so the system
+    is block-diagonal: the candidates of weight w only meet rows of weight
+    w - 1, and one nullspace per weight, in the candidates' weight-first
+    order, gives the basis of the global one."""
     if weight_bound < 1:
         return []
     candidates = integral_candidates(weight_bound)
     Xf = jf.make_Xf(f, weight_bound)
-    rows: dict = {}  # (alpha, out-monomial) -> {candidate: coeff}
-    for m, img in zip(candidates, jf.apply_field(Xf, [{0: {m: 1}} for m in candidates])):
-        for alpha, p in img.items():
-            for om, c in p.items():
-                rows.setdefault((alpha, om), {})[m] = c
-    basis = nullspace(list(rows.values()), candidates)
-    return [dict(v) for v in basis]
+    images = zip(candidates, jf.apply_field(Xf, [{0: {m: 1}} for m in candidates]))
+    basis: list = []
+    for _, block in groupby(images, key=lambda pair: xr.mono_weight(pair[0])):
+        rows: dict = {}  # (alpha, out-monomial) -> {candidate: coeff}
+        columns = []
+        for m, img in block:
+            columns.append(m)
+            for alpha, p in img.items():
+                for om, c in p.items():
+                    rows.setdefault((alpha, om), {})[m] = c
+        basis += nullspace(list(rows.values()), columns)
+    return basis
 
 
 def annihilates(f: xr.Quasi, ws: list, order: int) -> list:

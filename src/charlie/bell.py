@@ -6,6 +6,9 @@ with m_j parts equal to j contributes the monomial prod_j u_j^{m_j} with the
 int coefficient
     n! / prod_j (j!^{m_j} * m_j!),
 B_n sums over all partitions of n, and B_{n,k} over those with exactly k parts.
+The partitions are enumerated with parts descending and no dead ends: part 1
+takes exactly what is left, a partition closes as soon as its remainder is
+zero, and the denominator is carried along one multiplicity at a time.
 The generating-function expansions live in the test suite as independent oracles.
 """
 
@@ -19,23 +22,27 @@ from .exactring import Poly, Quasi, mono_degree
 
 def _partition_sum(n: int, parts: Optional[int]) -> Poly:
     """Closed-form Bell sum over the partitions of n (with `parts` parts when given)."""
+    if not n:
+        return {(): 1}
     fact = [factorial(i) for i in range(n + 1)]
     out: Poly = {}
     pairs: list = []  # (part, multiplicity), parts descending
 
     def rec(rest: int, top: int, left: Optional[int], denom: int) -> None:
-        if rest == 0:
-            if not left:
-                out[tuple(reversed(pairs))] = fact[n] // denom
-            return
         if left is not None and not left <= rest <= left * top:
             return
-        for j in range(min(top, rest), 0, -1):
+        for j in range(min(top, rest), 1, -1):
+            d = denom
             for m in range(1, rest // j + 1):
+                d *= fact[j] * m
                 pairs.append((j, m))
-                rec(rest - m * j, j - 1, None if left is None else left - m,
-                    denom * fact[j] ** m * fact[m])
+                if rest > m * j:
+                    rec(rest - m * j, j - 1, None if left is None else left - m, d)
+                elif left in (None, m):
+                    out[tuple(reversed(pairs))] = fact[n] // d
                 pairs.pop()
+        if left in (None, rest):  # part 1 takes exactly what is left
+            out[((1, rest), *reversed(pairs))] = fact[n] // (denom * fact[rest])
 
     rec(n, n, parts, 1)
     return out

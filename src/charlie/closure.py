@@ -79,7 +79,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 from . import exactring as xr
@@ -530,29 +530,27 @@ def jacobi_check(alg: PresentedAlgebra, degree_bound: int) -> dict:
     """Jacobi identity over all label triples with degrees <= the bound.
 
     Repeated-label triples hold identically by antisymmetry of the rules and
-    are skipped.  The rule is evaluated once per label pair.  Returns
+    are skipped.  The rule is evaluated once per label pair, and [a, b] is
+    looked up once for all the later labels c.  Returns
     {"ok", "triples", "violation"}.
     """
     labels = alg.labels_up_to(degree_bound)
-    memo: dict = {}
-
-    def bracket(x: str, y: str) -> tuple:
-        out = memo.get((x, y))
-        if out is None:
-            out = memo[(x, y)] = alg.rule(x, y)
-        return out
-
+    bracket = cache(alg.rule)
     checked = 0
-    for a, b, c in itertools.combinations(labels, 3):
-        acc: dict = {}
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for lbl, cxy in bracket(x, y):
-                for k, v in bracket(lbl, z):
-                    acc[k] = acc.get(k, 0) + cxy * v
-        checked += 1
-        residual = {k: v for k, v in acc.items() if v}
-        if residual:
-            return {"ok": False, "triples": checked, "violation": (a, b, c, residual)}
+    for i, a in enumerate(labels):
+        for j in range(i + 1, len(labels)):
+            b = labels[j]
+            ab = bracket(a, b)
+            for c in labels[j + 1:]:
+                acc: dict = {}
+                for xy, z in ((ab, c), (bracket(b, c), a), (bracket(c, a), b)):
+                    for lbl, cxy in xy:
+                        for k, v in bracket(lbl, z):
+                            acc[k] = acc.get(k, 0) + cxy * v
+                checked += 1
+                if any(acc.values()):
+                    residual = {k: v for k, v in acc.items() if v}
+                    return {"ok": False, "triples": checked, "violation": (a, b, c, residual)}
     return {"ok": True, "triples": checked, "violation": None}
 
 

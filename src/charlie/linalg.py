@@ -11,11 +11,15 @@ input has its denominators cleared once and every stored row is an int
 vector.
 
 LinearSpan keeps int rows R together with int combinations C of the inputs,
-R = sum_t C[t]*input_t, and pivots on the smallest key present.  A vector v
-is reduced by v <- a*v - b*R with g = gcd(lead, v[pivot]), a = lead/g and
-b = v[pivot]/g.  Rows are never re-reduced against later pivots: each row is
-zero at all earlier pivots, so reducing in insertion order never brings a
-cleared entry back.  A reduction tracks the product of the a's (the scale);
+R = sum_t C[t]*input_t.  A vector v is reduced by v <- a*v - b*R with
+g = gcd(lead, v[pivot]), a = lead/g and b = v[pivot]/g.  Rows are never
+re-reduced against later pivots: each row is zero at all earlier pivots, so
+reducing in insertion order never brings a cleared entry back.  A new row
+pivots on its entry of smallest absolute value, ties going to the smallest
+key.  The choice is free: whether a vector is new depends only on the rank,
+and any pivot keeps each row zero at all earlier pivots, so every decision
+and coordinate is the same for every choice.  It pays because a pivot of
++-1 gives a = 1: the vector is not rescaled and its ints stay small.  A reduction tracks the product of the a's (the scale);
 a vector that reduces to zero has the coordinates -C/scale, as Fractions,
 the only place a Fraction appears.  Coordinates over an independent set are
 unique, so they equal those of monic Fraction pivoting.  insert reduces a
@@ -87,7 +91,7 @@ class LinearSpan:
         if not residual:
             return _coordinates(combo, scale)
         combo[tag] = scale
-        pivot = min(residual)
+        pivot = min(residual, key=lambda k: (abs(residual[k]), k))
         g = gcd(*residual.values(), *combo.values())
         if residual[pivot] < 0:
             g = -g

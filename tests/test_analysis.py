@@ -5,6 +5,7 @@ import pytest
 from charlie import analysis as an
 from charlie import cli
 from charlie import exactring as xr
+from charlie import jetfield as jf
 from charlie.linalg import nullspace
 
 
@@ -99,6 +100,27 @@ def _x_integrals_by_definition(f, weight_bound):
             for om, c in p.items():
                 rows.setdefault((alpha, om), {})[m] = c
     return nullspace(list(rows.values()), candidates)
+
+
+def _x_integrals_unblocked(f, weight_bound):
+    """One global nullspace over every candidate of weight <= bound, with the
+    rows find_x_integrals builds but no split into per-weight blocks."""
+    candidates = an.integral_candidates(weight_bound)
+    Xf = jf.make_Xf(f, weight_bound)
+    rows: dict = {}
+    for m, img in zip(candidates, jf.apply_field(Xf, [{0: {m: 1}} for m in candidates])):
+        for alpha, p in img.items():
+            for om, c in p.items():
+                rows.setdefault((alpha, om), {})[m] = c
+    return nullspace(list(rows.values()), candidates)
+
+
+@pytest.mark.parametrize("f_terms", [
+    an.EQUATIONS["liouville"], an.EQUATIONS["sinh"], xr.qp_parse("e^(2u)"),
+])
+def test_per_weight_blocks_equal_one_global_nullspace(f_terms):
+    got, want = an.find_x_integrals(f_terms, 10), _x_integrals_unblocked(f_terms, 10)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
 
 
 @pytest.mark.parametrize("f_terms", [

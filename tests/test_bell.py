@@ -169,6 +169,40 @@ def test_closed_form_matches_recursions():
             assert incomplete_bell(n, k) == _recursive_incomplete(n, k), (n, k)
 
 
+def _enumerated_partition_sum(n, parts):
+    """Reference: the closed form over partitions with parts descending, each
+    part size tried down to 1 and every remainder recursed into."""
+    out, pairs = {}, []
+
+    def rec(rest, top, left, denom):
+        if rest == 0:
+            if not left:
+                out[tuple(reversed(pairs))] = factorial(n) // denom
+            return
+        if left is not None and not left <= rest <= left * top:
+            return
+        for j in range(min(top, rest), 0, -1):
+            for m in range(1, rest // j + 1):
+                pairs.append((j, m))
+                rec(rest - m * j, j - 1, None if left is None else left - m,
+                    denom * factorial(j) ** m * factorial(m))
+                pairs.pop()
+
+    rec(n, n, parts, 1)
+    return out
+
+
+def test_partition_order_is_pinned():
+    # monomial order, not just the values: it fixes the order of every report
+    # built by iterating a Bell polynomial
+    for n in range(13):
+        assert list(complete_bell(n).items()) == list(_enumerated_partition_sum(n, None).items())
+    for n in range(1, 13):
+        for k in sorted({1, (n + 1) // 2, n}):
+            assert list(incomplete_bell(n, k).items()) == \
+                list(_enumerated_partition_sum(n, k).items()), (n, k)
+
+
 def test_complete_bell_30_at_benchmark_scale():
     p = complete_bell(30)
     assert len(p) == 5604  # p(30): one monomial per partition of 30

@@ -479,6 +479,30 @@ def test_presented_jacobi_detects_violation(bad_algebra):
     assert rep["violation"] == ("e1", "e2", "e3", {"e6": 2})
 
 
+def _with_wrong_coefficient(alg, x, y):
+    """alg with [x, y] off by one in its one coefficient (and [y, x] by minus one)."""
+    def rule(a, b):
+        out = alg.rule(a, b)
+        if {a, b} == {x, y}:
+            return tuple((lbl, c + (1 if a == x else -1)) for lbl, c in out)
+        return out
+    return alg._replace(name=f"{alg.name} broken", rule=rule)
+
+
+def test_presented_jacobi_pins_the_first_violation():
+    # triples counted and the first violating triple, as read before the
+    # triple loop was split into pairs and later labels
+    wp, n2 = cl.presented_witt_plus(), cl.presented_n2_central()
+    assert cl.jacobi_check(wp, 12) == {"ok": True, "triples": 286, "violation": None}
+    assert cl.jacobi_check(n2, 10) == {"ok": True, "triples": 364, "violation": None}
+    assert cl.jacobi_check(_with_wrong_coefficient(wp, "e5", "e8"), 12) == {
+        "ok": False, "triples": 25, "violation": ("e1", "e4", "e8", {"e13": 3})}
+    assert cl.jacobi_check(_with_wrong_coefficient(wp, "e9", "e11"), 12) == {
+        "ok": False, "triples": 54, "violation": ("e1", "e8", "e11", {"e20": 7})}
+    assert cl.jacobi_check(_with_wrong_coefficient(n2, "f5", "f8"), 10) == {
+        "ok": False, "triples": 27, "violation": ("f1", "f4", "f8", {"f13": -3})}
+
+
 def test_presented_rules_have_int_constants():
     algebras = [f() for f in cl.PRESENTED.values()] + [cl.presented_m0_S(frozenset({3, 5, 7}))]
     for alg in algebras:

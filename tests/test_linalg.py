@@ -237,6 +237,20 @@ def test_span_mutates_neither_its_inputs_nor_its_rows(ops):
         assert all(row is not v for _, row, _ in span._rows)
 
 
+@given(span_sessions())
+@settings(max_examples=120, deadline=None)
+def test_each_row_pivots_on_its_smallest_entry(ops):
+    # the stored pivot holds the smallest absolute value of its row, the
+    # smallest key on ties, and is positive
+    span = LinearSpan()
+    for n, (op, v) in enumerate(ops):
+        if op == "insert":
+            span.insert(v, n)
+    for pivot, row, _ in span._rows:
+        assert row[pivot] > 0
+        assert (row[pivot], pivot) == min((abs(c), k) for k, c in row.items())
+
+
 @given(matrices, st.permutations(COLUMNS))
 @settings(max_examples=80, deadline=None)
 def test_nullspace_leaves_its_rows_untouched(rows, columns):
