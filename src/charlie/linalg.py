@@ -18,14 +18,15 @@ reducing in insertion order never brings a cleared entry back.  A new row
 pivots on its entry of smallest absolute value, ties going to the smallest
 key.  The choice is free: whether a vector is new depends only on the rank,
 and any pivot keeps each row zero at all earlier pivots, so every decision
-and coordinate is the same for every choice.  It pays because a pivot of
-+-1 gives a = 1: the vector is not rescaled and its ints stay small.  A reduction tracks the product of the a's (the scale);
-a vector that reduces to zero has the coordinates -C/scale, as Fractions,
-the only place a Fraction appears.  Coordinates over an independent set are
-unique, so they equal those of monic Fraction pivoting.  insert reduces a
-vector once: it keeps the reduced row when one is left and otherwise hands
-back the coordinates, so a caller that adds whatever is new never reduces a
-vector twice.
+and coordinate is the same for every choice.  It pays because a pivot of +-1
+gives a = 1: the vector is not rescaled and its ints stay small.  A
+reduction tracks the product of the a's (the scale); a vector that reduces
+to zero has the coordinates -C/scale, as Fractions, the only place a
+Fraction appears.  Coordinates over an independent set are unique, so they
+equal those of monic Fraction pivoting.  insert reduces a vector once: it
+keeps the reduced row when one is left and otherwise hands back the
+coordinates, so a caller that adds whatever is new never reduces a vector
+twice.
 
 nullspace is column dependence: the columns of the rows go into one
 LinearSpan in column order.  A column that insert already writes over the
