@@ -92,8 +92,9 @@ def cmd_bell(args) -> tuple:
             raise UsageError("bell needs --complete N or --incomplete N K")
         p = complete_bell(args.complete)
         name = f"B{args.complete}"
-    return "verified", {"name": name, "polynomial": xr.poly_to_text(p),
-                        "weight": xr.weight_report(p)}, {}
+    weight = xr.weight_report(p)    # the one pass over the monomials' weights
+    return "verified", {"name": name, "polynomial": xr.poly_to_text(p, weight != "mixed"),
+                        "weight": weight}, {}
 
 
 def cmd_charalg(args) -> tuple:

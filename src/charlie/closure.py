@@ -7,8 +7,8 @@ the commutant-side basis.  Every pair of elements whose degrees add up to d
 gets a table entry, exact on jets up to the order (the closure's one
 certificate).
 
-Most pairs need no field, by the connection filter (ad_D, the classical tool
-of characteristic Lie rings).  With D = sum_k u_{k+1} d/du_k, every element Z
+Each pair is decided by its connection vector (ad_D, the classical tool of
+characteristic Lie rings).  With D = sum_k u_{k+1} d/du_k, every element Z
 of bigrading (d, r) satisfies
 
     [D, Z] = sum_i lam_i e^{(r - r_i) u} Z_i
@@ -21,18 +21,28 @@ gives
 
     lam^{[A,B]} = sum_i lam^A_i [Z_i, B] + sum_j lam^B_j [A, Z_j]
 
-from table entries one degree lower ([X_0, B] = r_B B).  These vectors go
-into LinearSpans, one row per element of degree >= 2.  When the
-connection vector of a pair is sum_i c_i lam^{Z_i}, c is the entry, with
-no field: W = [A, B] - sum_i c_i Z_i has [D, W] = 0 and an empty u slot,
-and [D, W]_k = D w_k - w_{k+1}, so w_0 = 0 gives W = 0 on every slot.  Any
-other pair is integrated by the D-recursion (jetfield.bracket_from_connection):
-the same argument builds [A, B] slot by slot from lam, z_0 = 0 and
-z_{k+1} = D z_k - sum_i lam_i e^{(r - r_i) u} (Z_i)_k, the jet bracket on
-every slot it builds, and its jet vector decides whether it is new: the
-vector of its slots, reduced by exact sparse elimination (linalg.LinearSpan)
-against the elements of its bigrading.  The generators come from the same
-recursion over X_0: z_1 = +-e^{alpha u} and z_{k+1} = D z_k.
+from table entries one degree lower ([X_0, B] = r_B B).  W = [A, B] with
+[D, W] = 0 and an empty u slot is zero, since [D, W]_k = D w_k - w_{k+1} and
+w_0 = 0; so the D-recursion (jetfield.bracket_from_connection) builds [A, B]
+slot by slot from lam alone, z_0 = 0 and z_{k+1} = D z_k - sum_i lam_i
+e^{(r - r_i) u} (Z_i)_k, the jet bracket on every slot it builds.  Once the
+lower slots are fixed the recursion is linear in lam.  The generators come
+from the same recursion over X_0: z_1 = +-e^{alpha u} and z_{k+1} = D z_k.
+
+The connection vectors of a degree go into LinearSpans, and each pair's
+vector is reduced there once.  The span keeps a row for each pair whose
+vector grows its rank, and the row stands for a combination of elements,
+sum_e C_e Z_e.  A pair whose vector reduces to zero, lam = sum y_R R, gets
+the entry sum y_R C_R with no field: by linearity its recursion would build
+that combination.  A pair whose vector grows the span is integrated, and its
+jet vector decides: the vector of its slots, reduced by exact sparse
+elimination (linalg.LinearSpan) against the elements of its bigrading.  If
+it is new, its row stands for the new element.  If it is dependent with
+coordinates x, its row stands for sum_e x_e Z_e: a relation of the order-N
+jets that the connection vectors do not show.  A later pair that reduces
+through such a row is dependent on the jets too, with the unique
+coordinates that its recursion and jet reduction would find, so it needs
+no field either.
 
 The jets decide on a weight window.  Slot j of a degree-d element has
 weight j - d, and the recursion builds slot k + 1 from slot k of the lower
@@ -44,11 +54,12 @@ window is new at order N.  A relation the window finds may be one that order
 N breaks (a truncated closure undercounts a non-integrable f); then the
 degree widens: its elements, and recursively the lower ones their slots
 need, are extended to slot N by the recursion, continued from their last
-stored slot, and the degree is decided on slots 0..N from then on.  So every
-decision, table entry and undercount is the order-N jets', and every
-certificate is N: a relation comes from the filter or from the jets at order
-N, and holds on the min(N_A, N_B) = N slots that the jet bracket of two
-full-order fields keeps.
+stored slot, and the degree is decided on slots 0..N from then on.  So
+every relation row is found at order N, every decision, table entry and
+undercount is the order-N jets', and every certificate is N: a relation
+comes from the connection vectors or from the jets at order N, and holds on
+the min(N_A, N_B) = N slots that the jet bracket of two full-order fields
+keeps.
 
 Each pair is decided inside its bigrading block.  [A, B] has bigrading
 (d, r) = (d_A + d_B, r_A + r_B), and every key (s, i) of its connection
@@ -215,14 +226,16 @@ def generate(
 ) -> ClosureResult:
     """Closure of <X_0, X(f)> through natural degree max_degree at truncation order.
 
-    The generators +-X(e^{alpha u}), one per exponential of f, and every pair
-    whose connection vector is not in the span of the elements' connection
-    vectors get their packed slots from the D-recursion; the other pairs get
-    those coordinates without a field.  Pairs are taken by degree, and a
-    new pair's jet vector decides whether it is a new element: on the weight
-    window order - max_degree, or on the full order once the window has
-    found a relation in that degree.  Every entry is exact up to `order` (see
-    the module docstring for why this gives the order-N jet closure's table).
+    Pairs are taken by degree, and each pair's connection vector is reduced
+    once in its block's connection span.  A vector in the span gives the
+    pair's coordinates without a field.  The generators +-X(e^{alpha u}), one
+    per exponential of f, and every pair whose vector grows the span get
+    their packed slots from the D-recursion, and the pair's jet vector
+    decides whether it is a new element: on the weight window order -
+    max_degree, or on the full order once the window has found a relation in
+    that degree.  The pair's row then stands for the new element or for the
+    jets' coordinates.  Every entry is exact up to `order` (see the module
+    docstring for why this gives the order-N jet closure's table).
 
     target, when given, maps an index pair (q, l) to the reference structure
     constant used for normalization; a contradiction raises MismatchError.
@@ -267,7 +280,7 @@ def generate(
 
     for d in range(2, max_degree + 1):
         new_here: list[BasisElement] = []
-        connections = defaultdict(LinearSpan)   # r -> this degree's connection vectors
+        connections = defaultdict(LinearSpan)   # r -> connection vectors, rows over elements
         spans = defaultdict(LinearSpan)         # r -> their jet vectors
         n = d + window                  # the slots this degree is decided on
         for ei, ej in itertools.combinations(elements, 2):
@@ -284,8 +297,11 @@ def generate(
             for key, c in terms:
                 lam[key] = lam.get(key, 0) + c
             lam = {key: c for key, c in lam.items() if c}
-            expr = connections[r].express(lam)
+            pair = (ei.index, ej.index)
+            expr = connections[r].insert(lam, pair)
             if expr is None:
+                # lam grew the block's connection span: the jets decide, and
+                # the pair's row then stands for their verdict
                 canonical = None
                 if ei.canonical is not None and ej.canonical is not None:
                     canonical = (ei.canonical[0] + ej.canonical[0], ei.canonical[1] + ej.canonical[1])
@@ -301,13 +317,10 @@ def generate(
                         z.extend(order)
                         expr = spans[z.eigenvalue].insert(_vectorize(z.slots), z)
                 if expr is None:
-                    # a second reduction of lam, but only for a new element:
-                    # inserting before the jets decide would leave a row for
-                    # every pair that the jets find dependent
-                    connections[r].insert(lam, el)
                     new_here.append(el)
                     expr = {el: Fraction(1)}
-            raw_expr[(ei.index, ej.index)] = expr
+                connections[r].substitute(pair, expr)
+            raw_expr[pair] = expr
         # reference index order within a degree: eigenvalue descending, then
         # discovery (the sort is stable)
         for el in sorted(new_here, key=lambda e: -e.eigenvalue):

@@ -305,15 +305,18 @@ def mono_text(m: Mono) -> str:
     return "*".join(f"u{i}" if e == 1 else f"u{i}^{e}" for i, e in m)
 
 
-def qp_to_text(a: Quasi) -> str:
+def qp_to_text(a: Quasi, homogeneous: bool = False) -> str:
     """Canonical serialization: terms by exponential index descending, then by
-    (weight, lex) monomial order; reparsing yields an identical dict."""
+    (weight, lex) monomial order; reparsing yields an identical dict.
+
+    `homogeneous` says that the monomials of each exponential part share one
+    weight, so the order is lex alone and no weight is computed."""
     if not a:
         return "0"
     chunks: list[str] = []
     for alpha in sorted(a, reverse=True):
         p = a[alpha]
-        for m in sorted(p, key=mono_key):
+        for m in sorted(p) if homogeneous else sorted(p, key=mono_key):
             c = p[m]
             parts = [frac_text(abs(c))]
             if alpha != 0:
@@ -328,8 +331,8 @@ def qp_to_text(a: Quasi) -> str:
     return " ".join(chunks)
 
 
-def poly_to_text(p: Poly) -> str:
-    return qp_to_text(qp_from_poly(p))
+def poly_to_text(p: Poly, homogeneous: bool = False) -> str:
+    return qp_to_text(qp_from_poly(p), homogeneous)
 
 
 _FRAC_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")

@@ -10,8 +10,11 @@ LinearSpan is the package's one elimination, and it is fraction-free: an
 input has its denominators cleared once and every stored row is an int
 vector.
 
-LinearSpan keeps int rows R together with int combinations C of the inputs,
-R = sum_t C[t]*input_t.  A vector v is reduced by v <- a*v - b*R with
+LinearSpan keeps int rows R together with int combinations C over tags, and
+R stands for sum_t C[t]*tag_t.  An inserted vector stands for its tag, so a
+row is at first the combination sum_t C[t]*input_t.  substitute lets a tag
+of the last row stand for a combination of other tags instead, and the row
+then stands for that.  A vector v is reduced by v <- a*v - b*R with
 g = gcd(lead, v[pivot]), a = lead/g and b = v[pivot]/g.  Rows are never
 re-reduced against later pivots: each row is zero at all earlier pivots, so
 reducing in insertion order never brings a cleared entry back.  A new row
@@ -21,7 +24,7 @@ and any pivot keeps each row zero at all earlier pivots, so every decision
 and coordinate is the same for every choice.  It pays because a pivot of +-1
 gives a = 1: the vector is not rescaled and its ints stay small.  A
 reduction tracks the product of the a's (the scale); a vector that reduces
-to zero has the coordinates -C/scale, as Fractions, the only place a
+to zero stands for the coordinates -C/scale, as Fractions, the only place a
 Fraction appears.  Coordinates over an independent set are unique, so they
 equal those of monic Fraction pivoting.  insert reduces a vector once: it
 keeps the reduced row when one is left and otherwise hands back the
@@ -50,22 +53,23 @@ class LinearSpan:
     """Growing echelonized span with coordinate tracking.
 
     Each inserted vector carries a tag; express() and a dependent insert()
-    write later vectors as exact linear combinations of the inserted (tagged)
-    ones.
+    write later vectors as exact linear combinations of the tags that the
+    rows stand for.
     """
 
     def __init__(self) -> None:
-        # (pivot, int row R, int combination C): R = sum_t C[t] * input_t and
-        # R[pivot] > 0; R is zero at the pivots of all earlier rows
+        # (pivot, int row R, int combination C): R stands for sum_t C[t] * tag_t
+        # and R[pivot] > 0; R is zero at the pivots of all earlier rows
         self._rows: list[tuple[Hashable, Vec, dict]] = []
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def _reduce(self, vec: Vec) -> tuple[Vec, dict, int]:
-        """(vec', combo, scale) with vec' = scale*vec + sum_t combo[t]*input_t,
-        all in ints, and vec' zero at every pivot.  vec' and combo are new
-        dicts, updated in place; neither vec nor any stored row is touched."""
+        """(vec', combo, scale), all in ints: vec' is scale*vec plus rows, zero
+        at every pivot, and the rows stand for sum_t combo[t]*tag_t.  vec' and
+        combo are new dicts, updated in place; neither vec nor any stored row
+        is touched."""
         vec, scale = cleared(vec)
         combo: dict = {}
         for pivot, row, rcombo in self._rows:
@@ -103,13 +107,35 @@ class LinearSpan:
         return None
 
     def express(self, vec: Vec) -> Optional[dict]:
-        """Coordinates of vec over inserted tags, or None if outside the span."""
+        """Coordinates of vec over the rows' tags, or None if outside the span."""
         residual, combo, scale = self._reduce(vec)
         return None if residual else _coordinates(combo, scale)
 
+    def substitute(self, tag: Hashable, coords: dict) -> None:
+        """Let `tag`, a tag of the last row, stand for sum_t coords[t]*t.
+
+        The row and its combination are multiplied by the lcm L of the
+        coordinates' denominators, and C[tag] goes to each tag t as
+        C[tag]*L*coords[t], so both stay int; then both are divided by
+        their common content, as insert divides a new row."""
+        pivot, row, combo = self._rows[-1]
+        c = combo.pop(tag)
+        m = lcm(*(x.denominator for x in coords.values()))
+        if m != 1:
+            row = {k: v * m for k, v in row.items()}
+            combo = {t: v * m for t, v in combo.items()}
+        for t, x in coords.items():
+            combo[t] = combo.get(t, 0) + c * (x.numerator * (m // x.denominator))
+        combo = {t: v for t, v in combo.items() if v}
+        g = gcd(*row.values(), *combo.values())
+        if g != 1:
+            row = {k: v // g for k, v in row.items()}
+            combo = {t: v // g for t, v in combo.items()}
+        self._rows[-1] = (pivot, row, combo)
+
 
 def _coordinates(combo: dict, scale: int) -> dict:
-    """x = -sum_t combo[t]*input_t / scale, from 0 = scale*x + sum_t combo[t]*input_t."""
+    """x = -combo/scale over the tags, from 0 = scale*x + sum_t combo[t]*tag_t."""
     return {t: Fraction(-c, scale) for t, c in combo.items() if c}
 
 

@@ -257,3 +257,55 @@ def test_nullspace_leaves_its_rows_untouched(rows, columns):
     before = [list(r.items()) for r in rows]
     nullspace(rows, columns)
     assert [list(r.items()) for r in rows] == before
+
+
+def test_substituted_tag_stands_for_its_coordinates():
+    span = LinearSpan()
+    span.insert({1: 1, 2: 1}, "u")
+    assert span.insert({2: 1}, "p") is None
+    span.substitute("p", {"a": F(1) / 2, "u": F(3)})   # {2: 1} now stands for a/2 + 3u
+    # 3u + 2p = 3u + a + 6u
+    assert span.express({1: 3, 2: 5}) == {"u": F(9), "a": F(1)}
+    assert span.insert({1: 3, 2: 5}, "q") == {"u": F(9), "a": F(1)}
+    assert span.insert({3: 2, 2: 1}, "w") is None
+    assert span.express({3: 2, 2: 2, 1: 1}) == {"w": F(1), "u": F(1)}
+    assert span.express({3: 4, 2: 3}) == {"w": F(2), "a": F(1) / 2, "u": F(3)}
+    # the substitution keeps every row and combination int
+    for _, row, combo in span._rows:
+        assert all(type(c) is int for c in (*row.values(), *combo.values()))
+
+
+substitutions = st.lists(
+    st.one_of(st.none(), st.dictionaries(st.sampled_from("xyz"), span_entries.filter(bool),
+                                         max_size=3)),
+    min_size=6, max_size=6)
+
+
+@given(span_sessions(), substitutions)
+@settings(max_examples=120, deadline=None)
+def test_substitution_maps_coordinates_through_the_tag(ops, subs):
+    # a tag of the last row may be replaced by coordinates over other tags
+    # (Fractions included); from then on every insert and express returns the
+    # coordinates with that tag mapped to its substitute
+    span, ref = LinearSpan(), _FractionPivotSpan()
+    image = {}
+    subs = iter(subs)
+    for n, (op, v) in enumerate(ops):
+        coords = ref.express(v)
+        want = None
+        if coords is not None:
+            want = {}
+            for t, c in coords.items():
+                want = vec_add_scaled(want, image[t], c)
+        got = span.insert(v, n) if op == "insert" else span.express(v)
+        assert got == want
+        if got is not None:
+            assert all(type(c) is Fraction for c in got.values())
+        if op == "insert" and got is None:
+            ref.insert(v, n)
+            sub = next(subs)
+            image[n] = {n: F(1)} if sub is None else sub
+            if sub is not None:
+                span.substitute(n, sub)
+    for _, row, combo in span._rows:
+        assert all(type(c) is int for c in (*row.values(), *combo.values()))
