@@ -97,13 +97,7 @@ class LinearSpan:
             return _coordinates(combo, scale)
         combo[tag] = scale
         pivot = min(residual, key=lambda k: (abs(residual[k]), k))
-        g = gcd(*residual.values(), *combo.values())
-        if residual[pivot] < 0:
-            g = -g
-        if g != 1:
-            residual = {k: v // g for k, v in residual.items()}
-            combo = {t: v // g for t, v in combo.items()}
-        self._rows.append((pivot, residual, combo))
+        self._rows.append(_primitive(pivot, residual, combo))
         return None
 
     def express(self, vec: Vec) -> Optional[dict]:
@@ -117,7 +111,7 @@ class LinearSpan:
         The row and its combination are multiplied by the lcm L of the
         coordinates' denominators, and C[tag] goes to each tag t as
         C[tag]*L*coords[t], so both stay int; then both are divided by
-        their common content, as insert divides a new row."""
+        their content, as a new row is."""
         pivot, row, combo = self._rows[-1]
         c = combo.pop(tag)
         m = lcm(*(x.denominator for x in coords.values()))
@@ -126,12 +120,19 @@ class LinearSpan:
             combo = {t: v * m for t, v in combo.items()}
         for t, x in coords.items():
             combo[t] = combo.get(t, 0) + c * (x.numerator * (m // x.denominator))
-        combo = {t: v for t, v in combo.items() if v}
-        g = gcd(*row.values(), *combo.values())
-        if g != 1:
-            row = {k: v // g for k, v in row.items()}
-            combo = {t: v // g for t, v in combo.items()}
-        self._rows[-1] = (pivot, row, combo)
+        self._rows[-1] = _primitive(pivot, row, {t: v for t, v in combo.items() if v})
+
+
+def _primitive(pivot: Hashable, row: Vec, combo: dict) -> tuple[Hashable, Vec, dict]:
+    """The stored form of a row: row and combo divided by their content,
+    signed so that row[pivot] > 0."""
+    g = gcd(*row.values(), *combo.values())
+    if row[pivot] < 0:
+        g = -g
+    if g != 1:
+        row = {k: v // g for k, v in row.items()}
+        combo = {t: v // g for t, v in combo.items()}
+    return pivot, row, combo
 
 
 def _coordinates(combo: dict, scale: int) -> dict:
