@@ -29,20 +29,25 @@ e^{(r - r_i) u} (Z_i)_k, the jet bracket on every slot it builds.  Once the
 lower slots are fixed the recursion is linear in lam.  The generators come
 from the same recursion over X_0: z_1 = +-e^{alpha u} and z_{k+1} = D z_k.
 
-The connection vectors of a degree go into LinearSpans, and each pair's
-vector is reduced there once.  The span keeps a row for each pair whose
-vector grows its rank, and the row stands for a combination of elements,
-sum_e C_e Z_e.  A pair whose vector reduces to zero, lam = sum y_R R, gets
-the entry sum y_R C_R with no field: by linearity its recursion would build
-that combination.  A pair whose vector grows the span is integrated, and its
-jet vector decides: the vector of its slots, reduced by exact sparse
-elimination (linalg.LinearSpan) against the elements of its bigrading.  If
-it is new, its row stands for the new element.  If it is dependent with
-coordinates x, its row stands for sum_e x_e Z_e: a relation of the order-N
-jets that the connection vectors do not show.  A later pair that reduces
-through such a row is dependent on the jets too, with the unique
-coordinates that its recursion and jet reduction would find, so it needs
-no field either.
+The connection vectors of a degree go into LinearSpans, in ints: a raw
+table entry is (nums, den), int numerators over one positive denominator in
+lowest terms, and a pair's vector is summed as L * lam, L the lcm of the
+denominators it reads (the element keeps lam itself).  Each pair's vector is
+reduced there once.  The span keeps a row for each pair whose vector grows
+its rank, and the row stands for a combination of elements, sum_e C_e Z_e.
+A pair whose vector reduces to zero, L lam = sum y_R R, gets the entry
+sum y_R C_R / L with no field: by linearity its recursion would build that
+combination.  A pair whose vector grows the span is integrated, and its jet
+vector decides: the int vector of its slots (the jet bracket of int fields
+with integer exponents is int, and the recursion builds it), reduced by
+exact sparse elimination against the elements of its bigrading.  If it is
+new, its row stands for the new element; if it is dependent with
+coordinates x, for sum_e x_e Z_e, a relation of the order-N jets that the
+connection vectors do not show.  A later pair that reduces through such a
+row is dependent on the jets too, with the unique coordinates that its
+recursion and jet reduction would find, so it needs no field either.
+Fractions are built once, for ClosureResult.brackets, and in a non-integral
+lam (none is known).
 
 The jets decide on a weight window.  Slot j of a degree-d element has
 weight j - d, and the recursion builds slot k + 1 from slot k of the lower
@@ -91,12 +96,13 @@ import itertools
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
+from math import gcd, lcm
 from typing import Callable, Optional
 
 from . import exactring as xr
 from . import jetfield as jf
 from .jetfield import Bigrading, JetField
-from .linalg import LinearSpan
+from .linalg import LinearSpan, cleared
 from .loopalg import matrix_structure_constant, natural_degree
 
 
@@ -250,7 +256,7 @@ def generate(
         raise ClosureError("closure needs a nonzero pure exponential sum f(u)")
     window = order - max_degree         # weight through which each degree is decided first
     elements: list[BasisElement] = []   # by index; a degree's elements join after its pairs
-    raw_expr: dict = {}                 # (idx_i, idx_j) -> {element: Fraction}
+    raw_expr: dict = {}                 # (idx_i, idx_j) -> ({element: int}, den)
 
     x0 = BasisElement(0, f"{prefix}0", [{0: {0: 1}}], Fraction(1), 0, 0, None, {}, {}, order)
     for alpha in sorted(f, reverse=True):
@@ -264,23 +270,18 @@ def generate(
         el.extend(1 + window)
         elements.append(el)
 
-    def entry(i: int, j: int):
-        """(element, coefficient) pairs of the raw [Z_i, Z_j], Z_0 = X_0.
-
-        An integral coefficient comes as an int, so connection vectors stay
-        int where the table is integral: Fraction products are slow."""
+    def entry(i: int, j: int) -> tuple:
+        """(sign, nums, den) of the raw [Z_i, Z_j] = sign * sum nums[el]/den el, Z_0 = X_0."""
         if i == j:
-            return ()
+            return 1, {}, 1
         if i == 0 or j == 0:
             el = elements[i + j - 1]
-            return ((el, el.eigenvalue if i == 0 else -el.eigenvalue),)
-        sign, key = (1, (i, j)) if i < j else (-1, (j, i))
-        return ((el, sign * (c.numerator if c.denominator == 1 else c))
-                for el, c in raw_expr[key].items())
+            return (1 if i == 0 else -1), {el: el.eigenvalue}, 1
+        return (1, *raw_expr[(i, j)]) if i < j else (-1, *raw_expr[(j, i)])
 
     for d in range(2, max_degree + 1):
         new_here: list[BasisElement] = []
-        connections = defaultdict(LinearSpan)   # r -> connection vectors, rows over elements
+        connections = defaultdict(LinearSpan)   # r -> L * connection vectors, rows over elements
         spans = defaultdict(LinearSpan)         # r -> their jet vectors
         n = d + window                  # the slots this degree is decided on
         for ei, ej in itertools.combinations(elements, 2):
@@ -288,20 +289,25 @@ def generate(
                 continue
             r = ei.eigenvalue + ej.eigenvalue
             # [D, [A, B]] = [[D, A], B] + [A, [D, B]], and [e^{su} Z, B] = e^{su} [Z, B]
-            # because B annihilates functions of u
-            terms = [((s, el.index), c * ck) for (s, i), c in ei.connection.items()
-                     for el, ck in entry(i, ej.index)]
-            terms += [((s, el.index), c * ck) for (s, j), c in ej.connection.items()
-                      for el, ck in entry(ei.index, j)]
+            # because B annihilates functions of u; lam is summed in ints, as L * lam
+            # with L the lcm of the denominators it reads
+            parts = [(s, c, entry(i, ej.index)) for (s, i), c in ei.connection.items()]
+            parts += [(s, c, entry(ei.index, j)) for (s, j), c in ej.connection.items()]
+            L = lcm(*(den * c.denominator for _, c, (_, _, den) in parts))
             lam: dict = {}
-            for key, c in terms:
-                lam[key] = lam.get(key, 0) + c
+            for s, c, (sign, nums, den) in parts:
+                m = sign * c.numerator * (L // (den * c.denominator))
+                for el, v in nums.items():
+                    key = (s, el.index)
+                    lam[key] = lam.get(key, 0) + m * v
             lam = {key: c for key, c in lam.items() if c}
             pair = (ei.index, ej.index)
             expr = connections[r].insert(lam, pair)
             if expr is None:
-                # lam grew the block's connection span: the jets decide, and
-                # the pair's row then stands for their verdict
+                # L * lam grew the block's connection span: the jets decide, and
+                # the pair's row then stands for L times their verdict
+                if L != 1:
+                    lam = {key: c // L if not c % L else Fraction(c, L) for key, c in lam.items()}
                 canonical = None
                 if ei.canonical is not None and ej.canonical is not None:
                     canonical = (ei.canonical[0] + ej.canonical[0], ei.canonical[1] + ej.canonical[1])
@@ -318,9 +324,13 @@ def generate(
                         expr = spans[z.eigenvalue].insert(_vectorize(z.slots), z)
                 if expr is None:
                     new_here.append(el)
-                    expr = {el: Fraction(1)}
-                connections[r].substitute(pair, expr)
-            raw_expr[pair] = expr
+                    expr = {el: 1}, 1
+                nums, den = expr
+                connections[r].substitute(pair, {e: L * v for e, v in nums.items()}, den)
+            else:
+                nums, den = expr[0], expr[1] * L
+            g = gcd(den, *nums.values())
+            raw_expr[pair] = ({e: v // g for e, v in nums.items()}, den // g) if g != 1 else (nums, den)
         # reference index order within a degree: eigenvalue descending, then
         # discovery (the sort is stable)
         for el in sorted(new_here, key=lambda e: -e.eigenvalue):
@@ -328,8 +338,8 @@ def generate(
             el.name = f"{prefix}{el.index}"
             elements.append(el)
 
-    brackets = {key: tuple(sorted((el.index, c) for el, c in expr.items()))
-                for key, expr in raw_expr.items()}
+    brackets = {key: tuple(sorted((el.index, Fraction(c, den)) for el, c in nums.items()))
+                for key, (nums, den) in raw_expr.items()}
     if target is not None:
         scales = _normalization_scales(elements, brackets, target)
         for el, c in zip(elements, scales):
@@ -385,20 +395,16 @@ def _abstract_bracket(result: ClosureResult, v: dict, w: dict) -> dict:
 
 def _word_span_dims(result: ClosureResult, generators: list) -> dict:
     span = LinearSpan()
-    frontier = []
-    gen_vecs = []
-    for g in generators:
-        vec = {g: Fraction(1)}
-        gen_vecs.append(vec)
-        if span.insert(dict(vec), ("g", g)) is None:
-            frontier.append(vec)
+    for g in generators:    # distinct unit vectors
+        span.insert({g: 1}, ("g", g))
+    frontier = gen_vecs = [{g: Fraction(1)} for g in generators]
     dims = {1: len(span)}
     for n in range(2, result.max_degree + 1):
         new_frontier = []
         for g in gen_vecs:
             for w in frontier:
                 b = _abstract_bracket(result, g, w)
-                if b and span.insert(b, ("w", n, len(span))) is None:
+                if b and span.insert(cleared(b)[0], ("w", n, len(span))) is None:
                     new_frontier.append(b)
         dims[n] = len(span)
         frontier = new_frontier

@@ -6,36 +6,35 @@ deterministic: rows are processed in insertion order.  Every row operation
 goes through exactring.vec_iadd_scaled, the package's one sparse accumulate,
 in place on the vector and combination that the reduction owns.
 
-LinearSpan is the package's one elimination, and it is fraction-free: an
-input has its denominators cleared once and every stored row is an int
-vector.
+LinearSpan is the package's one elimination, and it is fraction-free: it
+takes int vectors (a caller with rational ones clears them first, see
+cleared) and keeps int rows R together with int combinations C over tags,
+R standing for sum_t C[t]*tag_t; it builds no Fraction.  An inserted vector
+stands for its tag, so a row is at first the combination
+sum_t C[t]*input_t.  substitute lets a tag of the last row stand for a
+combination of other tags instead, and the row then stands for that.  A
+vector v is reduced by v <- a*v - b*R with g = gcd(lead, v[pivot]),
+a = lead/g and b = v[pivot]/g.  Rows are never re-reduced against later
+pivots: each row is zero at all earlier pivots, so reducing in insertion
+order never brings a cleared entry back.  A new row pivots on its entry of
+smallest absolute value, ties going to the smallest key.  The choice is
+free: whether a vector is new depends only on the rank, and any pivot keeps
+each row zero at all earlier pivots, so every decision and coordinate is the
+same for every choice.  It pays because a pivot of +-1 gives a = 1: the
+vector is not rescaled and its ints stay small.  A reduction tracks the
+product of the a's (the scale, positive); a vector that reduces to zero
+stands for the coordinates -C/scale, handed back as ({t: -C[t]}, scale).
+Coordinates over an independent set are unique, so they equal those of
+monic Fraction pivoting.  insert reduces a vector once: it keeps the
+reduced row when one is left and otherwise hands back the coordinates, so a
+caller that adds whatever is new never reduces a vector twice.
 
-LinearSpan keeps int rows R together with int combinations C over tags, and
-R stands for sum_t C[t]*tag_t.  An inserted vector stands for its tag, so a
-row is at first the combination sum_t C[t]*input_t.  substitute lets a tag
-of the last row stand for a combination of other tags instead, and the row
-then stands for that.  A vector v is reduced by v <- a*v - b*R with
-g = gcd(lead, v[pivot]), a = lead/g and b = v[pivot]/g.  Rows are never
-re-reduced against later pivots: each row is zero at all earlier pivots, so
-reducing in insertion order never brings a cleared entry back.  A new row
-pivots on its entry of smallest absolute value, ties going to the smallest
-key.  The choice is free: whether a vector is new depends only on the rank,
-and any pivot keeps each row zero at all earlier pivots, so every decision
-and coordinate is the same for every choice.  It pays because a pivot of +-1
-gives a = 1: the vector is not rescaled and its ints stay small.  A
-reduction tracks the product of the a's (the scale); a vector that reduces
-to zero stands for the coordinates -C/scale, as Fractions, the only place a
-Fraction appears.  Coordinates over an independent set are unique, so they
-equal those of monic Fraction pivoting.  insert reduces a vector once: it
-keeps the reduced row when one is left and otherwise hands back the
-coordinates, so a caller that adds whatever is new never reduces a vector
-twice.
-
-nullspace is column dependence: the columns of the rows go into one
-LinearSpan in column order.  A column that insert already writes over the
-earlier (pivot) columns is free, and its unique coordinates give the kernel
-vector that back-substitution on the reduced rows would: 1 at the free
-column and minus the coordinate at each pivot.
+nullspace is column dependence: its rows, cleared to ints (which keeps
+their kernel), give columns that go into one LinearSpan in column order.  A
+column that insert already writes over the earlier (pivot) columns is free,
+and its unique coordinates give the kernel vector that back-substitution on
+the reduced rows would: 1 at the free column and minus the coordinate at
+each pivot.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import Hashable, Optional
 
 from .exactring import vec_iadd_scaled
 
-Vec = dict  # dict[key, int | Fraction]
+Vec = dict  # dict[key, int | Fraction]; LinearSpan takes int vectors only
 
 
 class LinearSpan:
@@ -54,7 +53,7 @@ class LinearSpan:
 
     Each inserted vector carries a tag; express() and a dependent insert()
     write later vectors as exact linear combinations of the tags that the
-    rows stand for.
+    rows stand for, as (nums, den): the coordinate of tag t is nums[t]/den.
     """
 
     def __init__(self) -> None:
@@ -66,12 +65,13 @@ class LinearSpan:
         return len(self._rows)
 
     def _reduce(self, vec: Vec) -> tuple[Vec, dict, int]:
-        """(vec', combo, scale), all in ints: vec' is scale*vec plus rows, zero
-        at every pivot, and the rows stand for sum_t combo[t]*tag_t.  vec' and
-        combo are new dicts, updated in place; neither vec nor any stored row
-        is touched."""
-        vec, scale = cleared(vec)
+        """(vec', combo, scale) for an int vec: vec' is scale*vec plus rows,
+        zero at every pivot, and the rows stand for sum_t combo[t]*tag_t.
+        vec' and combo are new dicts, updated in place; neither vec nor any
+        stored row is touched."""
+        vec = dict(vec)
         combo: dict = {}
+        scale = 1
         for pivot, row, rcombo in self._rows:
             c = vec.get(pivot)
             if c:
@@ -88,38 +88,36 @@ class LinearSpan:
                 vec_iadd_scaled(combo, rcombo, -(c // g))
         return vec, combo, scale
 
-    def insert(self, vec: Vec, tag: Hashable) -> Optional[dict]:
-        """Add vec under `tag` and return None when it is independent;
-        otherwise add nothing and return its coordinates, as express would.
-        Either way vec is reduced once."""
+    def insert(self, vec: Vec, tag: Hashable) -> Optional[tuple[dict, int]]:
+        """Add the int vector vec under `tag` and return None when it is
+        independent; otherwise add nothing and return its coordinates, as
+        express would.  Either way vec is reduced once."""
         residual, combo, scale = self._reduce(vec)
         if not residual:
-            return _coordinates(combo, scale)
+            return {t: -c for t, c in combo.items()}, scale
         combo[tag] = scale
         pivot = min(residual, key=lambda k: (abs(residual[k]), k))
         self._rows.append(_primitive(pivot, residual, combo))
         return None
 
-    def express(self, vec: Vec) -> Optional[dict]:
-        """Coordinates of vec over the rows' tags, or None if outside the span."""
+    def express(self, vec: Vec) -> Optional[tuple[dict, int]]:
+        """Coordinates (nums, den) of the int vector vec over the rows' tags,
+        or None if outside the span."""
         residual, combo, scale = self._reduce(vec)
-        return None if residual else _coordinates(combo, scale)
+        return None if residual else ({t: -c for t, c in combo.items()}, scale)
 
-    def substitute(self, tag: Hashable, coords: dict) -> None:
-        """Let `tag`, a tag of the last row, stand for sum_t coords[t]*t.
-
-        The row and its combination are multiplied by the lcm L of the
-        coordinates' denominators, and C[tag] goes to each tag t as
-        C[tag]*L*coords[t], so both stay int; then both are divided by
+    def substitute(self, tag: Hashable, nums: dict, den: int) -> None:
+        """Let `tag`, a tag of the last row, stand for sum_t nums[t]/den * t
+        (ints, den > 0): the row and its combination are multiplied by den,
+        C[tag] goes to each t as C[tag]*nums[t], and both are divided by
         their content, as a new row is."""
         pivot, row, combo = self._rows[-1]
         c = combo.pop(tag)
-        m = lcm(*(x.denominator for x in coords.values()))
-        if m != 1:
-            row = {k: v * m for k, v in row.items()}
-            combo = {t: v * m for t, v in combo.items()}
-        for t, x in coords.items():
-            combo[t] = combo.get(t, 0) + c * (x.numerator * (m // x.denominator))
+        if den != 1:
+            row = {k: v * den for k, v in row.items()}
+            combo = {t: v * den for t, v in combo.items()}
+        for t, x in nums.items():
+            combo[t] = combo.get(t, 0) + c * x
         self._rows[-1] = _primitive(pivot, row, {t: v for t, v in combo.items() if v})
 
 
@@ -135,11 +133,6 @@ def _primitive(pivot: Hashable, row: Vec, combo: dict) -> tuple[Hashable, Vec, d
     return pivot, row, combo
 
 
-def _coordinates(combo: dict, scale: int) -> dict:
-    """x = -combo/scale over the tags, from 0 = scale*x + sum_t combo[t]*tag_t."""
-    return {t: Fraction(-c, scale) for t, c in combo.items() if c}
-
-
 def cleared(vec: Vec) -> tuple[Vec, int]:
     """(s*vec as a new int vector, s) with s the lcm of vec's denominators."""
     scale = lcm(*(v.denominator for v in vec.values()))
@@ -153,6 +146,7 @@ def nullspace(rows: list[Vec], columns: list) -> list[Vec]:
     the normalization: each returned vector is scaled so its first nonzero
     coefficient in column order is 1.  Entries are Fractions.
     """
+    rows = [cleared(r)[0] for r in rows]
     span = LinearSpan()
     pivots: list = []
     basis: list[Vec] = []
@@ -162,10 +156,8 @@ def nullspace(rows: list[Vec], columns: list) -> list[Vec]:
         if coords is None:
             pivots.append(f)
             continue
-        x = {f: Fraction(1)}
-        for p in reversed(pivots):
-            if p in coords:
-                x[p] = -coords[p]
+        nums, den = coords
+        x = {f: Fraction(1)} | {p: Fraction(-nums[p], den) for p in reversed(pivots) if p in nums}
         lead = x[next(c for c in columns if c in x)]
         basis.append({k: v / lead for k, v in x.items()})
     return basis

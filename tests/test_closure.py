@@ -12,7 +12,7 @@ from charlie import exactring as xr
 from charlie import jetfield as jf
 from charlie import loopalg as la
 from charlie.analysis import EQUATIONS, closure_for
-from charlie.linalg import LinearSpan
+from charlie.linalg import LinearSpan, cleared
 
 
 def qp_times_field(g, X):
@@ -311,6 +311,32 @@ def test_stored_connection_is_ad_D(filter_case):
         assert jf.fields_equal(lhs, rhs), el.name
 
 
+def test_a_non_integral_connection_stays_lam():
+    # e^u + 2e^(-2u) - 3e^(-3u) has one degree-6 element whose connection is
+    # not integral.  It keeps lam itself, not L * lam, so it is ad_D; the
+    # degree-7 pairs with it sum their connection vectors over its
+    # denominator, and their entries match their jet brackets
+    res = closure_for(xr.qp_parse("e^(u) + 2*e^(-2*u) - 3*e^(-3*u)"), 10, 7)
+    fractional = [el for el in res.elements
+                  if any(type(c) is Fraction for c in el.connection.values())]
+    assert [(el.name, el.degree) for el in fractional] == [("Z137", 6)]
+    el = fractional[0]
+    raw = {e.index: e.field_raw for e in res.elements}
+    raw[0] = jf.make_X0(res.order)
+    rhs = jf.zero_field(res.order)
+    for (s, i), c in el.connection.items():
+        rhs = jf.field_add(rhs, qp_times_field(xr.qp_exp(s, c), raw[i]))
+    assert jf.fields_equal(jf.bracket(jf.make_D(res.order), el.field_raw), rhs)
+    fields = {e.index: e.field for e in res.elements}
+    pairs = [key for key in res.brackets if el.index in key]
+    assert len(pairs) == 3   # one per generator
+    for i, j in pairs:
+        rhs = jf.zero_field(res.order)
+        for k, c in res.brackets[(i, j)]:
+            rhs = jf.field_add(rhs, jf.field_scale(fields[k], c))
+        assert jf.fields_equal(jf.bracket(fields[i], fields[j]), rhs), (i, j)
+
+
 def _counted(monkeypatch, module, name):
     """A list that gets one entry per call of module.name from now on."""
     calls = []
@@ -354,7 +380,7 @@ def test_jet_relations_stay_as_connection_rows(monkeypatch):
     # jets' coordinates, so the spans outrank the elements at degrees 9 and
     # 10, and later pairs whose connection vector falls in the span only
     # through such a row get their entries without a field
-    inserted = []   # (pair, connection vector, coordinates or None)
+    inserted = []   # (pair, int connection vector L * lam, (nums, den) or None)
 
     class RecordingSpan(LinearSpan):
         def insert(self, vec, tag):
@@ -377,11 +403,13 @@ def test_jet_relations_stay_as_connection_rows(monkeypatch):
     for (i, j), lam, coords in inserted:
         if coords is None:
             continue
+        nums, den = coords
+        assert all(type(c) is int for c in (den, *lam.values(), *nums.values())) and den > 0
         d, r = els[i - 1].degree + els[j - 1].degree, els[i - 1].eigenvalue + els[j - 1].eigenvalue
         of_elements = LinearSpan()
         for el in els:
             if (el.degree, el.eigenvalue) == (d, r):
-                of_elements.insert(el.connection, el)
+                of_elements.insert(cleared(el.connection)[0], el)
         if of_elements.express(lam) is not None:
             continue
         through_relations += 1
@@ -588,6 +616,13 @@ PINNED_REPORTS = {
         "3d85c2cb99abc1f5ea9cec83ecef03a71ecf7b58c3547875fd5a095073a8e6f0",
     'charalg --equation "e^u+3" --degree 6 --order 10':
         "f74a5d2ec28701a6582f67714d42a95bdea667e3a3f0cd36aa76bbcb681b9b3f",
+    # non-integral table entries (22 of 463), carried as int numerators over
+    # one denominator until the report's Fractions are built
+    'charalg --equation "2e^(2u)+e^(-u)-3e^u" --degree 6 --order 12':
+        "e4f21b38dd26bbd71a35767855c3101459e7eafe838f4c5ea8782ee010f40962",
+    # a non-integral connection (Z137), which degree 7 reads
+    'charalg --equation "e^u+2e^(-2u)-3e^(-3u)" --degree 7 --order 10':
+        "2abbb4778df08aa8bd16587ff9dda351478091b6abfb8d389bd76348c5332fea",
     # long degree windows, where each degree is decided on a short weight window
     "charalg --equation sinh --degree 24 --order 28":
         "ce00b9c79a5d01053b697a44ce20a2c21ba7ea309db7d473ee43fa17d641d868",

@@ -3,11 +3,20 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from charlie.exactring import vec_add_scaled
-from charlie.linalg import LinearSpan, nullspace
+from charlie.linalg import LinearSpan, cleared, nullspace
 
 
 def F(x):
     return Fraction(x)
+
+
+def _fractions(coords):
+    """Coordinates (nums, den) as {tag: Fraction}, after checking that they
+    are int numerators, none zero, over one positive int denominator."""
+    nums, den = coords
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in nums.values())
+    return {t: Fraction(c, den) for t, c in nums.items()}
 
 
 def test_vec_add_scaled_drops_zeros():
@@ -17,26 +26,28 @@ def test_vec_add_scaled_drops_zeros():
 
 def test_span_insert_and_express():
     span = LinearSpan()
-    assert span.insert({1: F(1), 2: F(1)}, "u") is None
-    assert span.insert({2: F(1)}, "v") is None
+    assert span.insert({1: 1, 2: 1}, "u") is None
+    assert span.insert({2: 1}, "v") is None
     # a dependent insert adds nothing and hands back the coordinates
-    assert span.insert({1: F(2), 2: F(2)}, "dup") == {"u": F(2)}
-    assert span.insert({}, "zero") == {}
+    assert _fractions(span.insert({1: 2, 2: 2}, "dup")) == {"u": F(2)}
+    assert _fractions(span.insert({}, "zero")) == {}
     assert len(span) == 2
     # 3*u - v = {1: 3, 2: 2}
-    assert span.express({1: F(3), 2: F(2)}) == {"u": F(3), "v": F(-1)}
-    assert span.express({3: F(1)}) is None
-    assert span.express({}) == {}
+    assert _fractions(span.express({1: 3, 2: 2})) == {"u": F(3), "v": F(-1)}
+    assert span.express({3: 1}) is None
+    assert _fractions(span.express({})) == {}
+    # a non-integral coordinate comes over a denominator
+    assert span.insert({3: 2}, "w") is None
+    assert _fractions(span.express({2: 1, 3: 1})) == {"v": F(1), "w": Fraction(1, 2)}
 
 
 def test_span_express_after_reductions():
     span = LinearSpan()
-    span.insert({1: F(2), 2: F(4)}, "a")
-    span.insert({1: F(1), 3: F(1)}, "b")
-    span.insert({2: F(1), 3: F(5)}, "c")
-    target = vec_add_scaled(vec_add_scaled({1: F(2), 2: F(4)}, {1: F(1), 3: F(1)}, F(-3)),
-                            {2: F(1), 3: F(5)}, F(7))
-    assert span.express(target) == {"a": F(1), "b": F(-3), "c": F(7)}
+    span.insert({1: 2, 2: 4}, "a")
+    span.insert({1: 1, 3: 1}, "b")
+    span.insert({2: 1, 3: 5}, "c")
+    target = vec_add_scaled(vec_add_scaled({1: 2, 2: 4}, {1: 1, 3: 1}, -3), {2: 1, 3: 5}, 7)
+    assert _fractions(span.express(target)) == {"a": F(1), "b": F(-3), "c": F(7)}
 
 
 def test_nullspace_simple_kernel():
@@ -62,21 +73,25 @@ def test_nullspace_deterministic_normalization():
 
 
 def test_int_vectors_divide_exactly():
-    # int and Fraction entries must give the same int rows and the same
-    # all-Fraction coordinates: plain division would silently make floats
+    # rows, combinations and coordinates stay ints, and a rational vector is
+    # cleared by its caller to the same int vector: plain division would
+    # silently make floats
     vecs = [{1: 2, 2: 4, 3: 1}, {1: 3, 3: 5}, {2: 7, 3: -3}]
     spans = LinearSpan(), LinearSpan()
     for tag, v in enumerate(vecs):
         assert spans[0].insert(v, tag) is None
-        assert spans[1].insert({k: F(c) for k, c in v.items()}, tag) is None
+        assert spans[1].insert(cleared({k: Fraction(c, 2) for k, c in v.items()})[0], tag) is None
     int_rows, frac_rows = spans[0]._rows, spans[1]._rows
     assert int_rows == frac_rows
     for _, row, combo in int_rows:
         assert all(type(c) is int for c in (*row.values(), *combo.values()))
     target = {1: 1, 2: 11, 3: 1}
     coords = spans[0].express(target)
-    assert coords == spans[1].express({k: F(c) for k, c in target.items()})
-    assert all(type(c) is Fraction for c in coords.values())
+    assert coords == spans[1].express(target)
+    ref = _FractionPivotSpan()
+    for tag, v in enumerate(vecs):
+        ref.insert(v, tag)
+    assert _fractions(coords) == ref.express(target)
     rows = [{"a": 2, "b": 4, "c": 2}, {"a": 3, "c": 1}]
     basis = nullspace(rows, ["a", "b", "c"])
     assert basis == nullspace([{k: F(c) for k, c in r.items()} for r in rows], ["a", "b", "c"])
@@ -177,9 +192,7 @@ def test_fraction_free_nullspace_equals_fraction_pivots(rows, columns):
             assert sum(c * v.get(k, 0) for k, c in r.items()) == 0
 
 
-span_entries = st.one_of(
-    st.integers(min_value=-6, max_value=6),
-    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+span_entries = st.integers(min_value=-6, max_value=6)   # LinearSpan takes int vectors
 span_vectors = st.dictionaries(st.integers(min_value=0, max_value=5),
                                span_entries.filter(bool), max_size=4)
 
@@ -212,10 +225,7 @@ def test_fraction_free_span_equals_fraction_pivots(ops):
             assert len(span) == len(ref._rows)
         else:
             got = span.express(v)
-        assert got == want
-        if got is not None:
-            assert [(t, type(c)) for t, c in sorted(got.items())] == \
-                [(t, type(c)) for t, c in sorted(want.items())]
+        assert (got if got is None else _fractions(got)) == want
 
 
 @given(span_sessions())
@@ -263,21 +273,23 @@ def test_substituted_tag_stands_for_its_coordinates():
     span = LinearSpan()
     span.insert({1: 1, 2: 1}, "u")
     assert span.insert({2: 1}, "p") is None
-    span.substitute("p", {"a": F(1) / 2, "u": F(3)})   # {2: 1} now stands for a/2 + 3u
+    span.substitute("p", {"a": 1, "u": 6}, 2)   # {2: 1} now stands for a/2 + 3u
     # 3u + 2p = 3u + a + 6u
-    assert span.express({1: 3, 2: 5}) == {"u": F(9), "a": F(1)}
-    assert span.insert({1: 3, 2: 5}, "q") == {"u": F(9), "a": F(1)}
+    assert _fractions(span.express({1: 3, 2: 5})) == {"u": F(9), "a": F(1)}
+    assert _fractions(span.insert({1: 3, 2: 5}, "q")) == {"u": F(9), "a": F(1)}
     assert span.insert({3: 2, 2: 1}, "w") is None
-    assert span.express({3: 2, 2: 2, 1: 1}) == {"w": F(1), "u": F(1)}
-    assert span.express({3: 4, 2: 3}) == {"w": F(2), "a": F(1) / 2, "u": F(3)}
+    assert _fractions(span.express({3: 2, 2: 2, 1: 1})) == {"w": F(1), "u": F(1)}
+    assert _fractions(span.express({3: 4, 2: 3})) == {"w": F(2), "a": F(1) / 2, "u": F(3)}
     # the substitution keeps every row and combination int
     for _, row, combo in span._rows:
         assert all(type(c) is int for c in (*row.values(), *combo.values()))
 
 
+# (nums, den): the tag of the last row stands for sum_t nums[t]/den * t
 substitutions = st.lists(
-    st.one_of(st.none(), st.dictionaries(st.sampled_from("xyz"), span_entries.filter(bool),
-                                         max_size=3)),
+    st.one_of(st.none(), st.tuples(
+        st.dictionaries(st.sampled_from("xyz"), span_entries.filter(bool), max_size=3),
+        st.integers(min_value=1, max_value=6))),
     min_size=6, max_size=6)
 
 
@@ -285,8 +297,8 @@ substitutions = st.lists(
 @settings(max_examples=120, deadline=None)
 def test_substitution_maps_coordinates_through_the_tag(ops, subs):
     # a tag of the last row may be replaced by coordinates over other tags
-    # (Fractions included); from then on every insert and express returns the
-    # coordinates with that tag mapped to its substitute
+    # (non-integral ones included); from then on every insert and express
+    # returns the coordinates with that tag mapped to its substitute
     span, ref = LinearSpan(), _FractionPivotSpan()
     image = {}
     subs = iter(subs)
@@ -298,14 +310,49 @@ def test_substitution_maps_coordinates_through_the_tag(ops, subs):
             for t, c in coords.items():
                 want = vec_add_scaled(want, image[t], c)
         got = span.insert(v, n) if op == "insert" else span.express(v)
-        assert got == want
-        if got is not None:
-            assert all(type(c) is Fraction for c in got.values())
+        assert (got if got is None else _fractions(got)) == want
         if op == "insert" and got is None:
             ref.insert(v, n)
             sub = next(subs)
-            image[n] = {n: F(1)} if sub is None else sub
+            image[n] = {n: F(1)} if sub is None else _fractions(sub)
             if sub is not None:
-                span.substitute(n, sub)
+                span.substitute(n, *sub)
     for _, row, combo in span._rows:
         assert all(type(c) is int for c in (*row.values(), *combo.values()))
+
+
+@given(span_sessions(), substitutions)
+@settings(max_examples=120, deadline=None)
+def test_int_span_sessions_keep_ints_and_what_rows_stand_for(ops, subs):
+    # against a Fraction oracle: every stored row and combination and every
+    # returned (nums, den) is made of ints with den > 0; before any
+    # substitution, sum_t nums[t]/den * input_t is the vector itself; and
+    # every row R with combination C still stands for sum_t C[t] * tag_t
+    # after substitutions, that is, C is what R's combination K of the
+    # inputs becomes once each input tag t is mapped to its image
+    span, ref = LinearSpan(), _FractionPivotSpan()
+    inputs, image = {}, {}
+    subs = iter(subs)
+    for n, (op, v) in enumerate(ops):
+        got = span.insert(v, n) if op == "insert" else span.express(v)
+        if got is not None:
+            coords = _fractions(got)
+            if all(image[t] == {t: 1} for t in image):
+                total = {}
+                for t, c in coords.items():
+                    total = vec_add_scaled(total, inputs[t], c)
+                assert total == v
+        elif op == "insert":
+            ref.insert(v, n)
+            inputs[n], image[n] = v, {n: F(1)}
+            sub = next(subs)
+            if sub is not None:
+                span.substitute(n, *sub)
+                image[n] = _fractions(sub)
+        for pivot, row, combo in span._rows:
+            assert type(pivot) is int and row[pivot] > 0
+            assert all(type(c) is int for c in (*row.values(), *combo.values()))
+            meaning = {}
+            for t, c in ref.express(row).items():
+                meaning = vec_add_scaled(meaning, image[t], c)
+            assert meaning == {t: F(c) for t, c in combo.items()}
