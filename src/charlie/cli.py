@@ -180,21 +180,11 @@ def cmd_symmetry(args) -> tuple:
 
 def cmd_verify_iso(args) -> tuple:
     name = an.identify_equation(parse_equation(args.equation))
-    if name not in ("sinh", "tzitzeica"):
-        raise UsageError("verify-iso supports --equation sinh or tzitzeica")
+    supported = [eq for eq, (algebra, _) in an.TARGETS.items() if algebra]
+    if name not in supported:
+        raise UsageError(f"verify-iso supports --equation {' or '.join(supported)}")
     rep = an.verify_isomorphism(name, args.degree, args.order)
-    payload = {
-        "equation": name,
-        "order": rep.order,
-        "degree": rep.degree,
-        "basis_size": rep.basis_size,
-        "bracket_pairs": rep.bracket_pairs,
-        "zero_confirmations": rep.zero_confirmations,
-        "mismatches": rep.mismatches,
-        "grading_mismatches": rep.grading_mismatches,
-        "serre_jet": rep.serre_jet,
-        "serre_matrix": rep.serre_matrix,
-    }
+    payload = {k: v for k, v in rep._asdict().items() if k not in ("status", "closure")}
     return rep.status, payload, _closure_certs(rep.closure)
 
 

@@ -389,7 +389,7 @@ def _abstract_bracket(result: ClosureResult, v: dict, w: dict) -> dict:
     out: dict = {}
     for a, ca in v.items():
         for b, cb in w.items():
-            out = xr.vec_add_scaled(out, dict(result.bracket_coeffs(a, b)), ca * cb)
+            xr.vec_iadd_scaled(out, dict(result.bracket_coeffs(a, b)), ca * cb)
     return out
 
 

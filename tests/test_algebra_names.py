@@ -4,10 +4,14 @@ Each loop algebra is one row of loopalg.ALGEBRAS (period, basis, label
 prefix, canonical bigradings, Serre relations), and code reads the row.  A
 comparison against an algebra's name, `algebra == "n1"` or
 `algebra in ("n1", "n2")`, writes a fact about that algebra a second time.
+Likewise each equation is one row of analysis.EQUATIONS and of
+analysis.TARGETS, and no module compares against an equation's name.
 """
 
 import ast
 from pathlib import Path
+
+from charlie.analysis import EQUATIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "charlie").glob("*.py"))
@@ -21,12 +25,20 @@ def _named_constants(node) -> set:
             if isinstance(item, ast.Constant) and isinstance(item.value, str)}
 
 
-def test_no_comparison_against_an_algebra_name():
+def _comparisons_against(names: set) -> list:
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Compare):
                 for operand in (node.left, *node.comparators):
-                    for name in sorted(_named_constants(operand) & ALGEBRA_NAMES):
+                    for name in sorted(_named_constants(operand) & names):
                         found.append(f"{path.stem}:{node.lineno}: {name!r}")
-    assert found == []
+    return found
+
+
+def test_no_comparison_against_an_algebra_name():
+    assert _comparisons_against(ALGEBRA_NAMES) == []
+
+
+def test_no_comparison_against_an_equation_name():
+    assert _comparisons_against(set(EQUATIONS)) == []

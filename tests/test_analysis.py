@@ -290,6 +290,27 @@ def test_verify_isomorphism_detects_mismatch(monkeypatch):
     assert any(m["pair"] == (3, 4) for m in rep.mismatches)
 
 
+def test_each_eigenvalue_is_checked_once(monkeypatch, capsys):
+    # a wrong ad-X0 constant for one basis element is one grading mismatch,
+    # naming that element, and no structure-table mismatch besides
+    from charlie import loopalg as la
+    orig = la.matrix_structure_constant
+
+    def corrupted(algebra, i, j):
+        c = orig(algebra, i, j)
+        return c + 1 if (i, j) == (0, 4) else c
+
+    monkeypatch.setattr(la, "matrix_structure_constant", corrupted)
+    rep = an.verify_isomorphism("sinh", degree=8, order=12)
+    assert rep.status == "mismatch"
+    assert rep.mismatches == []
+    assert [r["name"] for r in rep.grading_mismatches] == [rep.closure.elements[3].name]
+    monkeypatch.undo()
+    assert cli.run(["verify-iso", "--equation", "sinh", "--degree", "6", "--order", "10"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert list(payload) == [k for k in an.IsoReport._fields if k not in ("status", "closure")]
+
+
 def test_identify_equation():
     assert an.identify_equation(xr.qp_parse("1/2 * e^(u) - 1/2 * e^(-u)")) == "sinh"
     assert an.identify_equation(xr.qp_parse("e^(u) + e^(-2*u)")) == "tzitzeica"

@@ -96,6 +96,13 @@ def test_verify_iso_exit_code_and_status(capsys):
     assert rep["payload"]["mismatches"] == []
 
 
+@pytest.mark.parametrize("equation", ["liouville", "e^u+e^(-3u)"])
+def test_verify_iso_rejects_equations_without_a_loop_algebra(capsys, equation):
+    assert cli.run(["verify-iso", "--equation", equation]) == 1
+    assert capsys.readouterr() == (
+        "", "error: verify-iso supports --equation sinh or tzitzeica\n")
+
+
 def test_symmetry_mismatch_exit_code(capsys):
     code, rep = run_json(capsys, ["symmetry", "--equation", "sinh", "--phi", "u2"])
     assert code == 2 and rep["status"] == "mismatch"
