@@ -258,7 +258,7 @@ def verify_isomorphism(equation: str, degree: int, order: int) -> IsoReport:
                                "matrix": xr.frac_text(want)})
         elif not want:
             zero_confirmed += 1
-    # the ad-X0 eigenvalues are checked once, in the grading rows' pair column
+    # the ad-X0 eigenvalues are checked in the grading rows' pair column
     grading_bad = [r for r in grading_rows(result, equation) if not r["match"]]
     # defining ad-power relations: the jet side certifies up to the truncation
     # order, the matrix side is exact
