@@ -193,14 +193,17 @@ def expected_gradings(equation: str, index: int) -> dict:
 
 
 def grading_rows(result: cl.ClosureResult, equation: str) -> list:
-    """Computed vs reference grading columns; empty diff means Table match."""
+    """Computed vs reference grading columns; empty diff means Table match.
+    The canonical bigrading (p, q) counts an element's letters X(e^{au}) and
+    X(e^{bu}), the first two elements (a > b): the one solution of p + q = d
+    and pa + qb = r for the element's (degree, eigenvalue) = (d, r)."""
     rows = []
-    computed = [(result.toral_name, 0, 0, (0, 0), 0)]
-    computed += [(el.name, el.index, el.degree, el.canonical, el.eigenvalue)
-                 for el in result.elements]
-    for name, index, degree, canonical, eigenvalue in computed:
-        row = {"name": name, "natural": degree, "canonical": canonical,
-               "pair": (degree, eigenvalue)}
+    a, b = (el.eigenvalue for el in result.elements[:2])
+    computed = [(result.toral_name, 0, 0, 0)]
+    computed += [(el.name, el.index, el.degree, el.eigenvalue) for el in result.elements]
+    for name, index, d, r in computed:
+        row = {"name": name, "natural": d,
+               "canonical": ((r - d * b) // (a - b), (d * a - r) // (a - b)), "pair": (d, r)}
         row["match"] = all(row[k] == v for k, v in expected_gradings(equation, index).items())
         rows.append(row)
     return rows

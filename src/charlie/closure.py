@@ -116,15 +116,13 @@ class MismatchError(ArithmeticError):
 
 class BasisElement:
     def __init__(self, index: int, name: str, slots: list, norm_scale: Fraction, degree: int,
-                 eigenvalue: int, canonical: Optional[tuple], connection: dict, lower: dict,
-                 order: int):
+                 eigenvalue: int, connection: dict, lower: dict, order: int):
         self.index = index            # position in the reference basis; name = prefix + index
         self.name = name
         self.slots = slots            # packed slots 0..N built so far; 0 = the (empty) u slot
         self.norm_scale = norm_scale
         self.degree = degree          # natural degree (= d of the operator bigrading)
         self.eigenvalue = eigenvalue  # ad-X_0 eigenvalue (= r of the operator bigrading)
-        self.canonical = canonical    # generator-count bigrading (p, q); None if undefined
         self.connection = connection  # [D, Z] = sum c e^{s*u} Z_i over {(s, i): c}; Z_0 = X_0
         self.lower = lower            # i -> the element Z_i of the connection
         self.order = order            # the valid order of field_raw
@@ -172,7 +170,7 @@ def serre_rungs(x: BasisElement, y: BasisElement, m: int) -> list:
             lam[(b, -1)] = -a * y.connection[(b, 0)]   # lower element -1 is x
         lam = {key: c for key, c in lam.items() if c}
         rungs.append(BasisElement(0, f"ad^{k} {x.name} ({y.name})", [{}], Fraction(1), k + 1,
-                                  b + k * a, None, lam,
+                                  b + k * a, lam,
                                   {i: rungs[i] if i >= 0 else x for _, i in lam}, x.order))
     return rungs
 
@@ -258,14 +256,13 @@ def generate(
     elements: list[BasisElement] = []   # by index; a degree's elements join after its pairs
     raw_expr: dict = {}                 # (idx_i, idx_j) -> ({element: int}, den)
 
-    x0 = BasisElement(0, f"{prefix}0", [{0: {0: 1}}], Fraction(1), 0, 0, None, {}, {}, order)
+    x0 = BasisElement(0, f"{prefix}0", [{0: {0: 1}}], Fraction(1), 0, 0, {}, {}, order)
     for alpha in sorted(f, reverse=True):
         idx = len(elements) + 1
-        canonical = ((1, 0), (0, 1))[idx - 1] if len(f) <= 2 else None
         # each ad-X_0 eigencomponent c X(e^{alpha u}) of X(f) is normalized to
         # sign(c) X(e^{alpha u}), and [D, X(g)] = -g X_0
         sign = 1 if f[alpha][xr.MONO_ONE] > 0 else -1
-        el = BasisElement(idx, f"{prefix}{idx}", [{}], Fraction(1), 1, alpha, canonical,
+        el = BasisElement(idx, f"{prefix}{idx}", [{}], Fraction(1), 1, alpha,
                           {(alpha, 0): -sign}, {0: x0}, order)
         el.extend(1 + window)
         elements.append(el)
@@ -308,11 +305,8 @@ def generate(
                 # the pair's row then stands for L times their verdict
                 if L != 1:
                     lam = {key: c // L if not c % L else Fraction(c, L) for key, c in lam.items()}
-                canonical = None
-                if ei.canonical is not None and ej.canonical is not None:
-                    canonical = (ei.canonical[0] + ej.canonical[0], ei.canonical[1] + ej.canonical[1])
                 el = BasisElement(0, f"[{ei.name},{ej.name}]", [{}], Fraction(1), d, r,
-                                  canonical, lam, {i: elements[i - 1] for _, i in lam}, order)
+                                  lam, {i: elements[i - 1] for _, i in lam}, order)
                 el.extend(n)
                 expr = spans[r].insert(_vectorize(el.slots), el)
                 if expr is not None and n < order:
@@ -357,8 +351,6 @@ def _normalization_scales(elements, raw_expr, target) -> list:
     for n in range(3, n_el + 1):
         for q in range(1, (n + 1) // 2):
             l = n - q
-            if l > n_el:
-                continue
             kappa = target(q, l)
             if not kappa:
                 continue

@@ -226,6 +226,34 @@ def test_an_exponential_without_its_caret_is_a_usage_error(capsys, equation):
     assert "unrecognized factor" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["loops", "--algebra", "sl4"], "error: unknown algebra 'sl4' (choose sl2 or sl3t)\n"),
+    # the rest of the line is Fraction's own text
+    (["exp2d", "--matrix", "1,x,2,3"], "error: bad --matrix: "),
+    (["growth", "--algebra", "foo", "--degree", "3"],
+     "error: unknown presented algebra 'foo'; choose from ['W+', 'm0', 'm2', 'n2^3']\n"),
+    (["growth", "--degree", "3"], "error: growth needs --equation or --algebra\n"),
+    (["jacobi", "--algebra", "m0S"], "error: jacobi --algebra m0S needs --s like --s 3,5\n"),
+    # the two terms cancel, leaving f = 0
+    (["charalg", "--equation", "e^u - e^u"],
+     "error: equation right-hand side must be a nonzero exponential sum\n"),
+    (["symmetry", "--equation", "sinh", "--phi", "u3", "--order", "3"],
+     "error: order 3 too small for phi with top index 3\n"),
+])
+def test_command_input_errors_print_one_line(capsys, argv, message):
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+
+def test_a_mismatch_exits_2_with_one_line(capsys, monkeypatch):
+    def contradict(result):
+        raise cl.MismatchError("x")
+    monkeypatch.setattr(cl, "commutant_growth_offset", contradict)
+    assert cli.run(["growth", "--equation", "sinh", "--degree", "3"]) == 2
+    assert capsys.readouterr() == ("", "mismatch: x\n")
+
+
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "missing" / "x.json"
     argv = ["charalg", "--equation", "sinh", "--degree", "4", "--order", "8", "--out", str(path)]
@@ -341,6 +369,34 @@ def test_text_format(capsys):
     assert code == 0
     assert out.startswith("bell: verified")
     assert "u1^3" in out
+
+
+def test_text_format_of_nested_payloads(capsys):
+    # dicts inside the payload indent their keys; empty lists print their key alone
+    code = cli.run(["verify-iso", "--equation", "sinh", "--degree", "3", "--order", "7",
+                    "--format", "text"])
+    assert code == 0
+    assert capsys.readouterr().out == """\
+verify-iso: verified
+  command = verify-iso
+  degree = 3
+  equation = sinh
+  order = 7
+  equation: sinh
+  order: 7
+  degree: 3
+  basis_size: 5
+  bracket_pairs: 3
+  zero_confirmations: 0
+  mismatches:
+  grading_mismatches:
+  serre_jet:
+    ad^3 g1 (g2): ZERO_UP_TO(7)
+    ad^3 g2 (g1): ZERO_UP_TO(7)
+  serre_matrix:
+    ad^3 e1 (e2): True
+    ad^3 e2 (e1): True
+"""
 
 
 def test_usage_error_unknown_subcommand(capsys):

@@ -262,6 +262,17 @@ def test_mismatch_detection_on_wrong_target():
                 raise cl.MismatchError("table mismatch")
 
 
+@pytest.mark.parametrize("kappa, message", [
+    # [X1, X4] is zero on the jets, so a target of 1 cannot hold
+    (1, r"\[1,4\] should be 1 \* element 5 but the jet side gives \{\}"),
+    # an all-zero target leaves X3 without a defining bracket
+    (0, "no defining bracket with nonzero target constant for element 3"),
+])
+def test_normalization_scales_raise_on_a_contradicting_target(kappa, message):
+    with pytest.raises(cl.MismatchError, match=f"^{message}$"):
+        cl.generate(EQUATIONS["sinh"], 10, 6, "X", lambda q, l: kappa)
+
+
 # (equation, degree, order) runs on which the connection filter and the
 # D-recursion are checked against the jets: both integrable reference cases
 # (sinh with its 1/2), the non-integrable e^u + e^(-3u) where its degree-9/10
@@ -600,9 +611,9 @@ def test_m0S_rejects_bad_index_sets():
 
 
 # sha256 of closure reports that no golden workload reaches: three generators
-# (canonical is None, same-bigrading ties such as Z8/Z9 at (3, 7)), a
-# mixed-sign pair, a single generator (nothing to bracket), rational
-# coefficients and a constant term
+# ((degree, eigenvalue) fixes no canonical (p, q) over three exponents,
+# same-bigrading ties such as Z8/Z9 at (3, 7)), a mixed-sign pair, a single
+# generator (nothing to bracket), rational coefficients and a constant term
 PINNED_REPORTS = {
     'charalg --equation "e^u+e^(2u)+e^(3u)" --degree 5 --order 9':
         "af1c6122faa49a610b0fdb6388389967317aa062add8dfb303a0941dd3d93a6f",

@@ -20,6 +20,13 @@ def test_sl2_matrix_oracle_full_sweep():
             assert la.matrix_structure_constant("n1", i, j) == c, (i, j)
 
 
+def test_proportionality_fails_on_a_missing_key_or_a_remainder():
+    # b's first key is not an entry of a
+    assert la.proportionality(la.sl2_basis(1), la.sl2_basis(2)) is None
+    # a = c*b on b's first key, but a - c*b keeps e_1
+    assert la.proportionality(la.lm_add(la.sl2_basis(0), la.sl2_basis(1)), la.sl2_basis(0)) is None
+
+
 def test_sl3_examples():
     assert la.matrix_structure_constant("n2", 0, 2) == -2
     assert la.matrix_structure_constant("n2", 1, 4) == -3
