@@ -300,18 +300,21 @@ def _render_text(report: dict) -> str:
         lines.append(f"  {k} = {v}")
 
     def walk(obj, indent):
+        # a list item opens with "- ", a nonempty container on its first line
         pad = "  " * indent
         if isinstance(obj, dict):
             for k, v in obj.items():
-                if isinstance(v, (dict, list)):
+                if isinstance(v, (dict, list)) and v:
                     yield f"{pad}{k}:"
                     yield from walk(v, indent + 1)
                 else:
                     yield f"{pad}{k}: {v}"
         elif isinstance(obj, list):
             for v in obj:
-                if isinstance(v, (dict, list)):
-                    yield from walk(v, indent)
+                if isinstance(v, (dict, list)) and v:
+                    first, *rest = walk(v, indent + 1)
+                    yield f"{pad}- {first[len(pad) + 2:]}"
+                    yield from rest
                 else:
                     yield f"{pad}- {v}"
 

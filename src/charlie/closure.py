@@ -5,10 +5,12 @@ generate() builds the algebra breadth-first by natural degree and keeps the
 toral element d/du = X_0 separate, so the result splits as <X_0> acting on
 the commutant-side basis.  Every pair of elements whose degrees add up to d
 gets a table entry, exact on jets up to the order (the closure's one
-certificate).
+certificate).  Only the generator pairs, those led by a generator (in index
+order the first pairs of each degree), are decided; the Jacobi identity
+gives every other entry.
 
-Each pair is decided by its connection vector (ad_D, the classical tool of
-characteristic Lie rings).  With D = sum_k u_{k+1} d/du_k, every element Z
+Each generator pair is decided by its connection vector (ad_D, the classical
+tool of characteristic Lie rings).  With D = sum_k u_{k+1} d/du_k, every element Z
 of bigrading (d, r) satisfies
 
     [D, Z] = sum_i lam_i e^{(r - r_i) u} Z_i
@@ -31,9 +33,9 @@ from the same recursion over X_0: z_1 = +-e^{alpha u} and z_{k+1} = D z_k.
 
 The connection vectors of a degree go into LinearSpans, in ints: a raw
 table entry is (nums, den), int numerators over one positive denominator in
-lowest terms, and a pair's vector is summed as L * lam, L the lcm of the
-denominators it reads (the element keeps lam itself).  Each pair's vector is
-reduced there once.  The span keeps a row for each pair whose vector grows
+lowest terms, and a pair's vector is summed as L * lam, over the lcm of the
+denominators it reads (the element keeps lam itself).  Each generator pair's
+vector is reduced there once.  The span keeps a row for each pair whose vector grows
 its rank, and the row stands for a combination of elements, sum_e C_e Z_e.
 A pair whose vector reduces to zero, L lam = sum y_R R, gets the entry
 sum y_R C_R / L with no field: by linearity its recursion would build that
@@ -43,11 +45,26 @@ with integer exponents is int, and the recursion builds it), reduced by
 exact sparse elimination against the elements of its bigrading.  If it is
 new, its row stands for the new element; if it is dependent with
 coordinates x, for sum_e x_e Z_e, a relation of the order-N jets that the
-connection vectors do not show.  A later pair that reduces through such a
-row is dependent on the jets too, with the unique coordinates that its
-recursion and jet reduction would find, so it needs no field either.
-Fractions are built once, for ClosureResult.brackets, and in a non-integral
-lam (none is known).
+connection vectors do not show.  A later generator pair that reduces
+through such a row is dependent on the jets too, with the unique coordinates
+that its recursion and jet reduction would find, so it needs no field
+either.  Fractions are built once, for ClosureResult.brackets, and in a
+non-integral lam.
+
+Every other pair is summed, with no reduction and no field.  Degree d is
+spanned by the brackets of a generator with a degree-(d - 1) element, so
+each element is the raw field of a defining pair led by a generator, A =
+[Z_g, Q] (BasisElement.pair), and by the Jacobi identity
+
+    [A, B] = [Z_g, [Q, B]] - [Q, [Z_g, B]]:
+
+[Q, B] and [Z_g, B] are entries of lower degree, and each of their terms Z
+brackets to [Z_g, Z], a generator pair of degree d, or to [Q, Z], whose
+first member Q precedes A in index order.  Slot j of a bracket reads only
+slots <= j of its arguments, so the fields that vanish on slots 0..N form an
+ideal and the order-N table is a Lie algebra, where Jacobi holds; and the
+coordinates over independent elements are unique, so the sum is the entry
+that the connection span and the jets would give.
 
 The jets decide on a weight window.  Slot j of a degree-d element has
 weight j - d, and the recursion builds slot k + 1 from slot k of the lower
@@ -66,7 +83,7 @@ comes from the connection vectors or from the jets at order N, and holds on
 the min(N_A, N_B) = N slots that the jet bracket of two full-order fields
 keeps.
 
-Each pair is decided inside its bigrading block.  [A, B] has bigrading
+Each generator pair is decided inside its bigrading block.  [A, B] has bigrading
 (d, r) = (d_A + d_B, r_A + r_B), and every key (s, i) of its connection
 vector has s + r_i = r with Z_i of degree d - 1, so the connection vectors
 of distinct blocks have disjoint supports; every term of a (d, r) element's
@@ -116,7 +133,7 @@ class MismatchError(ArithmeticError):
 
 class BasisElement:
     def __init__(self, index: int, name: str, slots: list, norm_scale: Fraction, degree: int,
-                 eigenvalue: int, connection: dict, lower: dict, order: int):
+                 eigenvalue: int, connection: dict, lower: dict, order: int, pair=None):
         self.index = index            # position in the reference basis; name = prefix + index
         self.name = name
         self.slots = slots            # packed slots 0..N built so far; 0 = the (empty) u slot
@@ -126,6 +143,7 @@ class BasisElement:
         self.connection = connection  # [D, Z] = sum c e^{s*u} Z_i over {(s, i): c}; Z_0 = X_0
         self.lower = lower            # i -> the element Z_i of the connection
         self.order = order            # the valid order of field_raw
+        self.pair = pair              # (g, q) if field_raw is the table pair [Z_g, Z_q]
 
     def extend(self, n: int) -> None:
         """Store slots 0..n: the D-recursion continues from the last stored
@@ -221,6 +239,19 @@ def _vectorize(slots: list) -> dict:
             for m, c in p.items()}
 
 
+def _int_sum(terms) -> tuple:
+    """sum_t num_t/den_t * vec_t over int vectors vec_t, as (nums, L) in lowest
+    terms: int numerators without zeros over L > 0, summed over lcm(den_t)."""
+    L = lcm(*(den for _, den, _ in terms))
+    out: dict = {}
+    for num, den, vec in terms:
+        m = num * (L // den)
+        for k, v in vec.items():
+            out[k] = out.get(k, 0) + m * v
+    g = gcd(L, *out.values())
+    return {k: v // g for k, v in out.items() if v}, L // g
+
+
 def generate(
     f: xr.Quasi,
     order: int,
@@ -230,16 +261,15 @@ def generate(
 ) -> ClosureResult:
     """Closure of <X_0, X(f)> through natural degree max_degree at truncation order.
 
-    Pairs are taken by degree, and each pair's connection vector is reduced
-    once in its block's connection span.  A vector in the span gives the
-    pair's coordinates without a field.  The generators +-X(e^{alpha u}), one
-    per exponential of f, and every pair whose vector grows the span get
-    their packed slots from the D-recursion, and the pair's jet vector
-    decides whether it is a new element: on the weight window order -
-    max_degree, or on the full order once the window has found a relation in
-    that degree.  The pair's row then stands for the new element or for the
-    jets' coordinates.  Every entry is exact up to `order` (see the module
-    docstring for why this gives the order-N jet closure's table).
+    Pairs are taken by degree.  A pair led by a generator has its connection
+    vector reduced once in its block's connection span: a vector in the span
+    gives the pair's coordinates without a field, and one that grows it gets
+    packed slots from the D-recursion, as the generators +-X(e^{alpha u}) do,
+    and a jet vector that decides whether it is new, on the weight window
+    order - max_degree or, once the window has found a relation in that
+    degree, on the full order.  Every other pair is summed from earlier
+    entries by the Jacobi identity.  Every entry is exact up to `order` (the
+    module docstring says why this is the order-N jet closure's table).
 
     target, when given, maps an index pair (q, l) to the reference structure
     constant used for normalization; a contradiction raises MismatchError.
@@ -284,21 +314,27 @@ def generate(
         for ei, ej in itertools.combinations(elements, 2):
             if ei.degree + ej.degree != d:
                 continue
+            pair = (ei.index, ej.index)
+            if ei.pair:
+                # ei = [Z_g, Q], so [ei, ej] = [Z_g, [Q, ej]] - [Q, [Z_g, ej]]
+                g, q = ei.pair
+                terms = []
+                for k, sign, (nums, den) in ((g, 1, raw_expr[(q, ej.index)]),
+                                             (q, -1, raw_expr[(g, ej.index)])):
+                    for e, v in nums.items():
+                        knums, kden = raw_expr[(k, e.index)]
+                        terms.append((sign * v, den * kden, knums))
+                raw_expr[pair] = _int_sum(terms)
+                continue
             r = ei.eigenvalue + ej.eigenvalue
             # [D, [A, B]] = [[D, A], B] + [A, [D, B]], and [e^{su} Z, B] = e^{su} [Z, B]
-            # because B annihilates functions of u; lam is summed in ints, as L * lam
-            # with L the lcm of the denominators it reads
-            parts = [(s, c, entry(i, ej.index)) for (s, i), c in ei.connection.items()]
-            parts += [(s, c, entry(ei.index, j)) for (s, j), c in ej.connection.items()]
-            L = lcm(*(den * c.denominator for _, c, (_, _, den) in parts))
-            lam: dict = {}
-            for s, c, (sign, nums, den) in parts:
-                m = sign * c.numerator * (L // (den * c.denominator))
-                for el, v in nums.items():
-                    key = (s, el.index)
-                    lam[key] = lam.get(key, 0) + m * v
-            lam = {key: c for key, c in lam.items() if c}
-            pair = (ei.index, ej.index)
+            # because B annihilates functions of u; lam is summed in ints, as L * lam,
+            # and a term Z of an entry it reads has the key (r - r_Z, Z)
+            parts = [(c, entry(i, ej.index)) for (_, i), c in ei.connection.items()]
+            parts += [(c, entry(ei.index, j)) for (_, j), c in ej.connection.items()]
+            lam, L = _int_sum([(sign * c.numerator, den * c.denominator, nums)
+                               for c, (sign, nums, den) in parts])
+            lam = {(r - el.eigenvalue, el.index): v for el, v in lam.items()}
             expr = connections[r].insert(lam, pair)
             if expr is None:
                 # L * lam grew the block's connection span: the jets decide, and
@@ -306,7 +342,7 @@ def generate(
                 if L != 1:
                     lam = {key: c // L if not c % L else Fraction(c, L) for key, c in lam.items()}
                 el = BasisElement(0, f"[{ei.name},{ej.name}]", [{}], Fraction(1), d, r,
-                                  lam, {i: elements[i - 1] for _, i in lam}, order)
+                                  lam, {i: elements[i - 1] for _, i in lam}, order, pair)
                 el.extend(n)
                 expr = spans[r].insert(_vectorize(el.slots), el)
                 if expr is not None and n < order:

@@ -372,7 +372,7 @@ def test_text_format(capsys):
 
 
 def test_text_format_of_nested_payloads(capsys):
-    # dicts inside the payload indent their keys; empty lists print their key alone
+    # dicts inside the payload indent their keys; an empty list prints as []
     code = cli.run(["verify-iso", "--equation", "sinh", "--degree", "3", "--order", "7",
                     "--format", "text"])
     assert code == 0
@@ -388,14 +388,88 @@ verify-iso: verified
   basis_size: 5
   bracket_pairs: 3
   zero_confirmations: 0
-  mismatches:
-  grading_mismatches:
+  mismatches: []
+  grading_mismatches: []
   serre_jet:
     ad^3 g1 (g2): ZERO_UP_TO(7)
     ad^3 g2 (g1): ZERO_UP_TO(7)
   serre_matrix:
     ad^3 e1 (e2): True
     ad^3 e2 (e1): True
+"""
+
+
+def test_text_format_opens_each_list_item_with_a_dash(capsys):
+    # a dict or list that is an item of a list opens with "- ": the basis
+    # rows stay apart, and a [name, coeff] term is one item with two parts
+    assert cli.run(["charalg", "--equation", "sinh", "--degree", "3", "--order", "7",
+                    "--format", "text"]) == 0
+    assert capsys.readouterr().out == """\
+charalg: verified
+  command = charalg
+  degree = 3
+  equation = sinh
+  order = 7
+  equation: 1/2 * e^(u) - 1/2 * e^(-u)
+  order: 7
+  degree: 3
+  dimension_with_toral: 6
+  table:
+    basis:
+      - name: X0
+        d: 0
+        r: 0
+      - name: X1
+        d: 1
+        r: 1
+      - name: X2
+        d: 1
+        r: -1
+      - name: X3
+        d: 2
+        r: 0
+      - name: X4
+        d: 3
+        r: 1
+      - name: X5
+        d: 3
+        r: -1
+    brackets:
+      - i: X0
+        j: X1
+        out:
+          - - X1
+            - 1
+      - i: X0
+        j: X2
+        out:
+          - - X2
+            - -1
+      - i: X0
+        j: X4
+        out:
+          - - X4
+            - 1
+      - i: X0
+        j: X5
+        out:
+          - - X5
+            - -1
+      - i: X1
+        j: X2
+        out:
+          - - X3
+            - 1
+      - i: X1
+        j: X3
+        out:
+          - - X4
+            - -1
+      - i: X2
+        j: X3
+        out:
+          - - X5
+            - 1
 """
 
 

@@ -273,17 +273,19 @@ def test_normalization_scales_raise_on_a_contradicting_target(kappa, message):
         cl.generate(EQUATIONS["sinh"], 10, 6, "X", lambda q, l: kappa)
 
 
-# (equation, degree, order) runs on which the connection filter and the
-# D-recursion are checked against the jets: both integrable reference cases
-# (sinh with its 1/2), the non-integrable e^u + e^(-3u) where its degree-9/10
-# undercount shows (non-integral connections at 10/14), a three-term f, and a
-# constant term (an e^{0u} generator)
+# (equation, degree, order) runs on which the connection filter, the
+# D-recursion and the Jacobi sums are checked against the jets: both
+# integrable reference cases (sinh with its 1/2), the non-integrable
+# e^u + e^(-3u) where its degree-9/10 undercount shows (non-integral
+# connections at 10/14), two three-term f, and a constant term (an e^{0u}
+# generator)
 FILTER_CASES = {
     "sinh-12/16": ("sinh", 12, 16),
     "tzitzeica-12/16": ("tzitzeica", 12, 16),
     "nonint-9/13": (xr.qp_parse("e^(u) + e^(-3*u)"), 9, 13),
     "nonint-10/14": (xr.qp_parse("e^(u) + e^(-3*u)"), 10, 14),
     "three-term-6/12": (xr.qp_parse("2 * e^(2*u) + e^(-u) - 3 * e^(u)"), 6, 12),
+    "three-generators-5/9": (xr.qp_parse("e^(2*u) + e^(u) + e^(-u)"), 5, 9),
     "constant-term-6/10": (xr.qp_parse("e^(u) + 3"), 6, 10),
 }
 
@@ -389,8 +391,8 @@ def test_jet_relations_stay_as_connection_rows(monkeypatch):
     # on nonint-10/14 the jets find relations that the connection vectors do
     # not: each stays a row of its block's connection span, standing for the
     # jets' coordinates, so the spans outrank the elements at degrees 9 and
-    # 10, and later pairs whose connection vector falls in the span only
-    # through such a row get their entries without a field
+    # 10, and later generator pairs whose connection vector falls in the span
+    # only through such a row get their entries without a field
     inserted = []   # (pair, int connection vector L * lam, (nums, den) or None)
 
     class RecordingSpan(LinearSpan):
@@ -428,7 +430,35 @@ def test_jet_relations_stay_as_connection_rows(monkeypatch):
         for k, c in res.brackets[(i, j)]:
             rhs = jf.field_add(rhs, jf.field_scale(fields[k], c))
         assert jf.fields_equal(jf.bracket(fields[i], fields[j]), rhs), (i, j)
-    assert through_relations == 111   # each saves the D-recursion its field took
+    assert through_relations == 7   # each saves the D-recursion its field took
+
+
+def test_only_generator_pairs_reach_the_connection_spans(monkeypatch):
+    # on nonint-10/14 the pairs led by a generator come first in each degree
+    # and are the only ones reduced in a connection span; every other entry
+    # is summed by the Jacobi identity, as each element is the raw bracket of
+    # a generator with an element one degree lower
+    reduced = []
+
+    class RecordingSpan(LinearSpan):
+        def insert(self, vec, tag):
+            if isinstance(tag, tuple):
+                reduced.append(tag)
+            return super().insert(vec, tag)
+
+    monkeypatch.setattr(cl, "LinearSpan", RecordingSpan)
+    res = closure_for(xr.qp_parse("e^(u) + e^(-3*u)"), 14, 10)
+    generators = {el.index for el in res.elements if el.degree == 1}
+    assert generators == {1, 2} and len(res.brackets) == 440
+    assert len(reduced) == 237 and all(i in generators for i, _ in reduced)
+    assert sorted(reduced) == sorted(key for key in res.brackets if key[0] in generators)
+    for el in res.elements:
+        if el.degree == 1:
+            assert el.pair is None
+            continue
+        g, q = el.pair
+        assert g in generators and res.elements[q - 1].degree == el.degree - 1, el.name
+        assert res.brackets[(g, q)] == ((el.index, 1),), el.name
 
 
 def _widened(res):
@@ -643,6 +673,12 @@ PINNED_REPORTS = {
         "3e72035876b01ba6370d1dc5f1448021400fa6679ea4295700ca20d3a2673ea0",
     "growth --equation tzitzeica --degree 20":
         "c85f415ec45dc8a50834b086e0b1688883c19eb763f7eed3d57f685fc60386cf",
+    # entries summed by the Jacobi identity: with three generators, and in a
+    # long non-integrable window
+    'charalg --equation "e^(2u)+e^u+e^(-u)" --degree 6 --order 10':
+        "1be9e1ad8357927727bff44f662b39be065ef768c56415b9b1b647fa31df74d6",
+    'charalg --equation "e^u+e^(-4u)" --degree 10 --order 13':
+        "6643b50cd53d9ef716b61dc3eb5647d746bce769ac7deb3a536fd6550e55aa58",
 }
 
 

@@ -161,6 +161,26 @@ def test_closure_truncation_stability(eq, sinh_small, tz_small, sinh_big, tz_big
         assert big.brackets[key] == coeffs
 
 
+exponential_sums = st.dictionaries(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([Fraction(c) for c in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))]),
+    min_size=2, max_size=3).map(lambda d: {a: {xr.MONO_ONE: c} for a, c in d.items()})
+
+
+@given(exponential_sums)
+@settings(max_examples=15, deadline=None)
+def test_closure_entries_equal_their_jet_brackets(f):
+    # the connection spans decide the generator pairs, the Jacobi identity
+    # sums the rest; every entry is the jet bracket of its pair
+    res = cl.generate(f, 8, 5)
+    fields = {el.index: el.field for el in res.elements}
+    for (i, j), coeffs in res.brackets.items():
+        rhs = jf.zero_field(res.order)
+        for k, c in coeffs:
+            rhs = jf.field_add(rhs, jf.field_scale(fields[k], c))
+        assert jf.fields_equal(jf.bracket(fields[i], fields[j]), rhs), (i, j)
+
+
 def test_integral_search_order_stability(capsys):
     import json
     from charlie import cli
