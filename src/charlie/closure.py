@@ -10,8 +10,8 @@ order the first pairs of each degree), are decided; the Jacobi identity
 gives every other entry.
 
 Each generator pair is decided by its connection vector (ad_D, the classical
-tool of characteristic Lie rings).  With D = sum_k u_{k+1} d/du_k, every element Z
-of bigrading (d, r) satisfies
+tool of characteristic Lie rings).  With D = sum_k u_{k+1} d/du_k, every
+element Z of bigrading (d, r) satisfies
 
     [D, Z] = sum_i lam_i e^{(r - r_i) u} Z_i
 
@@ -31,25 +31,25 @@ e^{(r - r_i) u} (Z_i)_k, the jet bracket on every slot it builds.  Once the
 lower slots are fixed the recursion is linear in lam.  The generators come
 from the same recursion over X_0: z_1 = +-e^{alpha u} and z_{k+1} = D z_k.
 
-The connection vectors of a degree go into LinearSpans, in ints: a raw
-table entry is (nums, den), int numerators over one positive denominator in
-lowest terms, and a pair's vector is summed as L * lam, over the lcm of the
+The connection vectors of a degree go into LinearSpans, in ints: a raw table
+entry is (nums, den), int numerators over one positive denominator in lowest
+terms, and a pair's vector is summed as L * lam, over the lcm of the
 denominators it reads (the element keeps lam itself).  Each generator pair's
-vector is reduced there once.  The span keeps a row for each pair whose vector grows
-its rank, and the row stands for a combination of elements, sum_e C_e Z_e.
-A pair whose vector reduces to zero, L lam = sum y_R R, gets the entry
-sum y_R C_R / L with no field: by linearity its recursion would build that
-combination.  A pair whose vector grows the span is integrated, and its jet
-vector decides: the int vector of its slots (the jet bracket of int fields
-with integer exponents is int, and the recursion builds it), reduced by
-exact sparse elimination against the elements of its bigrading.  If it is
-new, its row stands for the new element; if it is dependent with
+vector is reduced there once.  The span keeps a row for each pair whose
+vector grows its rank, and the row stands for a combination of elements,
+sum_e C_e Z_e.  A pair whose vector reduces to zero, L lam = sum y_R R, gets
+the entry sum y_R C_R / L with no field: by linearity its recursion would
+build that combination.  A pair whose vector grows the span is integrated,
+and its jet vector decides: the int vector of its slots (the jet bracket of
+int fields with integer exponents is int, and the recursion builds it),
+reduced by exact sparse elimination against the elements of its bigrading.
+If it is new, its row stands for the new element; if it is dependent with
 coordinates x, for sum_e x_e Z_e, a relation of the order-N jets that the
-connection vectors do not show.  A later generator pair that reduces
-through such a row is dependent on the jets too, with the unique coordinates
-that its recursion and jet reduction would find, so it needs no field
-either.  Fractions are built once, for ClosureResult.brackets, and in a
-non-integral lam.
+connection vectors do not show.  A later generator pair that reduces through
+such a row is dependent on the jets too, with the unique coordinates that
+its recursion and jet reduction would find, so it needs no field either.
+Fractions are built once, for ClosureResult.brackets, and in a non-integral
+lam.
 
 Every other pair is summed, with no reduction and no field.  Degree d is
 spanned by the brackets of a generator with a degree-(d - 1) element, so
@@ -83,7 +83,7 @@ comes from the connection vectors or from the jets at order N, and holds on
 the min(N_A, N_B) = N slots that the jet bracket of two full-order fields
 keeps.
 
-Each generator pair is decided inside its bigrading block.  [A, B] has bigrading
+A pair is decided inside its bigrading block.  [A, B] has bigrading
 (d, r) = (d_A + d_B, r_A + r_B), and every key (s, i) of its connection
 vector has s + r_i = r with Z_i of degree d - 1, so the connection vectors
 of distinct blocks have disjoint supports; every term of a (d, r) element's
