@@ -34,22 +34,26 @@ from the same recursion over X_0: z_1 = +-e^{alpha u} and z_{k+1} = D z_k.
 The connection vectors of a degree go into LinearSpans, in ints: a raw table
 entry is (nums, den), int numerators over one positive denominator in lowest
 terms, and a pair's vector is summed as L * lam, over the lcm of the
-denominators it reads (the element keeps lam itself).  Each generator pair's
-vector is reduced there once.  The span keeps a row for each pair whose
-vector grows its rank, and the row stands for a combination of elements,
-sum_e C_e Z_e.  A pair whose vector reduces to zero, L lam = sum y_R R, gets
-the entry sum y_R C_R / L with no field: by linearity its recursion would
-build that combination.  A pair whose vector grows the span is integrated,
-and its jet vector decides: the int vector of its slots (the jet bracket of
-int fields with integer exponents is int, and the recursion builds it),
-reduced by exact sparse elimination against the elements of its bigrading.
-If it is new, its row stands for the new element; if it is dependent with
-coordinates x, for sum_e x_e Z_e, a relation of the order-N jets that the
-connection vectors do not show.  A later generator pair that reduces through
-such a row is dependent on the jets too, with the unique coordinates that
-its recursion and jet reduction would find, so it needs no field either.
-Fractions are built once, for ClosureResult.brackets, and in a non-integral
-lam.
+denominators it reads (the element keeps lam itself).  Below full order
+each generator pair's vector is reduced once in its block's connection span,
+whose rows stand for elements, sum_e C_e Z_e: a vector in the span,
+L lam = sum y_R R, gets the entry sum y_R C_R / L with no field, as by
+linearity its recursion would build that combination.  A vector that grows
+the span, and each one at full order, is decided by its lower sum
+
+    F(lam)_k = sum_i lam_i e^{(r - r_i) u} (Z_i)_k,    k = 0..n - 1,
+
+a sparse combination of the lower elements' slots.  As F_k = D z_k -
+z_{k+1}, F maps to the slots 1..n linearly and invertibly, by one map for
+the whole block, so a pair's slots 0..n depend on the elements' exactly when
+its lower sum depends on theirs, with the same unique coordinates.  The
+block's jet span reduces the lower sum of L lam (int: L (D z_k - z_{k+1})
+over int fields) against the elements' by exact sparse elimination; a new
+one makes the pair's field an element, whose rows stand for L times it, and
+coordinates x give the entry sum_e x_e L_e Z_e / L.  No pair is integrated:
+an element's slots are built when a later degree's lower sum, or field_raw,
+reads them.  Fractions are built once, for ClosureResult.brackets, and in a
+non-integral lam.
 
 Every other pair is summed, with no reduction and no field.  Degree d is
 spanned by the brackets of a generator with a degree-(d - 1) element, so
@@ -66,39 +70,40 @@ ideal and the order-N table is a Lie algebra, where Jacobi holds; and the
 coordinates over independent elements are unique, so the sum is the entry
 that the connection span and the jets would give.
 
-The jets decide on a weight window.  Slot j of a degree-d element has
+The lower sums decide on a weight window.  Slot j of a degree-d element has
 weight j - d, and the recursion builds slot k + 1 from slot k of the lower
 elements, all of weight k + 1 - d.  So with N = order and w = N - max_degree,
-degree d is decided first on slots 0..d + w (N at the top degree), and the
-generators are built through slot 1 + w.  The window is a projection of the
+degree d is decided first on slots 0..d + w (N at the top degree), from
+lower sums on slots 0..d + w - 1.  The window is a projection of the
 order-N jet vector, and a projection is linear, so a candidate new on the
-window is new at order N.  A relation the window finds may be one that order
-N breaks (a truncated closure undercounts a non-integrable f); then the
-degree widens: its elements, and recursively the lower ones their slots
-need, are extended to slot N by the recursion, continued from their last
-stored slot, and the degree is decided on slots 0..N from then on.  So
-every relation row is found at order N, every decision, table entry and
-undercount is the order-N jets', and every certificate is N: a relation
-comes from the connection vectors or from the jets at order N, and holds on
-the min(N_A, N_B) = N slots that the jet bracket of two full-order fields
-keeps.
+window is new at order N.  A relation the window finds and the connection
+span does not may be one that order N breaks (a truncated closure
+undercounts a non-integrable f); then the degree widens: its elements are
+re-decided from their lower sums on slots 0..N - 1, and so is every later
+pair of that degree.  At full order, the top degree or a widened one, no
+connection span is kept, since nothing after it would read its rows.  So
+every relation comes from the connection vectors or from the lower sums at
+order N, every decision, table entry and undercount is the order-N jets',
+and every certificate is N: a relation holds on the min(N_A, N_B) = N slots
+that the jet bracket of two full-order fields keeps.
 
 A pair is decided inside its bigrading block.  [A, B] has bigrading
 (d, r) = (d_A + d_B, r_A + r_B), and every key (s, i) of its connection
 vector has s + r_i = r with Z_i of degree d - 1, so the connection vectors
 of distinct blocks have disjoint supports; every term of a (d, r) element's
-slots carries e^{r u} (the homogeneity guard), so its jet vector keys on the
-slot and the monomial alone and distinct r have disjoint jet vectors too.
-Elimination never mixes disjoint supports, so one connection span and one
-jet span per block give the same decisions and the same unique coordinates
-as one span for all of them, while each reduction visits only its block's
-rows.  A widening still rebuilds every block of its degree.
+slots carries e^{r u} (the homogeneity guard), and so does every term of a
+lower sum, so a lower sum keys on the slot and the monomial alone and
+distinct r have disjoint ones too.  Elimination never mixes disjoint
+supports, so one connection span and one jet span per block give the same
+decisions and the same unique coordinates as one span for all of them,
+while each reduction visits only its block's rows.  A widening still
+re-decides every block of its degree.
 
 An element is stored as packed slots, built, read and extended only by the
-D-recursion; the jet span and the homogeneity guard, which checks every slot
-the closure builds, key on its packed monomials.  Its JetField, field_raw,
-wraps those same slots, extended to valid order N on first read.  When a
-target structure-constant rule is supplied, the table is in reference
+D-recursion; the lower sums and the homogeneity guard, which checks every
+slot the closure builds, key on its packed monomials.  Its JetField,
+field_raw, wraps those same slots, extended to valid order N on first read.
+When a target structure-constant rule is supplied, the table is in reference
 normalization: Z_n = (1/k_{q,l}) [Z_q, Z_l] for the first pair q < l,
 q + l = n with a nonzero target constant k.  The normalized field,
 norm_scale times field_raw, is also built on first read.  That rule
@@ -109,7 +114,6 @@ the table is the raw coordinates, with no normalization pass.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
@@ -261,15 +265,17 @@ def generate(
 ) -> ClosureResult:
     """Closure of <X_0, X(f)> through natural degree max_degree at truncation order.
 
-    Pairs are taken by degree.  A pair led by a generator has its connection
-    vector reduced once in its block's connection span: a vector in the span
-    gives the pair's coordinates without a field, and one that grows it gets
-    packed slots from the D-recursion, as the generators +-X(e^{alpha u}) do,
-    and a jet vector that decides whether it is new, on the weight window
-    order - max_degree or, once the window has found a relation in that
-    degree, on the full order.  Every other pair is summed from earlier
-    entries by the Jacobi identity.  Every entry is exact up to `order` (the
-    module docstring says why this is the order-N jet closure's table).
+    Pairs are taken by degree, from the slices of elements whose degrees add
+    up to it.  Below full order a pair led by a generator has its connection
+    vector reduced once in its block's connection span, and a vector in the
+    span gives the pair's coordinates without a field.  Any other such pair
+    is decided by its lower sum sum_i lam_i e^{(r - r_i) u} Z_i, which the
+    pair's jets would decide alike, on the weight window order - max_degree
+    or, once the window has found a relation in that degree, on the full
+    order.  Every other pair is summed from earlier entries by the Jacobi
+    identity.  An element's slots are built only when a later degree or
+    field_raw reads them.  Every entry is exact up to `order` (the module
+    docstring says why this is the order-N jet closure's table).
 
     target, when given, maps an index pair (q, l) to the reference structure
     constant used for normalization; a contradiction raises MismatchError.
@@ -292,10 +298,9 @@ def generate(
         # each ad-X_0 eigencomponent c X(e^{alpha u}) of X(f) is normalized to
         # sign(c) X(e^{alpha u}), and [D, X(g)] = -g X_0
         sign = 1 if f[alpha][xr.MONO_ONE] > 0 else -1
-        el = BasisElement(idx, f"{prefix}{idx}", [{}], Fraction(1), 1, alpha,
-                          {(alpha, 0): -sign}, {0: x0}, order)
-        el.extend(1 + window)
-        elements.append(el)
+        elements.append(BasisElement(idx, f"{prefix}{idx}", [{}], Fraction(1), 1, alpha,
+                                     {(alpha, 0): -sign}, {0: x0}, order))
+    bounds = {1: (0, len(elements))}    # degree -> its slice of elements
 
     def entry(i: int, j: int) -> tuple:
         """(sign, nums, den) of the raw [Z_i, Z_j] = sign * sum nums[el]/den el, Z_0 = X_0."""
@@ -306,63 +311,73 @@ def generate(
             return (1 if i == 0 else -1), {el: el.eigenvalue}, 1
         return (1, *raw_expr[(i, j)]) if i < j else (-1, *raw_expr[(j, i)])
 
+    def lower_sum(lam: dict) -> dict:
+        """The int vector of sum_i lam_i e^{(r - r_i) u} (Z_i)_k on slots 0..n - 1."""
+        out: dict = {}
+        for (_, i), c in lam.items():
+            if i not in lower_vecs:
+                elements[i - 1].extend(n - 1)
+                lower_vecs[i] = _vectorize(elements[i - 1].slots[:n])
+            xr.vec_iadd_scaled(out, lower_vecs[i], c)
+        return out
+
     for d in range(2, max_degree + 1):
         new_here: list[BasisElement] = []
+        scaled: dict = {}                       # element -> (L * lam, L), its rows' vectors
         connections = defaultdict(LinearSpan)   # r -> L * connection vectors, rows over elements
-        spans = defaultdict(LinearSpan)         # r -> their jet vectors
+        spans = defaultdict(LinearSpan)         # r -> their lower sums
         n = d + window                  # the slots this degree is decided on
-        for ei, ej in itertools.combinations(elements, 2):
-            if ei.degree + ej.degree != d:
-                continue
-            pair = (ei.index, ej.index)
-            if ei.pair:
-                # ei = [Z_g, Q], so [ei, ej] = [Z_g, [Q, ej]] - [Q, [Z_g, ej]]
-                g, q = ei.pair
-                terms = []
-                for k, sign, (nums, den) in ((g, 1, raw_expr[(q, ej.index)]),
-                                             (q, -1, raw_expr[(g, ej.index)])):
-                    for e, v in nums.items():
-                        knums, kden = raw_expr[(k, e.index)]
-                        terms.append((sign * v, den * kden, knums))
-                raw_expr[pair] = _int_sum(terms)
-                continue
-            r = ei.eigenvalue + ej.eigenvalue
-            # [D, [A, B]] = [[D, A], B] + [A, [D, B]], and [e^{su} Z, B] = e^{su} [Z, B]
-            # because B annihilates functions of u; lam is summed in ints, as L * lam,
-            # and a term Z of an entry it reads has the key (r - r_Z, Z)
-            parts = [(c, entry(i, ej.index)) for (_, i), c in ei.connection.items()]
-            parts += [(c, entry(ei.index, j)) for (_, j), c in ej.connection.items()]
-            lam, L = _int_sum([(sign * c.numerator, den * c.denominator, nums)
-                               for c, (sign, nums, den) in parts])
-            lam = {(r - el.eigenvalue, el.index): v for el, v in lam.items()}
-            expr = connections[r].insert(lam, pair)
-            if expr is None:
-                # L * lam grew the block's connection span: the jets decide, and
-                # the pair's row then stands for L times their verdict
-                if L != 1:
-                    lam = {key: c // L if not c % L else Fraction(c, L) for key, c in lam.items()}
-                el = BasisElement(0, f"[{ei.name},{ej.name}]", [{}], Fraction(1), d, r,
-                                  lam, {i: elements[i - 1] for _, i in lam}, order, pair)
-                el.extend(n)
-                expr = spans[r].insert(_vectorize(el.slots), el)
-                if expr is not None and n < order:
-                    # the window may see a relation that full order breaks:
-                    # this degree is decided at full order from here on
-                    n, spans = order, defaultdict(LinearSpan)
-                    for z in (*new_here, el):
-                        z.extend(order)
-                        expr = spans[z.eigenvalue].insert(_vectorize(z.slots), z)
+        lower_vecs: dict = {}           # index -> slots 0..n - 1 of a degree-(d - 1) element
+        for a, ei in enumerate(elements):
+            lo, hi = bounds.get(d - ei.degree, (0, 0))   # empty past ei
+            for ej in elements[max(lo, a + 1):hi]:
+                pair = (ei.index, ej.index)
+                if ei.pair:
+                    # ei = [Z_g, Q], so [ei, ej] = [Z_g, [Q, ej]] - [Q, [Z_g, ej]]
+                    g, q = ei.pair
+                    terms = []
+                    for k, sign, (nums, den) in ((g, 1, raw_expr[(q, ej.index)]),
+                                                 (q, -1, raw_expr[(g, ej.index)])):
+                        for e, v in nums.items():
+                            knums, kden = raw_expr[(k, e.index)]
+                            terms.append((sign * v, den * kden, knums))
+                    raw_expr[pair] = _int_sum(terms)
+                    continue
+                r = ei.eigenvalue + ej.eigenvalue
+                # [D, [A, B]] = [[D, A], B] + [A, [D, B]], and [e^{su} Z, B] = e^{su} [Z, B]
+                # because B annihilates functions of u; lam is summed in ints, as L * lam,
+                # and a term Z of an entry it reads has the key (r - r_Z, Z)
+                parts = [(c, entry(i, ej.index)) for (_, i), c in ei.connection.items()]
+                parts += [(c, entry(ei.index, j)) for (_, j), c in ej.connection.items()]
+                lam, L = _int_sum([(sign * c.numerator, den * c.denominator, nums)
+                                   for c, (sign, nums, den) in parts])
+                lam = {(r - el.eigenvalue, el.index): v for el, v in lam.items()}
+                el = BasisElement(0, f"[{ei.name},{ej.name}]", [{}], Fraction(1), d, r, {
+                    key: c // L if not c % L else Fraction(c, L) for key, c in lam.items()},
+                    {i: elements[i - 1] for _, i in lam}, order, pair)
+                scaled[el] = lam, L
+                # below full order the connection span may give a relation; else
+                # the lower sum decides, as the pair's jets would
+                expr = connections[r].insert(lam, el) if n < order else None
                 if expr is None:
-                    new_here.append(el)
-                    expr = {el: 1}, 1
+                    expr = spans[r].insert(lower_sum(lam), el)
+                    if expr is not None and n < order:
+                        # the window may see a relation that full order breaks:
+                        # this degree is decided at full order from here on
+                        n, spans, lower_vecs = order, defaultdict(LinearSpan), {}
+                        for z in (*new_here, el):
+                            expr = spans[z.eigenvalue].insert(lower_sum(scaled[z][0]), z)
+                    if expr is None:
+                        new_here.append(el)
+                        expr = {el: 1}, 1
+                # a tag t's rows are L_t times its element's vectors
                 nums, den = expr
-                connections[r].substitute(pair, {e: L * v for e, v in nums.items()}, den)
-            else:
-                nums, den = expr[0], expr[1] * L
-            g = gcd(den, *nums.values())
-            raw_expr[pair] = ({e: v // g for e, v in nums.items()}, den // g) if g != 1 else (nums, den)
+                nums, den = {e: v * scaled[e][1] for e, v in nums.items()}, den * L
+                g = gcd(den, *nums.values())
+                raw_expr[pair] = {e: v // g for e, v in nums.items()}, den // g
         # reference index order within a degree: eigenvalue descending, then
         # discovery (the sort is stable)
+        bounds[d] = len(elements), len(elements) + len(new_here)
         for el in sorted(new_here, key=lambda e: -e.eigenvalue):
             el.index = len(elements) + 1
             el.name = f"{prefix}{el.index}"

@@ -30,8 +30,9 @@ alpha * u_1 on the e^{alpha u} part.  bracket_from_connection uses it to
 build or continue a field's slots from its ad_D connection,
 z_{k+1} = D z_k - sum_i c_i e^{s_i u} (Z_i)_k, over the packed slots of the
 elements one degree lower, with no product of slots: the one way slots are
-built, for X(f), every closure element and the Serre rungs alike.  The
-program no longer calls bracket: it is the tests' reference for the recursion.
+built, for X(f), the Serre rungs and each closure element alike, the last
+only as far as a later degree or its field_raw reads them.  The program no
+longer calls bracket: it is the tests' reference for the recursion.
 """
 
 from __future__ import annotations

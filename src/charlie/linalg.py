@@ -10,9 +10,7 @@ LinearSpan is the package's one elimination, and it is fraction-free: it
 takes int vectors (a caller with rational ones clears them first, see
 cleared) and keeps int rows R together with int combinations C over tags,
 R standing for sum_t C[t]*tag_t; it builds no Fraction.  An inserted vector
-stands for its tag, so a row is at first the combination
-sum_t C[t]*input_t.  substitute lets a tag of the last row stand for a
-combination of other tags instead, and the row then stands for that.  A
+stands for its tag, so a row is the combination sum_t C[t]*input_t.  A
 vector v is reduced by v <- a*v - b*R with g = gcd(lead, v[pivot]),
 a = lead/g and b = v[pivot]/g.  Rows are never re-reduced against later
 pivots: each row is zero at all earlier pivots, so reducing in insertion
@@ -105,20 +103,6 @@ class LinearSpan:
         or None if outside the span."""
         residual, combo, scale = self._reduce(vec)
         return None if residual else ({t: -c for t, c in combo.items()}, scale)
-
-    def substitute(self, tag: Hashable, nums: dict, den: int) -> None:
-        """Let `tag`, a tag of the last row, stand for sum_t nums[t]/den * t
-        (ints, den > 0): the row and its combination are multiplied by den,
-        C[tag] goes to each t as C[tag]*nums[t], and both are divided by
-        their content, as a new row is."""
-        pivot, row, combo = self._rows[-1]
-        c = combo.pop(tag)
-        if den != 1:
-            row = {k: v * den for k, v in row.items()}
-            combo = {t: v * den for t, v in combo.items()}
-        for t, x in nums.items():
-            combo[t] = combo.get(t, 0) + c * x
-        self._rows[-1] = _primitive(pivot, row, {t: v for t, v in combo.items() if v})
 
 
 def _primitive(pivot: Hashable, row: Vec, combo: dict) -> tuple[Hashable, Vec, dict]:

@@ -364,19 +364,19 @@ def _counted(monkeypatch, module, name):
 
 
 @pytest.mark.parametrize("equation, degree, order, computed", [
-    ("sinh", 16, 20, 25),
-    ("tzitzeica", 14, 18, 20),
-    (xr.qp_parse("e^(u) + e^(-3*u)"), 10, 14, 320),
+    ("sinh", 16, 20, 24),
+    ("tzitzeica", 14, 18, 19),
+    (xr.qp_parse("e^(u) + e^(-3*u)"), 10, 14, 192),
 ], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14"])
 def test_generate_brackets_only_pairs_with_a_new_connection(monkeypatch, equation, degree,
                                                             order, computed):
     # every field, the generators' included, is integrated by the D-recursion,
     # and no jet bracket is taken at all; elements stay packed: nothing is
     # packed or unpacked, no gradient or Bell polynomial is built, and no
-    # field is scaled or graded.  The recursion runs once for X_0, once per
-    # generator and once per pair whose connection vector grows its block's
-    # connection span; nonint's 215 such calls are joined by 102 that extend
-    # elements when its degree 9 widens
+    # field is scaled or graded.  No pair is integrated: the recursion runs
+    # once for X_0 and once per element below the top degree, when the next
+    # degree's lower sums read it; nonint's 1 + 120 such runs are joined by
+    # 71 that extend X_0 and degrees 1..8 when its degree 9 widens
     calls = {name: _counted(monkeypatch, jf, name)
              for name in ("bracket", "bracket_from_connection", "_packed", "_act",
                           "_unpack", "field_scale", "bigrading_of", "make_Xf")}
@@ -387,71 +387,73 @@ def test_generate_brackets_only_pairs_with_a_new_connection(monkeypatch, equatio
         "_unpack": 0, "field_scale": 0, "bigrading_of": 0, "make_Xf": 0, "complete_bell": 0}
 
 
-def test_jet_relations_stay_as_connection_rows(monkeypatch):
+def test_jet_relations_the_connections_miss_hold_on_the_fields(monkeypatch):
     # on nonint-10/14 the jets find relations that the connection vectors do
-    # not: each stays a row of its block's connection span, standing for the
-    # jets' coordinates, so the spans outrank the elements at degrees 9 and
-    # 10, and later generator pairs whose connection vector falls in the span
-    # only through such a row get their entries without a field
-    inserted = []   # (pair, int connection vector L * lam, (nums, den) or None)
+    # not: generator pairs whose lower sum depends on its block's elements
+    # while their connection vector does not depend on the elements' ones,
+    # 6 at degree 9 and 44 at degree 10 and none below.  Each entry is the
+    # jet bracket of its pair
+    decided = []    # (candidate element, int lower sum, (nums, den) or None)
 
     class RecordingSpan(LinearSpan):
         def insert(self, vec, tag):
             coords = super().insert(vec, tag)
-            if isinstance(tag, tuple):
-                inserted.append((tag, vec, coords))
+            if vec and type(next(iter(vec))) is int:    # keyed m << 16 | slot
+                decided.append((tag, vec, coords))
             return coords
 
     monkeypatch.setattr(cl, "LinearSpan", RecordingSpan)
     res = closure_for(xr.qp_parse("e^(u) + e^(-3*u)"), 14, 10)
     els = res.elements
-    ranks = Counter(els[i - 1].degree + els[j - 1].degree
-                    for (i, j), _, coords in inserted if coords is None)
     dims = res.dims_by_degree()
-    assert (ranks[9], ranks[10]) == (54, 93)
     assert (dims[9], dims[10]) == (50, 54)
-    assert all(ranks[d] == dims[d] for d in range(2, 9))
     fields = {el.index: el.field for el in els}
-    through_relations = 0
-    for (i, j), lam, coords in inserted:
+    missed = Counter()
+    for cand, vec, coords in decided:
         if coords is None:
             continue
         nums, den = coords
-        assert all(type(c) is int for c in (den, *lam.values(), *nums.values())) and den > 0
-        d, r = els[i - 1].degree + els[j - 1].degree, els[i - 1].eigenvalue + els[j - 1].eigenvalue
+        assert all(type(c) is int for c in (den, *vec.values(), *nums.values())) and den > 0
         of_elements = LinearSpan()
         for el in els:
-            if (el.degree, el.eigenvalue) == (d, r):
+            if (el.degree, el.eigenvalue) == (cand.degree, cand.eigenvalue):
                 of_elements.insert(cleared(el.connection)[0], el)
-        if of_elements.express(lam) is not None:
+        if of_elements.express(cleared(cand.connection)[0]) is not None:
             continue
-        through_relations += 1
+        missed[cand.degree] += 1
+        i, j = cand.pair
         rhs = jf.zero_field(res.order)
         for k, c in res.brackets[(i, j)]:
             rhs = jf.field_add(rhs, jf.field_scale(fields[k], c))
         assert jf.fields_equal(jf.bracket(fields[i], fields[j]), rhs), (i, j)
-    assert through_relations == 7   # each saves the D-recursion its field took
+    assert missed == {9: 6, 10: 44}
 
 
 def test_only_generator_pairs_reach_the_connection_spans(monkeypatch):
     # on nonint-10/14 the pairs led by a generator come first in each degree
-    # and are the only ones reduced in a connection span; every other entry
-    # is summed by the Jacobi identity, as each element is the raw bracket of
-    # a generator with an element one degree lower
-    reduced = []
+    # and are the only ones reduced in a span: in a connection span below
+    # full order, that is below degree 10 and before degree 9 widens, and by
+    # their lower sum where that leaves them open; every other entry is
+    # summed by the Jacobi identity, as each element is the raw bracket of a
+    # generator with an element one degree lower
+    reduced = []    # (span, pair); the one empty vector is a connection vector
 
     class RecordingSpan(LinearSpan):
         def insert(self, vec, tag):
-            if isinstance(tag, tuple):
-                reduced.append(tag)
+            span = "jet" if vec and type(next(iter(vec))) is int else "connection"
+            reduced.append((span, tag.pair))
             return super().insert(vec, tag)
 
     monkeypatch.setattr(cl, "LinearSpan", RecordingSpan)
     res = closure_for(xr.qp_parse("e^(u) + e^(-3*u)"), 14, 10)
     generators = {el.index for el in res.elements if el.degree == 1}
     assert generators == {1, 2} and len(res.brackets) == 440
-    assert len(reduced) == 237 and all(i in generators for i, _ in reduced)
-    assert sorted(reduced) == sorted(key for key in res.brackets if key[0] in generators)
+    pairs = [pair for _, pair in reduced]
+    assert all(i in generators for i, _ in pairs)
+    assert sorted(set(pairs)) == sorted(key for key in res.brackets if key[0] in generators)
+    connection = Counter(res.elements[j - 1].degree + 1 for span, (_, j) in reduced
+                         if span == "connection")
+    assert sum(connection.values()) == 110 and max(connection) == 9
     for el in res.elements:
         if el.degree == 1:
             assert el.pair is None
@@ -462,9 +464,10 @@ def test_only_generator_pairs_reach_the_connection_spans(monkeypatch):
 
 
 def _widened(res):
-    """Degrees below the top whose elements were extended to the full order."""
-    return {el.degree for el in res.elements
-            if el.degree < res.max_degree and len(el.slots) == res.order + 1}
+    """Degrees below the top re-decided at full order: their lower sums read
+    the elements one degree lower through slot order - 1."""
+    return {el.degree + 1 for el in res.elements
+            if el.degree + 1 < res.max_degree and len(el.slots) == res.order}
 
 
 @pytest.mark.parametrize("equation, degree, order, widened", [
@@ -474,13 +477,16 @@ def _widened(res):
     ("sinh", 32, 36, set()),
 ], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14", "sinh-32/36"])
 def test_window_widens_only_where_it_cannot_decide(equation, degree, order, widened):
-    # degree d is decided on slots 0..d + order - degree, so the generators
-    # stop at slot 1 + order - degree; only a new connection whose jets the
-    # window finds dependent extends its degree to the full order
+    # degree d is decided on slots 0..d + order - degree, so the next degree
+    # reads its elements through slot d + order - degree and the top degree
+    # is not built at all; only a new connection whose lower sum the window
+    # finds dependent re-decides its degree at the full order
     res = closure_for(equation, order, degree)
     assert _widened(res) == widened
     if not widened:
-        assert all(len(el.slots) - 1 == el.degree + order - degree for el in res.elements)
+        assert all(len(el.slots) - 1 == el.degree + order - degree
+                   for el in res.elements if el.degree < degree)
+    assert all(el.slots == [{}] for el in res.elements if el.degree == degree)
 
 
 def _typed(X):
@@ -493,12 +499,13 @@ def _typed(X):
 def test_integrated_fields_equal_their_jet_brackets(case):
     # every element of degree >= 2 is the D-recursion's result for the pair
     # that created it: the first pair in index order whose entry names it.
-    # Its slots past the window are continued from the stored ones, by the
-    # widening of its degree (nonint-10/14 widens degree 9) or when
-    # field_raw is read
+    # Its slots are built as far as the next degree reads them (further
+    # where nonint-10/14 widens degree 9), and continued from the stored
+    # ones when field_raw is read; the top degree's only then
     equation, degree, order = FILTER_CASES[case]
     res = closure_for(equation, order, degree)
     assert bool(_widened(res)) == (case == "nonint-10/14")
+    assert all(el.slots == [{}] for el in res.elements if el.degree == degree)
     raw = {el.index: el.field_raw for el in res.elements}
     integrated = [el for el in res.elements if el.degree > 1]
     assert integrated
@@ -704,11 +711,13 @@ def _block_cases():
 def test_elements_stay_inside_their_bigrading_block(case):
     # the two facts that let generate decide each pair inside its (d, r)
     # block: a connection key (s, i) has s + r_i = r with Z_i of degree
-    # d - 1 (X_0 at d = 1), and every stored slot term carries e^{r u}
+    # d - 1 (X_0 at d = 1), and every stored slot term carries e^{r u}; the
+    # fields are read first, so every slot to order is built and guarded
     equation, degree, order = _block_cases()[case]
     res = closure_for(equation, order, degree)
     grading = {0: (0, 0), **{el.index: (el.degree, el.eigenvalue) for el in res.elements}}
     for el in res.elements:
+        assert el.field_raw.valid_order == order, el.name
         assert el.connection, el.name
         for s, i in el.connection:
             assert grading[i] == (el.degree - 1, el.eigenvalue - s), (el.name, s, i)

@@ -377,12 +377,14 @@ def test_make_Xf_integral_coefficients():
     ("1/2 * e^(u) - 1/2 * e^(-u)", 12, 8),
     ("e^(u) + e^(-2*u)", 12, 8),
     ("e^(u) + e^(-3*u)", 10, 6),
-    ("e^(u) + e^(-3*u)", 14, 10),  # Fraction connections
+    ("e^(u) + e^(-3*u)", 14, 10),
+    ("e^(u) + 2*e^(-2*u) - 3*e^(-3*u)", 10, 6),  # a Fraction connection at the top
 ])
 def test_closure_fields_stay_integral(monkeypatch, f, order, degree):
     # every raw closure field and every D-recursion result is integral, also
     # one integrated from a Fraction connection: a Fraction leaking into the
-    # recursion's inputs or outputs fails here
+    # recursion's inputs or outputs fails here.  Reading field_raw builds the
+    # top degree, which no later degree reads
     calls = []
     integrate = jf.bracket_from_connection
 
@@ -400,5 +402,5 @@ def test_closure_fields_stay_integral(monkeypatch, f, order, degree):
     for connection, slots in calls:
         bad = [c for q in slots for p in q.values() for c in p.values() if type(c) is not int]
         assert not bad, (connection, bad[:3])
-    if degree == 10:
+    if "2*e^(-2*u)" in f:
         assert any(type(c) is Fraction for lam, _ in calls for c in lam.values())

@@ -4,6 +4,7 @@ fields drawn from generated bases, bigrading additivity, and truncation
 stability of the closure."""
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from charlie import closure as cl
 from charlie import exactring as xr
 from charlie import jetfield as jf
 from charlie.analysis import closure_for
+from charlie.linalg import LinearSpan, cleared
 
 # -- hypothesis strategies for small exact values ---------------------------
 
@@ -179,6 +181,66 @@ def test_closure_entries_equal_their_jet_brackets(f):
         for k, c in coeffs:
             rhs = jf.field_add(rhs, jf.field_scale(fields[k], c))
         assert jf.fields_equal(jf.bracket(fields[i], fields[j]), rhs), (i, j)
+
+
+def _pair_connection(res, a, b):
+    """lam of [Z_a, Z_b] from the table: sum_i lam^A_i [Z_i, B] + sum_j lam^B_j [A, Z_j],
+    keyed (r - r_k, k) for each element Z_k it names."""
+    A, B = res.elements[a - 1], res.elements[b - 1]
+    lam: dict = {}
+    for (_, i), c in A.connection.items():
+        for k, x in res.bracket_coeffs(i, b):
+            xr.vec_iadd_scaled(lam, {k: x}, c)
+    for (_, j), c in B.connection.items():
+        for k, x in res.bracket_coeffs(a, j):
+            xr.vec_iadd_scaled(lam, {k: x}, c)
+    r = A.eigenvalue + B.eigenvalue
+    return {(r - res.elements[k - 1].eigenvalue, k): c for k, c in lam.items()}
+
+
+@given(exponential_sums)
+@settings(max_examples=15, deadline=None)
+def test_lower_sums_decide_as_the_jets(f):
+    # z_{k+1} = D z_k - F_k maps the lower sums F_0..F_{n-1} to the slots
+    # 1..n linearly and invertibly, so on every window n each element and
+    # each generator pair of degree d gets the same verdict and the same
+    # coordinates from its lower sum on slots 0..n - 1 as from the int
+    # vector of its D-recursion slots 0..n, against the degree's elements
+    res = cl.generate(f, 8, 5)
+    raw = {el.index: el.field_raw.coeffs for el in res.elements}
+
+    def vectors(lam, n):
+        """(lower sum, jet vector) of L * lam, L its denominators' lcm."""
+        lam = cleared(lam)[0]
+        lower: dict = {}
+        for (_, i), c in lam.items():
+            xr.vec_iadd_scaled(lower, cl._vectorize(raw[i][:n]), c)
+        slots = jf.bracket_from_connection(lam, {i: raw[i] for _, i in lam}, n)
+        return lower, cl._vectorize(slots)
+
+    def same(a, b):
+        return a is None and b is None or (
+            a is not None and b is not None
+            and {t: Fraction(c, a[1]) for t, c in a[0].items()}
+            == {t: Fraction(c, b[1]) for t, c in b[0].items()})
+
+    generators = {el.index for el in res.elements if el.degree == 1}
+    for el in res.elements:
+        if el.pair:
+            assert _pair_connection(res, *el.pair) == el.connection, el.name
+    for d in range(2, res.max_degree + 1):
+        for n in (d + res.order - res.max_degree, res.order):
+            lowers, jets = defaultdict(LinearSpan), defaultdict(LinearSpan)
+            for el in res.elements:
+                if el.degree == d:
+                    lower, jet = vectors(el.connection, n)
+                    assert same(lowers[el.eigenvalue].insert(lower, el),
+                                jets[el.eigenvalue].insert(jet, el)), (el.name, n)
+            for i, j in res.brackets:
+                if i in generators and res.elements[j - 1].degree == d - 1:
+                    r = res.elements[i - 1].eigenvalue + res.elements[j - 1].eigenvalue
+                    lower, jet = vectors(_pair_connection(res, i, j), n)
+                    assert same(lowers[r].express(lower), jets[r].express(jet)), (i, j, n)
 
 
 def test_integral_search_order_stability(capsys):
