@@ -72,20 +72,20 @@ that the connection span and the jets would give.
 
 The lower sums decide on a weight window.  Slot j of a degree-d element has
 weight j - d, and the recursion builds slot k + 1 from slot k of the lower
-elements, all of weight k + 1 - d.  So with N = order and w = N - max_degree,
-degree d is decided first on slots 0..d + w (N at the top degree), from
-lower sums on slots 0..d + w - 1.  The window is a projection of the
-order-N jet vector, and a projection is linear, so a candidate new on the
-window is new at order N.  A relation the window finds and the connection
-span does not may be one that order N breaks (a truncated closure
-undercounts a non-integrable f); then the degree widens: its elements are
-re-decided from their lower sums on slots 0..N - 1, and so is every later
-pair of that degree.  At full order, the top degree or a widened one, no
-connection span is kept, since nothing after it would read its rows.  So
-every relation comes from the connection vectors or from the lower sums at
-order N, every decision, table entry and undercount is the order-N jets',
-and every certificate is N: a relation holds on the min(N_A, N_B) = N slots
-that the jet bracket of two full-order fields keeps.
+elements, all of weight k + 1 - d.  So with N = order, degree d is decided
+on slots 0..n = min(d + w, N), from lower sums on slots 0..n - 1, and w = 1
+at degree 2.  The window is a projection of the order-N jet vector, and a
+projection is linear, so a candidate new on the window is new at order N.
+A relation the window finds and the connection span does not may be one
+that order N breaks (a truncated closure undercounts a non-integrable f);
+then w doubles, up to n = N and kept by the later degrees, and the degree's
+elements and that candidate are re-decided on the wider window.  Hence below
+N every connection row stands for an element; at n = N none is kept, as a
+candidate's row may stand for a relation there.  So every relation comes
+from the connection vectors or from the lower sums at order N, every
+decision, table entry and undercount is the order-N jets', and every
+certificate is N: a relation holds on the min(N_A, N_B) = N slots that the
+jet bracket of two full-order fields keeps.
 
 A pair is decided inside its bigrading block.  [A, B] has bigrading
 (d, r) = (d_A + d_B, r_A + r_B), and every key (s, i) of its connection
@@ -96,7 +96,7 @@ lower sum, so a lower sum keys on the slot and the monomial alone and
 distinct r have disjoint ones too.  Elimination never mixes disjoint
 supports, so one connection span and one jet span per block give the same
 decisions and the same unique coordinates as one span for all of them,
-while each reduction visits only its block's rows.  A widening still
+while each reduction visits only its block's rows.  A doubling still
 re-decides every block of its degree.
 
 An element is stored as packed slots, built, read and extended only by the
@@ -235,11 +235,11 @@ class ClosureResult:
         return tuple((k, -c) for k, c in self.brackets[(j, i)])
 
 
-def _vectorize(slots: list) -> dict:
-    """Coefficient vector of packed slots keyed by m << 16 | j for the term
-    c e^{r u} m of slot j: the homogeneity guard gives every term of an
-    element the one exponent r of its block, and j < order < 2^15."""
-    return {m << 16 | j: c for j, q in enumerate(slots) for p in q.values()
+def _vectorize(slots: list, start: int = 0) -> dict:
+    """Coefficient vector of packed slots start.., keyed by m << 16 | j for
+    the term c e^{r u} m of slot j: the homogeneity guard gives every term of
+    an element the one exponent r of its block, and j < order < 2^15."""
+    return {m << 16 | j: c for j, q in enumerate(slots, start) for p in q.values()
             for m, c in p.items()}
 
 
@@ -270,12 +270,12 @@ def generate(
     vector reduced once in its block's connection span, and a vector in the
     span gives the pair's coordinates without a field.  Any other such pair
     is decided by its lower sum sum_i lam_i e^{(r - r_i) u} Z_i, which the
-    pair's jets would decide alike, on the weight window order - max_degree
-    or, once the window has found a relation in that degree, on the full
-    order.  Every other pair is summed from earlier entries by the Jacobi
-    identity.  An element's slots are built only when a later degree or
-    field_raw reads them.  Every entry is exact up to `order` (the module
-    docstring says why this is the order-N jet closure's table).
+    pair's jets would decide alike, on a weight window that starts at 1 and
+    doubles, up to the full order, on each relation the connections miss.
+    Every other pair is summed from earlier entries by the Jacobi identity.
+    An element's slots are built only when a later degree or field_raw reads
+    them.  Every entry is exact up to `order` (the module docstring says why
+    this is the order-N jet closure's table).
 
     target, when given, maps an index pair (q, l) to the reference structure
     constant used for normalization; a contradiction raises MismatchError.
@@ -288,7 +288,7 @@ def generate(
         raise ClosureError(f"order {order} too large for the packed jet kernel")
     if not xr.qp_is_exponential_only(f) or not f:
         raise ClosureError("closure needs a nonzero pure exponential sum f(u)")
-    window = order - max_degree         # weight through which each degree is decided first
+    w = 1                               # the weight window; doubles on a relation it finds
     elements: list[BasisElement] = []   # by index; a degree's elements join after its pairs
     raw_expr: dict = {}                 # (idx_i, idx_j) -> ({element: int}, den)
 
@@ -326,7 +326,7 @@ def generate(
         scaled: dict = {}                       # element -> (L * lam, L), its rows' vectors
         connections = defaultdict(LinearSpan)   # r -> L * connection vectors, rows over elements
         spans = defaultdict(LinearSpan)         # r -> their lower sums
-        n = d + window                  # the slots this degree is decided on
+        n = min(d + w, order)           # the slots this degree is decided on
         lower_vecs: dict = {}           # index -> slots 0..n - 1 of a degree-(d - 1) element
         for a, ei in enumerate(elements):
             lo, hi = bounds.get(d - ei.degree, (0, 0))   # empty past ei
@@ -361,10 +361,14 @@ def generate(
                 expr = connections[r].insert(lam, el) if n < order else None
                 if expr is None:
                     expr = spans[r].insert(lower_sum(lam), el)
-                    if expr is not None and n < order:
+                    while expr is not None and n < order:
                         # the window may see a relation that full order breaks:
-                        # this degree is decided at full order from here on
-                        n, spans, lower_vecs = order, defaultdict(LinearSpan), {}
+                        # it doubles, and this degree's candidates are re-decided
+                        w *= 2
+                        m, n, spans = n, min(d + w, order), defaultdict(LinearSpan)
+                        for i, vec in lower_vecs.items():
+                            elements[i - 1].extend(n - 1)
+                            vec.update(_vectorize(elements[i - 1].slots[m:n], m))
                         for z in (*new_here, el):
                             expr = spans[z.eigenvalue].insert(lower_sum(scaled[z][0]), z)
                     if expr is None:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import shlex
 from collections import Counter
 from fractions import Fraction
@@ -366,7 +367,7 @@ def _counted(monkeypatch, module, name):
 @pytest.mark.parametrize("equation, degree, order, computed", [
     ("sinh", 16, 20, 24),
     ("tzitzeica", 14, 18, 19),
-    (xr.qp_parse("e^(u) + e^(-3*u)"), 10, 14, 192),
+    (xr.qp_parse("e^(u) + e^(-3*u)"), 10, 14, 231),
 ], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14"])
 def test_generate_brackets_only_pairs_with_a_new_connection(monkeypatch, equation, degree,
                                                             order, computed):
@@ -376,7 +377,8 @@ def test_generate_brackets_only_pairs_with_a_new_connection(monkeypatch, equatio
     # field is scaled or graded.  No pair is integrated: the recursion runs
     # once for X_0 and once per element below the top degree, when the next
     # degree's lower sums read it; nonint's 1 + 120 such runs are joined by
-    # 71 that extend X_0 and degrees 1..8 when its degree 9 widens
+    # 110 that extend X_0 and every lower degree once per doubling of the
+    # window: 15 at degree 6, 24 at degree 7 and 71 at degree 9
     calls = {name: _counted(monkeypatch, jf, name)
              for name in ("bracket", "bracket_from_connection", "_packed", "_act",
                           "_unpack", "field_scale", "bigrading_of", "make_Xf")}
@@ -432,10 +434,10 @@ def test_jet_relations_the_connections_miss_hold_on_the_fields(monkeypatch):
 def test_only_generator_pairs_reach_the_connection_spans(monkeypatch):
     # on nonint-10/14 the pairs led by a generator come first in each degree
     # and are the only ones reduced in a span: in a connection span below
-    # full order, that is below degree 10 and before degree 9 widens, and by
-    # their lower sum where that leaves them open; every other entry is
-    # summed by the Jacobi identity, as each element is the raw bracket of a
-    # generator with an element one degree lower
+    # full order, that is below degree 10 and before degree 9's window
+    # reaches it, and by their lower sum where that leaves them open; every
+    # other entry is summed by the Jacobi identity, as each element is the raw
+    # bracket of a generator with an element one degree lower
     reduced = []    # (span, pair); the one empty vector is a connection vector
 
     class RecordingSpan(LinearSpan):
@@ -464,8 +466,9 @@ def test_only_generator_pairs_reach_the_connection_spans(monkeypatch):
 
 
 def _widened(res):
-    """Degrees below the top re-decided at full order: their lower sums read
-    the elements one degree lower through slot order - 1."""
+    """Degrees below the top decided at full order, which the doubling window
+    reached there or earlier: their lower sums read the elements one degree
+    lower through slot order - 1."""
     return {el.degree + 1 for el in res.elements
             if el.degree + 1 < res.max_degree and len(el.slots) == res.order}
 
@@ -475,17 +478,38 @@ def _widened(res):
     ("tzitzeica", 14, 18, set()),
     (xr.qp_parse("e^(u) + e^(-3*u)"), 10, 14, {9}),
     ("sinh", 32, 36, set()),
-], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14", "sinh-32/36"])
+    ("sinh", 4, 40, set()),
+], ids=["sinh-16/20", "tzitzeica-14/18", "nonint-10/14", "sinh-32/36", "sinh-4/40"])
 def test_window_widens_only_where_it_cannot_decide(equation, degree, order, widened):
-    # degree d is decided on slots 0..d + order - degree, so the next degree
-    # reads its elements through slot d + order - degree and the top degree
-    # is not built at all; only a new connection whose lower sum the window
-    # finds dependent re-decides its degree at the full order
+    # degree d is decided on slots 0..d + w with w = 1 at first, so the next
+    # degree reads its elements through slot d + 1 and the top degree is not
+    # built at all; only a new connection whose lower sum the window finds
+    # dependent doubles w and re-decides its degree, until full order
     res = closure_for(equation, order, degree)
     assert _widened(res) == widened
     if not widened:
-        assert all(len(el.slots) - 1 == el.degree + order - degree
+        assert all(len(el.slots) - 1 == el.degree + 1
                    for el in res.elements if el.degree < degree)
+    assert all(el.slots == [{}] for el in res.elements if el.degree == degree)
+
+
+@pytest.mark.parametrize("equation, degree, order, dims", [
+    ("sinh", 4, 56, [2, 1, 2, 1]),
+    ("tzitzeica", 6, 40, [2, 1, 1, 1, 2, 1]),
+])
+def test_short_degrees_at_long_orders_stay_on_a_short_window(capsys, equation, degree,
+                                                            order, dims):
+    # a degree is decided on the weight window, not on order - degree: the
+    # lower degrees are built at most two slots past their degree, and the
+    # top degree not at all, however long the order
+    argv = ["charalg", "--equation", equation, "--degree", str(degree), "--order", str(order)]
+    assert cli.run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "verified"
+    basis = report["payload"]["table"]["basis"]
+    assert Counter(el["d"] for el in basis if el["d"]) == dict(enumerate(dims, 1))
+    res = closure_for(equation, order, degree)
+    assert all(len(el.slots) - 1 <= el.degree + 2 for el in res.elements if el.degree < degree)
     assert all(el.slots == [{}] for el in res.elements if el.degree == degree)
 
 
@@ -500,8 +524,8 @@ def test_integrated_fields_equal_their_jet_brackets(case):
     # every element of degree >= 2 is the D-recursion's result for the pair
     # that created it: the first pair in index order whose entry names it.
     # Its slots are built as far as the next degree reads them (further
-    # where nonint-10/14 widens degree 9), and continued from the stored
-    # ones when field_raw is read; the top degree's only then
+    # where the window of nonint-10/14 doubles), and continued from the
+    # stored ones when field_raw is read; the top degree's only then
     equation, degree, order = FILTER_CASES[case]
     res = closure_for(equation, order, degree)
     assert bool(_widened(res)) == (case == "nonint-10/14")
@@ -686,6 +710,17 @@ PINNED_REPORTS = {
         "1be9e1ad8357927727bff44f662b39be065ef768c56415b9b1b647fa31df74d6",
     'charalg --equation "e^u+e^(-4u)" --degree 10 --order 13':
         "6643b50cd53d9ef716b61dc3eb5647d746bce769ac7deb3a536fd6550e55aa58",
+    # short degrees at long orders, decided on a window that starts at weight
+    # 1 and doubles on a relation; e^u + e^(-3u) doubles it once, at its top
+    # degree, where the connection span is kept below full order
+    "charalg --equation sinh --degree 4 --order 40":
+        "e031a9082d22d83c9d756750b861d2ca2ef7b871da3521d525bb4cc77505a7df",
+    "charalg --equation tzitzeica --degree 6 --order 30":
+        "776fc235e6432fe1db864d6c3c904b1c770592198bf56cc3a8d5093141b1aa91",
+    'charalg --equation "e^u + e^(-3u)" --degree 6 --order 16':
+        "f9bcdbd99236c2c27e44d4ca7c648593180855ab3fe6b1d65e0d151f051ffa02",
+    'charalg --equation "e^(2u)+e^(-4u)" --degree 8 --order 20':
+        "c6759cc9d228c0533eabdb4dd015e67dd64534955e62064aeb65bca27d20b3a8",
 }
 
 
@@ -735,6 +770,8 @@ PINNED_DATA_REPORTS = {
         (0, "21e69d43802287e896369cdf930753998c10cf91e46792308866e87e2841f648"),
     "verify-iso --equation sinh --degree 16 --order 20":
         (0, "1df0730529345e9f69c90ba5a5ae2b45a28265a496d918c484cdd3e826348533"),
+    "verify-iso --equation sinh --degree 8 --order 24":
+        (0, "7de3fb595f263b70e5dc31de10f4786b4677d3c1e43817e7b1ed46b3db3f32ff"),
     'verify-iso --equation "e^(-2u) + e^u" --degree 8 --order 12':
         (0, "eafdc4108cc30f3cf347ccc340325571565dfb737a12631460b880939f90f331"),
     # the long window, where the Serre rows run at order 28

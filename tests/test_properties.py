@@ -183,6 +183,34 @@ def test_closure_entries_equal_their_jet_brackets(f):
         assert jf.fields_equal(jf.bracket(fields[i], fields[j]), rhs), (i, j)
 
 
+@given(exponential_sums)
+@settings(max_examples=10, deadline=None)
+def test_closure_at_a_long_gap_matches_the_jet_brackets(f):
+    # order - degree = 7: the window starts at weight 1 and doubles on every
+    # relation that the connection vectors miss.  The oracle never reads the
+    # window: each degree has as many elements as the order-N jet brackets
+    # [Z_g, Z_q] of a generator with an element one degree lower have rank,
+    # and every entry is the jet bracket of its pair
+    res = cl.generate(f, 12, 5)
+    fields = {el.index: el.field for el in res.elements}
+    generators = [el.index for el in res.elements if el.degree == 1]
+    for d in range(2, res.max_degree + 1):
+        span = LinearSpan()
+        for g in generators:
+            for q in (el.index for el in res.elements if el.degree == d - 1):
+                slots = jf.bracket(fields[g], fields[q]).coeffs
+                vec = {(j, a, m): c for j, p in enumerate(slots) for a, poly in p.items()
+                       for m, c in poly.items()}
+                if vec:
+                    span.insert(cleared(vec)[0], (g, q))
+        assert len(span) == res.dims_by_degree().get(d, 0), d
+    for (i, j), coeffs in res.brackets.items():
+        rhs = jf.zero_field(res.order)
+        for k, c in coeffs:
+            rhs = jf.field_add(rhs, jf.field_scale(fields[k], c))
+        assert jf.fields_equal(jf.bracket(fields[i], fields[j]), rhs), (i, j)
+
+
 def _pair_connection(res, a, b):
     """lam of [Z_a, Z_b] from the table: sum_i lam^A_i [Z_i, B] + sum_j lam^B_j [A, Z_j],
     keyed (r - r_k, k) for each element Z_k it names."""
@@ -229,7 +257,7 @@ def test_lower_sums_decide_as_the_jets(f):
         if el.pair:
             assert _pair_connection(res, *el.pair) == el.connection, el.name
     for d in range(2, res.max_degree + 1):
-        for n in (d + res.order - res.max_degree, res.order):
+        for n in (d + 1, d + 2, res.order):
             lowers, jets = defaultdict(LinearSpan), defaultdict(LinearSpan)
             for el in res.elements:
                 if el.degree == d:
