@@ -1,5 +1,7 @@
 """Command-line surface: equation parsing, report serialization, subcommands.
 
+Each command and its flags are one row of COMMANDS, which parse_args reads and
+--help prints; a bad argv raises UsageError, so run prints one `error:` line.
 Reports are deterministic: given identical flags the JSON bytes are identical
 across runs (wall-clock timing goes to stderr only, never into the report).
 _render_json writes the bytes of json.dumps(report, indent=2) from json's C
@@ -9,10 +11,11 @@ Exit codes: 0 verified (or zero-up-to), 2 mismatch, 1 usage error.
 
 from __future__ import annotations
 
-import argparse
+import itertools
 import json
 import sys
 import time
+import types
 from fractions import Fraction
 
 from . import analysis as an
@@ -322,85 +325,116 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone when it names
-    one (its usage line still lists them all, so every message is the same)."""
-    p = argparse.ArgumentParser(prog="charlie",
-                                description="exact characteristic Lie algebras of u_xy = f(u)")
-    sub = p.add_subparsers(dest="command", required=True)
-    names = []
+# COMMANDS[name] = (fn, help, options), options[flag] = (kind, default, help).
+# A kind is str or int (one value), bool (a switch), a tuple of choices, or a
+# list of types (one value each, kept as a list); a default of ... is required.
+_EQ = "f(u): an exponential sum, or liouville, sinh, tzitzeica"
+_IO = {"format": (("json", "text"), "json", "json or text"),
+       "out": (str, None, "write the report to a file")}
+_KEPT = "; accepted because report inputs record it, until ROADMAP item 2 deletes it"
+COMMANDS = {
+    "bell": (cmd_bell, "complete/incomplete Bell polynomials", {
+        "complete": (int, None, "N: the complete Bell polynomial B_N"),
+        "incomplete": ([int, int], None, "N K: the partial Bell polynomial B(N, K)"), **_IO}),
+    "charalg": (cmd_charalg, "generate the characteristic algebra table", {
+        "equation": (str, ..., _EQ), "degree": (int, 8, "top degree of the table"),
+        "order": (int, 12, "truncation order"), **_IO}),
+    "loops": (cmd_loops, "matrix-side loop algebra tables", {
+        "algebra": (str, ..., "sl2 or sl3t"), "max": (int, 16, "largest basis index"),
+        "table": (bool, False, "selects nothing: the table is always emitted" + _KEPT), **_IO}),
+    "integrals": (cmd_integrals, "search x-integrals up to a weight bound", {
+        "equation": (str, ..., _EQ), "weight": (int, ..., "weight bound"),
+        "order": (int, 0, "sets the re-verification order, order + 4; the search itself is "
+                          "exact at any order (0 = weight + 1, the smallest allowed)"), **_IO}),
+    "symmetry": (cmd_symmetry, "check the defining equation for a candidate phi", {
+        "equation": (str, ..., _EQ), "phi": (str, ..., "a polynomial in u1, u2, ..."),
+        "order": (int, 0, "selects nothing: X(f) is read only through phi's top index, and an "
+                          "order below that index + 2 is rejected" + _KEPT), **_IO}),
+    "verify-iso": (cmd_verify_iso, "compare the jet-side table with its matrix realization", {
+        "equation": (str, ..., "sinh or tzitzeica"), "degree": (int, 8, "top degree of the table"),
+        "order": (int, 12, "truncation order"), **_IO}),
+    "exp2d": (cmd_exp2d, "second-order integral of a 2D exponential system", {
+        "matrix": (str, ..., "a11,a12,a21,a22"),
+        "order": (int, 0, "selects nothing: w2 reads only u^a_1 and u^a_2, and an order "
+                          "below 2 is rejected" + _KEPT), **_IO}),
+    "growth": (cmd_growth, "growth functions of closures or presented algebras", {
+        "equation": (str, None, _EQ), "degree": (int, 12, "largest n of F(n)"),
+        "algebra": (str, None, "presented algebra: m0, m2, W+, n2^3"),
+        "order": (int, 0, "truncation order of --equation (0 = degree + 4)"), **_IO}),
+    "jacobi": (cmd_jacobi, "Jacobi identity sweep for presented algebras", {
+        "algebra": (str, ..., "m0, m2, W+, n2^3, or m0S with --s"),
+        "s": (str, None, "comma-separated odd integers for m0S"),
+        "degree": (int, 20, "degree bound"), **_IO}),
+}
 
-    def add(name, help_, fn):
-        names.append(name)
-        if command in (None, name):
-            sp = sub.add_parser(name, help=help_)
-            sp.set_defaults(fn=fn)
-            return sp
 
-    def common(sp, order_default=None):
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--out", default=None, help="write the report to a file")
-        if order_default is not None:
-            sp.add_argument("--order", type=int, default=order_default,
-                            help="truncation order (0 = choose automatically)"
-                            if order_default == 0 else "truncation order")
+def _help(command=None) -> None:
+    """Print the --help text: every command, or every flag of `command`."""
+    rows = [(name, text) for name, (_, text, _) in COMMANDS.items()] if command is None else [
+        (f"--{flag}", text + (" (required)" if default is ... else "" if default is None
+                              or kind is bool else f" (default {default})"))
+        for flag, (kind, default, text) in COMMANDS[command][2].items()]
+    sys.stdout.write("\n".join([
+        f"usage: charlie {command or 'COMMAND'} [--flag VALUE ...]",
+        COMMANDS[command][1] if command else "charlie COMMAND --help lists its flags",
+        *(f"  {a:<14}{b}" for a, b in rows)]) + "\n")
 
-    if sp := add("bell", "complete/incomplete Bell polynomials", cmd_bell):
-        sp.add_argument("--complete", type=int, metavar="N")
-        sp.add_argument("--incomplete", type=int, nargs=2, metavar=("N", "K"))
-        common(sp)
-    if sp := add("charalg", "generate the characteristic algebra table", cmd_charalg):
-        sp.add_argument("--equation", required=True)
-        sp.add_argument("--degree", type=int, default=8)
-        common(sp, order_default=12)
-    if sp := add("loops", "matrix-side loop algebra tables", cmd_loops):
-        sp.add_argument("--algebra", required=True, help="sl2 or sl3t")
-        sp.add_argument("--table", action="store_true", help="emit the structure table")
-        sp.add_argument("--max", type=int, default=16)
-        common(sp)
-    if sp := add("integrals", "search x-integrals up to a weight bound", cmd_integrals):
-        sp.add_argument("--equation", required=True)
-        sp.add_argument("--weight", type=int, required=True)
-        common(sp)
-        sp.add_argument("--order", type=int, default=0,
-                        help="sets the re-verification order, order + 4; the search itself is "
-                             "exact at any order (0 = weight + 1, the smallest allowed)")
-    if sp := add("symmetry", "check the defining equation for a candidate phi", cmd_symmetry):
-        sp.add_argument("--equation", required=True)
-        sp.add_argument("--phi", required=True)
-        common(sp, order_default=0)
-    if sp := add("verify-iso", "compare the jet-side table with its matrix realization",
-                 cmd_verify_iso):
-        sp.add_argument("--equation", required=True)
-        sp.add_argument("--degree", type=int, default=8)
-        common(sp, order_default=12)
-    if sp := add("exp2d", "second-order integral of a 2D exponential system", cmd_exp2d):
-        sp.add_argument("--matrix", required=True, help="a11,a12,a21,a22")
-        common(sp, order_default=0)
-    if sp := add("growth", "growth functions of closures or presented algebras", cmd_growth):
-        sp.add_argument("--equation", default=None)
-        sp.add_argument("--algebra", default=None, help="presented algebra: m0, m2, W+, n2^3")
-        sp.add_argument("--degree", type=int, default=12)
-        common(sp, order_default=0)
-    if sp := add("jacobi", "Jacobi identity sweep for presented algebras", cmd_jacobi):
-        sp.add_argument("--algebra", required=True, help="m0, m2, W+, n2^3, or m0S with --s")
-        sp.add_argument("--s", default=None, help="comma-separated odd integers for m0S")
-        sp.add_argument("--degree", type=int, default=20)
-        common(sp)
-    if command in names:
-        sub.metavar = "{" + ",".join(names) + "}"
-    return p if command in (None, *names) else build_parser()
+
+def _value(flag, kind, text):
+    """One token read as a value of its kind."""
+    if kind is str or isinstance(kind, tuple) and text in kind:
+        return text
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise UsageError(f"{flag} takes {'an int' if kind is int else ' or '.join(kind)}, "
+                     f"not {text!r}")
+
+
+def parse_args(argv):
+    """The namespace the cmd_* functions read, or None once --help is printed.
+    Flags are exact names, as --flag value or --flag=value; the token after a
+    flag is its value, and a repeated flag keeps its last value."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return _help()
+    if command not in COMMANDS:
+        raise UsageError(f"{'no command' if command is None else f'unknown command {command!r}'}"
+                         f"; choose from {', '.join(COMMANDS)}")
+    fn, _, options = COMMANDS[command]
+    ns = types.SimpleNamespace(command=command, fn=fn, **{k: v[1] for k, v in options.items()})
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help(command)
+        flag, eq, text = token.partition("=")
+        kind = options[flag[2:]][0] if flag.startswith("--") and flag[2:] in options else None
+        if kind is None or kind is bool and eq:
+            raise UsageError(f"unrecognized argument {token!r} for {command}")
+        kinds = [] if kind is bool else kind if isinstance(kind, list) else [kind]
+        texts = [text] * bool(eq) + list(itertools.islice(tokens, len(kinds) - bool(eq)))
+        if len(texts) < len(kinds):
+            raise UsageError(f"{flag} needs {len(kinds)} value{'s' * (len(kinds) > 1)}")
+        values = [_value(flag, k, t) for k, t in zip(kinds, texts)]
+        setattr(ns, flag[2:], values if isinstance(kind, list) else values[0] if values else True)
+    if missing := [f"--{flag}" for flag, value in vars(ns).items() if value is ...]:
+        raise UsageError(f"{command} needs {' and '.join(missing)}")
+    return ns
+
+
+def build_parser():
+    """An object whose parse_args(argv) is parse_args, for bench/worker.py."""
+    return types.SimpleNamespace(parse_args=parse_args)
 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code else 0
-    started = time.monotonic()
-    try:
+        if (args := parse_args(argv)) is None:  # --help was printed
+            return 0
+        started = time.monotonic()
         status, payload, certificates = args.fn(args)
     except ValueError as e:  # UsageError, ClosureError and parse errors among them
         print(f"error: {e}", file=sys.stderr)

@@ -473,23 +473,87 @@ charalg: verified
 """
 
 
+# (argv, exit code, report inputs) pinned from the argparse parser: the
+# flag table must give every command the same inputs, defaults and types
+PARSE_PINS = [
+    (["charalg", "--equation", "sinh", "--degree=16", "--order=20"], 0,
+     {"command": "charalg", "degree": 16, "equation": "sinh", "order": 20}),
+    (["charalg", "--equation", "sinh", "--degree", "3", "--degree", "5", "--order", "9"], 0,
+     {"command": "charalg", "degree": 5, "equation": "sinh", "order": 9}),
+    (["bell", "--incomplete", "5", "2"], 0, {"command": "bell", "incomplete": [5, 2]}),
+    (["loops", "--algebra", "sl2", "--max", "3"], 0,
+     {"algebra": "sl2", "command": "loops", "max": 3, "table": False}),
+    (["loops", "--algebra", "sl2", "--max", "3", "--table"], 0,
+     {"algebra": "sl2", "command": "loops", "max": 3, "table": True}),
+    (["integrals", "--equation", "liouville", "--weight", "2"], 0,
+     {"command": "integrals", "equation": "liouville", "order": 0, "weight": 2}),
+]
+
+
+@pytest.mark.parametrize("argv, code, inputs", PARSE_PINS, ids=[" ".join(a) for a, _, _ in PARSE_PINS])
+def test_parse_pins_report_inputs(capsys, argv, code, inputs):
+    assert cli.run(argv) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs"] == inputs
+    assert [type(v) for v in report["inputs"].values()] == [type(v) for v in inputs.values()]
+
+
+def test_parse_pins_text_format_and_a_command_check(capsys):
+    assert cli.run(["bell", "--complete", "3", "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        "bell: verified\n  command = bell\n  complete = 3\n  name: B3\n"
+        "  polynomial: 3 * u1*u2 + 1 * u1^3 + 1 * u3\n  weight: 3\n")
+    # a value that starts with '-' reaches the command's own check
+    assert cli.run(["charalg", "--equation", "sinh", "--degree", "-3"]) == 1
+    assert capsys.readouterr() == ("", "error: degree -3 must be at least 1\n")
+
+
 def test_usage_error_unknown_subcommand(capsys):
     assert cli.run(["frobnicate"]) == 1
 
 
-def test_run_builds_only_the_named_subcommand(capsys):
-    # a known first word gets a parser of that subcommand alone, with the
-    # full usage line; an unknown one or an option gets the full parser
-    full, one = cli.build_parser(), cli.build_parser("charalg")
-    assert one.format_usage() == full.format_usage()
-    assert cli.build_parser("frobnicate").format_help() == full.format_help()
-    assert cli.build_parser("--help").format_help() == full.format_help()
-    with pytest.raises(SystemExit):
-        one.parse_args(["bell", "--complete", "2"])
-    capsys.readouterr()
-    assert cli.run(["charalg", "--equation", "sinh", "--foo"]) == 1
-    assert capsys.readouterr().err == full.format_usage() + \
-        "charlie: error: unrecognized arguments: --foo\n"
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    [],
+    ["charalg", "--equation", "sinh", "--foo"],
+    ["charalg", "--equation", "sinh", "--deg", "3"],
+    ["charalg", "--degree", "3"],
+    ["charalg", "--equation"],
+    ["bell", "--incomplete", "3"],
+    ["charalg", "--equation", "sinh", "--degree", "x"],
+    ["charalg", "--equation", "sinh", "--format", "xml"],
+], ids=["unknown-command", "no-argv", "unknown-flag", "prefix", "missing-required",
+        "no-value", "incomplete-one-value", "non-int", "bad-choice"])
+def test_a_bad_argv_is_one_error_line(capsys, argv):
+    # no usage block: the reason alone, and exact flag names only
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_flag_value_may_start_with_a_dash(capsys):
+    code, rep = run_json(capsys, ["symmetry", "--equation", "sinh", "--phi", "-u3"])
+    assert code == 2 and rep["inputs"]["phi"] == "-u3"
+    assert rep["payload"]["phi"] == "-1 * u3"
+
+
+def test_the_parser_namespace_lacks_flags_its_command_does_not_take():
+    args = cli.build_parser().parse_args(["bell", "--complete", "2"])
+    assert getattr(args, "equation", None) is None
+    with pytest.raises(AttributeError):
+        args.equation
+
+
+def test_help_lists_every_command_and_every_flag(capsys):
+    assert cli.run(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and all(f"  {name} " in out for name in cli.COMMANDS)
+    assert cli.run(["charalg", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: charlie charalg")
+    assert all(f"  --{flag} " in out for flag in ("equation", "degree", "order", "format", "out"))
+    assert cli.run(["loops", "-h"]) == 0
+    assert "--table" in capsys.readouterr().out
 
 
 json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600')))

@@ -737,7 +737,7 @@ def _block_cases():
     for command in PINNED_REPORTS:
         argv = shlex.split(command)
         if argv[0] == "charalg":
-            args = cli.build_parser().parse_args(argv)
+            args = cli.parse_args(argv)
             cases[command] = (cli.parse_equation(args.equation), args.degree, args.order)
     return cases
 

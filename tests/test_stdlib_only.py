@@ -47,3 +47,19 @@ def test_cli_imports_without_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_a_command_loads_neither_argparse_nor_gettext_nor_locale():
+    # argparse's first gettext call imported locale, a quarter of a small run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import io, sys, contextlib, charlie.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = charlie.cli.run(['charalg', '--equation', 'sinh', '--degree', '3', "
+            "'--order', '7'])\n"
+            "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "0 []\n"
