@@ -4,8 +4,8 @@ Each command and its flags are one row of COMMANDS, which parse_args reads and
 --help prints; a bad argv raises UsageError, so run prints one `error:` line.
 Reports are deterministic: given identical flags the JSON bytes are identical
 across runs (wall-clock timing goes to stderr only, never into the report).
-_render_json writes the bytes of json.dumps(report, indent=2) from json's C
-scalar encoders; with an indent set, json would use its pure-Python encoder.
+_render_json writes the bytes of json.dumps(report, indent=2): ints by str, the
+rest from json's C encoders (with an indent json would use its Python one).
 Exit codes: 0 verified (or zero-up-to), 2 mismatch, 1 usage error.
 """
 
@@ -283,17 +283,19 @@ def cmd_jacobi(args) -> tuple:
 
 def _render_json(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2), byte for byte, with every string from
-    encode_basestring_ascii and every other scalar from the compact encoder."""
+    encode_basestring_ascii, every int (a bool is not one) from str and every
+    other scalar from the compact encoder."""
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return _enc(obj) if isinstance(obj, str) else json.dumps(obj)
     inner = pad + "  "
     if isinstance(obj, dict):
         body = ("," + inner).join([
             _enc(k if isinstance(k, str) else json.dumps(k)) + ": "
-            + (_enc(v) if type(v) is str else _render_json(v, inner))
+            + (_enc(v) if type(v) is str else str(v) if type(v) is int else _render_json(v, inner))
             for k, v in obj.items()])
         return f"{{{inner}{body}{pad}}}"
-    body = ("," + inner).join([_enc(v) if type(v) is str else _render_json(v, inner) for v in obj])
+    body = ("," + inner).join([_enc(v) if type(v) is str else str(v) if type(v) is int
+                               else _render_json(v, inner) for v in obj])
     return f"[{inner}{body}{pad}]"
 
 

@@ -105,11 +105,11 @@ slot the closure builds, key on its packed monomials.  Its JetField,
 field_raw, wraps those same slots, extended to valid order N on first read.
 When a target structure-constant rule is supplied, the table is in reference
 normalization: Z_n = (1/k_{q,l}) [Z_q, Z_l] for the first pair q < l,
-q + l = n with a nonzero target constant k.  The normalized field,
-norm_scale times field_raw, is also built on first read.  That rule
-reproduces the defining recursions of both reference bases, so
-reported tables compare literally.  Without a target every scale is 1 and
-the table is the raw coordinates, with no normalization pass.
+q + l = n with a nonzero target constant k.  The scales are int pairs p_n/q_n
+from the raw int entries, so a coefficient c p_i p_j q_k / (den q_i q_j p_k)
+is one Fraction; the field norm_scale * field_raw is built on first read.
+The rule reproduces the defining recursions of both reference bases, so the
+tables compare literally.  Without a target the table is the raw one.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ class ClosureResult:
         self.toral_name = toral_name
         self.elements = elements    # BasisElement, by index 1..n
         self.brackets = brackets    # (i, j) index pair, i<j -> tuple[(k, Fraction), ...]
-                                    # normalized, each exact on jets up to `order`
+                                    # normalized, each built once, exact on jets to `order`
 
     def by_name(self, name: str) -> BasisElement:
         for el in self.elements:
@@ -387,34 +387,41 @@ def generate(
             el.name = f"{prefix}{el.index}"
             elements.append(el)
 
-    brackets = {key: tuple(sorted((el.index, Fraction(c, den)) for el, c in nums.items()))
-                for key, (nums, den) in raw_expr.items()}
-    if target is not None:
-        scales = _normalization_scales(elements, brackets, target)
-        for el, c in zip(elements, scales):
-            el.norm_scale = c
-        brackets = {(i, j): tuple((k, scales[i - 1] * scales[j - 1] * lam / scales[k - 1])
-                                  for k, lam in coeffs)
-                    for (i, j), coeffs in brackets.items()}
+    if target is None:
+        brackets = {key: tuple(sorted((el.index, Fraction(c, den)) for el, c in nums.items()))
+                    for key, (nums, den) in raw_expr.items()}
+        return ClosureResult(order, max_degree, f"{prefix}0", elements, brackets)
+    s = _normalization_scales(elements, raw_expr, target)
+    for el in elements:
+        el.norm_scale = Fraction(*s[el.index])
+    brackets = {}
+    for (i, j), (nums, den) in raw_expr.items():
+        (pi, qi), (pj, qj) = s[i], s[j]     # [s_i Z_i, s_j Z_j] = sum s_i s_j c_k / s_k (s_k Z_k)
+        brackets[i, j] = tuple(sorted((e.index, Fraction(c * pi * pj * s[e.index][1],
+                                                         den * qi * qj * s[e.index][0]))
+                                      for e, c in nums.items()))
     return ClosureResult(order, max_degree, f"{prefix}0", elements, brackets)
 
 
 def _normalization_scales(elements, raw_expr, target) -> list:
-    """Scale factors c with normalized_n = c_n * raw_n, from the target rule."""
-    n_el = len(elements)
-    scales = [Fraction(1)] * n_el
-    for n in range(3, n_el + 1):
+    """Scale factors (p_n, q_n) by basis index, X_0's (1, 1) first, q_n > 0 in lowest
+    terms: normalized_n = (p_n / q_n) raw_n, from the target rule and raw_expr."""
+    scales = [(1, 1)] * (len(elements) + 1)
+    for n in range(3, len(scales)):
         for q in range(1, (n + 1) // 2):
             l = n - q
             kappa = target(q, l)
             if not kappa:
                 continue
-            coeffs = dict(raw_expr.get((q, l), ()))
-            lam = coeffs.get(n)
-            if lam is None or set(coeffs) != {n}:
+            nums, den = raw_expr.get((q, l), ({}, 1))
+            if [e.index for e in nums] != [n]:
+                coeffs = dict(sorted((e.index, Fraction(c, den)) for e, c in nums.items()))
                 raise MismatchError(
                     f"[{q},{l}] should be {kappa} * element {n} but the jet side gives {coeffs}")
-            scales[n - 1] = scales[q - 1] * scales[l - 1] * lam / kappa
+            (pq, qq), (pl, ql), (lam,) = scales[q], scales[l], nums.values()
+            num, div = pq * pl * lam * kappa.denominator, qq * ql * den * kappa.numerator
+            g = gcd(num, div) if div > 0 else -gcd(num, div)
+            scales[n] = num // g, div // g
             break
         else:
             raise MismatchError(f"no defining bracket with nonzero target constant for element {n}")

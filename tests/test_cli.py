@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charlie import analysis as an
 from charlie import cli
@@ -567,6 +567,8 @@ json_trees = st.recursive(
 
 
 @given(json_trees)
+@example([True, 1, False, 0, -7, 2**70, None])     # bools are ints, but render as true/false
+@example({"d": 0, "ok": True})
 @settings(max_examples=300, deadline=None)
 def test_render_json_equals_indented_dumps(tree):
     assert cli._render_json(tree) == json.dumps(tree, indent=2)

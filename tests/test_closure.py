@@ -3,6 +3,7 @@ import json
 import shlex
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +273,19 @@ def test_mismatch_detection_on_wrong_target():
 def test_normalization_scales_raise_on_a_contradicting_target(kappa, message):
     with pytest.raises(cl.MismatchError, match=f"^{message}$"):
         cl.generate(EQUATIONS["sinh"], 10, 6, "X", lambda q, l: kappa)
+
+
+@pytest.mark.parametrize("equation, degree, order", [("sinh", 16, 20), ("tzitzeica", 14, 18)])
+def test_normalized_table_is_the_raw_table_rescaled(equation, degree, order):
+    # Z'_n = s_n Z_n turns [Z_i, Z_j] = sum c_k Z_k into
+    # [Z'_i, Z'_j] = sum (s_i s_j c_k / s_k) Z'_k, entry by entry
+    res = closure_for(equation, order, degree)
+    raw = cl.generate(EQUATIONS[equation], order, degree, res.toral_name[:-1])
+    s = {el.index: el.norm_scale for el in res.elements}
+    assert all(type(c) is Fraction for c in s.values()) and set(s.values()) != {1}
+    assert res.brackets == {(i, j): tuple((k, s[i] * s[j] * c / s[k]) for k, c in coeffs)
+                            for (i, j), coeffs in raw.brackets.items()}
+    assert all(type(c) is Fraction for coeffs in res.brackets.values() for _, c in coeffs)
 
 
 # (equation, degree, order) runs on which the connection filter, the
@@ -731,15 +745,20 @@ def test_closure_report_matches_pinned_hash(capsys, command, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
-def _block_cases():
-    """(equation, degree, order) of every FILTER_CASES entry and pinned charalg argv."""
-    cases = dict(FILTER_CASES)
-    for command in PINNED_REPORTS:
+def _charalg_cases(commands):
+    """(equation, degree, order) of each charalg argv among the commands."""
+    cases = {}
+    for command in commands:
         argv = shlex.split(command)
         if argv[0] == "charalg":
             args = cli.parse_args(argv)
             cases[command] = (cli.parse_equation(args.equation), args.degree, args.order)
     return cases
+
+
+def _block_cases():
+    """(equation, degree, order) of every FILTER_CASES entry and pinned charalg argv."""
+    return {**FILTER_CASES, **_charalg_cases(PINNED_REPORTS)}
 
 
 @pytest.mark.parametrize("case", sorted(_block_cases()))
@@ -758,6 +777,45 @@ def test_elements_stay_inside_their_bigrading_block(case):
             assert grading[i] == (el.degree - 1, el.eigenvalue - s), (el.name, s, i)
         assert all(set(q) <= {el.eigenvalue} for q in el.slots), el.name
         assert any(el.slots), el.name
+
+
+def _jacobi_violations(res):
+    """Triples a < b < c of basis indices, X_0 = 0 included, whose degrees sum
+    to at most the top degree and whose Jacobi sum over the table is nonzero."""
+    deg = [0] + [el.degree for el in res.elements]    # nondecreasing in the index
+    bad = []
+    for a in range(len(deg)):
+        for b in range(a + 1, len(deg)):
+            if deg[a] + 2 * deg[b] > res.max_degree:
+                break
+            for c in range(b + 1, len(deg)):
+                if deg[a] + deg[b] + deg[c] > res.max_degree:
+                    break
+                acc: dict = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for k, v in res.bracket_coeffs(x, y):
+                        for m, w in res.bracket_coeffs(k, z):
+                            acc[m] = acc.get(m, 0) + v * w
+                if any(acc.values()):
+                    bad.append((a, b, c))
+    return bad
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
+JACOBI_CASES = _charalg_cases([*PINNED_REPORTS, *(c for w in GOLDEN.values() for c in w)])
+
+
+@pytest.mark.parametrize("case", sorted(JACOBI_CASES))
+def test_closure_tables_satisfy_jacobi(case):
+    # the order-N table is a Lie algebra (the closure module docstring), a
+    # check that reads no jet; a normalized table is checked raw as well
+    equation, degree, order = JACOBI_CASES[case]
+    res = closure_for(equation, order, degree)
+    tables = [res]
+    if any(el.norm_scale != 1 for el in res.elements):
+        tables.append(cl.generate(equation, order, degree))
+    for table in tables:
+        assert _jacobi_violations(table) == []
 
 
 # (exit code, sha256) of reports that read an equation or a loop algebra
