@@ -167,16 +167,6 @@ def check_w2_integral(sys: ExpSystem2D):
     return (not r1 and not r2), (r1, r2)
 
 
-INTRO_MATRICES = (
-    ((2, 0), (0, 2)),
-    ((2, -1), (-1, 2)),
-    ((2, -2), (-1, 2)),
-    ((2, -3), (-1, 2)),
-    ((2, -2), (-2, 2)),
-    ((2, -4), (-1, 2)),
-)
-
-
 # ---------------------------------------------------------------------------
 # grading tables (reference rows regenerated per basis index)
 # ---------------------------------------------------------------------------

@@ -68,7 +68,11 @@ def bell_at_scaled_args(n: int, lam: int) -> Poly:
 
 
 def d_power_exp(k: int, lam: int) -> Quasi:
-    """D^k(e^{lam*u}) = e^{lam*u} * B_k(lam*u_1, ..., lam*u_k), exact."""
+    """D^k(e^{lam*u}) = e^{lam*u} * B_k(lam*u_1, ..., lam*u_k), exact.
+
+    No command calls it: it stays, with bell_at_scaled_args, because
+    bench/tracer.py counts it by name (ROADMAP items 6 and 7); criterion 2
+    checks it."""
     if k < 0:
         raise ValueError(f"derivative order must be >= 0, got {k}")
     p = bell_at_scaled_args(k, lam)

@@ -4,8 +4,9 @@ Each command and its flags are one row of COMMANDS, which parse_args reads and
 --help prints; a bad argv raises UsageError, so run prints one `error:` line.
 Reports are deterministic: given identical flags the JSON bytes are identical
 across runs (wall-clock timing goes to stderr only, never into the report).
-_render_json writes the bytes of json.dumps(report, indent=2): ints by str, the
-rest from json's C encoders (with an indent json would use its Python one).
+_render_json writes the bytes of json.dumps(report, indent=2): ints by str and
+empty containers as [] or {}, the rest from json's C encoders (with an indent
+json would use its Python one).
 Exit codes: 0 verified (or zero-up-to), 2 mismatch, 1 usage error.
 """
 
@@ -283,10 +284,13 @@ def cmd_jacobi(args) -> tuple:
 
 def _render_json(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2), byte for byte, with every string from
-    encode_basestring_ascii, every int (a bool is not one) from str and every
-    other scalar from the compact encoder."""
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
+    encode_basestring_ascii, every int (a bool is not one) from str, every
+    empty container written out and every other scalar from the compact
+    encoder."""
+    if not isinstance(obj, (dict, list, tuple)):
         return _enc(obj) if isinstance(obj, str) else json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
     inner = pad + "  "
     if isinstance(obj, dict):
         body = ("," + inner).join([
@@ -427,7 +431,8 @@ def parse_args(argv):
 
 
 def build_parser():
-    """An object whose parse_args(argv) is parse_args, for bench/worker.py."""
+    """An object whose parse_args(argv) is parse_args.  No command calls it:
+    bench/worker.py times it by name, so it stays until the worker changes."""
     return types.SimpleNamespace(parse_args=parse_args)
 
 

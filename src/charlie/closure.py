@@ -107,7 +107,7 @@ When a target structure-constant rule is supplied, the table is in reference
 normalization: Z_n = (1/k_{q,l}) [Z_q, Z_l] for the first pair q < l,
 q + l = n with a nonzero target constant k.  The scales are int pairs p_n/q_n
 from the raw int entries, so a coefficient c p_i p_j q_k / (den q_i q_j p_k)
-is one Fraction; the field norm_scale * field_raw is built on first read.
+is one Fraction; each element keeps its scale p_n/q_n as norm_scale.
 The rule reproduces the defining recursions of both reference bases, so the
 tables compare literally.  Without a target the table is the raw one.
 """
@@ -172,13 +172,6 @@ class BasisElement:
         self.extend(self.order)
         return JetField(tuple(self.slots))
 
-    @cached_property
-    def field(self) -> JetField:
-        """Normalized: norm_scale * field_raw (field_raw itself when the scale is 1)."""
-        if self.norm_scale == 1:
-            return self.field_raw
-        return jf.field_scale(self.field_raw, self.norm_scale)
-
 
 def serre_rungs(x: BasisElement, y: BasisElement, m: int) -> list:
     """ad_x^k y, k = 0..m, from the generators alone: [D, x] = c_x e^{a u} X_0,
@@ -206,18 +199,6 @@ class ClosureResult:
         self.elements = elements    # BasisElement, by index 1..n
         self.brackets = brackets    # (i, j) index pair, i<j -> tuple[(k, Fraction), ...]
                                     # normalized, each built once, exact on jets to `order`
-
-    def by_name(self, name: str) -> BasisElement:
-        for el in self.elements:
-            if el.name == name:
-                return el
-        raise KeyError(name)
-
-    def dims_by_degree(self) -> dict:
-        dims: dict = {}
-        for el in self.elements:
-            dims[el.degree] = dims.get(el.degree, 0) + 1
-        return dims
 
     def bracket_coeffs(self, i: int, j: int):
         """Normalized coefficients of [Z_i, Z_j] over the basis, any order of i, j;

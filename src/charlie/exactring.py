@@ -11,7 +11,7 @@ coefficients so that equality is dict equality and every operation is exact:
                                           multiplying e^{a*u}; {} is 0.
 
 Where the coefficients live: constructors, scaling and parsing (poly_const,
-poly_var, poly_scale, qp_exp, qp_scale, qp_parse) return Fractions, which is
+poly_var, poly_scale, qp_parse) return Fractions, which is
 what bell, the integral search and the symmetry check see.  Sums, products
 and derivatives use plain arithmetic and keep the type they are given, so the
 jet bracket kernel in jetfield, fed int fields, computes in int throughout.
@@ -107,7 +107,10 @@ def mono_max_index(m: Mono) -> int:
 
 
 def mono_diff(m: Mono, k: int) -> Optional[tuple[int, Mono]]:
-    """d/du_k of the monomial: (old exponent, lowered monomial), or None."""
+    """d/du_k of the monomial: (old exponent, lowered monomial), or None.
+
+    No command calls it or poly_diff: bench/tracer.py rebinds both by name,
+    so they stay until the tracer drops them (ROADMAP items 6 and 7)."""
     for pos, (idx, exp) in enumerate(m):
         if idx == k:
             rest = m[:pos] + ((idx, exp - 1),) + m[pos + 1:] if exp > 1 else m[:pos] + m[pos + 1:]
@@ -196,31 +199,12 @@ def poly_max_index(a: Poly) -> int:
     return max((mono_max_index(m) for m in a), default=0)
 
 
-def poly_substitute(a: Poly, images: dict[int, Poly]) -> Poly:
-    """Substitute u_i -> images[i] (missing indices keep u_i)."""
-    out: Poly = {}
-    for m, c in a.items():
-        term = poly_const(c)
-        for idx, exp in m:
-            base = images.get(idx, poly_var(idx))
-            for _ in range(exp):
-                term = poly_mul(term, base)
-        out = vec_add_scaled(out, term, 1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # quasipolynomials  e^{a*u} * P(u_1, u_2, ...)
 # ---------------------------------------------------------------------------
 
 def qp_from_poly(p: Poly) -> Quasi:
     return {0: dict(p)} if p else {}
-
-
-def qp_exp(alpha: int, coeff=1) -> Quasi:
-    """coeff * e^{alpha*u}"""
-    p = poly_const(coeff)
-    return {alpha: p} if p else {}
 
 
 def _qp_norm(q: Quasi) -> Quasi:
@@ -242,13 +226,6 @@ def qp_neg(a: Quasi) -> Quasi:
     return {al: poly_neg(p) for al, p in a.items()}
 
 
-def qp_scale(a: Quasi, c) -> Quasi:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {al: poly_scale(p, c) for al, p in a.items()}
-
-
 def qp_mul(a: Quasi, b: Quasi) -> Quasi:
     out: Quasi = {}
     for aa, pa in a.items():
@@ -262,16 +239,6 @@ def qp_mul(a: Quasi, b: Quasi) -> Quasi:
 def qp_derive_u(a: Quasi) -> Quasi:
     """d/du: each e^{a*u} part is multiplied by a (parts carry no explicit u)."""
     return {al: {m: al * c for m, c in p.items()} for al, p in a.items() if al}
-
-
-def qp_derive_uk(a: Quasi, k: int) -> Quasi:
-    if k < 1:
-        raise ValueError(f"jet variable index must be >= 1, got {k}")
-    return _qp_norm({al: poly_diff(p, k) for al, p in a.items()})
-
-
-def qp_max_index(a: Quasi) -> int:
-    return max((poly_max_index(p) for p in a.values()), default=0)
 
 
 def qp_is_zero(a: Quasi) -> bool:

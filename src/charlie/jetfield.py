@@ -15,12 +15,11 @@ fields stay int.  A Fraction enters only with an input that has one: a
 non-integral f such as the 1/2 of sinh, or a field scaled by a rational in
 normalization; it then propagates by ordinary int/Fraction arithmetic.
 
-Quasi dicts of tuple monomials exist only at the value boundary: make_field
-and slot(j), and the values apply_field and apply_total_derivative take and
-return.  A field acts on a packed coefficient in one pass over its
-monomials (_act), which adds slot_k * dq/du_k term by term into an
-accumulator and checks every exponent, since a bracket result is never
-re-packed.  apply_field and bracket both call it; apply_field is the one
+Quasi dicts of tuple monomials exist only at the value boundary: make_field,
+and the values apply_field and apply_total_derivative take and return.  A
+field acts on a packed coefficient in one pass over its monomials (_act),
+which adds slot_k * dq/du_k term by term into an accumulator and checks
+every exponent, since a bracket result is never re-packed.  apply_field and bracket both call it; apply_field is the one
 way a field acts on a value: the x-integral search, annihilates, the
 symmetry check and the 2D exponential system call it.
 
@@ -31,8 +30,11 @@ build or continue a field's slots from its ad_D connection,
 z_{k+1} = D z_k - sum_i c_i e^{s_i u} (Z_i)_k, over the packed slots of the
 elements one degree lower, with no product of slots: the one way slots are
 built, for X(f), the Serre rungs and each closure element alike, the last
-only as far as a later degree or its field_raw reads them.  The program no
-longer calls bracket: it is the tests' reference for the recursion.
+only as far as a later degree or its field_raw reads them.  No command
+calls bracket: it stays because bench/tracer.py spans it by name, until the
+tracer drops it (ROADMAP items 6 and 7), and meanwhile the tests check the
+recursion against it.  Fields as values (a slot unpacked, sums, scaling,
+truncation, D, the bigrading of a field) are test oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -69,32 +71,12 @@ class JetField(namedtuple("JetField", "coeffs")):
     u_slot = property(lambda self: self.coeffs[0])
     slots = property(lambda self: self.coeffs[1:])
 
-    def slot(self, j: int) -> Quasi:
-        """Coefficient j (0 = the u slot), unpacked for its reader."""
-        if not 0 <= j <= self.valid_order:
-            raise TruncationError(f"slot {j} outside valid order {self.valid_order}")
-        return _unpacked(self.coeffs[j])
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
 
 def make_field(u_slot: Quasi, slots: list) -> JetField:
     """u_slot d/du + sum_j slots[j-1] d/du_j, of valid order len(slots)."""
     if not slots:
         raise ValueError("valid order must be >= 1, got 0")
     return JetField(tuple(_packed(q) for q in (u_slot, *slots)))
-
-
-def zero_field(order: int) -> JetField:
-    return make_field({}, [{} for _ in range(order)])
-
-
-def make_D(order: int) -> JetField:
-    """D = u_1 d/du + u_2 d/du_1 + u_3 d/du_2 + ...; operator bigrading (-1, 0)."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    return JetField(tuple({0: {1 << (_BITS * j): 1}} for j in range(order + 1)))
 
 
 def make_X0(order: int) -> JetField:
@@ -268,27 +250,6 @@ def apply_total_derivative(g: Quasi) -> Quasi:
 # linear structure and the bracket
 # ---------------------------------------------------------------------------
 
-def field_add(X: JetField, Y: JetField) -> JetField:
-    return JetField(tuple(xr.qp_add(a, b) for a, b in zip(X.coeffs, Y.coeffs)))
-
-
-def field_scale(X: JetField, c) -> JetField:
-    return JetField(tuple(xr.qp_scale(q, c) for q in X.coeffs))
-
-
-def truncate(X: JetField, order: int) -> JetField:
-    if order < 1:
-        raise ValueError(f"valid order must be >= 1, got {order}")
-    if order > X.valid_order:
-        raise TruncationError(f"cannot extend valid order {X.valid_order} to {order}")
-    return JetField(X.coeffs[:order + 1])
-
-
-def fields_equal(X: JetField, Y: JetField) -> bool:
-    """Equality on the common valid range (and u slots)."""
-    return all(a == b for a, b in zip(X.coeffs, Y.coeffs))
-
-
 def bracket(X: JetField, Y: JetField) -> JetField:
     """[X, Y], exact on every retained slot.
 
@@ -393,8 +354,3 @@ def packed_bigrading(slots: list, start: int = 0) -> Optional[Bigrading]:
                     k += 1
                 types.add((j - w, r))
     return Bigrading(*types.pop()) if len(types) == 1 else None
-
-
-def bigrading_of(X: JetField) -> Optional[Bigrading]:
-    """Homogeneity type: slot j = e^{r*u} * (weight j-d), u slot e^{r*u} * (weight -d)."""
-    return packed_bigrading(X.coeffs)

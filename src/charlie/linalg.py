@@ -100,7 +100,8 @@ class LinearSpan:
 
     def express(self, vec: Vec) -> Optional[tuple[dict, int]]:
         """Coordinates (nums, den) of the int vector vec over the rows' tags,
-        or None if outside the span."""
+        or None if outside the span.  No command calls it: bench/tracer.py
+        spans it by name (ROADMAP items 6 and 7), and the tests read with it."""
         residual, combo, scale = self._reduce(vec)
         return None if residual else ({t: -c for t, c in combo.items()}, scale)
 

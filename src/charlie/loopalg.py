@@ -1,8 +1,11 @@
 """Exact matrix realizations of the loop algebra of sl(2) and the twisted loop
-algebra of sl(3), their gradings, Serre relations and real forms.
+algebra of sl(3), their gradings and Serre relations.
 
 This is the independent oracle side: everything here is finite exact matrix
-arithmetic over Laurent polynomials in t, with no jet-space machinery.  Each
+arithmetic over Laurent polynomials in t.  The one exception is serre_check's
+jet branch, which imports closure to build the Serre rungs on jets; it stays
+in serre_check because bench/tracer.py spans serre_check by realization (jet
+or matrix) until the tracer changes (ROADMAP items 6 and 7).  Each
 realization is one ALGEBRAS row, and its gradings, structure constants and
 Serre checks are read from that row.  The transcribed structure-constant
 table for the twisted algebra is kept as data-under-test; the matrices are
@@ -83,12 +86,6 @@ def sl2_basis(i: int) -> dict:
     return lm({(1, 0, k): 1})
 
 
-def sl2_bracket_constant(i: int, j: int) -> Fraction:
-    """c_{i,j} of [e_i, e_j] = c_{i,j} e_{i+j}: +1 / 0 / -1 as j-i = 1 / 0 / -1 mod 3."""
-    s = (j - i) % 3
-    return Fraction(0) if s == 0 else (Fraction(1) if s == 1 else Fraction(-1))
-
-
 # ---------------------------------------------------------------------------
 # twisted loop algebra of sl(3)
 # ---------------------------------------------------------------------------
@@ -104,11 +101,6 @@ SL3_F = {
     6: lm({(0, 2, 0): 1}),
 }
 
-# eigenspaces of the diagram automorphism: g_0 (eigenvalue +1), g_1 (eigenvalue -1)
-G0_KEYS = (-1, 0, 1)
-G1_KEYS = (2, 3, 4, 5, 6)
-
-
 def sl3_twisted_basis(n: int) -> dict:
     """f_{8k+s}: s in {-1,0,1} on t^{2k} (g_0 part), s in {2..6} on t^{2k+1} (g_1 part)."""
     if n < 0:
@@ -117,17 +109,6 @@ def sl3_twisted_basis(n: int) -> dict:
     k = (n - s) // 8
     p = 2 * k if s <= 1 else 2 * k + 1
     return lm_t_shift(SL3_F[s], p)
-
-
-def mu_twist(m: dict) -> dict:
-    """Diagram automorphism of sl(3) on each t-power component: entry (i, j)
-    goes to (2 - j, 2 - i) with sign -(-1)^(i + j)."""
-    return lm({(2 - j, 2 - i, p): v if (i + j) % 2 else -v for (i, j, p), v in m.items()})
-
-
-def twist_check(m: dict) -> bool:
-    """True iff every t^p component lies in the (-1)^p eigenspace of the twist."""
-    return mu_twist(m) == {(i, j, p): -v if p % 2 else v for (i, j, p), v in m.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -214,36 +195,6 @@ def natural_degree(algebra: str, index: int) -> int:
     return sum(canonical_bigrading(algebra, index))
 
 
-def natural_grading_basis(algebra: str, degree: int) -> list[str]:
-    """Labels of the homogeneous component of the given natural degree."""
-    row = ALGEBRAS[algebra]
-    return [f"{row.prefix}{i}" for i in range(1, row.period * (degree + 1))
-            if natural_degree(algebra, i) == degree]
-
-
-def canonical_bigrading_recursive(algebra: str, index: int) -> tuple[int, int]:
-    """Oracle for the stored bigradings: canonical bigradings computed by
-    recursion over generating brackets of the matrices, checking that all
-    generating pairs agree."""
-    memo: dict[int, tuple[int, int]] = {0: (0, 0), 1: (1, 0), 2: (0, 1)}  # index 0 is toral
-
-    def grade(n: int) -> tuple[int, int]:
-        if n in memo:
-            return memo[n]
-        results = set()
-        for q in range(1, n // 2 + 1):
-            l = n - q
-            if q != l and matrix_structure_constant(algebra, q, l):
-                gq, gl = grade(q), grade(l)
-                results.add((gq[0] + gl[0], gq[1] + gl[1]))
-        if len(results) != 1:
-            raise ArithmeticError(f"canonical grading of index {n} not determined: {results}")
-        memo[n] = results.pop()
-        return memo[n]
-
-    return grade(index)
-
-
 # ---------------------------------------------------------------------------
 # structure tables and Serre relations (matrix side)
 # ---------------------------------------------------------------------------
@@ -251,7 +202,7 @@ def canonical_bigrading_recursive(algebra: str, index: int) -> tuple[int, int]:
 def matrix_structure_constant(algebra: str, i: int, j: int) -> Fraction:
     """c with [b_i, b_j] = c b_{i+j}, from the matrices of either basis,
     memoized by the residues of i and j mod the period (checked over sweeps
-    in the tests).  For n1 it is the oracle for sl2_bracket_constant.
+    in the tests, for n1 against the closed-form sl(2) rule).
     """
     period = ALGEBRAS[algebra].period
     return _constant_by_residues(algebra, i % period, j % period)
@@ -302,52 +253,3 @@ def serre_check_matrix(algebra: str) -> dict[str, bool]:
     row = ALGEBRAS[algebra]
     return {f"ad^{m} {row.prefix}{x} ({row.prefix}{y})":
             not ad_power(row.basis(x), row.basis(y), m) for x, y, m in row.serre}
-
-
-# ---------------------------------------------------------------------------
-# real forms: u, v+/-, w+/- inside so(3)[t] and so(2,1)[t]
-# ---------------------------------------------------------------------------
-
-def real_u(k: int) -> dict:
-    """u_{2k-1} = (E12 - E21) t^{2k-1}."""
-    if k < 1:
-        raise ValueError("u is indexed by odd 2k-1 with k >= 1")
-    p = 2 * k - 1
-    return lm({(0, 1, p): 1, (1, 0, p): -1})
-
-
-def real_v(sign: int, k: int) -> dict:
-    """v^{+-}_{2k-1} = (E23 -+ E32) t^{2k-1}."""
-    if k < 1 or sign not in (1, -1):
-        raise ValueError("v is indexed by odd 2k-1 with k >= 1 and sign +-1")
-    p = 2 * k - 1
-    return lm({(1, 2, p): 1, (2, 1, p): -sign})
-
-
-def real_w(sign: int, k: int) -> dict:
-    """w^{+-}_{2k} = (E13 -+ E31) t^{2k}."""
-    if k < 1 or sign not in (1, -1):
-        raise ValueError("w is indexed by even 2k with k >= 1 and sign +-1")
-    p = 2 * k
-    return lm({(0, 2, p): 1, (2, 0, p): -sign})
-
-
-def real_form_bracket(sign: int, family: tuple[str, str], k: int, l: int):
-    """Exact bracket of two real-form elements with its expected label.
-
-    Relations (indices chosen so the t-degrees add up):
-      [u_{2k-1}, v_{2l-1}] = w_{2(k+l)-2}
-      [v_{2k-1}, w_{2l}]   = sign * u_{2(k+l)-1}
-      [w_{2k},   u_{2l-1}] = v_{2(k+l)-1}
-    Returns (computed, expected, label) with exact matrices.
-    """
-    if family == ("u", "v"):
-        got = lm_commutator(real_u(k), real_v(sign, l))
-        return got, real_w(sign, k + l - 1), f"w{2 * (k + l) - 2}"
-    if family == ("v", "w"):
-        got = lm_commutator(real_v(sign, k), real_w(sign, l))
-        return got, lm_add(real_u(k + l), {}, sign), f"{'+' if sign > 0 else '-'}u{2 * (k + l) - 1}"
-    if family == ("w", "u"):
-        got = lm_commutator(real_w(sign, k), real_u(l))
-        return got, real_v(sign, k + l), f"v{2 * (k + l) - 1}"
-    raise ValueError(f"unknown relation family {family!r}")

@@ -23,6 +23,7 @@ from charlie import exactring as xr
 from charlie import jetfield as jf
 from charlie import loopalg as la
 from charlie.bell import complete_bell, d_power_exp, incomplete_bell
+import oracles as orc
 
 
 # --- criterion 1: Bell suite -------------------------------------------------
@@ -65,7 +66,7 @@ def test_criterion_01_bell_suite():
 
 def test_criterion_02_d_power_identity():
     for lam in (-2, -1, 1, 2):
-        acc = xr.qp_exp(lam)
+        acc = orc.qp_exp(lam)
         for k in range(11):
             assert d_power_exp(k, lam) == acc, (k, lam)
             acc = jf.apply_total_derivative(acc)
@@ -75,12 +76,12 @@ def test_criterion_02_d_power_identity():
 
 def test_criterion_03_D_bracket_is_minus_f_X0():
     order = 12
-    D = jf.make_D(order)
+    D = orc.make_D(order)
     for name in ("liouville", "sinh", "tzitzeica"):
         f = an.EQUATIONS[name]
         br = jf.bracket(D, jf.make_Xf(f, order))
-        assert br.slot(0) == xr.qp_neg(f), name
-        assert all(not br.slot(j) for j in range(1, br.valid_order + 1)), name
+        assert orc.slot(br, 0) == xr.qp_neg(f), name
+        assert all(not orc.slot(br, j) for j in range(1, br.valid_order + 1)), name
         assert br.valid_order == order - 1
 
 
@@ -144,9 +145,9 @@ def test_criterion_06_tzitzeica_isomorphism(tz_big):
     # the matrix constants and the printed table differ exactly at the known cells
     assert {(q, l) for q, l, _, _ in la.twisted_table_diff()} == {(5, 7), (7, 5)}
     # spot identities with the reference normalizations
-    el = {e.name: e.field for e in tz_big.elements}
-    assert jf.fields_equal(jf.bracket(el["Y3"], el["Y4"]), jf.field_scale(el["Y7"], 3))
-    assert jf.fields_equal(jf.bracket(el["Y1"], el["Y5"]), jf.field_scale(el["Y6"], -2))
+    el = {e.name: orc.field(e) for e in tz_big.elements}
+    assert orc.fields_equal(jf.bracket(el["Y3"], el["Y4"]), orc.field_scale(el["Y7"], 3))
+    assert orc.fields_equal(jf.bracket(el["Y1"], el["Y5"]), orc.field_scale(el["Y6"], -2))
     # Serre relations, jet zero-up-to and matrix exact
     rep = an.verify_isomorphism("tzitzeica", degree=8, order=12)
     assert rep.status == "verified"
@@ -189,7 +190,7 @@ def test_criterion_07c_regression_true_growth_values(tz_big):
     values = [cl.growth_function(tz_big, n) for n in range(1, 13)]
     assert values == [2, 3, 4, 5, 7, 8, 10, 11, 12, 13, 15, 16]
     # consistent with the matrix-side natural grading dimensions
-    dims = [len(la.natural_grading_basis("n2", d)) for d in range(1, 13)]
+    dims = [len(orc.natural_grading_basis("n2", d)) for d in range(1, 13)]
     acc, cum = 0, []
     for d in dims:
         acc += d
@@ -211,9 +212,9 @@ def test_criterion_08_grading_tables(sinh_big, tz_big):
     assert all(r["match"] for r in an.grading_rows(tz_big, "tzitzeica"))
     # closed canonical-bigrading formulas vs the recursive oracle, k, m <= 4
     for n in range(0, 3 * 4 + 3):
-        assert la.canonical_bigrading("n1", n) == la.canonical_bigrading_recursive("n1", n)
+        assert la.canonical_bigrading("n1", n) == orc.canonical_bigrading_recursive("n1", n)
     for n in range(0, 8 * 4 + 7):
-        assert la.canonical_bigrading("n2", n) == la.canonical_bigrading_recursive("n2", n)
+        assert la.canonical_bigrading("n2", n) == orc.canonical_bigrading_recursive("n2", n)
 
 
 # --- criterion 9: integrals and symmetries --------------------------------------
@@ -228,7 +229,7 @@ def test_criterion_09_integrals_and_symmetries():
     ok, residual = an.check_defining_equation(
         an.EQUATIONS["sinh"], xr.poly_parse("u3 - 1/2*u1^3"))
     assert ok and residual == {}
-    for A in an.INTRO_MATRICES:
+    for A in orc.INTRO_MATRICES:
         ok, residuals = an.check_w2_integral(an.build_exp_system(A, 6))
         assert ok, (A, residuals)
 
@@ -251,7 +252,7 @@ def test_criterion_10_presented_jacobi_and_real_forms():
                     second = {"u": 2 * l - 1, "v": 2 * l - 1, "w": 2 * l}[fam[1]]
                     if first > 9 or second > 9:
                         continue
-                    got, exp, _ = la.real_form_bracket(sign, fam, k, l)
+                    got, exp, _ = orc.real_form_bracket(sign, fam, k, l)
                     assert not la.lm_add(got, exp, 1, -1), (sign, fam, k, l)
 
 
@@ -259,41 +260,42 @@ def test_criterion_10_presented_jacobi_and_real_forms():
 
 def test_criterion_11a_random_bracket_properties():
     order = 8
-    pool = [jf.make_D(order), jf.make_X0(order)]
+    pool = [orc.make_D(order), jf.make_X0(order)]
     for eq in ("sinh", "tzitzeica"):
         res = an.closure_for(eq, order=order, degree=5)
-        pool.extend(jf.truncate(el.field, order) for el in res.elements)
+        pool.extend(orc.truncate(orc.field(el), order) for el in res.elements)
     rng = random.Random(11)
 
     def combo():
         picks = rng.sample(pool, rng.randint(1, 2))
         acc = None
         for f in picks:
-            g = jf.field_scale(f, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-            acc = g if acc is None else jf.field_add(acc, g)
+            g = orc.field_scale(f, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            acc = g if acc is None else orc.field_add(acc, g)
         return acc
 
     done = 0
     while done < 200:
         X, Y, Z = combo(), combo(), combo()
-        assert jf.fields_equal(jf.bracket(X, Y), jf.field_scale(jf.bracket(Y, X), -1))
+        assert orc.fields_equal(jf.bracket(X, Y), orc.field_scale(jf.bracket(Y, X), -1))
         try:
-            total = jf.field_add(
-                jf.field_add(jf.bracket(jf.bracket(X, Y), Z), jf.bracket(jf.bracket(Y, Z), X)),
+            total = orc.field_add(
+                orc.field_add(jf.bracket(jf.bracket(X, Y), Z), jf.bracket(jf.bracket(Y, Z), X)),
                 jf.bracket(jf.bracket(Z, X), Y))
         except jf.TruncationError:
             continue
-        assert total.is_zero()
+        assert orc.is_zero(total)
         done += 1
 
 
 def test_criterion_11b_truncation_stability(sinh_small, sinh_big, tz_small, tz_big):
     for small, big in ((sinh_small, sinh_big), (tz_small, tz_big)):
-        assert small.dims_by_degree() == {
-            d: n for d, n in big.dims_by_degree().items() if d <= small.max_degree}
+        assert orc.dims_by_degree(small) == {
+            d: n for d, n in orc.dims_by_degree(big).items() if d <= small.max_degree}
         for el_small, el_big in zip(small.elements, big.elements):
             assert el_small.name == el_big.name
-            assert jf.fields_equal(el_small.field, jf.truncate(el_big.field, small.order))
+            assert orc.fields_equal(orc.field(el_small),
+                                    orc.truncate(orc.field(el_big), small.order))
         for key, coeffs in small.brackets.items():
             assert big.brackets[key] == coeffs
 

@@ -14,6 +14,7 @@ import pytest
 from charlie import exactring as xr
 from charlie.bell import bell_at_scaled_args, complete_bell, d_power_exp, incomplete_bell
 from charlie.jetfield import apply_total_derivative
+import oracles as orc
 
 NMAX = 10
 
@@ -121,7 +122,7 @@ def test_d_power_exp_small():
 
 def test_d_power_exp_against_iterated_total_derivative():
     for lam in (-2, -1, 1, 2):
-        acc = xr.qp_exp(lam)
+        acc = orc.qp_exp(lam)
         for k in range(NMAX + 1):
             assert d_power_exp(k, lam) == acc, (k, lam)
             acc = apply_total_derivative(acc)
@@ -130,7 +131,7 @@ def test_d_power_exp_against_iterated_total_derivative():
 def test_scaled_args_match_substitution():
     for lam in (-2, 3):
         for n in range(6):
-            manual = xr.poly_substitute(
+            manual = orc.poly_substitute(
                 complete_bell(n),
                 {i: xr.poly_scale(xr.poly_var(i), lam) for i in range(1, n + 1)})
             assert bell_at_scaled_args(n, lam) == manual

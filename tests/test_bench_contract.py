@@ -45,6 +45,7 @@ def test_tracer_counts_bracket_monomials():
     # slots; [D, X(e^u)] = -e^u X_0 has one monomial
     from charlie import exactring as xr
     from charlie import jetfield as jf
+    import oracles as orc
 
-    result = jf.bracket(jf.make_D(4), jf.make_Xf(xr.qp_parse("e^(u)"), 4))
+    result = jf.bracket(orc.make_D(4), jf.make_Xf(xr.qp_parse("e^(u)"), 4))
     assert _tracer()._field_monomials(result) == 1

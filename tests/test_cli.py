@@ -569,6 +569,7 @@ json_trees = st.recursive(
 @given(json_trees)
 @example([True, 1, False, 0, -7, 2**70, None])     # bools are ints, but render as true/false
 @example({"d": 0, "ok": True})
+@example({"out": [], "m": {}, "t": ()})              # empty containers, written out directly
 @settings(max_examples=300, deadline=None)
 def test_render_json_equals_indented_dumps(tree):
     assert cli._render_json(tree) == json.dumps(tree, indent=2)
