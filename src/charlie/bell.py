@@ -6,9 +6,12 @@ with m_j parts equal to j contributes the monomial prod_j u_j^{m_j} with the
 int coefficient
     n! / prod_j (j!^{m_j} * m_j!),
 B_n sums over all partitions of n, and B_{n,k} over those with exactly k parts.
-The partitions are enumerated with parts descending and no dead ends: part 1
-takes exactly what is left, a partition closes as soon as its remainder is
-zero, and the denominator is carried along one multiplicity at a time.
+The partitions are enumerated with parts rising, in lex order of their
+((part, multiplicity), ...) tuples, so a sort of the monomials is a linear
+pass.  There are no dead ends: after m copies of part j the remainder is zero
+(the partition closes) or goes on to parts above j, the last part takes
+exactly what is left, and the denominator is carried along one multiplicity
+at a time.
 The generating-function expansions live in the test suite as independent oracles.
 """
 
@@ -26,25 +29,28 @@ def _partition_sum(n: int, parts: Optional[int]) -> Poly:
         return {(): 1}
     fact = [factorial(i) for i in range(n + 1)]
     out: Poly = {}
-    pairs: list = []  # (part, multiplicity), parts descending
+    pairs: list = []  # (part, multiplicity), parts rising
 
-    def rec(rest: int, top: int, left: Optional[int], denom: int) -> None:
-        if left is not None and not left <= rest <= left * top:
-            return
-        for j in range(min(top, rest), 1, -1):
-            d = denom
-            for m in range(1, rest // j + 1):
-                d *= fact[j] * m
-                pairs.append((j, m))
-                if rest > m * j:
-                    rec(rest - m * j, j - 1, None if left is None else left - m, d)
-                elif left in (None, m):
-                    out[tuple(reversed(pairs))] = fact[n] // d
-                pairs.pop()
-        if left in (None, rest):  # part 1 takes exactly what is left
-            out[((1, rest), *reversed(pairs))] = fact[n] // (denom * fact[rest])
+    def rec(rest: int, lo: int, left: Optional[int], denom: int) -> None:
+        # the partitions of rest into parts >= lo (`left` of them when given):
+        # those of two or more parts, by their smallest part j, then rest alone
+        if left != 1:
+            for j in range(lo, rest // (left or 2) + 1):
+                d = denom
+                for m in range(1, min(rest // j, left or rest) + 1):
+                    d *= fact[j] * m
+                    r = rest - m * j
+                    pairs.append((j, m))
+                    if not r:
+                        if left in (None, m):
+                            out[tuple(pairs)] = fact[n] // d
+                    elif r > j if left is None else left > m and r >= (left - m) * (j + 1):
+                        rec(r, j + 1, None if left is None else left - m, d)
+                    pairs.pop()
+        if left in (None, 1):
+            out[(*pairs, (rest, 1))] = fact[n] // (denom * fact[rest])
 
-    rec(n, n, parts, 1)
+    rec(n, 1, parts, 1)
     return out
 
 

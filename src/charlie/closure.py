@@ -116,7 +116,7 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Optional
 
@@ -581,30 +581,53 @@ PRESENTED = {
 
 
 def jacobi_check(alg: PresentedAlgebra, degree_bound: int) -> dict:
-    """Jacobi identity over all label triples with degrees <= the bound.
+    """Jacobi identity over all triples of distinct labels of
+    labels_up_to(degree_bound), in label order.
 
     Repeated-label triples hold identically by antisymmetry of the rules and
-    are skipped.  The rule is evaluated once per label pair, and [a, b] is
-    looked up once for all the later labels c.  Returns
-    {"ok", "triples", "violation"}.
+    are skipped.  The labels are interned to ints, and rows[x][z] = [x, z]
+    is built once over the labels z, for each label x and each x that a
+    bracket of two labels reaches: the rule runs at most once per ordered
+    pair, and a triple only indexes lists.  Returns {"ok", "triples",
+    "violation"}, the violation in labels.
     """
     labels = alg.labels_up_to(degree_bound)
-    bracket = cache(alg.rule)
+    names = list(labels)
+    ids = {lbl: x for x, lbl in enumerate(names)}
+
+    def intern(terms) -> list:
+        out = []
+        for lbl, c in terms:
+            if lbl not in ids:
+                ids[lbl] = len(names)
+                names.append(lbl)
+            out.append((ids[lbl], c))
+        return out
+
+    n = len(labels)
+    rows = [[intern(alg.rule(a, b)) for b in labels] for a in labels]
+    rows += [[intern(alg.rule(a, b)) for b in labels] for a in names[n:]]
     checked = 0
-    for i, a in enumerate(labels):
-        for j in range(i + 1, len(labels)):
-            b = labels[j]
-            ab = bracket(a, b)
-            for c in labels[j + 1:]:
+    for i in range(n):
+        row_i = rows[i]
+        for j in range(i + 1, n):
+            ab, row_j = row_i[j], rows[j]
+            for k in range(j + 1, n):
                 acc: dict = {}
-                for xy, z in ((ab, c), (bracket(b, c), a), (bracket(c, a), b)):
-                    for lbl, cxy in xy:
-                        for k, v in bracket(lbl, z):
-                            acc[k] = acc.get(k, 0) + cxy * v
+                for x, cxy in ab:               # [[a, b], c]
+                    for t, v in rows[x][k]:
+                        acc[t] = acc.get(t, 0) + cxy * v
+                for x, cxy in row_j[k]:         # [[b, c], a]
+                    for t, v in rows[x][i]:
+                        acc[t] = acc.get(t, 0) + cxy * v
+                for x, cxy in rows[k][i]:       # [[c, a], b]
+                    for t, v in rows[x][j]:
+                        acc[t] = acc.get(t, 0) + cxy * v
                 checked += 1
                 if any(acc.values()):
-                    residual = {k: v for k, v in acc.items() if v}
-                    return {"ok": False, "triples": checked, "violation": (a, b, c, residual)}
+                    residual = {names[t]: v for t, v in acc.items() if v}
+                    return {"ok": False, "triples": checked,
+                            "violation": (labels[i], labels[j], labels[k], residual)}
     return {"ok": True, "triples": checked, "violation": None}
 
 

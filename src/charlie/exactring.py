@@ -268,8 +268,13 @@ def _exp_text(alpha: int) -> str:
     return f"e^({alpha}*u)"
 
 
-def mono_text(m: Mono) -> str:
-    return "*".join(f"u{i}" if e == 1 else f"u{i}^{e}" for i, e in m)
+class _Factors(dict):
+    """(i, e) -> the factor text `u{i}^{e}` (`u{i}` for e = 1), built on first use."""
+
+    def __missing__(self, f) -> str:
+        i, e = f
+        text = self[f] = f"u{i}" if e == 1 else f"u{i}^{e}"
+        return text
 
 
 def qp_to_text(a: Quasi, homogeneous: bool = False) -> str:
@@ -277,24 +282,20 @@ def qp_to_text(a: Quasi, homogeneous: bool = False) -> str:
     (weight, lex) monomial order; reparsing yields an identical dict.
 
     `homogeneous` says that the monomials of each exponential part share one
-    weight, so the order is lex alone and no weight is computed."""
+    weight, so the order is lex alone and no weight is computed.  Each factor
+    u{i}^{e} is rendered once per call, and each term by one f-string."""
     if not a:
         return "0"
+    factors = _Factors()
     chunks: list[str] = []
     for alpha in sorted(a, reverse=True):
         p = a[alpha]
+        exp = f" * {_exp_text(alpha)}" if alpha else ""
         for m in sorted(p) if homogeneous else sorted(p, key=mono_key):
             c = p[m]
-            parts = [frac_text(abs(c))]
-            if alpha != 0:
-                parts.append(_exp_text(alpha))
-            if m:
-                parts.append(mono_text(m))
-            term = " * ".join(parts)
-            if not chunks:
-                chunks.append(term if c > 0 else "-" + term)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + term)
+            sign = ("" if c > 0 else "-") if not chunks else ("+ " if c > 0 else "- ")
+            mono = " * " + "*".join(map(factors.__getitem__, m)) if m else ""
+            chunks.append(f"{sign}{frac_text(abs(c))}{exp}{mono}")
     return " ".join(chunks)
 
 

@@ -2,9 +2,10 @@
 command runs, so they live here and not in src/charlie.
 
 One section per program module they restate or build beside: exactring's
-substitution, exponentials and partial derivatives; jetfield's linear
-structure on fields, D and the bigrading of a field; the normalized field
-and the lookups of a closure; the 2x2 systems of the paper's introduction;
+substitution, exponentials, partial derivatives and term-by-term text;
+jetfield's linear structure on fields, D and the bigrading of a field; the
+normalized field and the lookups of a closure, and the Jacobi check of a
+presented algebra by label strings; the 2x2 systems of the paper's introduction;
 and loopalg's closed-form sl(2) constants, the sl(3) twist, the natural
 grading components, the recursive canonical bigrading and the real forms.
 """
@@ -12,6 +13,7 @@ grading components, the recursive canonical bigrading and the real forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from charlie import exactring as xr
 from charlie import jetfield as jf
@@ -56,6 +58,30 @@ def qp_derive_uk(a: xr.Quasi, k: int) -> xr.Quasi:
 
 def qp_max_index(a: xr.Quasi) -> int:
     return max((xr.poly_max_index(p) for p in a.values()), default=0)
+
+
+def qp_to_text(a: xr.Quasi, homogeneous: bool = False) -> str:
+    """The canonical text, term by term: terms by exponential index
+    descending, then by (weight, lex) monomial order, or lex alone when
+    `homogeneous`; each monomial joined from its own factors."""
+    if not a:
+        return "0"
+    chunks: list[str] = []
+    for alpha in sorted(a, reverse=True):
+        p = a[alpha]
+        for m in sorted(p) if homogeneous else sorted(p, key=xr.mono_key):
+            c = p[m]
+            parts = [xr.frac_text(abs(c))]
+            if alpha != 0:
+                parts.append(xr._exp_text(alpha))
+            if m:
+                parts.append("*".join(f"u{i}" if e == 1 else f"u{i}^{e}" for i, e in m))
+            term = " * ".join(parts)
+            if not chunks:
+                chunks.append(term if c > 0 else "-" + term)
+            else:
+                chunks.append(("+ " if c > 0 else "- ") + term)
+    return " ".join(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +173,29 @@ def dims_by_degree(res) -> dict:
     for el in res.elements:
         dims[el.degree] = dims.get(el.degree, 0) + 1
     return dims
+
+
+def jacobi_check(alg, degree_bound: int) -> dict:
+    """closure.jacobi_check by label strings: the rule is cached per label
+    pair and every bracket is looked up by its pair of labels."""
+    labels = alg.labels_up_to(degree_bound)
+    bracket = cache(alg.rule)
+    checked = 0
+    for i, a in enumerate(labels):
+        for j in range(i + 1, len(labels)):
+            b = labels[j]
+            ab = bracket(a, b)
+            for c in labels[j + 1:]:
+                acc: dict = {}
+                for xy, z in ((ab, c), (bracket(b, c), a), (bracket(c, a), b)):
+                    for lbl, cxy in xy:
+                        for k, v in bracket(lbl, z):
+                            acc[k] = acc.get(k, 0) + cxy * v
+                checked += 1
+                if any(acc.values()):
+                    residual = {k: v for k, v in acc.items() if v}
+                    return {"ok": False, "triples": checked, "violation": (a, b, c, residual)}
+    return {"ok": True, "triples": checked, "violation": None}
 
 
 # ---------------------------------------------------------------------------

@@ -194,14 +194,21 @@ def _enumerated_partition_sum(n, parts):
 
 
 def test_partition_order_is_pinned():
-    # monomial order, not just the values: it fixes the order of every report
-    # built by iterating a Bell polynomial
-    for n in range(13):
-        assert list(complete_bell(n).items()) == list(_enumerated_partition_sum(n, None).items())
-    for n in range(1, 13):
-        for k in sorted({1, (n + 1) // 2, n}):
-            assert list(incomplete_bell(n, k).items()) == \
-                list(_enumerated_partition_sum(n, k).items()), (n, k)
+    # monomial order, not just the values: parts rise, and the partitions come
+    # in lex order of their ((part, multiplicity), ...) tuples, so the sorts
+    # of qp_to_text and integral_candidates are linear passes; the values are
+    # the enumerated reference's
+    for n in range(31):
+        p = complete_bell(n)
+        assert list(p) == sorted(p), n
+        if n < 13:
+            assert p == _enumerated_partition_sum(n, None), n
+    for n in range(1, 21):
+        for k in range(1, n + 1):
+            p = incomplete_bell(n, k)
+            assert list(p) == sorted(p), (n, k)
+            if n < 13 and k in {1, (n + 1) // 2, n}:
+                assert p == _enumerated_partition_sum(n, k), (n, k)
 
 
 def test_complete_bell_30_at_benchmark_scale():

@@ -668,6 +668,41 @@ def test_presented_jacobi_pins_the_first_violation():
         "ok": False, "triples": 27, "violation": ("f1", "f4", "f8", {"f13": -3})}
 
 
+JACOBI_ALGEBRAS = {**cl.PRESENTED,
+                   "m0^S{3,5}": lambda: cl.presented_m0_S(frozenset({3, 5})),
+                   "m0^S{3,7,9}": lambda: cl.presented_m0_S(frozenset({3, 7, 9}))}
+
+
+def _mutations(alg, degree, count=8):
+    """Up to `count` copies of alg with one wrong coefficient each, on label
+    pairs with a nonzero bracket spread evenly over the label order."""
+    labels = alg.labels_up_to(degree)
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:] if alg.rule(a, b)]
+    step = max(1, len(pairs) // count)
+    return [_with_wrong_coefficient(alg, a, b) for a, b in pairs[::step][:count]]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 8, 12])
+@pytest.mark.parametrize("name", JACOBI_ALGEBRAS)
+def test_jacobi_check_matches_the_label_oracle(name, degree):
+    # the int-indexed table gives the label-keyed reference's verdict, count,
+    # first violating triple and residual, and asks the rule at most once
+    # per ordered pair of labels
+    alg = JACOBI_ALGEBRAS[name]()
+    cases = [alg, *_mutations(alg, degree)]
+    for case in cases:
+        calls = Counter()
+
+        def rule(a, b, inner=case.rule):
+            calls[a, b] += 1
+            return inner(a, b)
+        counted = case._replace(rule=rule)
+        assert cl.jacobi_check(counted, degree) == orc.jacobi_check(case, degree), case.name
+        assert max(calls.values(), default=0) <= 1, calls.most_common(1)
+    if name in ("m2", "W+", "n2^3") and degree >= 5:   # m0 stays a Lie algebra
+        assert len(cases) == 9 and any(not orc.jacobi_check(c, degree)["ok"] for c in cases)
+
+
 def test_presented_rules_have_int_constants():
     algebras = [f() for f in cl.PRESENTED.values()] + [cl.presented_m0_S(frozenset({3, 5, 7}))]
     for alg in algebras:

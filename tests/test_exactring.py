@@ -1,6 +1,8 @@
 import pytest
 
 from charlie import exactring as xr
+from charlie.analysis import EQUATIONS, find_x_integrals
+from charlie.bell import complete_bell
 import oracles as orc
 
 
@@ -108,6 +110,17 @@ def test_canonical_text_shapes():
     q = Q("-1/2 * e^(-2*u) * u1^2*u2 + 3 * u1")
     assert xr.qp_to_text(q) == "3 * u1 - 1/2 * e^(-2*u) * u1^2*u2"
     assert xr.qp_parse(xr.qp_to_text(q)) == q
+
+
+def test_canonical_text_matches_the_term_oracle():
+    # factors rendered once per call give the term-by-term reference's bytes,
+    # on the bell --complete 30 polynomial and the integrals --weight 12 basis
+    p = complete_bell(30)
+    assert xr.poly_to_text(p, True) == orc.qp_to_text(xr.qp_from_poly(p), True)
+    basis = find_x_integrals(EQUATIONS["liouville"], 12)
+    assert len(basis) == 76
+    for w in basis:
+        assert xr.poly_to_text(w) == orc.qp_to_text(xr.qp_from_poly(w))
 
 
 def test_mono_ordering_weight_then_lex():

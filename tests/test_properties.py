@@ -61,6 +61,13 @@ def test_canonical_form_roundtrip(a):
     assert xr.qp_parse(xr.qp_to_text(a)) == a
 
 
+@given(quasis, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_canonical_text_matches_the_term_oracle(a, homogeneous):
+    # negative leads, constant terms, Fractions and exponents up to 3
+    assert xr.qp_to_text(a, homogeneous) == orc.qp_to_text(a, homogeneous)
+
+
 # the equation and polynomial grammar's alphabet, plus a few near misses
 grammar_text = st.text(alphabet="0123456789+-*/^() euE\t.sinh", max_size=16)
 

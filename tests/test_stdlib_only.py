@@ -1,7 +1,8 @@
 """The runtime needs only the standard library: every absolute import in
 src/charlie names a standard-library module (relative imports stay inside
 the package), and every module parses as the Python 3.10 grammar that
-requires-python declares.  Importing the CLI loads neither dataclasses nor
+requires-python declares.  Every name a module-level import binds is read
+somewhere in its module.  Importing the CLI loads neither dataclasses nor
 inspect: together they were a fifth of the cold start, and no computation
 needs them."""
 
@@ -28,6 +29,19 @@ def test_runtime_imports_only_the_standard_library():
     imported = set().union(*map(_absolute_imports, SOURCES))
     assert imported, "no imports found: the source glob is wrong"
     assert sorted(imported - sys.stdlib_module_names) == []
+
+
+def test_every_module_level_import_is_read():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {(alias.asname or alias.name).partition(".")[0]: node.lineno
+                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+    assert not unused, f"imported but never read: {', '.join(sorted(unused))}"
 
 
 def test_sources_parse_with_the_declared_python_floor():
