@@ -154,14 +154,15 @@ def cmd_integrals(args) -> tuple:
     basis = an.find_x_integrals(f, args.weight)
     # re-verify each reported integral at a higher order
     reverify_order = order + 4
+    # each integral comes from one weight block, so its monomials share a weight
     for w, ok in zip(basis, an.annihilates(f, basis, reverify_order)):
         if not ok:
-            return "mismatch", {"error": f"reported integral fails re-verification: {xr.poly_to_text(w)}"}, {}
+            return "mismatch", {"error": f"reported integral fails re-verification: {xr.poly_to_text(w, True)}"}, {}
     payload = {
         "equation": xr.qp_to_text(f),
         "weight_bound": args.weight,
         "dimension": len(basis),
-        "basis": [xr.poly_to_text(w) for w in basis],
+        "basis": [xr.poly_to_text(w, True) for w in basis],
     }
     return "verified", payload, {"re-verified-at-order": reverify_order}
 

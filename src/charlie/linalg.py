@@ -28,11 +28,17 @@ reduced row when one is left and otherwise hands back the coordinates, so a
 caller that adds whatever is new never reduces a vector twice.
 
 nullspace is column dependence: its rows, cleared to ints (which keeps
-their kernel), give columns that go into one LinearSpan in column order.  A
-column that insert already writes over the earlier (pivot) columns is free,
-and its unique coordinates give the kernel vector that back-substitution on
-the reduced rows would: 1 at the free column and minus the coordinate at
-each pivot.
+their kernel), give columns that go into one LinearSpan in column order.
+The rows are numbered sparsest first (a stable sort by number of entries)
+and the columns are built in one transpose pass over them, so the pivot
+rule's ties go to the sparsest equation.  Numbering the equations is a
+pivot choice like any other, so it changes no decision and no coordinate,
+only the work.  A column that insert already writes over the earlier
+(pivot) columns is free, and its unique coordinates (nums, den) give the
+kernel vector that back-substitution on the reduced rows would: 1 at the
+free column f and -nums[p]/den at each pivot p.  Scaled to 1 at p0, the
+earliest pivot in nums, it costs one Fraction per entry: nums[p]/nums[p0]
+at each pivot and -den/nums[p0] at f.
 """
 
 from __future__ import annotations
@@ -129,20 +135,31 @@ def nullspace(rows: list[Vec], columns: list) -> list[Vec]:
 
     `columns` fixes the unknown ordering (one basis vector per free column) and
     the normalization: each returned vector is scaled so its first nonzero
-    coefficient in column order is 1.  Entries are Fractions.
+    coefficient in column order is 1.  Entries are Fractions.  A row that
+    names a column not in `columns` raises ValueError.
     """
-    rows = [cleared(r)[0] for r in rows]
+    index = {c: k for k, c in enumerate(columns)}
+    cols: list[dict] = [{} for _ in columns]
+    for i, r in enumerate(sorted((cleared(r)[0] for r in rows), key=len)):
+        for c, v in r.items():
+            k = index.get(c)
+            if k is None:
+                raise ValueError(f"a row names the column {c!r}, which is not in columns")
+            if v:
+                cols[k][i] = v
     span = LinearSpan()
-    pivots: list = []
     basis: list[Vec] = []
-    for f in columns:
-        col = {i: r[f] for i, r in enumerate(rows) if r.get(f)}
+    for f, col in zip(columns, cols):
         coords = span.insert(col, f)
         if coords is None:
-            pivots.append(f)
             continue
         nums, den = coords
-        x = {f: Fraction(1)} | {p: Fraction(-nums[p], den) for p in reversed(pivots) if p in nums}
-        lead = x[next(c for c in columns if c in x)]
-        basis.append({k: v / lead for k, v in x.items()})
+        if not nums:
+            basis.append({f: Fraction(1)})
+            continue
+        # x = e_f - sum_p (nums[p]/den) e_p over the pivots p, divided by its
+        # entry at p0, the earliest pivot in nums
+        pivots = sorted(nums, key=index.__getitem__, reverse=True)
+        n0 = nums[pivots[-1]]
+        basis.append({f: Fraction(-den, n0)} | {p: Fraction(nums[p], n0) for p in pivots})
     return basis

@@ -133,6 +133,31 @@ def test_find_x_integrals_matches_its_definition(f_terms):
         assert an.find_x_integrals(f_terms, w) == _x_integrals_by_definition(f_terms, w)
 
 
+@pytest.mark.parametrize("f_terms, weight_bound", [
+    (an.EQUATIONS["liouville"], 12), (an.EQUATIONS["liouville"], 10),
+    (an.EQUATIONS["sinh"], 10), (xr.qp_parse("e^(2u)"), 10),
+    (xr.qp_parse("1/2 * e^(u)"), 10), (xr.qp_parse("e^(u) + e^(-3*u)"), 10),
+])
+def test_x_integrals_are_weight_homogeneous(f_terms, weight_bound):
+    # each basis polynomial comes from one weight block, which is what lets
+    # cmd_integrals render it in lex order alone
+    basis = an.find_x_integrals(f_terms, weight_bound)
+    assert all(xr.weight_of(w) is not None for w in basis)
+    assert [xr.poly_to_text(w, True) for w in basis] == [xr.poly_to_text(w) for w in basis]
+
+
+def test_x_integral_elimination_work_is_bounded(monkeypatch):
+    # nullspace eliminates the sparsest equations first: Liouville at weight
+    # 12 costs 19,415 entry updates that way and 44,508 in the order found
+    from charlie import linalg
+    updates = []
+    fn = linalg.vec_iadd_scaled
+    monkeypatch.setattr(linalg, "vec_iadd_scaled",
+                        lambda out, b, c: updates.append(len(b) if c else 0) or fn(out, b, c))
+    assert len(an.find_x_integrals(an.EQUATIONS["liouville"], 12)) == 76
+    assert sum(updates) <= 20_000
+
+
 @pytest.mark.parametrize("A", orc.INTRO_MATRICES + (((1, 2), (3, 4)),))
 def test_exp2d_residuals_match_their_definition(A):
     # X_a w2 = sum_k slot_k * dw2/du^a_k over the fields' own slots, by poly_diff;

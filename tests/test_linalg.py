@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from charlie.exactring import vec_add_scaled
@@ -259,6 +260,25 @@ def test_each_row_pivots_on_its_smallest_entry(ops):
     for pivot, row, _ in span._rows:
         assert row[pivot] > 0
         assert (row[pivot], pivot) == min((abs(c), k) for k, c in row.items())
+
+
+@given(matrices, st.permutations(COLUMNS), st.integers(min_value=0, max_value=3), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_nullspace_ignores_the_order_of_its_equations(rows, columns, empties, rnd):
+    # the equations are eliminated sparsest first; any order of them, with
+    # empty equations mixed in, gives the same kernel in the same key order
+    shuffled = [dict(r) for r in rows] + [{} for _ in range(empties)]
+    rnd.shuffle(shuffled)
+    got, want = nullspace(shuffled, columns), nullspace(rows, columns)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+
+
+def test_nullspace_rejects_a_column_it_was_not_given():
+    # dropping the entry would return the kernel of another system
+    rows = [{"a": F(1), "b": F(1)}, {"b": F(1), "z": F(2)}]
+    with pytest.raises(ValueError, match="'z'"):
+        nullspace(rows, ["a", "b"])
+    assert nullspace(rows, ["a", "b", "z"]) == [{"a": F(1), "b": F(-1), "z": Fraction(1, 2)}]
 
 
 @given(matrices, st.permutations(COLUMNS))
