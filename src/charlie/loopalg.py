@@ -2,23 +2,22 @@
 algebra of sl(3), their gradings and Serre relations.
 
 This is the independent oracle side: everything here is finite exact matrix
-arithmetic over Laurent polynomials in t.  The one exception is serre_check's
-jet branch, which imports closure to build the Serre rungs on jets; it stays
-in serre_check because bench/tracer.py spans serre_check by realization (jet
-or matrix) until the tracer changes (ROADMAP items 6 and 7).  Each
-realization is one ALGEBRAS row, and its gradings, structure constants and
-Serre checks are read from that row.  The transcribed structure-constant
-table for the twisted algebra is kept as data-under-test; the matrices are
-ground truth and `twisted_table_diff` reports any cell where the print
-drifts from the arithmetic.
+arithmetic over Laurent polynomials in t, and a structure constant is one
+residue cell, read off the t-free parts of its three basis matrices.  The one
+exception is serre_check's jet branch, which imports closure to build the
+Serre rungs on jets; it stays in serre_check because bench/tracer.py spans
+serre_check by realization (jet or matrix) until the tracer changes (ROADMAP
+items 6 and 7).  Each realization is one ALGEBRAS row, and its gradings,
+structure constants and Serre checks are read from that row.  The transcribed
+structure-constant table for the twisted algebra is kept as data-under-test;
+the matrices are ground truth and `twisted_table_diff` reports any cell where
+the print drifts from the arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional
 
 
 def lm(items: dict) -> dict:
@@ -54,19 +53,6 @@ def lm_t_shift(a: dict, p: int) -> dict:
     return lm({(i, j, q + p): v for (i, j, q), v in a.items()})
 
 
-def proportionality(a: dict, b: dict) -> Optional[Fraction]:
-    """c with a = c*b exactly (b != 0), or None.  a = 0 gives 0."""
-    if not a:
-        return Fraction(0)
-    if not b:
-        return None
-    key = min(b)
-    if key not in a:
-        return None
-    c = Fraction(a[key]) / b[key]
-    return None if lm_add(a, b, 1, -c) else c
-
-
 # ---------------------------------------------------------------------------
 # loop algebra of sl(2): basis e_0, e_1, e_2, ... of the non-negative part
 # ---------------------------------------------------------------------------
@@ -75,15 +61,12 @@ def sl2_basis(i: int) -> dict:
     """e_{3k} = (1/2) diag(t^k, -t^k); e_{3k+1} = (1/2) E12 t^k; e_{3k+2} = E21 t^{k+1}."""
     if i < 0:
         raise ValueError(f"non-negative part needs index >= 0, got {i}")
-    s = i % 3
+    k, s = divmod(i, 3)
     if s == 0:
-        k = i // 3
         return lm({(0, 0, k): Fraction(1, 2), (1, 1, k): Fraction(-1, 2)})
     if s == 1:
-        k = (i - 1) // 3
         return lm({(0, 1, k): Fraction(1, 2)})
-    k = (i + 1) // 3
-    return lm({(1, 0, k): 1})
+    return lm({(1, 0, k + 1): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +104,7 @@ def sl3_twisted_basis(n: int) -> dict:
 # structure constant depends only on the residues mod P.
 LoopAlgebra = namedtuple("LoopAlgebra", (
     "period",
-    "basis",                    # int -> Laurent matrix
+    "basis",                    # int -> Laurent matrix, one power of t times a constant
     "prefix",                   # label of b_i: prefix + i
     "bigradings",               # canonical (generator-count) bigradings of b_0..b_P
     "serre",                    # (x, y, m): ad^m b_x (b_y) = 0 on the generators b_1, b_2
@@ -139,14 +122,36 @@ ALGEBRAS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _constant_by_residues(algebra: str, qr: int, lr: int) -> Fraction:
-    """c with [b_qr, b_lr] = c b_{qr+lr}, commuting the matrices of the basis."""
-    basis = ALGEBRAS[algebra].basis
-    c = proportionality(lm_commutator(basis(qr), basis(lr)), basis(qr + lr))
-    if c is None:
-        raise ArithmeticError(f"[b_{qr}, b_{lr}] is not a multiple of b_{qr + lr} in {algebra}")
-    return c
+_T_FREE: dict = {}   # (algebra, i) -> (p, M): b_i = t^p M, M = {(row, col): entry}
+_CELLS: dict = {}    # (algebra, q mod P, l mod P) -> structure constant, on first read
+
+
+def _t_free(algebra: str, i: int) -> tuple:
+    if (algebra, i) not in _T_FREE:
+        b = ALGEBRAS[algebra].basis(i)
+        powers = {p for _, _, p in b}
+        if len(powers) != 1:
+            raise ArithmeticError(f"b_{i} in {algebra} is not a power of t times a matrix")
+        _T_FREE[algebra, i] = powers.pop(), {(r, c): v for (r, c, _), v in b.items()}
+    return _T_FREE[algebra, i]
+
+
+def _cell(algebra: str, q: int, l: int) -> Fraction:
+    """c with [b_q, b_l] = c b_{q+l}: [b_q, b_l] = t^(p_q + p_l) [M_q, M_l], so a nonzero
+    commutator must sit on p_{q+l} and be c M_{q+l} in every entry, cross-multiplied."""
+    (pq, a), (pl, b), (p, m) = (_t_free(algebra, i) for i in (q, l, q + l))
+    com = dict.fromkeys(m, 0)           # every entry of M_{q+l} is compared
+    for (i, k), u in a.items():          # each pair of entries meets in ab and in ba
+        for (k2, j), v in b.items():
+            if k == k2:
+                com[i, j] = com.get((i, j), 0) + u * v
+            if j == i:
+                com[k2, k] = com.get((k2, k), 0) - v * u
+    key = min(m)
+    num, den = com[key], m[key]
+    if (num and pq + pl != p) or any(c * den != num * m.get(k, 0) for k, c in com.items()):
+        raise ArithmeticError(f"[b_{q}, b_{l}] is not a multiple of b_{q + l} in {algebra}")
+    return Fraction(num, den)
 
 
 # transcribed structure-constant table (data-under-test; rows = first argument
@@ -166,14 +171,9 @@ TWISTED_TABLE_TRANSCRIBED = (
 def twisted_table_diff() -> list[tuple[int, int, int, Fraction]]:
     """Cells where the transcribed table disagrees with the matrix arithmetic:
     (row residue, col residue, transcribed, computed)."""
-    diffs = []
-    for q in range(8):
-        for l in range(8):
-            printed = Fraction(TWISTED_TABLE_TRANSCRIBED[q][l])
-            computed = matrix_structure_constant("n2", q, l)
-            if printed != computed:
-                diffs.append((q, l, TWISTED_TABLE_TRANSCRIBED[q][l], computed))
-    return diffs
+    return [(q, l, printed, computed) for q, row in enumerate(TWISTED_TABLE_TRANSCRIBED)
+            for l, printed in enumerate(row)
+            if (computed := matrix_structure_constant("n2", q, l)) != printed]
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +200,20 @@ def natural_degree(algebra: str, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 def matrix_structure_constant(algebra: str, i: int, j: int) -> Fraction:
-    """c with [b_i, b_j] = c b_{i+j}, from the matrices of either basis,
-    memoized by the residues of i and j mod the period (checked over sweeps
-    in the tests, for n1 against the closed-form sl(2) rule).
-    """
+    """c with [b_i, b_j] = c b_{i+j}: the residue cell of (i, j) mod the period,
+    computed on first read (checked over two periods in the tests against the
+    Laurent-matrix commutator, for n1 also against the closed-form sl(2) rule)."""
     period = ALGEBRAS[algebra].period
-    return _constant_by_residues(algebra, i % period, j % period)
+    key = (algebra, i % period, j % period)
+    if key not in _CELLS:
+        _CELLS[key] = _cell(*key)
+    return _CELLS[key]
 
 
 def matrix_table(algebra: str, max_index: int) -> dict[tuple[int, int], Fraction]:
     """{(i, j): constant} for 0 <= i < j, i + j <= max_index, exact."""
-    out = {}
-    for i in range(0, max_index + 1):
-        for j in range(i + 1, max_index - i + 1):
-            out[(i, j)] = matrix_structure_constant(algebra, i, j)
-    return out
+    return {(i, j): matrix_structure_constant(algebra, i, j)
+            for i in range(max_index + 1) for j in range(i + 1, max_index - i + 1)}
 
 
 def ad_power(x: dict, y: dict, m: int) -> dict:

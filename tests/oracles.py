@@ -6,8 +6,9 @@ substitution, exponentials, partial derivatives and term-by-term text;
 jetfield's linear structure on fields, D and the bigrading of a field; the
 normalized field and the lookups of a closure, and the Jacobi check of a
 presented algebra by label strings; the 2x2 systems of the paper's introduction;
-and loopalg's closed-form sl(2) constants, the sl(3) twist, the natural
-grading components, the recursive canonical bigrading and the real forms.
+and loopalg's Laurent-matrix proportionality, closed-form sl(2) constants, the
+sl(3) twist, the natural grading components, the recursive canonical bigrading
+and the real forms.
 """
 
 from __future__ import annotations
@@ -215,6 +216,20 @@ INTRO_MATRICES = (
 # ---------------------------------------------------------------------------
 # loopalg
 # ---------------------------------------------------------------------------
+
+def proportionality(a: dict, b: dict) -> Fraction | None:
+    """c with a = c*b for Laurent matrices a, b (b != 0), by lm_add on the whole
+    matrices, or None.  a = 0 gives 0."""
+    if not a:
+        return Fraction(0)
+    if not b:
+        return None
+    key = min(b)
+    if key not in a:
+        return None
+    c = Fraction(a[key]) / b[key]
+    return None if la.lm_add(a, b, 1, -c) else c
+
 
 def sl2_bracket_constant(i: int, j: int) -> Fraction:
     """c_{i,j} of [e_i, e_j] = c_{i,j} e_{i+j}: +1 / 0 / -1 as j-i = 1 / 0 / -1 mod 3."""

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from charlie import cli
 from charlie import loopalg as la
 import oracles as orc
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_sl2_rule_examples():
@@ -16,16 +24,16 @@ def test_sl2_matrix_oracle_full_sweep():
     for i in range(25):
         for j in range(25):
             com = la.lm_commutator(la.sl2_basis(i), la.sl2_basis(j))
-            c = la.proportionality(com, la.sl2_basis(i + j))
+            c = orc.proportionality(com, la.sl2_basis(i + j))
             assert c == orc.sl2_bracket_constant(i, j), (i, j)
             assert la.matrix_structure_constant("n1", i, j) == c, (i, j)
 
 
 def test_proportionality_fails_on_a_missing_key_or_a_remainder():
     # b's first key is not an entry of a
-    assert la.proportionality(la.sl2_basis(1), la.sl2_basis(2)) is None
+    assert orc.proportionality(la.sl2_basis(1), la.sl2_basis(2)) is None
     # a = c*b on b's first key, but a - c*b keeps e_1
-    assert la.proportionality(la.lm_add(la.sl2_basis(0), la.sl2_basis(1)), la.sl2_basis(0)) is None
+    assert orc.proportionality(la.lm_add(la.sl2_basis(0), la.sl2_basis(1)), la.sl2_basis(0)) is None
 
 
 def test_sl3_examples():
@@ -40,7 +48,7 @@ def test_sl3_residue_dependence():
     for q in range(17):
         for l in range(17):
             com = la.lm_commutator(la.sl3_twisted_basis(q), la.sl3_twisted_basis(l))
-            c = la.proportionality(com, la.sl3_twisted_basis(q + l))
+            c = orc.proportionality(com, la.sl3_twisted_basis(q + l))
             assert c == la.matrix_structure_constant("n2", q % 8, l % 8), (q, l)
 
 
@@ -196,3 +204,102 @@ def test_matrix_table_shape():
     t = la.matrix_table("n1", 6)
     assert t[(1, 2)] == 1 and t[(0, 3)] == 0 and (5, 6) not in t
     assert t[(2, 4)] == -1
+
+
+def _fresh_cells(monkeypatch, algebra, basis):
+    """Empty cell and t-free memos, and ALGEBRAS[algebra] read through `basis`."""
+    monkeypatch.setattr(la, "_CELLS", {})
+    monkeypatch.setattr(la, "_T_FREE", {})
+    monkeypatch.setitem(la.ALGEBRAS, algebra, la.ALGEBRAS[algebra]._replace(basis=basis))
+
+
+def test_cells_check_the_t_power_and_every_entry(monkeypatch):
+    # [e_1, e_2] = e_3 = (1/2) diag(t, -t): a b_3 on t^2 has the right t-free part
+    def t_power_off(i):
+        return la.lm_t_shift(la.sl2_basis(i), 1) if i == 3 else la.sl2_basis(i)
+
+    _fresh_cells(monkeypatch, "n1", t_power_off)
+    assert la.matrix_structure_constant("n1", 0, 1) == 1
+    with pytest.raises(ArithmeticError, match=r"\[b_1, b_2\]"):
+        la.matrix_structure_constant("n1", 1, 2)
+    # [f_1, f_2] = f_3 = t (E_10 - E_21): one entry of b_3 changed, dropped or added
+    f3 = la.sl3_twisted_basis(3)
+    for wrong in ({**f3, (2, 1, 1): 1}, {(1, 0, 1): 1}, {**f3, (2, 0, 1): 1}):
+        _fresh_cells(monkeypatch, "n2", lambda i, wrong=wrong:
+                     wrong if i == 3 else la.sl3_twisted_basis(i))
+        assert la.matrix_structure_constant("n2", 0, 2) == -2
+        with pytest.raises(ArithmeticError, match=r"\[b_1, b_2\]"):
+            la.matrix_structure_constant("n2", 1, 2)
+
+
+def _count_cells(monkeypatch, algebra):
+    """Fresh memos; the lists of cells computed and of basis indices built inside them."""
+    cells, built, inside = [], [], [False]
+    basis, cell = la.ALGEBRAS[algebra].basis, la._cell
+
+    def counted_basis(i):
+        if inside[0]:
+            built.append(i)
+        return basis(i)
+
+    def counted_cell(*key):
+        cells.append(key)
+        inside[0] = True
+        try:
+            return cell(*key)
+        finally:
+            inside[0] = False
+
+    _fresh_cells(monkeypatch, algebra, counted_basis)
+    monkeypatch.setattr(la, "_cell", counted_cell)
+    return cells, built
+
+
+def test_verify_iso_computes_each_cell_and_basis_matrix_once(monkeypatch, capsys):
+    cells, built = _count_cells(monkeypatch, "n2")
+    argv = ["verify-iso", "--equation", "tzitzeica", "--degree", "14", "--order", "18"]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert len(cells) == len(set(cells)) == 59
+    # a cell reads indices q + l <= 2P - 2 = 14, so at most 15 basis matrices
+    # are built, one per index (three per cell would be 177)
+    assert len(built) == len(set(built)) <= 15
+
+
+def test_charalg_sinh_computes_only_the_cells_it_reads(monkeypatch, capsys):
+    cells, _ = _count_cells(monkeypatch, "n1")
+    assert cli.run(["charalg", "--equation", "sinh", "--degree", "16", "--order", "20"]) == 0
+    capsys.readouterr()
+    assert len(cells) == len(set(cells)) == 4 and {key[0] for key in cells} == {"n1"}
+
+
+def test_import_and_argv_parsing_build_no_cell_or_basis_matrix():
+    # the benchmark's setup_s times importing charlie.cli and parsing every
+    # workload's argvs; no loopalg computation may move into that window
+    code = textwrap.dedent("""
+        import sys
+        bench = {"__name__": "bench_run", "__file__": "bench/run.py"}
+        exec(compile(open("bench/run.py").read(), "bench/run.py", "exec"), bench)
+        argvs = [argv for w in bench["WORKLOADS"] for argv in bench["all_commands"](w)]
+        called = set()
+        sys.setprofile(lambda frame, event, arg: event == "call" and
+                       frame.f_code.co_filename.endswith("loopalg.py") and
+                       called.add(frame.f_code.co_name))
+        from charlie import cli
+        for argv in argvs:
+            args = cli.build_parser().parse_args(argv)
+            if getattr(args, "equation", None):
+                cli.parse_equation(args.equation)
+        sys.setprofile(None)
+        from charlie import loopalg as la
+        # lm builds SL3_F on import, so the profile does see loopalg
+        print(len(argvs), "lm" in called, sorted(called & {
+            "sl2_basis", "sl3_twisted_basis", "_t_free", "_cell", "matrix_structure_constant"}),
+            la._CELLS, la._T_FREE)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
+                         text=True, check=True).stdout
+    count, rest = out.split(" ", 1)
+    assert int(count) >= 4 and rest == "True [] {} {}\n"
