@@ -194,10 +194,14 @@ def cmd_verify_iso(args) -> tuple:
 
 
 def cmd_exp2d(args) -> tuple:
-    try:
-        vals = [Fraction(x.strip()) for x in args.matrix.split(",")]
-    except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"bad --matrix: {e}") from e
+    vals = []
+    for k, x in enumerate(args.matrix.split(","), 1):
+        try:
+            vals.append(Fraction(x.strip()))
+        except ValueError as e:
+            raise UsageError(f"bad --matrix: {e}") from e
+        except ZeroDivisionError:
+            raise UsageError(f"bad --matrix: entry {k} {x.strip()!r}: zero denominator") from None
     if len(vals) != 4:
         raise UsageError("--matrix needs four comma-separated rationals a11,a12,a21,a22")
     A = ((vals[0], vals[1]), (vals[2], vals[3]))

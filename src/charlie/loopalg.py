@@ -1,17 +1,18 @@
 """Exact matrix realizations of the loop algebra of sl(2) and the twisted loop
 algebra of sl(3), their gradings and Serre relations.
 
-This is the independent oracle side: everything here is finite exact matrix
-arithmetic over Laurent polynomials in t, and a structure constant is one
-residue cell, read off the t-free parts of its three basis matrices.  The one
-exception is serre_check's jet branch, which imports closure to build the
-Serre rungs on jets; it stays in serre_check because bench/tracer.py spans
-serre_check by realization (jet or matrix) until the tracer changes (ROADMAP
-items 6 and 7).  Each realization is one ALGEBRAS row, and its gradings,
-structure constants and Serre checks are read from that row.  The transcribed
-structure-constant table for the twisted algebra is kept as data-under-test;
-the matrices are ground truth and `twisted_table_diff` reports any cell where
-the print drifts from the arithmetic.
+This is the independent oracle side: each basis matrix is a power of t times
+an exact t-free matrix, a structure constant is one residue cell, read off the
+t-free parts of its three basis matrices, and a matrix Serre relation is read
+from a chain of those cells.  The one exception is serre_check's jet branch,
+which imports closure to build the Serre rungs on jets; it stays in
+serre_check because bench/tracer.py spans serre_check by realization (jet or
+matrix) until the tracer changes (ROADMAP items 6 and 7).  Each realization is
+one ALGEBRAS row, and its gradings, structure constants and Serre checks are
+read from that row.  The transcribed structure-constant table for the twisted
+algebra is kept as data-under-test; the matrices are ground truth and
+`twisted_table_diff` reports any cell where the print drifts from the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -24,29 +25,6 @@ def lm(items: dict) -> dict:
     """The Laurent matrix {(i, j, p): c}: entry (i, j) of its t^p part, an int
     or a non-integral Fraction, zeros never stored: equality is dict equality."""
     return {k: v if v.denominator != 1 else v.numerator for k, v in items.items() if v}
-
-
-def lm_add(a: dict, b: dict, ca=1, cb=1) -> dict:
-    out = dict(a) if ca == 1 else {k: v * ca for k, v in a.items()}
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + (v if cb == 1 else -v if cb == -1 else v * cb)
-    return lm(out)
-
-
-def lm_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    rows: dict = {}
-    for (k, j, q), v in b.items():
-        rows.setdefault(k, []).append((j, q, v))
-    for (i, k, p), va in a.items():
-        for j, q, vb in rows.get(k, ()):
-            key = (i, j, p + q)
-            out[key] = out.get(key, 0) + va * vb
-    return lm(out)
-
-
-def lm_commutator(a: dict, b: dict) -> dict:
-    return lm_add(lm_mul(a, b), lm_mul(b, a), 1, -1)
 
 
 def lm_t_shift(a: dict, p: int) -> dict:
@@ -202,7 +180,8 @@ def natural_degree(algebra: str, index: int) -> int:
 def matrix_structure_constant(algebra: str, i: int, j: int) -> Fraction:
     """c with [b_i, b_j] = c b_{i+j}: the residue cell of (i, j) mod the period,
     computed on first read (checked over two periods in the tests against the
-    Laurent-matrix commutator, for n1 also against the closed-form sl(2) rule)."""
+    Laurent-matrix commutator of tests/oracles.py, for n1 also against the
+    closed-form sl(2) rule)."""
     period = ALGEBRAS[algebra].period
     key = (algebra, i % period, j % period)
     if key not in _CELLS:
@@ -216,18 +195,10 @@ def matrix_table(algebra: str, max_index: int) -> dict[tuple[int, int], Fraction
             for i in range(max_index + 1) for j in range(i + 1, max_index - i + 1)}
 
 
-def ad_power(x: dict, y: dict, m: int) -> dict:
-    """ad_x^m (y) by matrix commutators."""
-    out = y
-    for _ in range(m):
-        out = lm_commutator(x, out)
-    return out
-
-
 def serre_check(algebra: str, realization: str = "matrix", generators=None) -> dict:
     """Defining ad-power relations in either realization.
 
-    matrix: exact Laurent-matrix arithmetic on the canonical generators.
+    matrix: each relation on the canonical generators, as a chain of cells.
     jet: each relation on the closure's two degree-one `generators`, up to
     their order (ZERO_UP_TO / NONZERO strings); closure.serre_rungs builds its
     rungs from [D, X(g)] = -g X_0 and their eigenvalues and slots, as ad_D is
@@ -247,8 +218,10 @@ def serre_check(algebra: str, realization: str = "matrix", generators=None) -> d
 
 
 def serre_check_matrix(algebra: str) -> dict[str, bool]:
-    """Defining ad-power relations of the nilpotent part, exact matrix arithmetic
-    on the generators (e_1, e_2) of A1(1) and (f_1, f_2) of A2(2)."""
+    """Defining ad-power relations of the nilpotent part on the generators
+    (e_1, e_2) of A1(1) and (f_1, f_2) of A2(2), read from a chain of cells:
+    ad_{b_x}^m b_y = prod_{j<m} c(x, y + j x) b_{y+mx}, zero iff one factor is."""
     row = ALGEBRAS[algebra]
     return {f"ad^{m} {row.prefix}{x} ({row.prefix}{y})":
-            not ad_power(row.basis(x), row.basis(y), m) for x, y, m in row.serre}
+            not all(matrix_structure_constant(algebra, x, y + j * x) for j in range(m))
+            for x, y, m in row.serre}

@@ -6,9 +6,9 @@ substitution, exponentials, partial derivatives and term-by-term text;
 jetfield's linear structure on fields, D and the bigrading of a field; the
 normalized field and the lookups of a closure, and the Jacobi check of a
 presented algebra by label strings; the 2x2 systems of the paper's introduction;
-and loopalg's Laurent-matrix proportionality, closed-form sl(2) constants, the
-sl(3) twist, the natural grading components, the recursive canonical bigrading
-and the real forms.
+and loopalg's Laurent-matrix sums, products, commutators, ad powers and
+proportionality, closed-form sl(2) constants, the sl(3) twist, the natural
+grading components, the recursive canonical bigrading and the real forms.
 """
 
 from __future__ import annotations
@@ -217,6 +217,39 @@ INTRO_MATRICES = (
 # loopalg
 # ---------------------------------------------------------------------------
 
+def lm_add(a: dict, b: dict, ca=1, cb=1) -> dict:
+    """ca*a + cb*b for Laurent matrices."""
+    out = dict(a) if ca == 1 else {k: v * ca for k, v in a.items()}
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + (v if cb == 1 else -v if cb == -1 else v * cb)
+    return la.lm(out)
+
+
+def lm_mul(a: dict, b: dict) -> dict:
+    """ab for Laurent matrices: entries (i, k, p) and (k, j, q) meet in (i, j, p + q)."""
+    out: dict = {}
+    rows: dict = {}
+    for (k, j, q), v in b.items():
+        rows.setdefault(k, []).append((j, q, v))
+    for (i, k, p), va in a.items():
+        for j, q, vb in rows.get(k, ()):
+            key = (i, j, p + q)
+            out[key] = out.get(key, 0) + va * vb
+    return la.lm(out)
+
+
+def lm_commutator(a: dict, b: dict) -> dict:
+    return lm_add(lm_mul(a, b), lm_mul(b, a), 1, -1)
+
+
+def ad_power(x: dict, y: dict, m: int) -> dict:
+    """ad_x^m (y) by matrix commutators."""
+    out = y
+    for _ in range(m):
+        out = lm_commutator(x, out)
+    return out
+
+
 def proportionality(a: dict, b: dict) -> Fraction | None:
     """c with a = c*b for Laurent matrices a, b (b != 0), by lm_add on the whole
     matrices, or None.  a = 0 gives 0."""
@@ -228,7 +261,7 @@ def proportionality(a: dict, b: dict) -> Fraction | None:
     if key not in a:
         return None
     c = Fraction(a[key]) / b[key]
-    return None if la.lm_add(a, b, 1, -c) else c
+    return None if lm_add(a, b, 1, -c) else c
 
 
 def sl2_bracket_constant(i: int, j: int) -> Fraction:
@@ -318,13 +351,13 @@ def real_form_bracket(sign: int, family: tuple, k: int, l: int):
     Returns (computed, expected, label) with exact matrices.
     """
     if family == ("u", "v"):
-        got = la.lm_commutator(real_u(k), real_v(sign, l))
+        got = lm_commutator(real_u(k), real_v(sign, l))
         return got, real_w(sign, k + l - 1), f"w{2 * (k + l) - 2}"
     if family == ("v", "w"):
-        got = la.lm_commutator(real_v(sign, k), real_w(sign, l))
+        got = lm_commutator(real_v(sign, k), real_w(sign, l))
         label = f"{'+' if sign > 0 else '-'}u{2 * (k + l) - 1}"
-        return got, la.lm_add(real_u(k + l), {}, sign), label
+        return got, lm_add(real_u(k + l), {}, sign), label
     if family == ("w", "u"):
-        got = la.lm_commutator(real_w(sign, k), real_u(l))
+        got = lm_commutator(real_w(sign, k), real_u(l))
         return got, real_v(sign, k + l), f"v{2 * (k + l) - 1}"
     raise ValueError(f"unknown relation family {family!r}")

@@ -253,7 +253,7 @@ def test_criterion_10_presented_jacobi_and_real_forms():
                     if first > 9 or second > 9:
                         continue
                     got, exp, _ = orc.real_form_bracket(sign, fam, k, l)
-                    assert not la.lm_add(got, exp, 1, -1), (sign, fam, k, l)
+                    assert not orc.lm_add(got, exp, 1, -1), (sign, fam, k, l)
 
 
 # --- criterion 11: property suites ----------------------------------------------

@@ -239,6 +239,7 @@ def test_an_exponential_without_its_caret_is_a_usage_error(capsys, equation):
      "error: equation right-hand side must be a nonzero exponential sum\n"),
     (["symmetry", "--equation", "sinh", "--phi", "u3", "--order", "3"],
      "error: order 3 too small for phi with top index 3\n"),
+    (["exp2d", "--matrix", "1,2,3,1/0"], "error: bad --matrix: entry 4 '1/0': zero denominator\n"),
 ])
 def test_command_input_errors_print_one_line(capsys, argv, message):
     assert cli.run(argv) == 1

@@ -23,7 +23,7 @@ def test_sl2_rule_examples():
 def test_sl2_matrix_oracle_full_sweep():
     for i in range(25):
         for j in range(25):
-            com = la.lm_commutator(la.sl2_basis(i), la.sl2_basis(j))
+            com = orc.lm_commutator(la.sl2_basis(i), la.sl2_basis(j))
             c = orc.proportionality(com, la.sl2_basis(i + j))
             assert c == orc.sl2_bracket_constant(i, j), (i, j)
             assert la.matrix_structure_constant("n1", i, j) == c, (i, j)
@@ -33,7 +33,7 @@ def test_proportionality_fails_on_a_missing_key_or_a_remainder():
     # b's first key is not an entry of a
     assert orc.proportionality(la.sl2_basis(1), la.sl2_basis(2)) is None
     # a = c*b on b's first key, but a - c*b keeps e_1
-    assert orc.proportionality(la.lm_add(la.sl2_basis(0), la.sl2_basis(1)), la.sl2_basis(0)) is None
+    assert orc.proportionality(orc.lm_add(la.sl2_basis(0), la.sl2_basis(1)), la.sl2_basis(0)) is None
 
 
 def test_sl3_examples():
@@ -47,7 +47,7 @@ def test_sl3_examples():
 def test_sl3_residue_dependence():
     for q in range(17):
         for l in range(17):
-            com = la.lm_commutator(la.sl3_twisted_basis(q), la.sl3_twisted_basis(l))
+            com = orc.lm_commutator(la.sl3_twisted_basis(q), la.sl3_twisted_basis(l))
             c = orc.proportionality(com, la.sl3_twisted_basis(q + l))
             assert c == la.matrix_structure_constant("n2", q % 8, l % 8), (q, l)
 
@@ -71,16 +71,16 @@ def test_printed_table_diff_is_the_known_typo_pair():
 
 def test_twist_eigenspaces():
     for s in orc.G0_KEYS:
-        assert not la.lm_add(orc.mu_twist(la.SL3_F[s]), la.SL3_F[s], 1, -1)
+        assert not orc.lm_add(orc.mu_twist(la.SL3_F[s]), la.SL3_F[s], 1, -1)
     for s in orc.G1_KEYS:
-        assert not la.lm_add(orc.mu_twist(la.SL3_F[s]), la.SL3_F[s], 1, 1)
+        assert not orc.lm_add(orc.mu_twist(la.SL3_F[s]), la.SL3_F[s], 1, 1)
 
 
 def test_matrix_entries_are_ints_or_fractions_and_constants_are_fractions():
     # every entry is a nonzero int or a non-integral Fraction; every constant is a Fraction
     mats = [la.sl2_basis(i) for i in range(12)] + [la.sl3_twisted_basis(i) for i in range(20)]
-    mats += [la.lm_commutator(a, b) for a in mats[:12] for b in mats[:12]]
-    mats += [la.lm_commutator(a, b) for a in mats[12:32] for b in mats[12:32]]
+    mats += [orc.lm_commutator(a, b) for a in mats[:12] for b in mats[:12]]
+    mats += [orc.lm_commutator(a, b) for a in mats[12:32] for b in mats[12:32]]
     assert any(type(c) is int for m in mats for c in m.values())
     assert any(type(c) is Fraction for m in mats for c in m.values())
     for m in mats:
@@ -105,9 +105,9 @@ def test_twist_closed_under_brackets():
     for _ in range(20):
         a = la.sl3_twisted_basis(rng.randrange(0, 17))
         b = la.sl3_twisted_basis(rng.randrange(0, 17))
-        combo = la.lm_add(a, b, rng.randrange(1, 5), rng.randrange(1, 5))
+        combo = orc.lm_add(a, b, rng.randrange(1, 5), rng.randrange(1, 5))
         other = la.sl3_twisted_basis(rng.randrange(0, 17))
-        assert orc.twist_check(la.lm_commutator(combo, other))
+        assert orc.twist_check(orc.lm_commutator(combo, other))
 
 
 def test_serre_matrix():
@@ -115,9 +115,23 @@ def test_serre_matrix():
     assert la.serre_check("n2", "matrix") == {"ad^2 f2 (f1)": True, "ad^5 f1 (f2)": True}
     # one power fewer must NOT vanish (the relations are sharp)
     e1, e2 = la.sl2_basis(1), la.sl2_basis(2)
-    assert la.ad_power(e1, e2, 2)
+    assert orc.ad_power(e1, e2, 2)
     f1, f2 = la.sl3_twisted_basis(1), la.sl3_twisted_basis(2)
-    assert la.ad_power(f1, f2, 4)
+    assert orc.ad_power(f1, f2, 4)
+
+
+@pytest.mark.parametrize("algebra", sorted(la.ALGEBRAS))
+def test_serre_cell_chains_are_the_matrix_ad_powers(algebra):
+    # ad_{b_x}^k b_y = prod_{j<k} c(x, y + j x) b_{y+kx} at every power up to the
+    # relation's m, zero at m and nonzero at m - 1 on both sides
+    row = la.ALGEBRAS[algebra]
+    for x, y, m in row.serre:
+        chain = Fraction(1)
+        for k in range(m + 1):
+            got = orc.ad_power(row.basis(x), row.basis(y), k)
+            assert not orc.lm_add(got, row.basis(y + k * x), 1, -chain), (x, y, k)
+            assert (chain == 0) == (not got) == (k == m), (x, y, k)
+            chain *= la.matrix_structure_constant(algebra, x, y + k * x)
 
 
 def test_serre_jet_realization():
@@ -132,12 +146,12 @@ def test_serre_jet_realization():
 
 def test_real_form_examples():
     got, exp, label = orc.real_form_bracket(1, ("u", "v"), 1, 1)
-    assert label == "w2" and not la.lm_add(got, exp, 1, -1)
+    assert label == "w2" and not orc.lm_add(got, exp, 1, -1)
     got, exp, label = orc.real_form_bracket(-1, ("v", "w"), 1, 1)
-    assert label == "-u3" and not la.lm_add(got, exp, 1, -1)
+    assert label == "-u3" and not orc.lm_add(got, exp, 1, -1)
     # [w2+, u3] lands on v5+ (t-degrees 2 + 3), exact 3x3 commutator
     got, exp, label = orc.real_form_bracket(1, ("w", "u"), 1, 2)
-    assert label == "v5" and not la.lm_add(got, exp, 1, -1)
+    assert label == "v5" and not orc.lm_add(got, exp, 1, -1)
 
 
 def test_real_form_relations_all_indices_up_to_9():
@@ -150,7 +164,7 @@ def test_real_form_relations_all_indices_up_to_9():
                     if first_index > 9 or second_index > 9:
                         continue
                     got, exp, _ = orc.real_form_bracket(sign, fam, k, l)
-                    assert not la.lm_add(got, exp, 1, -1), (sign, fam, k, l)
+                    assert not orc.lm_add(got, exp, 1, -1), (sign, fam, k, l)
 
 
 def test_natural_degrees_and_dims():
@@ -233,13 +247,13 @@ def test_cells_check_the_t_power_and_every_entry(monkeypatch):
 
 
 def _count_cells(monkeypatch, algebra):
-    """Fresh memos; the lists of cells computed and of basis indices built inside them."""
-    cells, built, inside = [], [], [False]
+    """Fresh memos; the lists of cells computed, of basis indices built inside
+    them and of basis indices built outside any cell."""
+    cells, built, stray, inside = [], [], [], [False]
     basis, cell = la.ALGEBRAS[algebra].basis, la._cell
 
     def counted_basis(i):
-        if inside[0]:
-            built.append(i)
+        (built if inside[0] else stray).append(i)
         return basis(i)
 
     def counted_cell(*key):
@@ -252,25 +266,39 @@ def _count_cells(monkeypatch, algebra):
 
     _fresh_cells(monkeypatch, algebra, counted_basis)
     monkeypatch.setattr(la, "_cell", counted_cell)
-    return cells, built
+    return cells, built, stray
 
 
 def test_verify_iso_computes_each_cell_and_basis_matrix_once(monkeypatch, capsys):
-    cells, built = _count_cells(monkeypatch, "n2")
+    cells, built, stray = _count_cells(monkeypatch, "n2")
     argv = ["verify-iso", "--equation", "tzitzeica", "--degree", "14", "--order", "18"]
     assert cli.run(argv) == 0
     capsys.readouterr()
     assert len(cells) == len(set(cells)) == 59
     # a cell reads indices q + l <= 2P - 2 = 14, so at most 15 basis matrices
-    # are built, one per index (three per cell would be 177)
-    assert len(built) == len(set(built)) <= 15
+    # are built, one per index (three per cell would be 177), and none outside
+    # a cell, since the matrix Serre rows read cells too
+    assert len(built) == len(set(built)) <= 15 and not stray
 
 
 def test_charalg_sinh_computes_only_the_cells_it_reads(monkeypatch, capsys):
-    cells, _ = _count_cells(monkeypatch, "n1")
+    cells, _, _ = _count_cells(monkeypatch, "n1")
     assert cli.run(["charalg", "--equation", "sinh", "--degree", "16", "--order", "20"]) == 0
     capsys.readouterr()
     assert len(cells) == len(set(cells)) == 4 and {key[0] for key in cells} == {"n1"}
+
+
+@pytest.mark.parametrize("algebra, realization, count", [("n1", (), 6), ("n2", ("matrix",), 7)],
+                         ids=["n1", "n2"])
+def test_matrix_serre_rows_read_only_their_chain_cells(monkeypatch, algebra, realization, count):
+    # the rows' chains: n1 reads (1, 2), (1, 0), (1, 1) and (2, 1), (2, 0), (2, 2);
+    # n2 reads (2, 1), (2, 3) and (1, 2) .. (1, 6)
+    cells, _, stray = _count_cells(monkeypatch, algebra)
+    assert all(la.serre_check(algebra, *realization).values())
+    row = la.ALGEBRAS[algebra]
+    assert len(cells) == len(set(cells)) == count and not stray
+    assert set(cells) == {(algebra, x, (y + j * x) % row.period)
+                          for x, y, m in row.serre for j in range(m)}
 
 
 def test_import_and_argv_parsing_build_no_cell_or_basis_matrix():
