@@ -240,13 +240,11 @@ def verify_isomorphism(equation: str, degree: int, order: int) -> IsoReport:
     result = closure_for(equation, order, degree)
     mismatches = []
     zero_confirmed = 0
-    for (i, j), coeffs in sorted(result.brackets.items()):
+    for (i, j), coeffs in sorted(result.entries.items()):
         want = la.matrix_structure_constant(algebra, i, j)
-        got = dict(coeffs)
         # the result index i+j always sits inside the window: its natural degree
         # is deg_i + deg_j <= max_degree, so the basis element was computed
-        expected = {i + j: want} if want else {}
-        if got != expected:
+        if coeffs != (((i + j, want.numerator, want.denominator),) if want else ()):
             mismatches.append({"pair": (i, j), "jet": _coeff_text(result, coeffs),
                                "matrix": xr.frac_text(want)})
         elif not want:
@@ -260,11 +258,11 @@ def verify_isomorphism(equation: str, degree: int, order: int) -> IsoReport:
     status = "verified" if not mismatches and not grading_bad and all(serre_matrix.values()) \
         and all(s.startswith("ZERO_UP_TO") for s in serre_jet.values()) else "mismatch"
     return IsoReport(equation, order, degree, status, len(result.elements),
-                     len(result.brackets), zero_confirmed, mismatches, grading_bad,
+                     len(result.entries), zero_confirmed, mismatches, grading_bad,
                      serre_jet, serre_matrix, result)
 
 
 def _coeff_text(result: cl.ClosureResult, coeffs) -> str:
     if not coeffs:
         return "0"
-    return " + ".join(f"{xr.frac_text(c)}*{result.elements[k - 1].name}" for k, c in coeffs)
+    return " + ".join(f"{xr.frac_text(n, d)}*{result.elements[k - 1].name}" for k, n, d in coeffs)

@@ -61,18 +61,12 @@ def parse_equation(text: str) -> xr.Quasi:
 def _table_payload(result: cl.ClosureResult) -> dict:
     basis = [{"name": result.toral_name, "d": 0, "r": 0}]
     basis += [{"name": el.name, "d": el.degree, "r": el.eigenvalue} for el in result.elements]
-    brackets = []
-    for el in result.elements:
-        if el.eigenvalue:
-            brackets.append({"i": result.toral_name, "j": el.name,
-                             "out": [[el.name, xr.frac_text(el.eigenvalue)]]})
-    for (i, j) in sorted(result.brackets):
-        coeffs = result.brackets[(i, j)]
-        brackets.append({
-            "i": result.elements[i - 1].name,
-            "j": result.elements[j - 1].name,
-            "out": [[result.elements[k - 1].name, xr.frac_text(c)] for k, c in coeffs],
-        })
+    names = [b["name"] for b in basis]     # by index, X_0 first
+    brackets = [{"i": names[0], "j": el.name, "out": [[el.name, xr.frac_text(el.eigenvalue)]]}
+                for el in result.elements if el.eigenvalue]
+    brackets += [{"i": names[i], "j": names[j],
+                  "out": [[names[k], xr.frac_text(n, d)] for k, n, d in coeffs]}
+                 for (i, j), coeffs in sorted(result.entries.items())]
     return {"basis": basis, "brackets": brackets}
 
 
@@ -80,7 +74,7 @@ def _closure_certs(result: cl.ClosureResult) -> dict:
     """Every table entry is exact on jets up to the closure's order."""
     return {
         f"{result.elements[i - 1].name},{result.elements[j - 1].name}": f"zero-up-to-{result.order}"
-        for i, j in sorted(result.brackets)
+        for i, j in sorted(result.entries)
     }
 
 

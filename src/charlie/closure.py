@@ -48,12 +48,12 @@ z_{k+1}, F maps to the slots 1..n linearly and invertibly, by one map for
 the whole block, so a pair's slots 0..n depend on the elements' exactly when
 its lower sum depends on theirs, with the same unique coordinates.  The
 block's jet span reduces the lower sum of L lam (int: L (D z_k - z_{k+1})
-over int fields) against the elements' by exact sparse elimination; a new
-one makes the pair's field an element, whose rows stand for L times it, and
-coordinates x give the entry sum_e x_e L_e Z_e / L.  No pair is integrated:
-an element's slots are built when a later degree's lower sum, or field_raw,
-reads them.  Fractions are built once, for ClosureResult.brackets, and in a
-non-integral lam.
+over int fields) against the elements' by exact sparse elimination; only a
+new one builds the pair's BasisElement (a candidate until then: its pair,
+L lam and L), whose rows stand for L times it, and coordinates x give the
+entry sum_e x_e L_e Z_e / L.  No pair is integrated: an element's slots are
+built when a later degree's lower sum, or field_raw, reads them.  Entries
+stay ints, and Fractions are built in a non-integral lam only.
 
 Every other pair is summed, with no reduction and no field.  Degree d is
 spanned by the brackets of a generator with a degree-(d - 1) element, so
@@ -76,16 +76,16 @@ elements, all of weight k + 1 - d.  So with N = order, degree d is decided
 on slots 0..n = min(d + w, N), from lower sums on slots 0..n - 1, and w = 1
 at degree 2.  The window is a projection of the order-N jet vector, and a
 projection is linear, so a candidate new on the window is new at order N.
-A relation the window finds and the connection span does not may be one
-that order N breaks (a truncated closure undercounts a non-integrable f);
-then w doubles, up to n = N and kept by the later degrees, and the degree's
-elements and that candidate are re-decided on the wider window.  Hence below
-N every connection row stands for an element; at n = N none is kept, as a
-candidate's row may stand for a relation there.  So every relation comes
-from the connection vectors or from the lower sums at order N, every
-decision, table entry and undercount is the order-N jets', and every
-certificate is N: a relation holds on the min(N_A, N_B) = N slots that the
-jet bracket of two full-order fields keeps.
+A relation the window finds and the connection span does not may be one that
+order N breaks (a truncated closure undercounts a non-integrable f); then w
+doubles, up to n = N and kept by the later degrees, the jet spans' rows gain
+the new slots (LinearSpan.widen) and only that candidate is decided again.
+Hence below N every connection row stands for an element; at n = N none is
+kept, as a candidate's row may stand for a relation there.  So every
+relation comes from the connection vectors or from the lower sums at order
+N, every decision, table entry and undercount is the order-N jets', and
+every certificate is N: a relation holds on the min(N_A, N_B) = N slots that
+the jet bracket of two full-order fields keeps.
 
 A pair is decided inside its bigrading block.  [A, B] has bigrading
 (d, r) = (d_A + d_B, r_A + r_B), and every key (s, i) of its connection
@@ -96,8 +96,8 @@ lower sum, so a lower sum keys on the slot and the monomial alone and
 distinct r have disjoint ones too.  Elimination never mixes disjoint
 supports, so one connection span and one jet span per block give the same
 decisions and the same unique coordinates as one span for all of them,
-while each reduction visits only its block's rows.  A doubling still
-re-decides every block of its degree.
+while each reduction visits only its block's rows.  A doubling widens
+every block of its degree.
 
 An element is stored as packed slots, built, read and extended only by the
 D-recursion; the lower sums and the homogeneity guard, which checks every
@@ -107,9 +107,9 @@ When a target structure-constant rule is supplied, the table is in reference
 normalization: Z_n = (1/k_{q,l}) [Z_q, Z_l] for the first pair q < l,
 q + l = n with a nonzero target constant k.  The scales are int pairs p_n/q_n
 from the raw int entries, so a coefficient c p_i p_j q_k / (den q_i q_j p_k)
-is one Fraction; each element keeps its scale p_n/q_n as norm_scale.
-The rule reproduces the defining recursions of both reference bases, so the
-tables compare literally.  Without a target the table is the raw one.
+is one int pair in lowest terms.  The rule reproduces the defining
+recursions of both reference bases, so the tables compare literally.
+Without a target the table is the raw one.
 """
 
 from __future__ import annotations
@@ -136,12 +136,11 @@ class MismatchError(ArithmeticError):
 
 
 class BasisElement:
-    def __init__(self, index: int, name: str, slots: list, norm_scale: Fraction, degree: int,
-                 eigenvalue: int, connection: dict, lower: dict, order: int, pair=None):
+    def __init__(self, index: int, name: str, slots: list, degree: int, eigenvalue: int,
+                 connection: dict, lower: dict, order: int, pair=None):
         self.index = index            # position in the reference basis; name = prefix + index
         self.name = name
         self.slots = slots            # packed slots 0..N built so far; 0 = the (empty) u slot
-        self.norm_scale = norm_scale
         self.degree = degree          # natural degree (= d of the operator bigrading)
         self.eigenvalue = eigenvalue  # ad-X_0 eigenvalue (= r of the operator bigrading)
         self.connection = connection  # [D, Z] = sum c e^{s*u} Z_i over {(s, i): c}; Z_0 = X_0
@@ -184,21 +183,26 @@ def serre_rungs(x: BasisElement, y: BasisElement, m: int) -> list:
         if k == 1:
             lam[(b, -1)] = -a * y.connection[(b, 0)]   # lower element -1 is x
         lam = {key: c for key, c in lam.items() if c}
-        rungs.append(BasisElement(0, f"ad^{k} {x.name} ({y.name})", [{}], Fraction(1), k + 1,
-                                  b + k * a, lam,
+        rungs.append(BasisElement(0, f"ad^{k} {x.name} ({y.name})", [{}], k + 1, b + k * a, lam,
                                   {i: rungs[i] if i >= 0 else x for _, i in lam}, x.order))
     return rungs
 
 
 class ClosureResult:
     def __init__(self, order: int, max_degree: int, toral_name: str, elements: list,
-                 brackets: dict):
+                 entries: dict):
         self.order = order
         self.max_degree = max_degree
         self.toral_name = toral_name
         self.elements = elements    # BasisElement, by index 1..n
-        self.brackets = brackets    # (i, j) index pair, i<j -> tuple[(k, Fraction), ...]
-                                    # normalized, each built once, exact on jets to `order`
+        self.entries = entries      # (i, j), i<j -> tuple[(k, num, den), ...], k rising, num/den
+                                    # normalized in lowest terms, exact on jets to `order`
+
+    @cached_property
+    def brackets(self) -> dict:
+        """The entries as (i, j) -> tuple[(k, Fraction), ...], built on first read."""
+        return {key: tuple((k, Fraction(num, den)) for k, num, den in coeffs)
+                for key, coeffs in self.entries.items()}
 
     def bracket_coeffs(self, i: int, j: int):
         """Normalized coefficients of [Z_i, Z_j] over the basis, any order of i, j;
@@ -222,6 +226,20 @@ def _vectorize(slots: list, start: int = 0) -> dict:
     an element the one exponent r of its block, and j < order < 2^15."""
     return {m << 16 | j: c for j, q in enumerate(slots, start) for p in q.values()
             for m, c in p.items()}
+
+
+class _Candidate:
+    """A generator pair until the jets call it new: (g, q), L * lam, L, its BasisElement."""
+    __slots__ = ("pair", "lam", "L", "element")
+
+    def __init__(self, pair: tuple, lam: dict, L: int):
+        self.pair, self.lam, self.L, self.element = pair, lam, L, None
+
+
+def _lowest(num: int, den: int) -> tuple:
+    """num/den in lowest terms with a positive denominator, as (num, den)."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def _int_sum(terms) -> tuple:
@@ -273,14 +291,14 @@ def generate(
     elements: list[BasisElement] = []   # by index; a degree's elements join after its pairs
     raw_expr: dict = {}                 # (idx_i, idx_j) -> ({element: int}, den)
 
-    x0 = BasisElement(0, f"{prefix}0", [{0: {0: 1}}], Fraction(1), 0, 0, {}, {}, order)
+    x0 = BasisElement(0, f"{prefix}0", [{0: {0: 1}}], 0, 0, {}, {}, order)
     for alpha in sorted(f, reverse=True):
         idx = len(elements) + 1
         # each ad-X_0 eigencomponent c X(e^{alpha u}) of X(f) is normalized to
         # sign(c) X(e^{alpha u}), and [D, X(g)] = -g X_0
         sign = 1 if f[alpha][xr.MONO_ONE] > 0 else -1
-        elements.append(BasisElement(idx, f"{prefix}{idx}", [{}], Fraction(1), 1, alpha,
-                                     {(alpha, 0): -sign}, {0: x0}, order))
+        elements.append(BasisElement(idx, f"{prefix}{idx}", [{}], 1, alpha, {(alpha, 0): -sign},
+                                     {0: x0}, order))
     bounds = {1: (0, len(elements))}    # degree -> its slice of elements
 
     def entry(i: int, j: int) -> tuple:
@@ -292,20 +310,19 @@ def generate(
             return (1 if i == 0 else -1), {el: el.eigenvalue}, 1
         return (1, *raw_expr[(i, j)]) if i < j else (-1, *raw_expr[(j, i)])
 
-    def lower_sum(lam: dict) -> dict:
-        """The int vector of sum_i lam_i e^{(r - r_i) u} (Z_i)_k on slots 0..n - 1."""
+    def lower_sum(lam: dict, vecs: Optional[dict] = None) -> dict:
+        """sum_i lam_i e^{(r - r_i) u} (Z_i)_k as an int vector on slots 0..n - 1, or over vecs."""
         out: dict = {}
         for (_, i), c in lam.items():
             if i not in lower_vecs:
                 elements[i - 1].extend(n - 1)
                 lower_vecs[i] = _vectorize(elements[i - 1].slots[:n])
-            xr.vec_iadd_scaled(out, lower_vecs[i], c)
+            xr.vec_iadd_scaled(out, (lower_vecs if vecs is None else vecs)[i], c)
         return out
 
     for d in range(2, max_degree + 1):
-        new_here: list[BasisElement] = []
-        scaled: dict = {}                       # element -> (L * lam, L), its rows' vectors
-        connections = defaultdict(LinearSpan)   # r -> L * connection vectors, rows over elements
+        new_here: list[_Candidate] = []
+        connections = defaultdict(LinearSpan)   # r -> L * connection vectors, rows over candidates
         spans = defaultdict(LinearSpan)         # r -> their lower sums
         n = min(d + w, order)           # the slots this degree is decided on
         lower_vecs: dict = {}           # index -> slots 0..n - 1 of a degree-(d - 1) element
@@ -333,55 +350,58 @@ def generate(
                 lam, L = _int_sum([(sign * c.numerator, den * c.denominator, nums)
                                    for c, (sign, nums, den) in parts])
                 lam = {(r - el.eigenvalue, el.index): v for el, v in lam.items()}
-                el = BasisElement(0, f"[{ei.name},{ej.name}]", [{}], Fraction(1), d, r, {
-                    key: c // L if not c % L else Fraction(c, L) for key, c in lam.items()},
-                    {i: elements[i - 1] for _, i in lam}, order, pair)
-                scaled[el] = lam, L
+                cand = _Candidate(pair, lam, L)
                 # below full order the connection span may give a relation; else
                 # the lower sum decides, as the pair's jets would
-                expr = connections[r].insert(lam, el) if n < order else None
+                expr = connections[r].insert(lam, cand) if n < order else None
                 if expr is None:
-                    expr = spans[r].insert(lower_sum(lam), el)
+                    expr = spans[r].insert(lower_sum(lam), cand)
                     while expr is not None and n < order:
-                        # the window may see a relation that full order breaks:
-                        # it doubles, and this degree's candidates are re-decided
+                        # the window may see a relation that full order breaks: it
+                        # doubles, the rows gain the new slots, and this pair is decided again
                         w *= 2
-                        m, n, spans = n, min(d + w, order), defaultdict(LinearSpan)
+                        m, n = n, min(d + w, order)
+                        chunks = {}
                         for i, vec in lower_vecs.items():
                             elements[i - 1].extend(n - 1)
-                            vec.update(_vectorize(elements[i - 1].slots[m:n], m))
-                        for z in (*new_here, el):
-                            expr = spans[z.eigenvalue].insert(lower_sum(scaled[z][0]), z)
+                            chunks[i] = _vectorize(elements[i - 1].slots[m:n], m)
+                            vec.update(chunks[i])
+                        widened = {z: lower_sum(z.lam, chunks) for z in new_here}
+                        for span in spans.values():
+                            span.widen(widened)
+                        expr = spans[r].insert(lower_sum(lam), cand)
                     if expr is None:
-                        new_here.append(el)
-                        expr = {el: 1}, 1
+                        cand.element = BasisElement(0, f"[{ei.name},{ej.name}]", [{}], d, r, {
+                            key: Fraction(c, L) if c % L else c // L for key, c in lam.items()},
+                            {i: elements[i - 1] for _, i in lam}, order, pair)
+                        new_here.append(cand)
+                        expr = {cand: 1}, 1
                 # a tag t's rows are L_t times its element's vectors
                 nums, den = expr
-                nums, den = {e: v * scaled[e][1] for e, v in nums.items()}, den * L
+                nums, den = {t.element: v * t.L for t, v in nums.items()}, den * L
                 g = gcd(den, *nums.values())
                 raw_expr[pair] = {e: v // g for e, v in nums.items()}, den // g
         # reference index order within a degree: eigenvalue descending, then
         # discovery (the sort is stable)
         bounds[d] = len(elements), len(elements) + len(new_here)
-        for el in sorted(new_here, key=lambda e: -e.eigenvalue):
+        for el in sorted((z.element for z in new_here), key=lambda e: -e.eigenvalue):
             el.index = len(elements) + 1
             el.name = f"{prefix}{el.index}"
             elements.append(el)
 
     if target is None:
-        brackets = {key: tuple(sorted((el.index, Fraction(c, den)) for el, c in nums.items()))
-                    for key, (nums, den) in raw_expr.items()}
-        return ClosureResult(order, max_degree, f"{prefix}0", elements, brackets)
+        entries = {key: tuple(sorted((e.index, c // g, den // g)
+                                     for e, c in nums.items() for g in (gcd(c, den),)))
+                   for key, (nums, den) in raw_expr.items()}
+        return ClosureResult(order, max_degree, f"{prefix}0", elements, entries)
     s = _normalization_scales(elements, raw_expr, target)
-    for el in elements:
-        el.norm_scale = Fraction(*s[el.index])
-    brackets = {}
+    entries = {}
     for (i, j), (nums, den) in raw_expr.items():
         (pi, qi), (pj, qj) = s[i], s[j]     # [s_i Z_i, s_j Z_j] = sum s_i s_j c_k / s_k (s_k Z_k)
-        brackets[i, j] = tuple(sorted((e.index, Fraction(c * pi * pj * s[e.index][1],
-                                                         den * qi * qj * s[e.index][0]))
-                                      for e, c in nums.items()))
-    return ClosureResult(order, max_degree, f"{prefix}0", elements, brackets)
+        entries[i, j] = tuple(sorted((e.index, *_lowest(c * pi * pj * s[e.index][1],
+                                                        den * qi * qj * s[e.index][0]))
+                                     for e, c in nums.items()))
+    return ClosureResult(order, max_degree, f"{prefix}0", elements, entries)
 
 
 def _normalization_scales(elements, raw_expr, target) -> list:
@@ -400,9 +420,7 @@ def _normalization_scales(elements, raw_expr, target) -> list:
                 raise MismatchError(
                     f"[{q},{l}] should be {kappa} * element {n} but the jet side gives {coeffs}")
             (pq, qq), (pl, ql), (lam,) = scales[q], scales[l], nums.values()
-            num, div = pq * pl * lam * kappa.denominator, qq * ql * den * kappa.numerator
-            g = gcd(num, div) if div > 0 else -gcd(num, div)
-            scales[n] = num // g, div // g
+            scales[n] = _lowest(pq * pl * lam * kappa.denominator, qq * ql * den * kappa.numerator)
             break
         else:
             raise MismatchError(f"no defining bracket with nonzero target constant for element {n}")

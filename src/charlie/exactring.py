@@ -254,9 +254,9 @@ def qp_is_exponential_only(a: Quasi) -> bool:
 # canonical text form:  c * e^(a*u) * u1^e1*u2^e2...
 # ---------------------------------------------------------------------------
 
-def frac_text(c: Fraction) -> str:
-    """c, an int or a Fraction, as `n` or `n/d`."""
-    n, d = c.numerator, c.denominator
+def frac_text(c: Fraction, den: int = 1) -> str:
+    """c/den, an int or a Fraction c over an int den > 0 (coprime to an int c), as `n` or `n/d`."""
+    n, d = c.numerator, c.denominator * den
     return str(n) if d == 1 else f"{n}/{d}"
 
 

@@ -27,6 +27,10 @@ monic Fraction pivoting.  insert reduces a vector once: it keeps the
 reduced row when one is left and otherwise hands back the coordinates, so a
 caller that adds whatever is new never reduces a vector twice.
 
+widen extends the inputs by parts on keys that no row holds: a row, standing
+for sum_t C[t]*input_t, gains sum_t C[t]*parts[t]; the pivots and echelon form
+stay, and a later vector is decided as by a span of the rows' widened inputs.
+
 nullspace is column dependence: its rows, cleared to ints (which keeps
 their kernel), give columns that go into one LinearSpan in column order.
 The rows are numbered sparsest first (a stable sort by number of entries)
@@ -110,6 +114,12 @@ class LinearSpan:
         spans it by name (ROADMAP items 6 and 7), and the tests read with it."""
         residual, combo, scale = self._reduce(vec)
         return None if residual else ({t: -c for t, c in combo.items()}, scale)
+
+    def widen(self, parts: dict) -> None:
+        """Extend the input of each row tag t by the int vector parts[t], on keys no row holds."""
+        for _, row, combo in self._rows:
+            for t, c in combo.items():
+                vec_iadd_scaled(row, parts[t], c)
 
 
 def _primitive(pivot: Hashable, row: Vec, combo: dict) -> tuple[Hashable, Vec, dict]:

@@ -142,9 +142,22 @@ def bigrading_of(X: jf.JetField):
 # closure results
 # ---------------------------------------------------------------------------
 
-def field(el) -> jf.JetField:
+def norm_scale(res, el) -> Fraction:
+    """The Fraction s_n with Z_n = s_n * field_raw, rebuilt from the raw
+    (target-free) and normalized tables.  An element's raw field is the raw
+    bracket of its defining pair (g, q), so that raw entry is 1 * Z_n, and the
+    normalized entry c * Z_n of the same pair gives s_n = s_g s_q / c."""
+    if el.pair is None:
+        return Fraction(1)
+    g, q = el.pair
+    return (norm_scale(res, res.elements[g - 1]) * norm_scale(res, res.elements[q - 1])
+            / dict(res.brackets[g, q])[el.index])
+
+
+def field(res, el) -> jf.JetField:
     """A closure element's normalized field, norm_scale * field_raw."""
-    return el.field_raw if el.norm_scale == 1 else field_scale(el.field_raw, el.norm_scale)
+    scale = norm_scale(res, el)
+    return el.field_raw if scale == 1 else field_scale(el.field_raw, scale)
 
 
 def pair_connection(res, a, b):

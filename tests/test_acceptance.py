@@ -145,7 +145,7 @@ def test_criterion_06_tzitzeica_isomorphism(tz_big):
     # the matrix constants and the printed table differ exactly at the known cells
     assert {(q, l) for q, l, _, _ in la.twisted_table_diff()} == {(5, 7), (7, 5)}
     # spot identities with the reference normalizations
-    el = {e.name: orc.field(e) for e in tz_big.elements}
+    el = {e.name: orc.field(tz_big, e) for e in tz_big.elements}
     assert orc.fields_equal(jf.bracket(el["Y3"], el["Y4"]), orc.field_scale(el["Y7"], 3))
     assert orc.fields_equal(jf.bracket(el["Y1"], el["Y5"]), orc.field_scale(el["Y6"], -2))
     # Serre relations, jet zero-up-to and matrix exact
@@ -263,7 +263,7 @@ def test_criterion_11a_random_bracket_properties():
     pool = [orc.make_D(order), jf.make_X0(order)]
     for eq in ("sinh", "tzitzeica"):
         res = an.closure_for(eq, order=order, degree=5)
-        pool.extend(orc.truncate(orc.field(el), order) for el in res.elements)
+        pool.extend(orc.truncate(orc.field(res, el), order) for el in res.elements)
     rng = random.Random(11)
 
     def combo():
@@ -294,8 +294,8 @@ def test_criterion_11b_truncation_stability(sinh_small, sinh_big, tz_small, tz_b
             d: n for d, n in orc.dims_by_degree(big).items() if d <= small.max_degree}
         for el_small, el_big in zip(small.elements, big.elements):
             assert el_small.name == el_big.name
-            assert orc.fields_equal(orc.field(el_small),
-                                    orc.truncate(orc.field(el_big), small.order))
+            assert orc.fields_equal(orc.field(small, el_small),
+                                    orc.truncate(orc.field(big, el_big), small.order))
         for key, coeffs in small.brackets.items():
             assert big.brackets[key] == coeffs
 

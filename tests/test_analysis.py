@@ -289,7 +289,7 @@ def test_jet_serre_rows_are_sharp(monkeypatch, equation):
     monkeypatch.setitem(la.ALGEBRAS, algebra, row._replace(serre=lowered))
     monkeypatch.setattr(la, "serre_check_matrix", lambda name: truth)
     rep = an.verify_isomorphism(equation, 8, 12)
-    generators = [orc.field(el) for el in rep.closure.elements[:2]]
+    generators = [orc.field(rep.closure, el) for el in rep.closure.elements[:2]]
     want = {}
     for x, y, m in lowered:
         tower = generators[y - 1]

@@ -3,6 +3,7 @@ import json
 import shlex
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -54,8 +55,8 @@ def test_sinh_basis_names_degrees_eigenvalues(sinh_small):
 
 
 def test_sinh_generators_are_the_split_exponentials(sinh_small):
-    X1 = orc.field(orc.by_name(sinh_small, "X1"))
-    X2 = orc.field(orc.by_name(sinh_small, "X2"))
+    X1 = orc.field(sinh_small, orc.by_name(sinh_small, "X1"))
+    X2 = orc.field(sinh_small, orc.by_name(sinh_small, "X2"))
     assert orc.slot(X1, 1) == xr.qp_parse("e^(u)")
     assert orc.slot(X2, 1) == xr.qp_parse("-1 * e^(-u)")
 
@@ -74,7 +75,7 @@ def test_sinh_operator_bigradings(sinh_small):
 
 def test_sinh_normalization_matches_reference_recursion(sinh_small):
     # X4 = -[X1, X3], X5 = [X2, X3], X6 = [X1, X5], X7 = -[X1, X6]
-    el = {e.name: orc.field(e) for e in sinh_small.elements}
+    el = {e.name: orc.field(sinh_small, e) for e in sinh_small.elements}
     assert orc.fields_equal(el["X4"], orc.field_scale(jf.bracket(el["X1"], el["X3"]), -1))
     assert orc.fields_equal(el["X5"], jf.bracket(el["X2"], el["X3"]))
     assert orc.fields_equal(el["X6"], jf.bracket(el["X1"], el["X5"]))
@@ -84,7 +85,7 @@ def test_sinh_normalization_matches_reference_recursion(sinh_small):
 def test_sinh_D_recursion_relations(sinh_small):
     # [D, X_{3k+1}] = -e^u X_{3k},  [D, X_{3k+2}] = e^-u X_{3k},
     # [D, X_{3k+3}] = -e^-u X_{3k+1} + e^u X_{3k+2}
-    el = {e.index: orc.field(e) for e in sinh_small.elements}
+    el = {e.index: orc.field(sinh_small, e) for e in sinh_small.elements}
     D = orc.make_D(sinh_small.order)
     eu, emu = xr.qp_parse("e^(u)"), xr.qp_parse("e^(-u)")
     for k in (1, 2, 3):
@@ -110,7 +111,7 @@ def test_sinh_table_equals_matrix_table(sinh_small):
 
 def test_sinh_specific_relations(sinh_small):
     # [X3, X1] = X4 and [X4, X2] = X6 in the reference normalization
-    el = {e.name: orc.field(e) for e in sinh_small.elements}
+    el = {e.name: orc.field(sinh_small, e) for e in sinh_small.elements}
     assert orc.fields_equal(jf.bracket(el["X3"], el["X1"]), el["X4"])
     assert orc.fields_equal(jf.bracket(el["X4"], el["X2"]), el["X6"])
     # [X1, X4] = [X2, X5] = 0 up to truncation
@@ -132,7 +133,7 @@ def test_tzitzeica_basis_and_bigradings(tz_small):
 
 
 def test_tzitzeica_printed_leading_terms(tz_small):
-    el = {e.name: orc.field(e) for e in tz_small.elements}
+    el = {e.name: orc.field(tz_small, e) for e in tz_small.elements}
     assert orc.slot(el["Y3"], 2) == xr.qp_parse("-3 * e^(-u)")
     assert orc.slot(el["Y3"], 3) == xr.qp_parse("6 * e^(-u) * u1")
     assert orc.slot(el["Y3"], 4) == xr.qp_parse("-15 * e^(-u) * u1^2 + 9 * e^(-u) * u2")
@@ -149,7 +150,7 @@ def test_tzitzeica_printed_leading_terms(tz_small):
 def test_tzitzeica_normalization_matches_reference_recursion(tz_small):
     # Y5 = -1/3 [Y1, Y4], Y6 = -1/2 [Y1, Y5], Y7 = [Y2, Y5], Y8 = [Y1, Y7],
     # Y9 = -[Y1, Y8], Y10 = 1/2 [Y2, Y8], Y11 = [Y1, Y10]
-    el = {e.name: orc.field(e) for e in tz_small.elements}
+    el = {e.name: orc.field(tz_small, e) for e in tz_small.elements}
     checks = [
         ("Y3", 1, "Y1", "Y2"), ("Y4", 1, "Y1", "Y3"),
         ("Y5", Fraction(-1, 3), "Y1", "Y4"), ("Y6", Fraction(-1, 2), "Y1", "Y5"),
@@ -163,7 +164,7 @@ def test_tzitzeica_normalization_matches_reference_recursion(tz_small):
 
 
 def test_tzitzeica_D_recursion_relations(tz_small):
-    el = {e.index: orc.field(e) for e in tz_small.elements}
+    el = {e.index: orc.field(tz_small, e) for e in tz_small.elements}
     D = orc.make_D(tz_small.order)
     eu, em2u = xr.qp_parse("e^(u)"), xr.qp_parse("e^(-2*u)")
 
@@ -191,7 +192,7 @@ def test_tzitzeica_table_equals_matrix_table(tz_small):
 
 
 def test_tzitzeica_spot_identities(tz_small):
-    el = {e.name: orc.field(e) for e in tz_small.elements}
+    el = {e.name: orc.field(tz_small, e) for e in tz_small.elements}
     assert orc.fields_equal(jf.bracket(el["Y3"], el["Y4"]), orc.field_scale(el["Y7"], 3))
     assert orc.fields_equal(jf.bracket(el["Y1"], el["Y5"]), orc.field_scale(el["Y6"], -2))
     for a, b in (("Y2", "Y3"), ("Y2", "Y4"), ("Y2", "Y7")):
@@ -247,11 +248,11 @@ def test_liouville_growth_offset():
 def test_determinism_two_runs():
     a = closure_for("tzitzeica", order=12, degree=6)
     b = closure_for("tzitzeica", order=12, degree=6)
-    assert [(e.name, e.degree, e.eigenvalue, e.norm_scale) for e in a.elements] == \
-        [(e.name, e.degree, e.eigenvalue, e.norm_scale) for e in b.elements]
+    assert [(e.name, e.degree, e.eigenvalue, orc.norm_scale(a, e)) for e in a.elements] == \
+        [(e.name, e.degree, e.eigenvalue, orc.norm_scale(b, e)) for e in b.elements]
     assert a.brackets == b.brackets and a.order == b.order
     for x, y in zip(a.elements, b.elements):
-        assert orc.fields_equal(orc.field(x), orc.field(y))
+        assert orc.fields_equal(orc.field(a, x), orc.field(b, y))
 
 
 def test_mismatch_detection_on_wrong_target():
@@ -284,7 +285,8 @@ def test_normalized_table_is_the_raw_table_rescaled(equation, degree, order):
     # [Z'_i, Z'_j] = sum (s_i s_j c_k / s_k) Z'_k, entry by entry
     res = closure_for(equation, order, degree)
     raw = cl.generate(EQUATIONS[equation], order, degree, res.toral_name[:-1])
-    s = {el.index: el.norm_scale for el in res.elements}
+    s = {el.index: orc.norm_scale(res, el) for el in res.elements}
+    assert all(raw.brackets[el.pair] == ((el.index, 1),) for el in raw.elements if el.pair)
     assert all(type(c) is Fraction for c in s.values()) and set(s.values()) != {1}
     assert res.brackets == {(i, j): tuple((k, s[i] * s[j] * c / s[k]) for k, c in coeffs)
                             for (i, j), coeffs in raw.brackets.items()}
@@ -317,7 +319,7 @@ def filter_case(request):
 def test_every_table_entry_matches_its_jet_bracket(filter_case):
     # all pairs, also those the connection filter kept from being bracketed
     res = filter_case
-    fields = {el.index: orc.field(el) for el in res.elements}
+    fields = {el.index: orc.field(res, el) for el in res.elements}
     for (i, j), coeffs in res.brackets.items():
         br = jf.bracket(fields[i], fields[j])
         rhs = orc.zero_field(res.order)
@@ -358,7 +360,7 @@ def test_a_non_integral_connection_stays_lam():
     for (s, i), c in el.connection.items():
         rhs = orc.field_add(rhs, qp_times_field(orc.qp_exp(s, c), raw[i]))
     assert orc.fields_equal(jf.bracket(orc.make_D(res.order), el.field_raw), rhs)
-    fields = {e.index: orc.field(e) for e in res.elements}
+    fields = {e.index: orc.field(res, e) for e in res.elements}
     pairs = [key for key in res.brackets if el.index in key]
     assert len(pairs) == 3   # one per generator
     for i, j in pairs:
@@ -412,14 +414,15 @@ def test_jet_relations_the_connections_miss_hold_on_the_fields(monkeypatch):
     # not: generator pairs whose lower sum depends on its block's elements
     # while their connection vector does not depend on the elements' ones,
     # 6 at degree 9 and 44 at degree 10 and none below.  Each entry is the
-    # jet bracket of its pair
-    decided = []    # (candidate element, int lower sum, (nums, den) or None)
+    # jet bracket of its pair.  A candidate that is a relation builds no
+    # element, so the span records its pair and L * lam
+    decided = []    # (pair, L * lam, int lower sum, (nums, den) or None)
 
     class RecordingSpan(LinearSpan):
         def insert(self, vec, tag):
             coords = super().insert(vec, tag)
             if vec and type(next(iter(vec))) is int:    # keyed m << 16 | slot
-                decided.append((tag, vec, coords))
+                decided.append((tag.pair, tag.lam, vec, coords))
             return coords
 
     monkeypatch.setattr(cl, "LinearSpan", RecordingSpan)
@@ -427,26 +430,53 @@ def test_jet_relations_the_connections_miss_hold_on_the_fields(monkeypatch):
     els = res.elements
     dims = orc.dims_by_degree(res)
     assert (dims[9], dims[10]) == (50, 54)
-    fields = {el.index: orc.field(el) for el in els}
+    fields = {el.index: orc.field(res, el) for el in els}
     missed = Counter()
-    for cand, vec, coords in decided:
+    for (i, j), lam, vec, coords in decided:
         if coords is None:
             continue
         nums, den = coords
         assert all(type(c) is int for c in (den, *vec.values(), *nums.values())) and den > 0
+        degree = els[i - 1].degree + els[j - 1].degree
         of_elements = LinearSpan()
         for el in els:
-            if (el.degree, el.eigenvalue) == (cand.degree, cand.eigenvalue):
+            if (el.degree, el.eigenvalue) == (degree, els[i - 1].eigenvalue + els[j - 1].eigenvalue):
                 of_elements.insert(cleared(el.connection)[0], el)
-        if of_elements.express(cleared(cand.connection)[0]) is not None:
+        if of_elements.express(lam) is not None:
             continue
-        missed[cand.degree] += 1
-        i, j = cand.pair
+        missed[degree] += 1
         rhs = orc.zero_field(res.order)
         for k, c in res.brackets[(i, j)]:
             rhs = orc.field_add(rhs, orc.field_scale(fields[k], c))
         assert orc.fields_equal(jf.bracket(fields[i], fields[j]), rhs), (i, j)
     assert missed == {9: 6, 10: 44}
+
+
+def test_doublings_widen_the_jet_spans_and_only_new_pairs_build_elements(monkeypatch):
+    # on nonint-10/14 the window doubles at degrees 6, 7 and 9.  Each jet span
+    # of the degree widens its rows by the new slots in place, and only the
+    # candidate that found the relation is decided again, so the degree's
+    # elements are not inserted once more: 229 lower sums are reduced (276
+    # when each doubling rebuilt the spans).  A BasisElement is built for X_0,
+    # the generators and each pair that the jets call new, 175 in all (240
+    # when every candidate that reached the connection span was one)
+    counts = Counter()
+
+    class CountingSpan(LinearSpan):
+        def insert(self, vec, tag):
+            counts["jet"] += bool(vec) and type(next(iter(vec))) is int
+            return super().insert(vec, tag)
+
+    class CountingElement(cl.BasisElement):
+        def __init__(self, *args):
+            counts["element"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(cl, "LinearSpan", CountingSpan)
+    monkeypatch.setattr(cl, "BasisElement", CountingElement)
+    res = closure_for(xr.qp_parse("e^(u) + e^(-3*u)"), 14, 10)
+    assert len(res.elements) == 174 and _widened(res) == {9}
+    assert counts == {"jet": 229, "element": 175}
 
 
 def test_only_generator_pairs_reach_the_connection_spans(monkeypatch):
@@ -481,6 +511,62 @@ def test_only_generator_pairs_reach_the_connection_spans(monkeypatch):
         g, q = el.pair
         assert g in generators and res.elements[q - 1].degree == el.degree - 1, el.name
         assert res.brackets[(g, q)] == ((el.index, 1),), el.name
+
+
+def test_widened_jet_spans_stand_for_the_lower_sums_on_the_wider_window(monkeypatch):
+    # on nonint-10/14 every row of a jet span stands for its elements' lower
+    # sums on the degree's last window, though each doubling gave the rows
+    # only the new slots: each element's input, widened by what generate
+    # passed, is its lower sum read afresh from the lower elements' slots, and
+    # each row is the combination of those inputs that it carries
+    spans = []      # jet spans in creation order, each with its doublings
+
+    class RecordingSpan(LinearSpan):
+        def insert(self, vec, tag):
+            coords = super().insert(vec, tag)
+            if vec and type(next(iter(vec))) is int:    # keyed m << 16 | slot
+                if not hasattr(self, "inputs"):
+                    self.tag, self.inputs, self.doublings = tag, {}, 0
+                    spans.append(self)
+                if coords is None:
+                    self.inputs[tag] = dict(vec)
+            return coords
+
+        def widen(self, parts):
+            super().widen(parts)
+            self.doublings += 1
+            for t, vec in self.inputs.items():
+                vec.update(parts.get(t, {}))
+
+    monkeypatch.setattr(cl, "LinearSpan", RecordingSpan)
+    order = 14
+    res = closure_for(xr.qp_parse("e^(u) + e^(-3*u)"), order, 10)
+    els = res.elements
+
+    def degree(t):
+        return sum(els[i - 1].degree for i in t.pair)
+
+    # replay the window: each doubling widens every jet span of its degree,
+    # the first one included, and w carries over to the later degrees
+    doublings = {}
+    for span in spans:
+        doublings.setdefault(degree(span.tag), span.doublings)
+    window, w = {}, 1
+    for d in range(2, res.max_degree + 1):
+        w *= 2 ** doublings.get(d, 0)
+        window[d] = min(d + w, order)
+    assert [window[d] - d for d in range(2, 11)] == [1, 1, 1, 1, 2, 4, 4, 5, 4]
+    for span in spans:
+        for t, vec in span.inputs.items():
+            fresh = {}
+            for (_, i), c in t.lam.items():
+                xr.vec_iadd_scaled(fresh, cl._vectorize(els[i - 1].slots[:window[degree(t)]]), c)
+            assert vec == fresh, t.pair
+        for _, row, combo in span._rows:
+            total = {}
+            for t, c in combo.items():
+                xr.vec_iadd_scaled(total, span.inputs[t], c)
+            assert total == row
 
 
 def _widened(res):
@@ -580,7 +666,7 @@ def test_serre_rungs_equal_the_jet_bracket_tower(equation, algebra, degree, orde
         gx, gy = res.elements[x - 1], res.elements[y - 1]
         rungs = cl.serre_rungs(gx, gy, m)
         assert not rungs[-1].connection
-        for k, want in enumerate(_reference_tower(orc.field(gx), orc.field(gy), m)):
+        for k, want in enumerate(_reference_tower(orc.field(res, gx), orc.field(res, gy), m)):
             assert rungs[k].field_raw.valid_order == want.valid_order == order
             assert _typed(rungs[k].field_raw) == _typed(want), (x, y, k)
 
@@ -851,7 +937,7 @@ def test_closure_tables_satisfy_jacobi(case):
     equation, degree, order = JACOBI_CASES[case]
     res = closure_for(equation, order, degree)
     tables = [res]
-    if any(el.norm_scale != 1 for el in res.elements):
+    if any(orc.norm_scale(res, el) != 1 for el in res.elements):
         tables.append(cl.generate(equation, order, degree))
     for table in tables:
         assert _jacobi_violations(table) == []
@@ -934,6 +1020,41 @@ PINNED_DATA_REPORTS = {
     'symmetry --equation "e^u + 3" --phi u2':
         (2, "91a5f9dd7cb28518de918d418556b427ab82a6ae23738a94a8a425d3b2a5a01e"),
 }
+
+
+CLOSURE_COMMANDS = sorted(
+    command for command in [*PINNED_REPORTS, *PINNED_DATA_REPORTS,
+                            *(c for w in GOLDEN.values() for c in w)]
+    if shlex.split(command)[0] in ("charalg", "verify-iso", "growth")
+    and "--algebra" not in command)
+
+
+@pytest.mark.parametrize("command", CLOSURE_COMMANDS)
+def test_entries_are_ints_in_lowest_terms_and_reports_build_no_fraction(monkeypatch, capsys,
+                                                                      command):
+    # every entry is (k, num, den) with k rising, num/den in lowest terms and
+    # den > 0, and it is the Fraction view; charalg and verify-iso read the
+    # ints alone and leave the view unbuilt (growth reads it)
+    results = []
+    generate = cl.generate
+
+    def recording(*args):
+        results.append(generate(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cl, "generate", recording)
+    assert cli.run(shlex.split(command)) == 0
+    capsys.readouterr()
+    (res,) = results
+    if not command.startswith("growth"):
+        assert "brackets" not in vars(res)
+    for key, coeffs in res.entries.items():
+        assert [k for k, _, _ in coeffs] == sorted({k for k, _, _ in coeffs}), key
+        assert all(type(num) is int and type(den) is int and num and den > 0
+                   and gcd(num, den) == 1 for _, num, den in coeffs), key
+    assert res.brackets == {key: tuple((k, Fraction(num, den)) for k, num, den in coeffs)
+                            for key, coeffs in res.entries.items()}
+    assert all(type(c) is Fraction for coeffs in res.brackets.values() for _, c in coeffs)
 
 
 @pytest.mark.parametrize("command, pinned", sorted(PINNED_DATA_REPORTS.items()),

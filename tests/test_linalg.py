@@ -312,3 +312,46 @@ def test_int_span_sessions_keep_ints_and_what_rows_stand_for(ops):
             assert type(pivot) is int and row[pivot] > 0
             assert all(type(c) is int for c in (*row.values(), *combo.values()))
             assert ref.express(row) == {t: F(c) for t, c in combo.items()}
+
+
+new_vectors = st.dictionaries(st.integers(min_value=10, max_value=13),   # keys no row holds
+                              span_entries.filter(bool), max_size=3)
+
+
+@given(st.lists(st.tuples(span_vectors, new_vectors), min_size=1, max_size=6),
+       span_vectors, new_vectors)
+@settings(max_examples=150, deadline=None)
+def test_widened_span_decides_as_one_rebuilt_from_the_wider_vectors(vecs, old, new):
+    # a row stands for sum_t C[t] input_t, so giving each input new keys and
+    # each row sum_t C[t] parts[t] on them leaves the span of the widened
+    # inputs of its tags: one more vector gets the decision and the int
+    # coordinates that a span rebuilt from those gives it
+    span = LinearSpan()
+    kept = [t for t, (v, _) in enumerate(vecs) if span.insert(v, t) is None]
+    span.widen({t: part for t, (_, part) in enumerate(vecs)})
+    rebuilt = LinearSpan()
+    for t in kept:
+        assert rebuilt.insert(vecs[t][0] | vecs[t][1], t) is None
+    for pivot, row, combo in span._rows:
+        assert row[pivot] > 0 and all(type(c) is int for c in row.values())
+        total = {}
+        for t, c in combo.items():
+            total = vec_add_scaled(total, vecs[t][0] | vecs[t][1], c)
+        assert total == row
+    got, want = span.insert(old | new, "x"), rebuilt.insert(old | new, "x")
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert _fractions(got) == _fractions(want)
+
+
+def test_widening_turns_a_dependent_vector_independent():
+    # 2a on the old keys is dependent, and independent once the new key
+    # tells it from 2a; a later vector is expressed over both tags
+    span = LinearSpan()
+    assert span.insert({0: 1, 1: 2}, "a") is None
+    assert _fractions(span.express({0: 2, 1: 4})) == {"a": 2}
+    span.widen({"a": {5: 3}})
+    assert span.express({0: 2, 1: 4}) is None
+    assert span.insert({0: 2, 1: 4, 5: 1}, "b") is None
+    assert _fractions(span.insert({0: 3, 1: 6, 5: 5}, "c")) == {"a": Fraction(7, 5),
+                                                               "b": Fraction(4, 5)}

@@ -101,7 +101,7 @@ def field_pool():
     pool = [orc.make_D(order), jf.make_X0(order)]
     for eq in ("sinh", "tzitzeica"):
         res = closure_for(eq, order=order, degree=5)
-        pool.extend(orc.truncate(orc.field(el), order) for el in res.elements)
+        pool.extend(orc.truncate(orc.field(res, el), order) for el in res.elements)
     return pool
 
 
@@ -164,8 +164,9 @@ def test_closure_truncation_stability(eq, sinh_small, tz_small, sinh_big, tz_big
     # order-16 fields restricted to 12 slots reproduce the order-12 fields exactly
     for el_small, el_big in zip(small.elements, big.elements):
         assert el_small.name == el_big.name
-        assert el_small.norm_scale == el_big.norm_scale
-        assert orc.fields_equal(orc.field(el_small), orc.truncate(orc.field(el_big), small.order))
+        assert orc.norm_scale(small, el_small) == orc.norm_scale(big, el_big)
+        assert orc.fields_equal(orc.field(small, el_small),
+                                orc.truncate(orc.field(big, el_big), small.order))
     # the window's brackets agree
     for key, coeffs in small.brackets.items():
         assert big.brackets[key] == coeffs
@@ -183,7 +184,7 @@ def test_closure_entries_equal_their_jet_brackets(f):
     # the connection spans decide the generator pairs, the Jacobi identity
     # sums the rest; every entry is the jet bracket of its pair
     res = cl.generate(f, 8, 5)
-    fields = {el.index: orc.field(el) for el in res.elements}
+    fields = {el.index: orc.field(res, el) for el in res.elements}
     for (i, j), coeffs in res.brackets.items():
         rhs = orc.zero_field(res.order)
         for k, c in coeffs:
@@ -200,7 +201,7 @@ def test_closure_at_a_long_gap_matches_the_jet_brackets(f):
     # [Z_g, Z_q] of a generator with an element one degree lower have rank,
     # and every entry is the jet bracket of its pair
     res = cl.generate(f, 12, 5)
-    fields = {el.index: orc.field(el) for el in res.elements}
+    fields = {el.index: orc.field(res, el) for el in res.elements}
     generators = [el.index for el in res.elements if el.degree == 1]
     for d in range(2, res.max_degree + 1):
         span = LinearSpan()
