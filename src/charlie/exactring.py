@@ -19,13 +19,14 @@ An int and a Fraction of equal value compare and hash alike, so dict equality
 does not depend on which one a coefficient is.
 
 vec_iadd_scaled (out += c*b in place on any such dict, zeros dropped) is
-the one sparse accumulate: linalg's row operations call it on the vectors
-they own, and vec_add_scaled, its copying wrapper, serves polynomial sums
-(c = +-1) and the closure's abstract bracket.  Only the jet bracket kernel in
-jetfield fuses its own multiply-accumulate over packed monomials.  The
-matrix oracle in loopalg keeps this one format, a Laurent matrix being a
-plain dict of exact entries, but its own sum and product, so that it
-shares no arithmetic code with the jet side it checks.
+the one sparse accumulate: linalg's row operations and the closure's lower
+sums and abstract bracket call it on the vectors they own, and
+vec_add_scaled, its copying wrapper, serves qp_add, qp_mul and the 2x2
+exponential systems of analysis.  Only the jet bracket kernel in jetfield
+fuses its own multiply-accumulate over packed monomials.  The matrix oracle
+in loopalg shares no arithmetic code with the jet side it checks: it
+cross-multiplies the exact entries of its t-free matrices, plain
+{(row, col): entry} dicts, into structure constants.
 
 The weight of u_i is i; a polynomial is weight-homogeneous when all its monomials
 share one weight.  Zero-coefficient terms and zero polynomial parts are never stored,

@@ -1,18 +1,20 @@
 """Exact matrix realizations of the loop algebra of sl(2) and the twisted loop
-algebra of sl(3), their gradings and Serre relations.
+algebra of sl(3) as residue data, their gradings and Serre relations.
 
-This is the independent oracle side: each basis matrix is a power of t times
-an exact t-free matrix, a structure constant is one residue cell, read off the
-t-free parts of its three basis matrices, and a matrix Serre relation is read
-from a chain of those cells.  The one exception is serre_check's jet branch,
-which imports closure to build the Serre rungs on jets; it stays in
+Each realization is one ALGEBRAS row: its period P, the t-free matrices
+M_0..M_{P-1} and the t-powers of b_0..b_P, so that b_{kP+s} is t^(powers[s] +
+k powers[P]) M_s, and its label prefix, canonical bigradings and Serre
+relations.  This is the independent oracle side: a structure constant is one
+residue cell, read off three matrices and their powers in the row, and a
+matrix Serre relation is read from a chain of those cells.  No basis or
+Laurent matrix is built here; the tests build them from the rows and check
+them against the closed forms.  The one exception is serre_check's jet
+branch, which imports closure to build the Serre rungs on jets; it stays in
 serre_check because bench/tracer.py spans serre_check by realization (jet or
-matrix) until the tracer changes (ROADMAP items 6 and 7).  Each realization is
-one ALGEBRAS row, and its gradings, structure constants and Serre checks are
-read from that row.  The transcribed structure-constant table for the twisted
-algebra is kept as data-under-test; the matrices are ground truth and
-`twisted_table_diff` reports any cell where the print drifts from the
-arithmetic.
+matrix) until the tracer changes (ROADMAP items 6 and 7).  The transcribed
+structure-constant table for the twisted algebra is kept as data-under-test;
+the matrices are ground truth and `twisted_table_diff` reports any cell where
+the print drifts from the arithmetic.
 """
 
 from __future__ import annotations
@@ -21,68 +23,18 @@ from collections import namedtuple
 from fractions import Fraction
 
 
-def lm(items: dict) -> dict:
-    """The Laurent matrix {(i, j, p): c}: entry (i, j) of its t^p part, an int
-    or a non-integral Fraction, zeros never stored: equality is dict equality."""
-    return {k: v if v.denominator != 1 else v.numerator for k, v in items.items() if v}
-
-
-def lm_t_shift(a: dict, p: int) -> dict:
-    return lm({(i, j, q + p): v for (i, j, q), v in a.items()})
-
-
-# ---------------------------------------------------------------------------
-# loop algebra of sl(2): basis e_0, e_1, e_2, ... of the non-negative part
-# ---------------------------------------------------------------------------
-
-def sl2_basis(i: int) -> dict:
-    """e_{3k} = (1/2) diag(t^k, -t^k); e_{3k+1} = (1/2) E12 t^k; e_{3k+2} = E21 t^{k+1}."""
-    if i < 0:
-        raise ValueError(f"non-negative part needs index >= 0, got {i}")
-    k, s = divmod(i, 3)
-    if s == 0:
-        return lm({(0, 0, k): Fraction(1, 2), (1, 1, k): Fraction(-1, 2)})
-    if s == 1:
-        return lm({(0, 1, k): Fraction(1, 2)})
-    return lm({(1, 0, k + 1): 1})
-
-
-# ---------------------------------------------------------------------------
-# twisted loop algebra of sl(3)
-# ---------------------------------------------------------------------------
-
-SL3_F = {
-    -1: lm({(1, 0, 0): 1, (2, 1, 0): 1}),
-    0: lm({(0, 0, 0): 1, (2, 2, 0): -1}),
-    1: lm({(0, 1, 0): 1, (1, 2, 0): 1}),
-    2: lm({(2, 0, 0): 1}),
-    3: lm({(1, 0, 0): 1, (2, 1, 0): -1}),
-    4: lm({(0, 0, 0): 1, (1, 1, 0): -2, (2, 2, 0): 1}),
-    5: lm({(0, 1, 0): 1, (1, 2, 0): -1}),
-    6: lm({(0, 2, 0): 1}),
-}
-
-def sl3_twisted_basis(n: int) -> dict:
-    """f_{8k+s}: s in {-1,0,1} on t^{2k} (g_0 part), s in {2..6} on t^{2k+1} (g_1 part)."""
-    if n < 0:
-        raise ValueError(f"non-negative part needs index >= 0, got {n}")
-    s = (n + 1) % 8 - 1  # -1 <= s <= 6
-    k = (n - s) // 8
-    p = 2 * k if s <= 1 else 2 * k + 1
-    return lm_t_shift(SL3_F[s], p)
-
-
 # ---------------------------------------------------------------------------
 # the two loop algebras, one row each
 # ---------------------------------------------------------------------------
 
-# The facts a realization b_0, b_1, ... of a non-negative loop algebra part
-# rests on.  Shifting an index by the period multiplies b_i by a power of t,
-# so b_{i+P} has the canonical bigrading of b_i plus that of b_P, and every
-# structure constant depends only on the residues mod P.
+# A realization b_0, b_1, ... of a non-negative loop algebra part as residue
+# data: b_{kP+s} = t^(powers[s] + k powers[P]) M_s for 0 <= s < P, so b_{i+P}
+# is t^powers[P] b_i, has the canonical bigrading of b_i plus that of b_P, and
+# every structure constant depends only on the residues mod P.
 LoopAlgebra = namedtuple("LoopAlgebra", (
     "period",
-    "basis",                    # int -> Laurent matrix, one power of t times a constant
+    "mats",                     # t-free M_0..M_{P-1}, {(row, col): int or non-integral Fraction}
+    "powers",                   # t-powers of b_0..b_P
     "prefix",                   # label of b_i: prefix + i
     "bigradings",               # canonical (generator-count) bigradings of b_0..b_P
     "serre",                    # (x, y, m): ad^m b_x (b_y) = 0 on the generators b_1, b_2
@@ -90,35 +42,35 @@ LoopAlgebra = namedtuple("LoopAlgebra", (
 
 
 ALGEBRAS = {
-    # L(sl(2))^{>=0}, A_1^(1)
-    "n1": LoopAlgebra(3, sl2_basis, "e", ((0, 0), (1, 0), (0, 1), (1, 1)),
+    # L(sl(2))^{>=0}, A_1^(1): e_{3k} = (1/2) diag(t^k, -t^k), e_{3k+1} = (1/2) E12 t^k,
+    # e_{3k+2} = E21 t^{k+1}
+    "n1": LoopAlgebra(3, ({(0, 0): Fraction(1, 2), (1, 1): Fraction(-1, 2)},
+                          {(0, 1): Fraction(1, 2)}, {(1, 0): 1}),
+                      (0, 0, 1, 1), "e", ((0, 0), (1, 0), (0, 1), (1, 1)),
                       ((1, 2, 3), (2, 1, 3))),
-    # L(sl(3), mu)^{>=0}, A_2^(2)
-    "n2": LoopAlgebra(8, sl3_twisted_basis, "f",
+    # L(sl(3), mu)^{>=0}, A_2^(2): f_{8k}, f_{8k+1} and f_{8k+7} in g_0 on even powers
+    # of t, f_{8k+2} .. f_{8k+6} in g_1 on odd ones
+    "n2": LoopAlgebra(8, ({(0, 0): 1, (2, 2): -1}, {(0, 1): 1, (1, 2): 1}, {(2, 0): 1},
+                          {(1, 0): 1, (2, 1): -1}, {(0, 0): 1, (1, 1): -2, (2, 2): 1},
+                          {(0, 1): 1, (1, 2): -1}, {(0, 2): 1}, {(1, 0): 1, (2, 1): 1}),
+                      (0, 0, 1, 1, 1, 1, 1, 2, 2), "f",
                       ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (3, 2), (4, 2)),
                       ((2, 1, 2), (1, 2, 5))),
 }
 
 
-_T_FREE: dict = {}   # (algebra, i) -> (p, M): b_i = t^p M, M = {(row, col): entry}
 _CELLS: dict = {}    # (algebra, q mod P, l mod P) -> structure constant, on first read
 
 
-def _t_free(algebra: str, i: int) -> tuple:
-    if (algebra, i) not in _T_FREE:
-        b = ALGEBRAS[algebra].basis(i)
-        powers = {p for _, _, p in b}
-        if len(powers) != 1:
-            raise ArithmeticError(f"b_{i} in {algebra} is not a power of t times a matrix")
-        _T_FREE[algebra, i] = powers.pop(), {(r, c): v for (r, c, _), v in b.items()}
-    return _T_FREE[algebra, i]
-
-
 def _cell(algebra: str, q: int, l: int) -> Fraction:
-    """c with [b_q, b_l] = c b_{q+l}: [b_q, b_l] = t^(p_q + p_l) [M_q, M_l], so a nonzero
-    commutator must sit on p_{q+l} and be c M_{q+l} in every entry, cross-multiplied."""
-    (pq, a), (pl, b), (p, m) = (_t_free(algebra, i) for i in (q, l, q + l))
-    com = dict.fromkeys(m, 0)           # every entry of M_{q+l} is compared
+    """c with [b_q, b_l] = c b_{q+l} for residues q, l, read from the row: with
+    q + l = nP + s, [b_q, b_l] = t^(powers[q] + powers[l]) [M_q, M_l], so a
+    nonzero commutator must sit on t^(powers[s] + n powers[P]) and be c M_s in
+    every entry, cross-multiplied."""
+    row = ALGEBRAS[algebra]
+    n, s = divmod(q + l, row.period)
+    a, b, m = row.mats[q], row.mats[l], row.mats[s]
+    com = dict.fromkeys(m, 0)           # every entry of M_s is compared
     for (i, k), u in a.items():          # each pair of entries meets in ab and in ba
         for (k2, j), v in b.items():
             if k == k2:
@@ -127,7 +79,9 @@ def _cell(algebra: str, q: int, l: int) -> Fraction:
                 com[k2, k] = com.get((k2, k), 0) - v * u
     key = min(m)
     num, den = com[key], m[key]
-    if (num and pq + pl != p) or any(c * den != num * m.get(k, 0) for k, c in com.items()):
+    p = row.powers
+    if (num and p[q] + p[l] != p[s] + n * p[-1]) or \
+            any(c * den != num * m.get(k, 0) for k, c in com.items()):
         raise ArithmeticError(f"[b_{q}, b_{l}] is not a multiple of b_{q + l} in {algebra}")
     return Fraction(num, den)
 

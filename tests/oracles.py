@@ -6,9 +6,11 @@ substitution, exponentials, partial derivatives and term-by-term text;
 jetfield's linear structure on fields, D and the bigrading of a field; the
 normalized field and the lookups of a closure, and the Jacobi check of a
 presented algebra by label strings; the 2x2 systems of the paper's introduction;
-and loopalg's Laurent-matrix sums, products, commutators, ad powers and
-proportionality, closed-form sl(2) constants, the sl(3) twist, the natural
-grading components, the recursive canonical bigrading and the real forms.
+and loopalg's Laurent matrices: each basis matrix built from its ALGEBRAS
+row and the closed forms of the sl(2) and twisted sl(3) bases it must equal,
+sums, products, commutators, ad powers and proportionality, closed-form sl(2)
+constants, the sl(3) twist, the natural grading components, the recursive
+canonical bigrading and the real forms.
 """
 
 from __future__ import annotations
@@ -230,12 +232,65 @@ INTRO_MATRICES = (
 # loopalg
 # ---------------------------------------------------------------------------
 
+def lm(items: dict) -> dict:
+    """The Laurent matrix {(i, j, p): c}: entry (i, j) of its t^p part, an int
+    or a non-integral Fraction, zeros never stored: equality is dict equality."""
+    return {k: v if v.denominator != 1 else v.numerator for k, v in items.items() if v}
+
+
+def lm_t_shift(a: dict, p: int) -> dict:
+    return lm({(i, j, q + p): v for (i, j, q), v in a.items()})
+
+
+def laurent(algebra: str, i: int) -> dict:
+    """b_i of an ALGEBRAS row as a Laurent matrix: t^(powers[s] + k powers[P]) M_s
+    for i = kP + s."""
+    row = la.ALGEBRAS[algebra]
+    k, s = divmod(i, row.period)
+    p = row.powers[s] + k * row.powers[-1]
+    return lm({(r, c, p): v for (r, c), v in row.mats[s].items()})
+
+
+def sl2_basis(i: int) -> dict:
+    """e_{3k} = (1/2) diag(t^k, -t^k); e_{3k+1} = (1/2) E12 t^k; e_{3k+2} = E21 t^{k+1}."""
+    if i < 0:
+        raise ValueError(f"non-negative part needs index >= 0, got {i}")
+    k, s = divmod(i, 3)
+    if s == 0:
+        return lm({(0, 0, k): Fraction(1, 2), (1, 1, k): Fraction(-1, 2)})
+    if s == 1:
+        return lm({(0, 1, k): Fraction(1, 2)})
+    return lm({(1, 0, k + 1): 1})
+
+
+SL3_F = {
+    -1: lm({(1, 0, 0): 1, (2, 1, 0): 1}),
+    0: lm({(0, 0, 0): 1, (2, 2, 0): -1}),
+    1: lm({(0, 1, 0): 1, (1, 2, 0): 1}),
+    2: lm({(2, 0, 0): 1}),
+    3: lm({(1, 0, 0): 1, (2, 1, 0): -1}),
+    4: lm({(0, 0, 0): 1, (1, 1, 0): -2, (2, 2, 0): 1}),
+    5: lm({(0, 1, 0): 1, (1, 2, 0): -1}),
+    6: lm({(0, 2, 0): 1}),
+}
+
+
+def sl3_twisted_basis(n: int) -> dict:
+    """f_{8k+s}: s in {-1,0,1} on t^{2k} (g_0 part), s in {2..6} on t^{2k+1} (g_1 part)."""
+    if n < 0:
+        raise ValueError(f"non-negative part needs index >= 0, got {n}")
+    s = (n + 1) % 8 - 1  # -1 <= s <= 6
+    k = (n - s) // 8
+    p = 2 * k if s <= 1 else 2 * k + 1
+    return lm_t_shift(SL3_F[s], p)
+
+
 def lm_add(a: dict, b: dict, ca=1, cb=1) -> dict:
     """ca*a + cb*b for Laurent matrices."""
     out = dict(a) if ca == 1 else {k: v * ca for k, v in a.items()}
     for k, v in b.items():
         out[k] = out.get(k, 0) + (v if cb == 1 else -v if cb == -1 else v * cb)
-    return la.lm(out)
+    return lm(out)
 
 
 def lm_mul(a: dict, b: dict) -> dict:
@@ -248,7 +303,7 @@ def lm_mul(a: dict, b: dict) -> dict:
         for j, q, vb in rows.get(k, ()):
             key = (i, j, p + q)
             out[key] = out.get(key, 0) + va * vb
-    return la.lm(out)
+    return lm(out)
 
 
 def lm_commutator(a: dict, b: dict) -> dict:
@@ -291,7 +346,7 @@ G1_KEYS = (2, 3, 4, 5, 6)
 def mu_twist(m: dict) -> dict:
     """Diagram automorphism of sl(3) on each t-power component: entry (i, j)
     goes to (2 - j, 2 - i) with sign -(-1)^(i + j)."""
-    return la.lm({(2 - j, 2 - i, p): v if (i + j) % 2 else -v for (i, j, p), v in m.items()})
+    return lm({(2 - j, 2 - i, p): v if (i + j) % 2 else -v for (i, j, p), v in m.items()})
 
 
 def twist_check(m: dict) -> bool:
@@ -335,7 +390,7 @@ def real_u(k: int) -> dict:
     if k < 1:
         raise ValueError("u is indexed by odd 2k-1 with k >= 1")
     p = 2 * k - 1
-    return la.lm({(0, 1, p): 1, (1, 0, p): -1})
+    return lm({(0, 1, p): 1, (1, 0, p): -1})
 
 
 def real_v(sign: int, k: int) -> dict:
@@ -343,7 +398,7 @@ def real_v(sign: int, k: int) -> dict:
     if k < 1 or sign not in (1, -1):
         raise ValueError("v is indexed by odd 2k-1 with k >= 1 and sign +-1")
     p = 2 * k - 1
-    return la.lm({(1, 2, p): 1, (2, 1, p): -sign})
+    return lm({(1, 2, p): 1, (2, 1, p): -sign})
 
 
 def real_w(sign: int, k: int) -> dict:
@@ -351,7 +406,7 @@ def real_w(sign: int, k: int) -> dict:
     if k < 1 or sign not in (1, -1):
         raise ValueError("w is indexed by even 2k with k >= 1 and sign +-1")
     p = 2 * k
-    return la.lm({(0, 2, p): 1, (2, 0, p): -sign})
+    return lm({(0, 2, p): 1, (2, 0, p): -sign})
 
 
 def real_form_bracket(sign: int, family: tuple, k: int, l: int):

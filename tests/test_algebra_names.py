@@ -1,7 +1,8 @@
 """No module in src/charlie branches on the name of a loop algebra.
 
-Each loop algebra is one row of loopalg.ALGEBRAS (period, basis, label
-prefix, canonical bigradings, Serre relations), and code reads the row.  A
+Each loop algebra is one row of loopalg.ALGEBRAS (period, t-free matrices,
+t-powers, label prefix, canonical bigradings, Serre relations), and code
+reads the row.  A
 comparison against an algebra's name, `algebra == "n1"` or
 `algebra in ("n1", "n2")`, writes a fact about that algebra a second time.
 Likewise each equation is one row of analysis.EQUATIONS and of

@@ -14,6 +14,29 @@ import oracles as orc
 ROOT = Path(__file__).resolve().parent.parent
 
 
+CLOSED_FORMS = {"n1": orc.sl2_basis, "n2": orc.sl3_twisted_basis}
+
+
+@pytest.mark.parametrize("algebra", sorted(la.ALGEBRAS))
+def test_rows_build_the_closed_form_bases(algebra):
+    # b_{kP+s} = t^(powers[s] + k powers[P]) M_s over four periods, entry for entry
+    for i in range(4 * la.ALGEBRAS[algebra].period):
+        assert orc.laurent(algebra, i) == CLOSED_FORMS[algebra](i), i
+
+
+@pytest.mark.parametrize("algebra", sorted(la.ALGEBRAS))
+def test_row_invariants(algebra):
+    row = la.ALGEBRAS[algebra]
+    assert len(row.mats) == row.period
+    assert len(row.powers) == len(row.bigradings) == row.period + 1
+    assert row.powers[0] == 0
+    for m in row.mats:
+        assert m and sum(c for (i, j), c in m.items() if i == j) == 0, m
+        # an int or a non-integral Fraction, never zero, as a Laurent matrix stores it
+        assert all(c and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+                   for c in m.values()), m
+
+
 def test_sl2_rule_examples():
     assert orc.sl2_bracket_constant(0, 1) == 1
     assert orc.sl2_bracket_constant(1, 4) == 0
@@ -23,17 +46,18 @@ def test_sl2_rule_examples():
 def test_sl2_matrix_oracle_full_sweep():
     for i in range(25):
         for j in range(25):
-            com = orc.lm_commutator(la.sl2_basis(i), la.sl2_basis(j))
-            c = orc.proportionality(com, la.sl2_basis(i + j))
+            com = orc.lm_commutator(orc.laurent("n1", i), orc.laurent("n1", j))
+            c = orc.proportionality(com, orc.laurent("n1", i + j))
             assert c == orc.sl2_bracket_constant(i, j), (i, j)
             assert la.matrix_structure_constant("n1", i, j) == c, (i, j)
 
 
 def test_proportionality_fails_on_a_missing_key_or_a_remainder():
     # b's first key is not an entry of a
-    assert orc.proportionality(la.sl2_basis(1), la.sl2_basis(2)) is None
+    assert orc.proportionality(orc.laurent("n1", 1), orc.laurent("n1", 2)) is None
     # a = c*b on b's first key, but a - c*b keeps e_1
-    assert orc.proportionality(orc.lm_add(la.sl2_basis(0), la.sl2_basis(1)), la.sl2_basis(0)) is None
+    e0 = orc.laurent("n1", 0)
+    assert orc.proportionality(orc.lm_add(e0, orc.laurent("n1", 1)), e0) is None
 
 
 def test_sl3_examples():
@@ -47,8 +71,8 @@ def test_sl3_examples():
 def test_sl3_residue_dependence():
     for q in range(17):
         for l in range(17):
-            com = orc.lm_commutator(la.sl3_twisted_basis(q), la.sl3_twisted_basis(l))
-            c = orc.proportionality(com, la.sl3_twisted_basis(q + l))
+            com = orc.lm_commutator(orc.laurent("n2", q), orc.laurent("n2", l))
+            c = orc.proportionality(com, orc.laurent("n2", q + l))
             assert c == la.matrix_structure_constant("n2", q % 8, l % 8), (q, l)
 
 
@@ -71,14 +95,14 @@ def test_printed_table_diff_is_the_known_typo_pair():
 
 def test_twist_eigenspaces():
     for s in orc.G0_KEYS:
-        assert not orc.lm_add(orc.mu_twist(la.SL3_F[s]), la.SL3_F[s], 1, -1)
+        assert not orc.lm_add(orc.mu_twist(orc.SL3_F[s]), orc.SL3_F[s], 1, -1)
     for s in orc.G1_KEYS:
-        assert not orc.lm_add(orc.mu_twist(la.SL3_F[s]), la.SL3_F[s], 1, 1)
+        assert not orc.lm_add(orc.mu_twist(orc.SL3_F[s]), orc.SL3_F[s], 1, 1)
 
 
 def test_matrix_entries_are_ints_or_fractions_and_constants_are_fractions():
     # every entry is a nonzero int or a non-integral Fraction; every constant is a Fraction
-    mats = [la.sl2_basis(i) for i in range(12)] + [la.sl3_twisted_basis(i) for i in range(20)]
+    mats = [orc.laurent("n1", i) for i in range(12)] + [orc.laurent("n2", i) for i in range(20)]
     mats += [orc.lm_commutator(a, b) for a in mats[:12] for b in mats[:12]]
     mats += [orc.lm_commutator(a, b) for a in mats[12:32] for b in mats[12:32]]
     assert any(type(c) is int for m in mats for c in m.values())
@@ -93,20 +117,20 @@ def test_matrix_entries_are_ints_or_fractions_and_constants_are_fractions():
 
 
 def test_twist_check_on_basis_and_violations():
-    assert orc.twist_check(la.sl3_twisted_basis(3))
-    assert not orc.twist_check(la.lm_t_shift(la.SL3_F[0], 1))  # g_0 on an odd power
+    assert orc.twist_check(orc.laurent("n2", 3))
+    assert not orc.twist_check(orc.lm_t_shift(orc.laurent("n2", 0), 1))  # g_0 on an odd power
     for n in range(17):
-        assert orc.twist_check(la.sl3_twisted_basis(n)), n
+        assert orc.twist_check(orc.laurent("n2", n)), n
 
 
 def test_twist_closed_under_brackets():
     import random
     rng = random.Random(7)
     for _ in range(20):
-        a = la.sl3_twisted_basis(rng.randrange(0, 17))
-        b = la.sl3_twisted_basis(rng.randrange(0, 17))
+        a = orc.laurent("n2", rng.randrange(0, 17))
+        b = orc.laurent("n2", rng.randrange(0, 17))
         combo = orc.lm_add(a, b, rng.randrange(1, 5), rng.randrange(1, 5))
-        other = la.sl3_twisted_basis(rng.randrange(0, 17))
+        other = orc.laurent("n2", rng.randrange(0, 17))
         assert orc.twist_check(orc.lm_commutator(combo, other))
 
 
@@ -114,9 +138,9 @@ def test_serre_matrix():
     assert la.serre_check("n1") == {"ad^3 e1 (e2)": True, "ad^3 e2 (e1)": True}
     assert la.serre_check("n2", "matrix") == {"ad^2 f2 (f1)": True, "ad^5 f1 (f2)": True}
     # one power fewer must NOT vanish (the relations are sharp)
-    e1, e2 = la.sl2_basis(1), la.sl2_basis(2)
+    e1, e2 = orc.laurent("n1", 1), orc.laurent("n1", 2)
     assert orc.ad_power(e1, e2, 2)
-    f1, f2 = la.sl3_twisted_basis(1), la.sl3_twisted_basis(2)
+    f1, f2 = orc.laurent("n2", 1), orc.laurent("n2", 2)
     assert orc.ad_power(f1, f2, 4)
 
 
@@ -128,8 +152,8 @@ def test_serre_cell_chains_are_the_matrix_ad_powers(algebra):
     for x, y, m in row.serre:
         chain = Fraction(1)
         for k in range(m + 1):
-            got = orc.ad_power(row.basis(x), row.basis(y), k)
-            assert not orc.lm_add(got, row.basis(y + k * x), 1, -chain), (x, y, k)
+            got = orc.ad_power(orc.laurent(algebra, x), orc.laurent(algebra, y), k)
+            assert not orc.lm_add(got, orc.laurent(algebra, y + k * x), 1, -chain), (x, y, k)
             assert (chain == 0) == (not got) == (k == m), (x, y, k)
             chain *= la.matrix_structure_constant(algebra, x, y + k * x)
 
@@ -220,69 +244,50 @@ def test_matrix_table_shape():
     assert t[(2, 4)] == -1
 
 
-def _fresh_cells(monkeypatch, algebra, basis):
-    """Empty cell and t-free memos, and ALGEBRAS[algebra] read through `basis`."""
+def _fresh_cells(monkeypatch, algebra, **fields):
+    """An empty cell memo, and ALGEBRAS[algebra] with `fields` replaced."""
     monkeypatch.setattr(la, "_CELLS", {})
-    monkeypatch.setattr(la, "_T_FREE", {})
-    monkeypatch.setitem(la.ALGEBRAS, algebra, la.ALGEBRAS[algebra]._replace(basis=basis))
+    monkeypatch.setitem(la.ALGEBRAS, algebra, la.ALGEBRAS[algebra]._replace(**fields))
 
 
 def test_cells_check_the_t_power_and_every_entry(monkeypatch):
     # [e_1, e_2] = e_3 = (1/2) diag(t, -t): a b_3 on t^2 has the right t-free part
-    def t_power_off(i):
-        return la.lm_t_shift(la.sl2_basis(i), 1) if i == 3 else la.sl2_basis(i)
-
-    _fresh_cells(monkeypatch, "n1", t_power_off)
+    _fresh_cells(monkeypatch, "n1", powers=la.ALGEBRAS["n1"].powers[:3] + (2,))
     assert la.matrix_structure_constant("n1", 0, 1) == 1
     with pytest.raises(ArithmeticError, match=r"\[b_1, b_2\]"):
         la.matrix_structure_constant("n1", 1, 2)
-    # [f_1, f_2] = f_3 = t (E_10 - E_21): one entry of b_3 changed, dropped or added
-    f3 = la.sl3_twisted_basis(3)
-    for wrong in ({**f3, (2, 1, 1): 1}, {(1, 0, 1): 1}, {**f3, (2, 0, 1): 1}):
-        _fresh_cells(monkeypatch, "n2", lambda i, wrong=wrong:
-                     wrong if i == 3 else la.sl3_twisted_basis(i))
+    # [f_1, f_2] = f_3 = t (E_10 - E_21): one entry of M_3 changed, dropped or added
+    mats = la.ALGEBRAS["n2"].mats
+    for wrong in ({**mats[3], (2, 1): 1}, {(1, 0): 1}, {**mats[3], (2, 0): 1}):
+        _fresh_cells(monkeypatch, "n2", mats=mats[:3] + (wrong,) + mats[4:])
         assert la.matrix_structure_constant("n2", 0, 2) == -2
         with pytest.raises(ArithmeticError, match=r"\[b_1, b_2\]"):
             la.matrix_structure_constant("n2", 1, 2)
 
 
 def _count_cells(monkeypatch, algebra):
-    """Fresh memos; the lists of cells computed, of basis indices built inside
-    them and of basis indices built outside any cell."""
-    cells, built, stray, inside = [], [], [], [False]
-    basis, cell = la.ALGEBRAS[algebra].basis, la._cell
-
-    def counted_basis(i):
-        (built if inside[0] else stray).append(i)
-        return basis(i)
+    """An empty cell memo; the list of cells computed."""
+    cells, cell = [], la._cell
 
     def counted_cell(*key):
         cells.append(key)
-        inside[0] = True
-        try:
-            return cell(*key)
-        finally:
-            inside[0] = False
+        return cell(*key)
 
-    _fresh_cells(monkeypatch, algebra, counted_basis)
+    _fresh_cells(monkeypatch, algebra)
     monkeypatch.setattr(la, "_cell", counted_cell)
-    return cells, built, stray
+    return cells
 
 
-def test_verify_iso_computes_each_cell_and_basis_matrix_once(monkeypatch, capsys):
-    cells, built, stray = _count_cells(monkeypatch, "n2")
+def test_verify_iso_computes_each_cell_once(monkeypatch, capsys):
+    cells = _count_cells(monkeypatch, "n2")
     argv = ["verify-iso", "--equation", "tzitzeica", "--degree", "14", "--order", "18"]
     assert cli.run(argv) == 0
     capsys.readouterr()
     assert len(cells) == len(set(cells)) == 59
-    # a cell reads indices q + l <= 2P - 2 = 14, so at most 15 basis matrices
-    # are built, one per index (three per cell would be 177), and none outside
-    # a cell, since the matrix Serre rows read cells too
-    assert len(built) == len(set(built)) <= 15 and not stray
 
 
 def test_charalg_sinh_computes_only_the_cells_it_reads(monkeypatch, capsys):
-    cells, _, _ = _count_cells(monkeypatch, "n1")
+    cells = _count_cells(monkeypatch, "n1")
     assert cli.run(["charalg", "--equation", "sinh", "--degree", "16", "--order", "20"]) == 0
     capsys.readouterr()
     assert len(cells) == len(set(cells)) == 4 and {key[0] for key in cells} == {"n1"}
@@ -293,10 +298,10 @@ def test_charalg_sinh_computes_only_the_cells_it_reads(monkeypatch, capsys):
 def test_matrix_serre_rows_read_only_their_chain_cells(monkeypatch, algebra, realization, count):
     # the rows' chains: n1 reads (1, 2), (1, 0), (1, 1) and (2, 1), (2, 0), (2, 2);
     # n2 reads (2, 1), (2, 3) and (1, 2) .. (1, 6)
-    cells, _, stray = _count_cells(monkeypatch, algebra)
+    cells = _count_cells(monkeypatch, algebra)
     assert all(la.serre_check(algebra, *realization).values())
     row = la.ALGEBRAS[algebra]
-    assert len(cells) == len(set(cells)) == count and not stray
+    assert len(cells) == len(set(cells)) == count
     assert set(cells) == {(algebra, x, (y + j * x) % row.period)
                           for x, y, m in row.serre for j in range(m)}
 
@@ -320,14 +325,12 @@ def test_import_and_argv_parsing_build_no_cell_or_basis_matrix():
                 cli.parse_equation(args.equation)
         sys.setprofile(None)
         from charlie import loopalg as la
-        # lm builds SL3_F on import, so the profile does see loopalg
-        print(len(argvs), "lm" in called, sorted(called & {
-            "sl2_basis", "sl3_twisted_basis", "_t_free", "_cell", "matrix_structure_constant"}),
-            la._CELLS, la._T_FREE)
+        # the profile sees loopalg's module body run on import, and nothing else
+        print(len(argvs), sorted(called), la._CELLS)
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True,
                          text=True, check=True).stdout
     count, rest = out.split(" ", 1)
-    assert int(count) >= 4 and rest == "True [] {} {}\n"
+    assert int(count) >= 4 and rest == "['<module>'] {}\n"
