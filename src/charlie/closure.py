@@ -109,7 +109,7 @@ q + l = n with a nonzero target constant k.  The scales are int pairs p_n/q_n
 from the raw int entries, so a coefficient c p_i p_j q_k / (den q_i q_j p_k)
 is one int pair in lowest terms.  The rule reproduces the defining
 recursions of both reference bases, so the tables compare literally.
-Without a target the table is the raw one.
+Without a target every scale is 1 and the table is the raw one.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ from typing import Callable, Optional
 from . import exactring as xr
 from . import jetfield as jf
 from .jetfield import Bigrading, JetField
-from .linalg import LinearSpan, cleared
+from .linalg import LinearSpan
 from .loopalg import matrix_structure_constant, natural_degree
 
 
@@ -198,26 +198,17 @@ class ClosureResult:
         self.entries = entries      # (i, j), i<j -> tuple[(k, num, den), ...], k rising, num/den
                                     # normalized in lowest terms, exact on jets to `order`
 
-    @cached_property
-    def brackets(self) -> dict:
-        """The entries as (i, j) -> tuple[(k, Fraction), ...], built on first read."""
-        return {key: tuple((k, Fraction(num, den)) for k, num, den in coeffs)
-                for key, coeffs in self.entries.items()}
-
-    def bracket_coeffs(self, i: int, j: int):
-        """Normalized coefficients of [Z_i, Z_j] over the basis, any order of i, j;
+    def bracket_coeffs(self, i: int, j: int) -> tuple:
+        """[Z_i, Z_j] as entries' (k, num, den) triples, any order of i, j;
         i or j may be 0 (the toral element)."""
         if i == j:
             return ()
+        if i > j:
+            return tuple((k, -num, den) for k, num, den in self.bracket_coeffs(j, i))
         if i == 0:
             el = self.elements[j - 1]
-            return ((j, Fraction(el.eigenvalue)),) if el.eigenvalue else ()
-        if j == 0:
-            el = self.elements[i - 1]
-            return ((i, Fraction(-el.eigenvalue)),) if el.eigenvalue else ()
-        if i < j:
-            return self.brackets[(i, j)]
-        return tuple((k, -c) for k, c in self.brackets[(j, i)])
+            return ((j, el.eigenvalue, 1),) if el.eigenvalue else ()
+        return self.entries[(i, j)]
 
 
 def _vectorize(slots: list, start: int = 0) -> dict:
@@ -242,6 +233,12 @@ def _lowest(num: int, den: int) -> tuple:
     return num // g, den // g
 
 
+def _lowest_vec(nums: dict, den: int) -> tuple:
+    """nums/den over den > 0 in lowest terms, as (nums without zeros, den)."""
+    g = gcd(den, *nums.values())
+    return {k: v // g for k, v in nums.items() if v}, den // g
+
+
 def _int_sum(terms) -> tuple:
     """sum_t num_t/den_t * vec_t over int vectors vec_t, as (nums, L) in lowest
     terms: int numerators without zeros over L > 0, summed over lcm(den_t)."""
@@ -251,8 +248,7 @@ def _int_sum(terms) -> tuple:
         m = num * (L // den)
         for k, v in vec.items():
             out[k] = out.get(k, 0) + m * v
-    g = gcd(L, *out.values())
-    return {k: v // g for k, v in out.items() if v}, L // g
+    return _lowest_vec(out, L)
 
 
 def generate(
@@ -378,9 +374,7 @@ def generate(
                         expr = {cand: 1}, 1
                 # a tag t's rows are L_t times its element's vectors
                 nums, den = expr
-                nums, den = {t.element: v * t.L for t, v in nums.items()}, den * L
-                g = gcd(den, *nums.values())
-                raw_expr[pair] = {e: v // g for e, v in nums.items()}, den // g
+                raw_expr[pair] = _lowest_vec({t.element: v * t.L for t, v in nums.items()}, den * L)
         # reference index order within a degree: eigenvalue descending, then
         # discovery (the sort is stable)
         bounds[d] = len(elements), len(elements) + len(new_here)
@@ -389,18 +383,15 @@ def generate(
             el.name = f"{prefix}{el.index}"
             elements.append(el)
 
-    if target is None:
-        entries = {key: tuple(sorted((e.index, c // g, den // g)
-                                     for e, c in nums.items() for g in (gcd(c, den),)))
-                   for key, (nums, den) in raw_expr.items()}
-        return ClosureResult(order, max_degree, f"{prefix}0", elements, entries)
-    s = _normalization_scales(elements, raw_expr, target)
-    entries = {}
-    for (i, j), (nums, den) in raw_expr.items():
-        (pi, qi), (pj, qj) = s[i], s[j]     # [s_i Z_i, s_j Z_j] = sum s_i s_j c_k / s_k (s_k Z_k)
-        entries[i, j] = tuple(sorted((e.index, *_lowest(c * pi * pj * s[e.index][1],
-                                                        den * qi * qj * s[e.index][0]))
-                                     for e, c in nums.items()))
+    s = ([(1, 1)] * (len(elements) + 1) if target is None
+         else _normalization_scales(elements, raw_expr, target))
+    inv = [_lowest(q, p) for p, q in s]     # 1/s_k, over a positive denominator
+    # [s_i Z_i, s_j Z_j] = sum s_i s_j c_k / s_k (s_k Z_k), every denominator positive
+    entries = {(i, j): tuple(sorted((e.index, n // g, d // g) for e, c in nums.items()
+                                    for n, d in [(c * p * inv[e.index][0], q * inv[e.index][1])]
+                                    for g in [gcd(n, d)]))
+               for (i, j), (nums, den) in raw_expr.items()
+               for p, q in [(s[i][0] * s[j][0], den * s[i][1] * s[j][1])]}
     return ClosureResult(order, max_degree, f"{prefix}0", elements, entries)
 
 
@@ -439,25 +430,23 @@ def growth_function(result: ClosureResult, n: int) -> int:
 
 
 def _abstract_bracket(result: ClosureResult, v: dict, w: dict) -> dict:
-    out: dict = {}
-    for a, ca in v.items():
-        for b, cb in w.items():
-            xr.vec_iadd_scaled(out, dict(result.bracket_coeffs(a, b)), ca * cb)
-    return out
+    """[v, w] up to a positive scale, for int vectors v, w over the basis (0 = X_0)."""
+    return _int_sum([(ca * cb * num, den, {k: 1}) for a, ca in v.items() for b, cb in w.items()
+                     for k, num, den in result.bracket_coeffs(a, b)])[0]
 
 
 def _word_span_dims(result: ClosureResult, generators: list) -> dict:
     span = LinearSpan()
     for g in generators:    # distinct unit vectors
         span.insert({g: 1}, ("g", g))
-    frontier = gen_vecs = [{g: Fraction(1)} for g in generators]
+    frontier = gen_vecs = [{g: 1} for g in generators]
     dims = {1: len(span)}
     for n in range(2, result.max_degree + 1):
         new_frontier = []
         for g in gen_vecs:
             for w in frontier:
                 b = _abstract_bracket(result, g, w)
-                if b and span.insert(cleared(b)[0], ("w", n, len(span))) is None:
+                if b and span.insert(b, ("w", n, len(span))) is None:
                     new_frontier.append(b)
         dims[n] = len(span)
         frontier = new_frontier

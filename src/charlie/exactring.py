@@ -20,7 +20,7 @@ does not depend on which one a coefficient is.
 
 vec_iadd_scaled (out += c*b in place on any such dict, zeros dropped) is
 the one sparse accumulate: linalg's row operations and the closure's lower
-sums and abstract bracket call it on the vectors they own, and
+sums call it on the vectors they own, and
 vec_add_scaled, its copying wrapper, serves qp_add, qp_mul and the 2x2
 exponential systems of analysis.  Only the jet bracket kernel in jetfield
 fuses its own multiply-accumulate over packed monomials.  The matrix oracle

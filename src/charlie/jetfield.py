@@ -41,11 +41,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from . import exactring as xr
 from .exactring import Quasi
+from .linalg import cleared
 
 # A packed monomial prod u_k^e_k is one int, sum e_k << _BITS*(k-1): a
 # monomial product is an integer addition and d/du_k lowers by one unit.
@@ -293,13 +293,13 @@ def bracket_from_connection(connection: dict, lower: dict, n: int,
     coefficient is divided back once: an int where integral.
     """
     slots = slots or [{}]
-    denom = lcm(*(c.denominator for c in connection.values()))
+    ints, denom = cleared(connection)
     terms = []
-    for (s, i), c in connection.items():
+    for (s, i), c in ints.items():
         z_i = lower[i]
         if len(z_i) < n:
             raise TruncationError(f"element {i} has no slot {n - 1}")
-        terms.append((s, z_i, c.numerator * (denom // c.denominator)))
+        terms.append((s, z_i, c))
     z = slots[-1]
     if denom != 1:
         z = {alpha: {m: c * denom for m, c in p.items()} for alpha, p in z.items()}

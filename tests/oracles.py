@@ -3,14 +3,14 @@ command runs, so they live here and not in src/charlie.
 
 One section per program module they restate or build beside: exactring's
 substitution, exponentials, partial derivatives and term-by-term text;
-jetfield's linear structure on fields, D and the bigrading of a field; the
-normalized field and the lookups of a closure, and the Jacobi check of a
-presented algebra by label strings; the 2x2 systems of the paper's introduction;
-and loopalg's Laurent matrices: each basis matrix built from its ALGEBRAS
-row and the closed forms of the sl(2) and twisted sl(3) bases it must equal,
-sums, products, commutators, ad powers and proportionality, closed-form sl(2)
-constants, the sl(3) twist, the natural grading components, the recursive
-canonical bigrading and the real forms.
+jetfield's linear structure on fields, D and the bigrading of a field; a
+closure's table as Fractions, its normalized fields and lookups, and the
+Jacobi check of a presented algebra by label strings; the 2x2 systems of the
+paper's introduction; and loopalg's Laurent matrices: each basis matrix
+built from its ALGEBRAS row and the closed forms of the sl(2) and twisted
+sl(3) bases it must equal, sums, products, commutators, ad powers and
+proportionality, closed-form sl(2) constants, the sl(3) twist, the natural
+grading components, the recursive canonical bigrading and the real forms.
 """
 
 from __future__ import annotations
@@ -144,6 +144,17 @@ def bigrading_of(X: jf.JetField):
 # closure results
 # ---------------------------------------------------------------------------
 
+def brackets(res) -> dict:
+    """The table as (i, j) -> tuple[(k, Fraction), ...], from its int entries."""
+    return {key: tuple((k, Fraction(num, den)) for k, num, den in coeffs)
+            for key, coeffs in res.entries.items()}
+
+
+def bracket_coeffs(res, i: int, j: int) -> tuple:
+    """res.bracket_coeffs(i, j) as (k, Fraction) pairs."""
+    return tuple((k, Fraction(num, den)) for k, num, den in res.bracket_coeffs(i, j))
+
+
 def norm_scale(res, el) -> Fraction:
     """The Fraction s_n with Z_n = s_n * field_raw, rebuilt from the raw
     (target-free) and normalized tables.  An element's raw field is the raw
@@ -153,7 +164,7 @@ def norm_scale(res, el) -> Fraction:
         return Fraction(1)
     g, q = el.pair
     return (norm_scale(res, res.elements[g - 1]) * norm_scale(res, res.elements[q - 1])
-            / dict(res.brackets[g, q])[el.index])
+            / dict(bracket_coeffs(res, g, q))[el.index])
 
 
 def field(res, el) -> jf.JetField:
@@ -168,10 +179,10 @@ def pair_connection(res, a, b):
     A, B = res.elements[a - 1], res.elements[b - 1]
     lam: dict = {}
     for (_, i), c in A.connection.items():
-        for k, x in res.bracket_coeffs(i, b):
+        for k, x in bracket_coeffs(res, i, b):
             xr.vec_iadd_scaled(lam, {k: x}, c)
     for (_, j), c in B.connection.items():
-        for k, x in res.bracket_coeffs(a, j):
+        for k, x in bracket_coeffs(res, a, j):
             xr.vec_iadd_scaled(lam, {k: x}, c)
     r = A.eigenvalue + B.eigenvalue
     return {(r - res.elements[k - 1].eigenvalue, k): c for k, c in lam.items()}

@@ -90,8 +90,8 @@ def test_criterion_03_D_bracket_is_minus_f_X0():
 def test_criterion_04_liouville_closure():
     res = cl.generate(an.EQUATIONS["liouville"], 12, 8, "X")
     assert len(res.elements) == 1  # dimension 2 with the toral element
-    assert res.brackets == {}
-    assert res.bracket_coeffs(0, 1) == ((1, Fraction(1)),)  # the sole relation
+    assert res.entries == {}
+    assert res.bracket_coeffs(0, 1) == ((1, 1, 1),)  # the sole relation
 
 
 # --- criteria 5-6: the two loop-algebra isomorphisms at desk scale -------------
@@ -103,8 +103,8 @@ def _index_table_json(pairs: dict) -> str:
 
 
 def _jet_pairs(result: cl.ClosureResult) -> dict:
-    pairs = {(0, el.index): result.bracket_coeffs(0, el.index) for el in result.elements}
-    pairs.update(result.brackets)
+    pairs = {(0, el.index): orc.bracket_coeffs(result, 0, el.index) for el in result.elements}
+    pairs.update(orc.brackets(result))
     return pairs
 
 
@@ -136,9 +136,9 @@ def test_criterion_06_tzitzeica_isomorphism(tz_big):
     assert n_el == 16
     for q in range(1, 16):
         for l in range(q + 1, 17 - q):
-            assert (q, l) in tz_big.brackets, (q, l)
+            assert (q, l) in tz_big.entries, (q, l)
             want = la.matrix_structure_constant("n2", q, l)
-            assert dict(tz_big.brackets[(q, l)]) == ({q + l: want} if want else {}), (q, l)
+            assert dict(orc.bracket_coeffs(tz_big, q, l)) == ({q + l: want} if want else {}), (q, l)
     # whole-window tables, byte-identical after canonical ordering
     assert _index_table_json(_jet_pairs(tz_big)) == \
         _index_table_json(_matrix_pairs_like(tz_big, "n2"))
@@ -296,8 +296,8 @@ def test_criterion_11b_truncation_stability(sinh_small, sinh_big, tz_small, tz_b
             assert el_small.name == el_big.name
             assert orc.fields_equal(orc.field(small, el_small),
                                     orc.truncate(orc.field(big, el_big), small.order))
-        for key, coeffs in small.brackets.items():
-            assert big.brackets[key] == coeffs
+        for key, coeffs in small.entries.items():
+            assert big.entries[key] == coeffs
 
 
 def test_criterion_11c_byte_deterministic_reports(tmp_path):

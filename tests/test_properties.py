@@ -168,8 +168,8 @@ def test_closure_truncation_stability(eq, sinh_small, tz_small, sinh_big, tz_big
         assert orc.fields_equal(orc.field(small, el_small),
                                 orc.truncate(orc.field(big, el_big), small.order))
     # the window's brackets agree
-    for key, coeffs in small.brackets.items():
-        assert big.brackets[key] == coeffs
+    for key, coeffs in small.entries.items():
+        assert big.entries[key] == coeffs
 
 
 exponential_sums = st.dictionaries(
@@ -185,7 +185,7 @@ def test_closure_entries_equal_their_jet_brackets(f):
     # sums the rest; every entry is the jet bracket of its pair
     res = cl.generate(f, 8, 5)
     fields = {el.index: orc.field(res, el) for el in res.elements}
-    for (i, j), coeffs in res.brackets.items():
+    for (i, j), coeffs in orc.brackets(res).items():
         rhs = orc.zero_field(res.order)
         for k, c in coeffs:
             rhs = orc.field_add(rhs, orc.field_scale(fields[k], c))
@@ -213,7 +213,7 @@ def test_closure_at_a_long_gap_matches_the_jet_brackets(f):
                 if vec:
                     span.insert(cleared(vec)[0], (g, q))
         assert len(span) == orc.dims_by_degree(res).get(d, 0), d
-    for (i, j), coeffs in res.brackets.items():
+    for (i, j), coeffs in orc.brackets(res).items():
         rhs = orc.zero_field(res.order)
         for k, c in coeffs:
             rhs = orc.field_add(rhs, orc.field_scale(fields[k], c))
@@ -258,7 +258,7 @@ def test_lower_sums_decide_as_the_jets(f):
                     lower, jet = vectors(el.connection, n)
                     assert same(lowers[el.eigenvalue].insert(lower, el),
                                 jets[el.eigenvalue].insert(jet, el)), (el.name, n)
-            for i, j in res.brackets:
+            for i, j in res.entries:
                 if i in generators and res.elements[j - 1].degree == d - 1:
                     r = res.elements[i - 1].eigenvalue + res.elements[j - 1].eigenvalue
                     lower, jet = vectors(orc.pair_connection(res, i, j), n)
